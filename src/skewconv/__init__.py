@@ -1,7 +1,7 @@
 """Skew convolutional and skew trellis codes over finite fields."""
 
 from .analysis import SimReport, analyze_code, run_simulation
-from .code import Sequence, SkewConvCode
+from .code import Sequence, SkewConvCode, SkewTrellisCode
 from .codespec import (
     CodeSpecError,
     code_to_dict,
@@ -15,12 +15,7 @@ from .decoder import DecodeResult, QSChannel, bcjr, viterbi
 from .dual import SyndromeFormer, SyndromeFormerNotFound, syndrome_former, verify_duality
 from .field import FieldElement, FiniteField
 from .skewpoly import SkewPoly, SkewPolyMatrix
-from .skewtrellis import (
-    LinearityReport,
-    SkewTrellisCode,
-    build_trellis_right,
-    linearity_report,
-)
+from .skewtrellis import LinearityReport, build_trellis_right, linearity_report
 from .trellis import (
     Trellis,
     build_trellis,

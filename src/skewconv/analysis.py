@@ -5,22 +5,9 @@ import random
 from dataclasses import dataclass
 
 from .decoder import QSChannel, viterbi
-from .skewtrellis import SkewTrellisCode, build_trellis_right
 from .trellis import build_trellis, is_catastrophic, unit_memory_bounds
 
 __all__ = ["analyze_code", "SimReport", "run_simulation"]
-
-
-def _build(code):
-    if isinstance(code, SkewTrellisCode):
-        return build_trellis_right(code)
-    return build_trellis(code)
-
-
-def _encode(code, u, terminate):
-    if isinstance(code, SkewTrellisCode):
-        return code.encode_right(u, terminate=terminate)
-    return code.encode(u, terminate=terminate)
 
 
 def analyze_code(code, lmax=None, trellis=None):
@@ -29,19 +16,16 @@ def analyze_code(code, lmax=None, trellis=None):
     d_burst lists the active burst distances for loop lengths 2..lmax
     (null where no loop of that length exists).
     """
-    tr = trellis if trellis is not None else _build(code)
+    tr = trellis if trellis is not None else build_trellis(code)
     if lmax is None:
         lmax = max(10, 2 * (tr.external_degree + 1) * tr.num_sections)
     if lmax < 2:
         raise ValueError("lmax must be >= 2")
-    fd = tr.free_distance()
+    fd = tr.free_distance(lmax=lmax)
     sl = tr.slope()
     cat = is_catastrophic(tr)
     bounds = unit_memory_bounds(code)
-    d_burst = []
-    for ell in range(2, lmax + 1):
-        d = tr.active_burst_distance(ell)
-        d_burst.append(None if d == math.inf else int(d))
+    d_burst = [None if d == math.inf else int(d) for d in fd.burst[1:]]
     if sl == math.inf:
         slope_out, slope_ratio = None, None
     else:
@@ -52,7 +36,7 @@ def analyze_code(code, lmax=None, trellis=None):
         "n": code.n,
         "mu": code.memory,
         "nu": code.external_degree,
-        "tau": getattr(code, "period", tr.num_sections),
+        "tau": code.period,
         "d_free": None if fd.value == math.inf else int(fd.value),
         "d_free_stabilized": fd.stabilized,
         "slope": slope_out,
@@ -109,7 +93,7 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
         raise ValueError(f"eps must lie in [0, {max_eps}) for a {q}-ary channel")
     if trials < 1 or frame_len < 1:
         raise ValueError("trials and frame_len must be positive")
-    tr = trellis if trellis is not None else _build(code)
+    tr = trellis if trellis is not None else build_trellis(code)
     channel = QSChannel(q, eps)
     sym_in = 0
     sym_out = 0
@@ -117,7 +101,7 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
-        sent = _encode(code, u, True)
+        sent = code.encode(u, terminate=True)
         recv = channel.transmit(sent, rng)
         sym_in += sum(
             1 for a, b in zip(sent.flat_values(), recv.flat_values()) if a != b

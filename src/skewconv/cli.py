@@ -16,7 +16,6 @@ from .analysis import analyze_code, run_simulation
 from .codespec import CodeSpecError, format_sequence, load_code, parse_sequence
 from .decoder import QSChannel, bcjr, viterbi
 from .dual import SyndromeFormerNotFound, syndrome_former
-from .skewtrellis import SkewTrellisCode, build_trellis_right
 from .trellis import build_trellis, export_dot
 
 __all__ = ["main"]
@@ -79,19 +78,10 @@ def _read_text(path):
         return fh.read()
 
 
-def _trellis_for(code):
-    if isinstance(code, SkewTrellisCode):
-        return build_trellis_right(code)
-    return build_trellis(code)
-
-
 def _cmd_encode(args, out):
     code = load_code(args.code)
     u = parse_sequence(code.field, _read_text(args.input), code.k, what="information block")
-    if isinstance(code, SkewTrellisCode):
-        v = code.encode_right(u, terminate=args.terminate)
-    else:
-        v = code.encode(u, terminate=args.terminate)
+    v = code.encode(u, terminate=args.terminate)
     out.write(format_sequence(v, pretty=args.pretty))
     return 0
 
@@ -99,7 +89,7 @@ def _cmd_encode(args, out):
 def _cmd_decode(args, out):
     code = load_code(args.code)
     received = parse_sequence(code.field, _read_text(args.received), code.n, what="code block")
-    tr = _trellis_for(code)
+    tr = build_trellis(code)
     if args.method == "bcjr":
         if args.eps is None:
             raise CodeSpecError("--eps is required for bcjr decoding")
@@ -132,7 +122,7 @@ def _cmd_dual(args, out):
 
 def _cmd_trellis(args, out):
     code = load_code(args.code)
-    dot = export_dot(_trellis_for(code), args.sections)
+    dot = export_dot(build_trellis(code), args.sections)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dot)

@@ -1,12 +1,16 @@
-"""Skew convolutional codes: validation, period, encoding, scalar generator
-windows, and regrouping into an equivalent fixed code.
+"""Skew convolutional and skew trellis codes: validation, period, encoding,
+scalar generator windows, and regrouping into an equivalent fixed code.
 
 A code is given by a k x n polynomial generator matrix G(D) = G_0 + G_1 D +
-... + G_mu D^mu over F[D; theta].  Encoding is the twisted convolution
+... + G_mu D^mu over F[D; theta].  The left-module (convolutional) encoding
+is the twisted convolution
 
     v_t = sum_i u_{t-i} * theta^(t-i)(G_i),   u_t = 0 for t < 0,
 
-so the encoder coefficients are periodic in t with the code period.
+so the encoder coefficients are periodic in t with the code period.  The
+right-module (trellis) encoding twists the stored inputs instead:
+
+    v_t = sum_i theta^i(u_{t-i}) * G_i.
 """
 
 import numpy as np
@@ -15,7 +19,7 @@ from .field import FieldElement
 from .linalg import f_rank
 from .skewpoly import SkewPoly, SkewPolyMatrix
 
-__all__ = ["Sequence", "SkewConvCode"]
+__all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode"]
 
 
 class Sequence:
@@ -119,7 +123,18 @@ def _twist_matrix(field, mat, power):
 
 
 class SkewConvCode:
-    """[n, k] skew convolutional code with polynomial generator matrix G(D)."""
+    """[n, k] skew convolutional code with polynomial generator matrix G(D).
+
+    Both module sides share this model and differ only in data:
+    `phase_coefficients[s][i]` is the table applied at delay i at times
+    t = s (mod period), and every shift of the encoder registers applies
+    theta^register_twist to each stored symbol.  The left-module code twists
+    the coefficients, theta^(s-i)(G_i) over `period` phases, and stores the
+    plain inputs.
+    """
+
+    module_side = "left"
+    register_twist = 0
 
     def __init__(self, generator, validate=True):
         if not isinstance(generator, SkewPolyMatrix):
@@ -137,14 +152,17 @@ class SkewConvCode:
         self.external_degree = sum(self.row_degrees)
         # coefficient matrices G_0..G_mu as integer tables
         self._coeff = [generator.coefficient_values(i) for i in range(self.memory + 1)]
-        self.period = self._compute_period()
-        # phase cache: _phase_coeff[s][i] = theta^(s-i)(G_i), valid at times t = s mod period
-        self._phase_coeff = [
-            [_twist_matrix(self.field, self._coeff[i], s - i) for i in range(self.memory + 1)]
-            for s in range(self.period)
-        ]
+        twist_period = self._compute_period()
         if validate:
-            self._check_full_rank()
+            self._check_full_rank(twist_period)
+        self.phase_coefficients = self._coefficient_tables(twist_period)
+        self.period = len(self.phase_coefficients)
+
+    def _coefficient_tables(self, twist_period):
+        return [
+            [_twist_matrix(self.field, self._coeff[i], s - i) for i in range(self.memory + 1)]
+            for s in range(twist_period)
+        ]
 
     def _compute_period(self):
         order = self.field.automorphism_order
@@ -157,11 +175,15 @@ class SkewConvCode:
                 return i
         return order
 
-    def _check_full_rank(self):
-        t_rows = self.period * (self.memory + 1)
+    def _check_full_rank(self, twist_period):
+        t_rows = twist_period * (self.memory + 1)
         window = self.scalar_generator(t_rows)
         if f_rank(self.field, window) != t_rows * self.k:
             raise ValueError("generator matrix is rank-deficient on its scalar window")
+
+    def require_left_module(self, operation):
+        if self.module_side != "left":
+            raise ValueError(f"{operation} is defined for left-module codes only")
 
     # -- encoding -------------------------------------------------------
 
@@ -176,15 +198,17 @@ class SkewConvCode:
 
     def encode(self, u, terminate=False):
         """Encode an information sequence; terminate appends `memory` zero
-        blocks so the path returns to the zero state."""
+        blocks so the path returns to the zero state.  The input u_{t-i}
+        meets the delay-i table as theta^(i * register_twist)(u_{t-i})."""
         u = self.coerce_sequence(u, self.k)
         f = self.field
+        twist = self.register_twist
         total = len(u) + (self.memory if terminate else 0)
         ublocks = u.to_ints()
         out = []
         for t in range(total):
             acc = [0] * self.n
-            coeffs = self._phase_coeff[t % self.period]
+            coeffs = self.phase_coefficients[t % self.period]
             for i in range(self.memory + 1):
                 s = t - i
                 if not 0 <= s < len(ublocks):
@@ -193,6 +217,8 @@ class SkewConvCode:
                 for row, usym in enumerate(ublocks[s]):
                     if usym == 0:
                         continue
+                    if twist:
+                        usym = f.frobenius_int(usym, i * twist)
                     for j in range(self.n):
                         g = mat[row][j]
                         if g:
@@ -204,7 +230,7 @@ class SkewConvCode:
         """Encoder coefficient theta^(t-i)(G_i) at time t as an integer table."""
         if not 0 <= i <= self.memory:
             raise ValueError(f"delay {i} outside [0, {self.memory}]")
-        return [row[:] for row in self._phase_coeff[t % self.period][i]]
+        return [row[:] for row in self.phase_coefficients[t % self.period][i]]
 
     # -- scalar (semi-infinite) generator windows -------------------------
 
@@ -237,6 +263,7 @@ class SkewConvCode:
     def tau_block(self):
         """Polynomial generator matrix of the equivalent fixed code obtained
         by regrouping `period` consecutive blocks."""
+        self.require_left_module("tau_block")
         tau = self.period
         if tau == 1:
             return self.generator
@@ -260,6 +287,26 @@ class SkewConvCode:
 
     def __repr__(self):
         return (
-            f"SkewConvCode(k={self.k}, n={self.n}, memory={self.memory}, "
+            f"{type(self).__name__}(k={self.k}, n={self.n}, memory={self.memory}, "
             f"period={self.period}, field={self.field!r})"
         )
+
+
+class SkewTrellisCode(SkewConvCode):
+    """Right-module skew trellis code on the same constituents:
+
+        v_t = u_t G_0 + theta(u_{t-1}) G_1 + ... + theta^mu(u_{t-mu}) G_mu.
+
+    The coefficients stay untwisted (one phase), and each shift applies theta
+    to every stored symbol.  Validation is the rank check of the left-module
+    reading.  For theta != id the code is nonlinear over the full field but
+    stays linear over the fixed subfield of theta.
+    """
+
+    module_side = "right"
+    register_twist = 1
+
+    def _coefficient_tables(self, twist_period):
+        return [self._coeff]
+
+    encode_right = SkewConvCode.encode

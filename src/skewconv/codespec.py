@@ -15,11 +15,11 @@ block per line.
 """
 
 import json
+import numbers
 
-from .code import Sequence, SkewConvCode
+from .code import Sequence, SkewConvCode, SkewTrellisCode
 from .field import FiniteField
 from .skewpoly import SkewPolyMatrix
-from .skewtrellis import SkewTrellisCode
 
 __all__ = [
     "CodeSpecError",
@@ -32,18 +32,41 @@ __all__ = [
 ]
 
 
+_CODE_CLASSES = {cls.module_side: cls for cls in (SkewConvCode, SkewTrellisCode)}
+
+
 class CodeSpecError(ValueError):
     pass
 
 
-def _field_from_dict(doc):
+def _is_int_array(value, depth):
+    """True iff value is a list nested `depth` deep with integer leaves."""
+    if not isinstance(value, (list, tuple)):
+        return False
+    if depth == 1:
+        return all(isinstance(v, numbers.Integral) for v in value)
+    return all(_is_int_array(v, depth - 1) for v in value)
+
+
+def _as_int(value, name):
     try:
-        p = int(doc["p"])
-        n = int(doc["n"])
-    except KeyError as exc:
-        raise CodeSpecError(f"field block is missing {exc}") from None
+        return int(value)
+    except (TypeError, ValueError):
+        raise CodeSpecError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _field_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise CodeSpecError("field must be a JSON object")
+    for key in ("p", "n"):
+        if key not in doc:
+            raise CodeSpecError(f"field block is missing {key!r}")
+    p = _as_int(doc["p"], "field p")
+    n = _as_int(doc["n"], "field n")
     modulus = doc.get("modulus")
-    theta_r = int(doc.get("theta_r", 0))
+    if modulus is not None and not _is_int_array(modulus, 1):
+        raise CodeSpecError("field modulus must be an array of integers")
+    theta_r = _as_int(doc.get("theta_r", 0), "field theta_r")
     try:
         return FiniteField(p, n, modulus=modulus, theta_r=theta_r)
     except ValueError as exc:
@@ -57,17 +80,16 @@ def code_from_dict(doc):
         if key not in doc:
             raise CodeSpecError(f"code spec is missing {key!r}")
     field = _field_from_dict(doc["field"])
-    k, n = int(doc["k"]), int(doc["n"])
+    k, n = _as_int(doc["k"], "k"), _as_int(doc["n"], "n")
     table = doc["G"]
-    if len(table) != k or any(len(row) != n for row in table):
+    if not _is_int_array(table, 3) or len(table) != k or any(len(row) != n for row in table):
         raise CodeSpecError(f"G must be a {k} x {n} array of coefficient arrays")
     side = doc.get("module_side", "left")
-    if side not in ("left", "right"):
+    if side not in _CODE_CLASSES:
         raise CodeSpecError(f"module_side must be 'left' or 'right', got {side!r}")
     try:
         generator = SkewPolyMatrix.from_ints(field, table)
-        cls = SkewConvCode if side == "left" else SkewTrellisCode
-        return cls(generator)
+        return _CODE_CLASSES[side](generator)
     except ValueError as exc:
         raise CodeSpecError(str(exc)) from None
 
@@ -86,7 +108,6 @@ def load_code(path):
 
 
 def code_to_dict(code):
-    side = "right" if isinstance(code, SkewTrellisCode) else "left"
     f = code.field
     return {
         "field": {
@@ -97,7 +118,7 @@ def code_to_dict(code):
         },
         "k": code.k,
         "n": code.n,
-        "module_side": side,
+        "module_side": code.module_side,
         "G": code.generator.to_ints(),
     }
 

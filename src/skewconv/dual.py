@@ -13,7 +13,7 @@ field).  The solver works row by row on that digit system.
 
 import numpy as np
 
-from .linalg import f_rank, nullspace_mod_p
+from .linalg import f_matmul, f_rank, nullspace_mod_p
 from .skewpoly import SkewPoly, SkewPolyMatrix
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
@@ -194,6 +194,7 @@ def syndrome_former(code, mu_perp_max=None):
     Raises SyndromeFormerNotFound if no H(D) with rank(H_0) = n - k exists up
     to the dual-memory cap (default n * memory).
     """
+    code.require_left_module("the syndrome former")
     if mu_perp_max is None:
         mu_perp_max = code.n * max(code.memory, 1)
     field = code.field
@@ -232,6 +233,7 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     scalar product."""
     import random
 
+    code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field
     if not (code.generator @ sf.check.transpose()).is_zero:
@@ -245,14 +247,7 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     for _ in range(num_words):
         u = [[rng.randrange(field.size) for _ in range(code.k)] for _ in range(info_len)]
         v = code.encode(u, terminate=True).flat_values()
-        syndrome = [0] * ht.shape[1]
-        for i, vi in enumerate(v):
-            if vi == 0:
-                continue
-            for j in range(ht.shape[1]):
-                if ht[i, j]:
-                    syndrome[j] = field.add_int(syndrome[j], field.mul_int(vi, int(ht[i, j])))
-        if any(syndrome):
+        if f_matmul(field, [v], ht).any():
             return False
 
     hw = sf.h_window(total)
@@ -260,23 +255,8 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     for _ in range(num_words):
         u = [rng.randrange(field.size) for _ in range(gw.shape[0])]
         w = [rng.randrange(field.size) for _ in range(hw.shape[0])]
-        v = [0] * gw.shape[1]
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j in range(gw.shape[1]):
-                if gw[i, j]:
-                    v[j] = field.add_int(v[j], field.mul_int(ui, int(gw[i, j])))
-        vperp = [0] * hw.shape[1]
-        for i, wi in enumerate(w):
-            if wi == 0:
-                continue
-            for j in range(hw.shape[1]):
-                if hw[i, j]:
-                    vperp[j] = field.add_int(vperp[j], field.mul_int(wi, int(hw[i, j])))
-        dot = 0
-        for a, b in zip(v, vperp):
-            dot = field.add_int(dot, field.mul_int(a, b))
-        if dot != 0:
+        v = f_matmul(field, [u], gw)
+        vperp = f_matmul(field, [w], hw)
+        if f_matmul(field, v, vperp.T).any():
             return False
     return True

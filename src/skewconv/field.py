@@ -109,12 +109,14 @@ class FiniteField:
     """
 
     def __init__(self, p, n, modulus=None, theta_r=0):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**n > _MAX_FIELD_SIZE:
+        # the size cap comes before the primality test, whose trial division
+        # would not finish on a huge p; checking n first keeps p**n small
+        if p >= 2 and (n >= _MAX_FIELD_SIZE.bit_length() or p**n > _MAX_FIELD_SIZE):
             raise ValueError(f"field size {p}^{n} exceeds the {_MAX_FIELD_SIZE} table cap")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
         if not 0 <= theta_r < n:
             raise ValueError(f"theta_r must satisfy 0 <= r < n, got {theta_r}")
 

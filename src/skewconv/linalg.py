@@ -40,17 +40,22 @@ def f_rank(field, mat):
 
 
 def f_matmul(field, a, b):
+    """Matrix product over the field; zero terms are skipped."""
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
+    b_rows = b.tolist()
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0
-            for m in range(a.shape[1]):
-                acc = field.add_int(acc, field.mul_int(int(a[i, m]), int(b[m, j])))
-            out[i, j] = acc
+    for i, a_row in enumerate(a.tolist()):
+        acc = [0] * b.shape[1]
+        for x, b_row in zip(a_row, b_rows):
+            if x == 0:
+                continue
+            for j, y in enumerate(b_row):
+                if y:
+                    acc[j] = field.add_int(acc[j], field.mul_int(x, y))
+        out[i] = acc
     return out
 
 

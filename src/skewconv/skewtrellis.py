@@ -1,153 +1,19 @@
-"""Right-module skew trellis codes.
+"""Right-module skew trellis codes: the `build_trellis_right` name and a
+check of their linearity.
 
-The encoding rule twists the stored inputs instead of the coefficients:
-
-    v_t = u_t G_0 + theta(u_{t-1}) G_1 + ... + theta^mu(u_{t-mu}) G_mu,
-
-realized by skew shift registers that apply theta to every held symbol on
-each shift.  The resulting trellis is time-invariant (a single section) and
-plugs directly into viterbi()/bcjr().  For theta != id the code is nonlinear
-over the full field but stays linear over the fixed subfield of theta.
+`SkewTrellisCode` is defined in `code`.  Its trellis comes from
+`trellis.build_trellis` as for a left-module code; it is time-invariant (a
+single section) and plugs directly into viterbi()/bcjr().
 """
 
 from dataclasses import dataclass
 
-from .code import Sequence, SkewConvCode
-from .skewpoly import SkewPolyMatrix
-from .trellis import Trellis, TrellisEdge
+from .code import Sequence, SkewTrellisCode
+from .trellis import build_trellis, unpack_digits
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
 
-
-class SkewTrellisCode:
-    """Same constituents as a skew convolutional code, encoded right-module style."""
-
-    def __init__(self, generator, validate=True):
-        if not isinstance(generator, SkewPolyMatrix):
-            raise ValueError("generator must be a SkewPolyMatrix")
-        self.generator = generator
-        self.field = generator.field
-        self.k = generator.rows
-        self.n = generator.cols
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds n={self.n}")
-        if validate:
-            # reuse the scalar-window rank check of the left-module reading
-            SkewConvCode(generator)
-        self.memory = int(max(generator.degree, 0))
-        self.row_degrees = generator.row_degrees()
-        self.external_degree = sum(self.row_degrees)
-        self._coeff = [generator.coefficient_values(i) for i in range(self.memory + 1)]
-
-    def coerce_sequence(self, u, width):
-        if isinstance(u, Sequence):
-            if u.width not in (None, width):
-                raise ValueError(f"blocks have length {u.width}, expected {width}")
-            if u.field != self.field:
-                raise ValueError("mixed-field operands")
-            return u
-        return Sequence(self.field, u, width=width)
-
-    def encode_right(self, u, terminate=False):
-        """v_t = sum_i theta^i(u_{t-i}) G_i with u_t = 0 for t < 0."""
-        u = self.coerce_sequence(u, self.k)
-        f = self.field
-        total = len(u) + (self.memory if terminate else 0)
-        ublocks = u.to_ints()
-        out = []
-        for t in range(total):
-            acc = [0] * self.n
-            for i in range(self.memory + 1):
-                s = t - i
-                if not 0 <= s < len(ublocks):
-                    continue
-                mat = self._coeff[i]
-                for row, usym in enumerate(ublocks[s]):
-                    if usym == 0:
-                        continue
-                    twisted = f.frobenius_int(usym, i)
-                    for j in range(self.n):
-                        g = mat[row][j]
-                        if g:
-                            acc[j] = f.add_int(acc[j], f.mul_int(twisted, g))
-            out.append(acc)
-        return Sequence(f, out, width=self.n)
-
-    def __repr__(self):
-        return (
-            f"SkewTrellisCode(k={self.k}, n={self.n}, memory={self.memory}, "
-            f"field={self.field!r})"
-        )
-
-
-def build_trellis_right(code):
-    """Time-invariant trellis whose state holds theta^j(u_{t-j}) in slot j;
-    shifting applies theta to every stored symbol."""
-    field = code.field
-    q = field.size
-    k, n = code.k, code.n
-    regs = code.row_degrees
-    nu = sum(regs)
-    num_states = q**nu
-    num_inputs = q**k
-
-    def unpack_state(state):
-        out = []
-        for length in regs:
-            row = []
-            for _ in range(length):
-                state, d = divmod(state, q)
-                row.append(d)
-            out.append(row)
-        return out
-
-    def pack_state(rows):
-        digits = [v for row in rows for v in row]
-        state = 0
-        for d in reversed(digits):
-            state = state * q + d
-        return state
-
-    per_state = []
-    for st in range(num_states):
-        reg_rows = unpack_state(st)
-        held = [0] * n
-        for row in range(k):
-            for delay, val in enumerate(reg_rows[row], start=1):
-                if val == 0:
-                    continue
-                mat = code._coeff[delay]
-                for j in range(n):
-                    if mat[row][j]:
-                        held[j] = field.add_int(held[j], field.mul_int(val, mat[row][j]))
-        edges = []
-        g0 = code._coeff[0]
-        for idx in range(num_inputs):
-            u = idx
-            ub = []
-            for _ in range(k):
-                u, d = divmod(u, q)
-                ub.append(d)
-            label = held[:]
-            for row, val in enumerate(ub):
-                if val == 0:
-                    continue
-                for j in range(n):
-                    if g0[row][j]:
-                        label[j] = field.add_int(label[j], field.mul_int(val, g0[row][j]))
-            new_rows = []
-            for row in range(k):
-                if regs[row]:
-                    shifted = [field.frobenius_int(ub[row], 1)] + [
-                        field.frobenius_int(v, 1) for v in reg_rows[row][: regs[row] - 1]
-                    ]
-                else:
-                    shifted = []
-                new_rows.append(shifted)
-            weight = sum(1 for v in label if v)
-            edges.append(TrellisEdge(pack_state(new_rows), tuple(label), weight))
-        per_state.append(edges)
-    return Trellis(field, k, n, regs, [per_state])
+build_trellis_right = build_trellis
 
 
 @dataclass
@@ -178,8 +44,8 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
     for _ in range(pairs):
         u1 = Sequence(field, random_u(), width=k)
         u2 = Sequence(field, [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))], width=k)
-        lhs = code.encode_right(u1 + u2, terminate=True)
-        rhs = code.encode_right(u1, terminate=True) + code.encode_right(u2, terminate=True)
+        lhs = code.encode(u1 + u2, terminate=True)
+        rhs = code.encode(u1, terminate=True) + code.encode(u2, terminate=True)
         if lhs != rhs:
             additive_ok = False
             break
@@ -192,8 +58,8 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
             u2 = [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))]
             useq = Sequence(field, u1, width=k)
             u2seq = Sequence(field, u2, width=k)
-            lhs = code.encode_right(useq.scale(c) + u2seq, terminate=True)
-            rhs = code.encode_right(useq, terminate=True).scale(c) + code.encode_right(
+            lhs = code.encode(useq.scale(c) + u2seq, terminate=True)
+            rhs = code.encode(useq, terminate=True).scale(c) + code.encode(
                 u2seq, terminate=True
             )
             if lhs != rhs:
@@ -202,22 +68,15 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
         if not subfield_homogeneous:
             break
 
-    def unpack_block(idx):
-        out = []
-        for _ in range(k):
-            idx, d = divmod(idx, q)
-            out.append(d)
-        return out
-
     witness = None
     if field.automorphism_order > 1:
         for a in range(1, q):
             if witness:
                 break
             for blocks in itertools.product(range(q**k), repeat=witness_len):
-                useq = Sequence(field, [unpack_block(b) for b in blocks], width=k)
-                lhs = code.encode_right(useq.scale(a), terminate=True)
-                rhs = code.encode_right(useq, terminate=True).scale(a)
+                useq = Sequence(field, [unpack_digits(b, q, k) for b in blocks], width=k)
+                lhs = code.encode(useq.scale(a), terminate=True)
+                rhs = code.encode(useq, terminate=True).scale(a)
                 if lhs != rhs:
                     witness = (a, useq.to_ints(), lhs, rhs)
                     break

@@ -25,6 +25,7 @@ __all__ = [
     "UnitMemoryBounds",
     "build_trellis",
     "is_catastrophic",
+    "unpack_digits",
     "unit_memory_bounds",
     "export_dot",
 ]
@@ -51,6 +52,7 @@ class FreeDistanceResult:
     achieved_by: str  # "loop" or "zero_output_tail"
     loop_length: int | None
     witness: list | None
+    burst: list  # burst[ell - 1]: lightest ell-loop weight, ell = 1..lmax
 
     def __int__(self):
         return int(self.value)
@@ -64,6 +66,15 @@ class CatastrophicityResult(NamedTuple):
 class UnitMemoryBounds(NamedTuple):
     d_free_bound: int | None
     slope_bound: int
+
+
+def unpack_digits(value, base, count):
+    """The `count` lowest base-`base` digits of value, least significant first."""
+    out = []
+    for _ in range(count):
+        value, d = divmod(value, base)
+        out.append(d)
+    return out
 
 
 class Trellis:
@@ -83,26 +94,18 @@ class Trellis:
     # -- packing helpers --
 
     def input_block(self, idx):
-        q = self.q
-        out = []
-        for _ in range(self.k):
-            idx, d = divmod(idx, q)
-            out.append(d)
-        return tuple(out)
+        return tuple(unpack_digits(idx, self.q, self.k))
 
     def input_weight(self, idx):
         return sum(1 for v in self.input_block(idx) if v)
 
     def state_registers(self, state):
         """Register contents as a tuple per row, delay slot 1 first."""
-        q = self.q
+        slots = unpack_digits(state, self.q, self.external_degree)
         out = []
         for length in self.register_lengths:
-            row = []
-            for _ in range(length):
-                state, d = divmod(state, q)
-                row.append(d)
-            out.append(tuple(row))
+            out.append(tuple(slots[:length]))
+            slots = slots[length:]
         return tuple(out)
 
     def state_name(self, state):
@@ -180,140 +183,8 @@ class Trellis:
                     low[parent] = min(low[parent], low[v])
         return sccs
 
-    def _return_costs(self, adj):
-        """Cheapest weight from each node to any zero-state node (Dijkstra on
-        the reversed graph, zero-state nodes as sources)."""
-        num_nodes = len(adj)
-        radj = [[] for _ in range(num_nodes)]
-        for u, edges in enumerate(adj):
-            for v, w, _ in edges:
-                radj[v].append((u, w))
-        dist = [math.inf] * num_nodes
-        heap = []
-        for phase in range(self.num_sections):
-            src = self._node(phase, 0)
-            dist[src] = 0
-            heap.append((0, src))
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in radj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-    def _zero_output_cycle_nodes(self, adj):
-        """Nodes lying on a cycle whose edges all carry zero output weight."""
-        num_nodes = len(adj)
-        zadj = [[(v, w, i) for (v, w, i) in edges if w == 0] for edges in adj]
-        nodes = set()
-        for scc in self._sccs(num_nodes, zadj):
-            sset = set(scc)
-            if len(scc) > 1:
-                nodes.update(scc)
-            else:
-                u = scc[0]
-                if any(v == u for v, _, _ in zadj[u]):
-                    nodes.add(u)
-        return nodes, zadj
-
-    # -- distance measures --
-
-    def active_burst_distance(self, ell):
-        """Minimum weight of ell-loops, minimized over all starting phases;
-        math.inf if no ell-loop exists."""
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
-        best = math.inf
-        for start in range(self.num_sections):
-            dist = [math.inf] * self.num_states
-            dist[0] = 0
-            for step in range(ell):
-                section = self.sections[(start + step) % self.num_sections]
-                ndist = [math.inf] * self.num_states
-                for st, dv in enumerate(dist):
-                    if dv == math.inf:
-                        continue
-                    forbid_zero = st == 0
-                    for e in section[st]:
-                        if forbid_zero and e.to_state == 0 and e.weight == 0:
-                            continue
-                        cand = dv + e.weight
-                        if cand < ndist[e.to_state]:
-                            ndist[e.to_state] = cand
-                dist = ndist
-            best = min(best, dist[0])
-        return best
-
-    def free_distance(self, ell_max=None):
-        """Minimum nonzero codeword weight.
-
-        Scans loops up to ell_max and, separately, paths that enter a cycle of
-        zero output weight (the catastrophic case, where the minimum is not
-        attained by any loop).  The stabilized flag certifies that no loop
-        longer than ell_max can beat the reported value.
-        """
-        if ell_max is None:
-            ell_max = 8 * (self.external_degree + 1) * self.num_sections
-        adj = self._graph()
-        ret = self._return_costs(adj)
-
-        best = math.inf
-        best_trace = None  # (start_phase, length, parents list)
-        frontier_bound = math.inf
-        for start in range(self.num_sections):
-            dist = [math.inf] * self.num_states
-            dist[0] = 0
-            parents = []
-            for step in range(ell_max):
-                section = self.sections[(start + step) % self.num_sections]
-                ndist = [math.inf] * self.num_states
-                npar = [None] * self.num_states
-                for st, dv in enumerate(dist):
-                    if dv == math.inf:
-                        continue
-                    forbid_zero = st == 0
-                    for idx, e in enumerate(section[st]):
-                        if forbid_zero and e.to_state == 0 and e.weight == 0:
-                            continue
-                        cand = dv + e.weight
-                        if cand < ndist[e.to_state]:
-                            ndist[e.to_state] = cand
-                            npar[e.to_state] = (st, idx)
-                parents.append(npar)
-                dist = ndist
-                if dist[0] < best:
-                    best = dist[0]
-                    best_trace = (start, step + 1, parents[:])
-            end_phase = (start + ell_max) % self.num_sections
-            for st, dv in enumerate(dist):
-                if dv == math.inf:
-                    continue
-                frontier_bound = min(frontier_bound, dv + ret[self._node(end_phase, st)])
-
-        cyc_nodes, _ = self._zero_output_cycle_nodes(adj)
-        tail_min = math.inf
-        if cyc_nodes:
-            dist0 = self._forward_costs(adj)
-            tail_min = min((dist0[v] for v in cyc_nodes), default=math.inf)
-
-        value = min(best, tail_min)
-        stabilized = frontier_bound >= value
-        if tail_min < best:
-            return FreeDistanceResult(value, stabilized, "zero_output_tail", None, None)
-        witness = None
-        loop_length = None
-        if best_trace is not None:
-            start, length, parents = best_trace
-            witness = self._trace_loop(start, length, parents)
-            loop_length = length
-        return FreeDistanceResult(value, stabilized, "loop", loop_length, witness)
-
     def _forward_costs(self, adj):
+        """Cheapest weight from any zero-state node to each node (Dijkstra)."""
         dist = [math.inf] * len(adj)
         heap = []
         for phase in range(self.num_sections):
@@ -331,6 +202,118 @@ class Trellis:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
         return dist
+
+    def _return_costs(self, adj):
+        """Cheapest weight from each node to any zero-state node: the forward
+        costs on the reversed graph."""
+        radj = [[] for _ in adj]
+        for u, edges in enumerate(adj):
+            for v, w, idx in edges:
+                radj[v].append((u, w, idx))
+        return self._forward_costs(radj)
+
+    def _zero_output_cycles(self, adj):
+        """The subgraph of zero-output-weight edges, and those of its strong
+        components that hold a cycle."""
+        zadj = [[e for e in edges if e[1] == 0] for edges in adj]
+        cycles = [
+            scc
+            for scc in self._sccs(len(zadj), zadj)
+            if len(scc) > 1 or any(v == scc[0] for v, _, _ in zadj[scc[0]])
+        ]
+        return cycles, zadj
+
+    # -- distance measures --
+
+    def _loop_dp(self, steps):
+        """The loop relaxation: from the zero state at each start phase in
+        turn, the lightest path weight to every state, one section at a time,
+        never riding a weight-0 edge from zero state to zero state.
+
+        Yields (start, length, dist, parents) for length = 0..steps: dist[st]
+        is the lightest weight of a length-edge path ending in state st, and
+        parents[step][st] the (state, input) that path last came by.
+        """
+        for start in range(self.num_sections):
+            dist = [math.inf] * self.num_states
+            dist[0] = 0
+            parents = []
+            yield start, 0, dist, parents
+            for step in range(steps):
+                section = self.sections[(start + step) % self.num_sections]
+                ndist = [math.inf] * self.num_states
+                npar = [None] * self.num_states
+                for st, dv in enumerate(dist):
+                    if dv == math.inf:
+                        continue
+                    forbid_zero = st == 0
+                    for idx, e in enumerate(section[st]):
+                        if forbid_zero and e.to_state == 0 and e.weight == 0:
+                            continue
+                        cand = dv + e.weight
+                        if cand < ndist[e.to_state]:
+                            ndist[e.to_state] = cand
+                            npar[e.to_state] = (st, idx)
+                parents.append(npar)
+                dist = ndist
+                yield start, step + 1, dist, parents
+
+    def active_burst_distance(self, ell):
+        """Minimum weight of ell-loops, minimized over all starting phases;
+        math.inf if no ell-loop exists."""
+        if ell < 1:
+            raise ValueError("ell must be >= 1")
+        return min(dist[0] for _, length, dist, _ in self._loop_dp(ell) if length == ell)
+
+    def free_distance(self, ell_max=None, lmax=0):
+        """Minimum nonzero codeword weight.
+
+        Scans loops up to ell_max and, separately, paths that enter a cycle of
+        zero output weight (the catastrophic case, where the minimum is not
+        attained by any loop).  The stabilized flag certifies that no loop
+        longer than ell_max can beat the reported value.  The same loop
+        relaxation, run on to lmax sections if that is longer, gives the
+        active burst distances d_1..d_lmax in `burst`.
+        """
+        if ell_max is None:
+            ell_max = 8 * (self.external_degree + 1) * self.num_sections
+        adj = self._graph()
+        ret = self._return_costs(adj)
+
+        best = math.inf
+        best_trace = None  # (start_phase, length, parents list)
+        frontier_bound = math.inf
+        burst = [math.inf] * lmax
+        for start, length, dist, parents in self._loop_dp(max(ell_max, lmax)):
+            if 1 <= length <= lmax:
+                burst[length - 1] = min(burst[length - 1], dist[0])
+            if 1 <= length <= ell_max and dist[0] < best:
+                best = dist[0]
+                best_trace = (start, length, parents)
+            if length == ell_max:
+                end_phase = (start + ell_max) % self.num_sections
+                for st, dv in enumerate(dist):
+                    if dv == math.inf:
+                        continue
+                    frontier_bound = min(frontier_bound, dv + ret[self._node(end_phase, st)])
+
+        cycles, _ = self._zero_output_cycles(adj)
+        tail_min = math.inf
+        if cycles:
+            dist0 = self._forward_costs(adj)
+            tail_min = min(dist0[v] for scc in cycles for v in scc)
+
+        value = min(best, tail_min)
+        stabilized = frontier_bound >= value
+        if tail_min < best:
+            return FreeDistanceResult(value, stabilized, "zero_output_tail", None, None, burst)
+        witness = None
+        loop_length = None
+        if best_trace is not None:
+            start, length, parents = best_trace
+            witness = self._trace_loop(start, length, parents)
+            loop_length = length
+        return FreeDistanceResult(value, stabilized, "loop", loop_length, witness, burst)
 
     def _trace_loop(self, start, length, parents):
         steps = []
@@ -388,18 +371,15 @@ class Trellis:
 
     def catastrophic_cycle(self):
         """A cycle with zero output weight but positive input weight, or None."""
-        adj = self._graph()
-        _, zadj = self._zero_output_cycle_nodes(adj)
-        num_nodes = len(adj)
-        for scc in self._sccs(num_nodes, zadj):
+        cycles, zadj = self._zero_output_cycles(self._graph())
+        for scc in cycles:
             sset = set(scc)
             seed = None
             for u in scc:
                 for v, _, idx in zadj[u]:
                     if v in sset and self.input_weight(idx) > 0:
-                        if len(scc) > 1 or v == u:
-                            seed = (u, v, idx)
-                            break
+                        seed = (u, v, idx)
+                        break
                 if seed:
                     break
             if seed is None:
@@ -434,68 +414,56 @@ class Trellis:
 
 
 def build_trellis(code):
-    """Controller-canonical-form trellis of a skew convolutional code."""
+    """Controller-canonical-form trellis of a code of either module side.
+
+    Section s labels its edges with the code's phase-s coefficient tables.
+    Each shift applies theta^register_twist to the stored symbols, so slot j
+    of a right-module code's register holds theta^j(u_{t-j}).
+    """
     field = code.field
     q = field.size
     k, n = code.k, code.n
     regs = code.row_degrees
+    twist = code.register_twist
     nu = sum(regs)
-    num_states = q**nu
-    num_inputs = q**k
-
-    def unpack_state(state):
-        out = []
-        for length in regs:
-            row = []
-            for _ in range(length):
-                state, d = divmod(state, q)
-                row.append(d)
-            out.append(row)
-        return out
-
-    def pack_state(rows):
-        digits = [v for row in rows for v in row]
-        state = 0
-        for d in reversed(digits):
-            state = state * q + d
-        return state
-
+    starts = [sum(regs[:row]) for row in range(k)]
+    inputs = [unpack_digits(idx, q, k) for idx in range(q**k)]
     sections = []
-    for s in range(code.period):
-        coeffs = [code.time_coefficient(s, i) for i in range(code.memory + 1)]
+    for coeffs in code.phase_coefficients:
+        g0 = coeffs[0]
         per_state = []
-        for st in range(num_states):
-            reg_rows = unpack_state(st)
+        for st in range(q**nu):
+            slots = unpack_digits(st, q, nu)
             held = [0] * n
             for row in range(k):
-                for delay, val in enumerate(reg_rows[row], start=1):
+                for delay in range(1, regs[row] + 1):
+                    val = slots[starts[row] + delay - 1]
                     if val == 0:
                         continue
                     mat = coeffs[delay]
                     for j in range(n):
                         if mat[row][j]:
                             held[j] = field.add_int(held[j], field.mul_int(val, mat[row][j]))
+            if twist:
+                slots = [field.frobenius_int(v, twist) for v in slots]
             edges = []
-            for idx in range(num_inputs):
-                u = idx
-                ub = []
-                for _ in range(k):
-                    u, d = divmod(u, q)
-                    ub.append(d)
+            for ub in inputs:
                 label = held[:]
-                g0 = coeffs[0]
+                new_slots = []
                 for row, val in enumerate(ub):
+                    if regs[row]:
+                        new_slots.append(field.frobenius_int(val, twist) if twist else val)
+                        new_slots.extend(slots[starts[row] : starts[row] + regs[row] - 1])
                     if val == 0:
                         continue
                     for j in range(n):
                         if g0[row][j]:
                             label[j] = field.add_int(label[j], field.mul_int(val, g0[row][j]))
-                new_rows = [
-                    ([ub[row]] + reg_rows[row][: regs[row] - 1]) if regs[row] else []
-                    for row in range(k)
-                ]
+                to_state = 0
+                for d in reversed(new_slots):
+                    to_state = to_state * q + d
                 weight = sum(1 for v in label if v)
-                edges.append(TrellisEdge(pack_state(new_rows), tuple(label), weight))
+                edges.append(TrellisEdge(to_state, tuple(label), weight))
             per_state.append(edges)
         sections.append(per_state)
     return Trellis(field, k, n, regs, sections)

@@ -253,3 +253,11 @@ def test_module_entry_point(code_file, tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 2\n2 3\n"
+
+
+def test_dual_rejects_right_module_code(capsys, tmp_path):
+    path = tmp_path / "right.json"
+    path.write_text(json.dumps(dict(EXAMPLE_DOC, module_side="right")))
+    rc, out, err = run_cli(capsys, "dual", str(path))
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "left-module" in err

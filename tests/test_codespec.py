@@ -94,3 +94,13 @@ def test_codespec_schema_validates_round_trip():
         res.files("skewconv").joinpath("schemas/codespec.schema.json").read_text()
     )
     jsonschema.validate(code_to_dict(loads_code(json.dumps(EXAMPLE_DOC))), schema)
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [{"G": [[3, [1]]]}, {"G": 5}, {"field": 7}],
+    ids=["int-cell", "G-not-list", "field-not-object"],
+)
+def test_type_errors_raise_spec_error(patch):
+    with pytest.raises(CodeSpecError):
+        loads_code(json.dumps(dict(EXAMPLE_DOC, **patch)))

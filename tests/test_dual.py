@@ -10,12 +10,13 @@ from skewconv import (
     SkewPolyMatrix,
     SyndromeFormer,
     SyndromeFormerNotFound,
+    SkewTrellisCode,
     syndrome_former,
     verify_duality,
 )
 from skewconv.linalg import f_matmul, f_rank
 
-from conftest import A, A2, make_code
+from conftest import A, A2, EXAMPLE_TABLE, make_code
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +204,13 @@ def test_rate_one_code_has_no_former(f4):
     code = make_code(f4, [[[1]]])
     with pytest.raises(ValueError):
         syndrome_former(code)
+
+
+def test_right_module_code_has_no_syndrome_former(f4, example_sf):
+    right = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, EXAMPLE_TABLE))
+    with pytest.raises(ValueError, match="left-module"):
+        syndrome_former(right)
+    with pytest.raises(ValueError, match="left-module"):
+        verify_duality(right, example_sf.check)
+    with pytest.raises(ValueError, match="left-module"):
+        right.tau_block()

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 
@@ -129,6 +130,21 @@ def test_constructor_validation():
         FiniteField(2, 25)  # table cap
     with pytest.raises(ValueError):
         FiniteField(3, 2)  # no default modulus for p != 2
+
+
+def test_huge_prime_hits_the_size_cap_at_once():
+    # trial division of this p would not finish; the cap must be checked first
+    def hung(signum, frame):
+        raise TimeoutError("FiniteField did not reject a huge prime in time")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            FiniteField(1000000000000000003, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_mixed_field_operands(f4, f8):

@@ -192,9 +192,12 @@ def syndrome_former(code, mu_perp_max=None):
     """Smallest-dual-memory syndrome former of the code.
 
     Raises SyndromeFormerNotFound if no H(D) with rank(H_0) = n - k exists up
-    to the dual-memory cap (default n * memory).
+    to the dual-memory cap (default n * memory), and ValueError if the cap is
+    negative.
     """
     code.require_left_module("the syndrome former")
+    if mu_perp_max is not None and mu_perp_max < 0:
+        raise ValueError(f"mu_perp_max must be >= 0, got {mu_perp_max}")
     if mu_perp_max is None:
         mu_perp_max = code.n * max(code.memory, 1)
     field = code.field

@@ -11,10 +11,14 @@ zero state after exactly ell edges.
 """
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "Trellis",
@@ -117,6 +121,47 @@ class Trellis:
     def edge(self, section, from_state, input_idx):
         return self.sections[section % self.num_sections][from_state][input_idx]
 
+    # -- edge arrays, built from `sections` on first use --
+    # Edge e = from_state * num_inputs + input of section s is column e of
+    # row s.
+
+    @cached_property
+    def next_state(self):
+        """next_state[s, e]: the state edge e of section s enters."""
+        return np.array(
+            [[e.to_state for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
+        )
+
+    @cached_property
+    def weight(self):
+        """weight[s, e]: the output weight of edge e of section s."""
+        return np.array(
+            [[e.weight for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
+        )
+
+    @cached_property
+    def pred(self):
+        """pred[s, st]: the q^k edges of section s that enter state st, in
+        (from_state, input) order."""
+        order = np.argsort(self.next_state, axis=1, kind="stable")
+        entered = np.take_along_axis(self.next_state, order, axis=1)
+        expected = np.repeat(np.arange(self.num_states), self.num_inputs)
+        assert (entered == expected).all(), "every state must have in-degree q^k"
+        return order.reshape(self.num_sections, self.num_states, self.num_inputs)
+
+    @cached_property
+    def _pred_paths(self):
+        """(from_state, weight)[s, st, j] of the edge pred[s, st, j]; the
+        weight is a float, inf on the weight-0 zero-to-zero edges the loop
+        convention removes."""
+        inputs = self.num_inputs
+        weight = self.weight.astype(float)
+        removed = (self.next_state[:, :inputs] == 0) & (self.weight[:, :inputs] == 0)
+        weight[:, :inputs][removed] = np.inf
+        flat = self.pred.reshape(self.num_sections, -1)
+        pred_weight = np.take_along_axis(weight, flat, axis=1).reshape(self.pred.shape)
+        return self.pred // inputs, pred_weight
+
     # -- the period-unrolled state graph --
 
     def _node(self, phase, state):
@@ -125,15 +170,15 @@ class Trellis:
     def _graph(self):
         """Adjacency over (phase, state) nodes with the weight-0 zero-to-zero
         edges removed.  Entries are (to_node, weight, input_idx)."""
-        adj = [[] for _ in range(self.num_sections * self.num_states)]
+        inputs = range(self.num_inputs)
+        next_first = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
+        to_node = (next_first + self.next_state).reshape(-1, self.num_inputs).tolist()
+        weight = self.weight.reshape(-1, self.num_inputs).tolist()
+        adj = [list(zip(to, w, inputs)) for to, w in zip(to_node, weight)]
         for s in range(self.num_sections):
-            nxt = (s + 1) % self.num_sections
-            for st in range(self.num_states):
-                node = self._node(s, st)
-                for idx, e in enumerate(self.sections[s][st]):
-                    if st == 0 and e.to_state == 0 and e.weight == 0:
-                        continue
-                    adj[node].append((self._node(nxt, e.to_state), e.weight, idx))
+            node = self._node(s, 0)
+            zero = self._node((s + 1) % self.num_sections, 0)
+            adj[node] = [e for e in adj[node] if e[:2] != (zero, 0)]
         return adj
 
     @staticmethod
@@ -232,31 +277,24 @@ class Trellis:
 
         Yields (start, length, dist, parents) for length = 0..steps: dist[st]
         is the lightest weight of a length-edge path ending in state st, and
-        parents[step][st] the (state, input) that path last came by.
+        parents[step][st] the (state, input) that path last came by.  Of equal
+        candidates the lowest (state, input) wins.
         """
+        from_state, weight = self._pred_paths
+        states = np.arange(self.num_states)
         for start in range(self.num_sections):
-            dist = [math.inf] * self.num_states
+            dist = np.full(self.num_states, np.inf)
             dist[0] = 0
             parents = []
-            yield start, 0, dist, parents
+            yield start, 0, _numbers(dist), parents
             for step in range(steps):
-                section = self.sections[(start + step) % self.num_sections]
-                ndist = [math.inf] * self.num_states
-                npar = [None] * self.num_states
-                for st, dv in enumerate(dist):
-                    if dv == math.inf:
-                        continue
-                    forbid_zero = st == 0
-                    for idx, e in enumerate(section[st]):
-                        if forbid_zero and e.to_state == 0 and e.weight == 0:
-                            continue
-                        cand = dv + e.weight
-                        if cand < ndist[e.to_state]:
-                            ndist[e.to_state] = cand
-                            npar[e.to_state] = (st, idx)
-                parents.append(npar)
-                dist = ndist
-                yield start, step + 1, dist, parents
+                s = (start + step) % self.num_sections
+                cand = dist[from_state[s]] + weight[s]
+                best = cand.argmin(axis=1)
+                dist = cand[states, best]
+                edge = np.where(dist < np.inf, self.pred[s, states, best], -1)
+                parents.append(_Parents(edge, self.num_inputs))
+                yield start, step + 1, _numbers(dist), parents
 
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
@@ -331,42 +369,30 @@ class Trellis:
 
     def slope(self):
         """Minimum mean edge weight over directed cycles of the unrolled state
-        graph, as an exact Fraction (Karp's recurrence per strong component)."""
-        adj = self._graph()
-        num_nodes = len(adj)
+        graph, as an exact Fraction (Karp's recurrence per strong component),
+        or math.inf if the graph has no cycle."""
+        num_nodes = self.num_sections * self.num_states
+        comps = self._sccs(num_nodes, self._graph())
+        # node (s, st) is entered through section s - 1: its j-th entering
+        # edge comes from node src[j, node] with weight w[j, node]
+        from_state, pred_weight = self._pred_paths
+        first = (np.arange(self.num_sections) * self.num_states)[:, None, None]
+        src = np.roll(first + from_state, 1, axis=0).reshape(num_nodes, -1).T
+        w = np.roll(pred_weight, 1, axis=0).reshape(num_nodes, -1).T
+        label = np.empty(num_nodes, dtype=np.intp)
+        pos = np.empty(num_nodes, dtype=np.intp)
+        for c, comp in enumerate(comps):
+            label[comp] = c
+            pos[comp] = np.arange(len(comp))
+        internal = (label[src] == label) & (w < np.inf)
         best = None
-        for scc in self._sccs(num_nodes, adj):
-            sset = set(scc)
-            internal = []
-            pos = {v: i for i, v in enumerate(scc)}
-            for u in scc:
-                for v, w, _ in adj[u]:
-                    if v in sset:
-                        internal.append((pos[u], pos[v], w))
-            if not internal:
-                continue
-            m = len(scc)
-            INF = math.inf
-            dk = [[INF] * m for _ in range(m + 1)]
-            dk[0][0] = 0
-            for step in range(1, m + 1):
-                prev = dk[step - 1]
-                cur = dk[step]
-                for u, v, w in internal:
-                    if prev[u] != INF and prev[u] + w < cur[v]:
-                        cur[v] = prev[u] + w
-            for v in range(m):
-                if dk[m][v] == INF:
-                    continue
-                worst = None
-                for kstep in range(m):
-                    if dk[kstep][v] == INF:
-                        continue
-                    mean = Fraction(int(dk[m][v] - dk[kstep][v]), m - kstep)
-                    if worst is None or mean > worst:
-                        worst = mean
-                if worst is not None and (best is None or worst < best):
-                    best = worst
+        for c in np.unique(label[internal.any(axis=0)]).tolist():
+            comp = comps[c]
+            m = len(comp)
+            local = np.where(internal.take(comp, axis=1), pos[src.take(comp, axis=1)], m)
+            mean = _min_cycle_mean(local, w.take(comp, axis=1))
+            if best is None or mean < best:
+                best = mean
         return best if best is not None else math.inf
 
     def catastrophic_cycle(self):
@@ -411,6 +437,71 @@ class Trellis:
         phase, state = divmod(node, self.num_states)
         e = self.sections[phase][state][input_idx]
         return PathStep(phase, state, self.input_block(input_idx), e.label, e.to_state)
+
+
+class _Parents:
+    """parents[st] of one loop-DP step: the (state, input) the lightest path
+    into st last came by, or None; held as flat edge ids, -1 for None."""
+
+    __slots__ = ("edge", "inputs")
+
+    def __init__(self, edge, inputs):
+        self.edge = edge
+        self.inputs = inputs
+
+    def __len__(self):
+        return len(self.edge)
+
+    def __getitem__(self, st):
+        e = int(self.edge[st])
+        return None if e < 0 else divmod(e, self.inputs)
+
+
+def _numbers(dist):
+    """A float distance array as a list of Python ints, math.inf where
+    unreachable."""
+    unreached = dist == np.inf
+    out = np.where(unreached, 0, dist).astype(np.int64).tolist()
+    for st in np.flatnonzero(unreached).tolist():
+        out[st] = math.inf
+    return out
+
+
+def _min_cycle_mean(src, weight):
+    """Karp's minimum cycle mean of a strongly connected m-node graph, given
+    as a predecessor table: node v is entered from src[j, v] by an edge of
+    weight[j, v], and src == m marks no edge.
+
+    Two passes keep the working memory at O(m) beside the table: the first
+    relaxes to D_m, the lightest m-edge walk weights from node 0; the second
+    recomputes D_0 .. D_{m-1} and keeps, per node, the largest
+    (D_m - D_k) / (m - k) with its integer numerator and denominator.  Distinct fractions with denominators
+    up to m differ by at least 1/m^2, so comparing them as floats is exact.
+    """
+    m = src.shape[1]
+
+    def walks():
+        d = np.full(m + 1, np.inf)  # d[m] stays inf: the absent predecessor
+        d[0] = 0
+        while True:
+            yield d[:m]
+            np.min(d[src] + weight, axis=0, out=d[:m])
+
+    d_m = next(itertools.islice(walks(), m, None)).copy()
+    reached = d_m < np.inf
+    d_m[~reached] = 0  # not candidates; keeps inf - inf out
+    best = np.full(m, -np.inf)
+    num = np.zeros(m)
+    den = np.ones(m)
+    for k, d_k in zip(range(m), walks()):
+        diff = d_m - d_k  # -inf where no k-edge walk reaches the node
+        mean = diff / (m - k)
+        larger = mean > best
+        best[larger] = mean[larger]
+        num[larger] = diff[larger]
+        den[larger] = m - k
+    v = int(np.where(reached, best, np.inf).argmin())
+    return Fraction(int(num[v]), int(den[v]))
 
 
 def build_trellis(code):

@@ -156,6 +156,12 @@ def test_dual_not_found_exit_code(capsys, code_file):
     assert "syndrome former" in err
 
 
+def test_dual_rejects_negative_cap(capsys, code_file):
+    rc, out, err = run_cli(capsys, "dual", code_file, "--mu-perp-max", "-1")
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "mu_perp_max must be >= 0" in err
+
+
 def test_dual_accepts_code_flag(capsys, code_file):
     rc_pos, out_pos, _ = run_cli(capsys, "dual", code_file)
     rc_flag, out_flag, _ = run_cli(capsys, "dual", "--code", code_file)

@@ -48,6 +48,12 @@ def test_minimal_dual_memory(example_code):
     assert exc.value.mu_perp_max == 0
 
 
+def test_negative_dual_memory_cap_rejected(example_code):
+    with pytest.raises(ValueError, match="mu_perp_max must be >= 0") as exc:
+        syndrome_former(example_code, mu_perp_max=-1)
+    assert not isinstance(exc.value, SyndromeFormerNotFound)
+
+
 def test_rank_and_polynomial_product(example_code, example_sf, f4):
     assert f_rank(f4, example_sf.coefficient_values(0)) == 1
     assert (example_code.generator @ example_sf.check.transpose()).is_zero

@@ -11,7 +11,7 @@ from .codespec import (
     loads_code,
     parse_sequence,
 )
-from .decoder import DecodeResult, QSChannel, bcjr, viterbi
+from .decoder import DecodeResult, QSChannel, bcjr, viterbi, viterbi_batch
 from .dual import SyndromeFormer, SyndromeFormerNotFound, syndrome_former, verify_duality
 from .field import FieldElement, FiniteField
 from .skewpoly import SkewPoly, SkewPolyMatrix
@@ -60,4 +60,5 @@ __all__ = [
     "unit_memory_bounds",
     "verify_duality",
     "viterbi",
+    "viterbi_batch",
 ]

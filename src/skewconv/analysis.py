@@ -4,10 +4,24 @@ import math
 import random
 from dataclasses import dataclass
 
-from .decoder import QSChannel, viterbi
+import numpy as np
+
+# re-exported: `skewconv.analysis.viterbi` stays importable
+from .decoder import (  # noqa: F401
+    SURVIVOR_BUDGET,
+    QSChannel,
+    check_survivor_budget,
+    viterbi,
+    viterbi_batch,
+)
 from .trellis import build_trellis, is_catastrophic, unit_memory_bounds
 
 __all__ = ["analyze_code", "SimReport", "run_simulation"]
+
+# Edges (frames x states x inputs) one Viterbi step of run_simulation covers
+# at most: enough frames to spread numpy's per-call cost, few enough that a
+# step's temporaries (one float per edge) stay under 1 MiB.
+BATCH_EDGES = 1 << 16
 
 
 def analyze_code(code, lmax=None, trellis=None):
@@ -86,7 +100,14 @@ def _trial_rng(seed, trial):
 
 def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     """Monte-Carlo frame loop: random frame -> terminated encode -> q-ary
-    symmetric channel -> Viterbi -> symbol/frame error counts."""
+    symmetric channel -> Viterbi -> symbol/frame error counts.
+
+    Each trial draws its frame and its channel errors from its own seeded
+    generator, so the counts do not depend on how trials are grouped.  The
+    frames are decoded in batches of at most BATCH_EDGES / (states x inputs)
+    frames, one `viterbi_batch` call each, and within the survivor budget,
+    so memory does not grow with the number of trials.
+    """
     q = code.field.size
     max_eps = (q - 1) / q
     if not 0.0 <= eps < max_eps:
@@ -94,28 +115,37 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     if trials < 1 or frame_len < 1:
         raise ValueError("trials and frame_len must be positive")
     tr = trellis if trellis is not None else build_trellis(code)
+    blocks = frame_len + code.memory
+    check_survivor_budget(1, blocks, tr.num_states)
+    batch = max(
+        1,
+        min(
+            trials,
+            BATCH_EDGES // (tr.num_states * tr.num_inputs),
+            SURVIVOR_BUDGET // (blocks * tr.num_states),
+        ),
+    )
     channel = QSChannel(q, eps)
+    info = np.empty((batch, frame_len, code.k), dtype=np.intp)
+    sent = np.empty((batch, blocks, code.n), dtype=np.intp)
+    received = np.empty_like(sent)
     sym_in = 0
     sym_out = 0
     frame_errs = 0
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
-        sent = code.encode(u, terminate=True)
-        recv = channel.transmit(sent, rng)
-        sym_in += sum(
-            1 for a, b in zip(sent.flat_values(), recv.flat_values()) if a != b
-        )
-        est = viterbi(tr, recv, terminated=True).info_est.to_ints()
-        errs = sum(
-            1
-            for want, got in zip(u, est)
-            for a, b in zip(want, got)
-            if a != b
-        )
-        sym_out += errs
-        if errs:
-            frame_errs += 1
+    for first in range(0, trials, batch):
+        count = min(batch, trials - first)
+        for b in range(count):
+            rng = _trial_rng(seed, first + b)
+            u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
+            codeword = code.encode(u, terminate=True)
+            info[b] = u
+            sent[b] = codeword.to_ints()
+            received[b] = channel.transmit(codeword, rng).to_ints()
+        est, _ = viterbi_batch(tr, received[:count], terminated=True)
+        wrong = est != info[:count]
+        sym_in += int(np.count_nonzero(sent[:count] != received[:count]))
+        sym_out += int(np.count_nonzero(wrong))
+        frame_errs += int(np.count_nonzero(wrong.any(axis=(1, 2))))
     info_symbols = trials * frame_len * code.k
     return SimReport(
         eps=eps,

@@ -23,11 +23,17 @@ __all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode"]
 
 
 class Sequence:
-    """Causal sequence of fixed-width blocks of field elements, time 0, 1, ..."""
+    """Causal sequence of fixed-width blocks of field elements, time 0, 1, ...
 
-    __slots__ = ("field", "blocks", "width")
+    The blocks are held as tuples of plain integers; indexing and iteration
+    box one block at a time into `FieldElement`s, and the integer views
+    (`to_ints`, `flat_values`, `weight`), equality and hashing never box.
+    """
+
+    __slots__ = ("field", "_values", "width")
 
     def __init__(self, field, blocks, width=None):
+        size = field.size
         norm = []
         for t, block in enumerate(blocks):
             if isinstance(block, (FieldElement, int)):
@@ -40,38 +46,52 @@ class Sequence:
                     vals.append(c.value)
                 else:
                     v = int(c)
-                    if not 0 <= v < field.size:
-                        raise ValueError(f"block {t}: symbol {v} outside [0, {field.size})")
+                    if not 0 <= v < size:
+                        raise ValueError(f"block {t}: symbol {v} outside [0, {size})")
                     vals.append(v)
             if width is None:
                 width = len(vals)
             if len(vals) != width:
                 raise ValueError(f"block {t} has length {len(vals)}, expected {width}")
-            norm.append(tuple(FieldElement(field, v) for v in vals))
+            norm.append(tuple(vals))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "blocks", tuple(norm))
+        object.__setattr__(self, "_values", tuple(norm))
         object.__setattr__(self, "width", width)
+
+    @classmethod
+    def _trusted(cls, field, values, width):
+        """A sequence over blocks of in-range integers, taken unchecked."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "field", field)
+        object.__setattr__(seq, "_values", tuple(map(tuple, values)))
+        object.__setattr__(seq, "width", width)
+        return seq
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
 
+    def _box(self, block):
+        return tuple(FieldElement(self.field, v) for v in block)
+
     def __len__(self):
-        return len(self.blocks)
+        return len(self._values)
 
     def __iter__(self):
-        return iter(self.blocks)
+        return map(self._box, self._values)
 
     def __getitem__(self, t):
-        return self.blocks[t]
+        if isinstance(t, slice):
+            return tuple(map(self._box, self._values[t]))
+        return self._box(self._values[t])
 
     def to_ints(self):
-        return [tuple(c.value for c in block) for block in self.blocks]
+        return list(self._values)
 
     def flat_values(self):
-        return [c.value for block in self.blocks for c in block]
+        return [v for block in self._values for v in block]
 
     def weight(self):
-        return sum(1 for block in self.blocks for c in block if c.value)
+        return sum(1 for block in self._values for v in block if v)
 
     def __add__(self, other):
         if not isinstance(other, Sequence):
@@ -82,8 +102,8 @@ class Sequence:
         return Sequence(
             f,
             [
-                [f.add_int(a.value, b.value) for a, b in zip(x, y)]
-                for x, y in zip(self.blocks, other.blocks)
+                [f.add_int(a, b) for a, b in zip(x, y)]
+                for x, y in zip(self._values, other._values)
             ],
             width=self.width,
         )
@@ -94,7 +114,7 @@ class Sequence:
         cv = c.value if isinstance(c, FieldElement) else int(c)
         return Sequence(
             f,
-            [[f.mul_int(cv, a.value) for a in block] for block in self.blocks],
+            [[f.mul_int(cv, a) for a in block] for block in self._values],
             width=self.width,
         )
 
@@ -106,15 +126,15 @@ class Sequence:
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self.to_ints() == other.to_ints()
+        return self._values == other._values
 
     def __hash__(self):
         return hash(tuple(self.flat_values()))
 
     def __repr__(self):
         return "Sequence[" + ", ".join(
-            "(" + " ".join(self.field.element_name(c.value) for c in b) + ")"
-            for b in self.blocks
+            "(" + " ".join(self.field.element_name(v) for v in b) + ")"
+            for b in self._values
         ) + "]"
 
 
@@ -224,7 +244,7 @@ class SkewConvCode:
                         if g:
                             acc[j] = f.add_int(acc[j], f.mul_int(usym, g))
             out.append(acc)
-        return Sequence(f, out, width=self.n)
+        return Sequence._trusted(f, out, self.n)
 
     def time_coefficient(self, t, i):
         """Encoder coefficient theta^(t-i)(G_i) at time t as an integer table."""

@@ -155,9 +155,9 @@ def parse_sequence(field, text, width, what="block"):
 
 def format_sequence(seq, pretty=False):
     lines = []
-    for block in seq.blocks:
+    for block in seq.to_ints():
         if pretty:
-            lines.append(" ".join(seq.field.element_name(c.value) for c in block))
+            lines.append(" ".join(seq.field.element_name(v) for v in block))
         else:
-            lines.append(" ".join(str(c.value) for c in block))
+            lines.append(" ".join(map(str, block)))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,20 +1,34 @@
 """Trellis-based decoding over the q-ary symmetric channel.
 
-viterbi() returns the maximum-likelihood information sequence under Hamming
-metric (ML for the q-ary symmetric channel when eps < (Q-1)/Q); bcjr() runs
-the exact forward-backward recursion and returns per-time posteriors of the
-information blocks.  Both walk the trellis phase-aware: time t uses section
-t mod num_sections, so periodic time-varying codes decode correctly.
+viterbi_batch() returns the maximum-likelihood information sequences of a
+batch of frames under Hamming metric (ML for the q-ary symmetric channel when
+eps < (Q-1)/Q), as array steps over the trellis edge tables; viterbi() is the
+same decoder on one frame.  bcjr() runs the exact forward-backward recursion
+and returns per-time posteriors of the information blocks.  Both walk the
+trellis phase-aware: time t uses section t mod num_sections, so periodic
+time-varying codes decode correctly.
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .code import Sequence
 
-__all__ = ["QSChannel", "DecodeResult", "viterbi", "bcjr"]
+__all__ = [
+    "QSChannel",
+    "DecodeResult",
+    "SURVIVOR_BUDGET",
+    "check_survivor_budget",
+    "viterbi",
+    "viterbi_batch",
+    "bcjr",
+]
+
+SURVIVOR_BUDGET = 1 << 24
+"""The most survivor-table entries (frames x received blocks x states) one
+Viterbi call may hold: 16 MiB at one byte an entry, which serves up to 256
+inputs per state.  A larger call raises ValueError before allocating it."""
 
 
 class QSChannel:
@@ -46,15 +60,15 @@ class QSChannel:
         return other if other < symbol else other + 1
 
     def transmit(self, seq, rng):
-        out = [[self.transmit_symbol(c.value, rng) for c in block] for block in seq]
-        return Sequence(seq.field, out, width=seq.width)
+        out = [[self.transmit_symbol(v, rng) for v in block] for block in seq.to_ints()]
+        return Sequence._trusted(seq.field, out, seq.width)
 
 
 @dataclass
 class DecodeResult:
     info_est: Sequence
     metric: int | None
-    posteriors: list | None = dc_field(default=None)
+    posteriors: np.ndarray | None = dc_field(default=None)
 
 
 def _coerce_received(trellis, received):
@@ -65,68 +79,102 @@ def _coerce_received(trellis, received):
     return Sequence(trellis.field, received, width=trellis.n).to_ints()
 
 
-def viterbi(trellis, received, terminated=False):
-    """ML sequence decoding by minimum Hamming distance.
+def check_survivor_budget(frames, blocks, num_states):
+    """Raise ValueError if a Viterbi call on `frames` frames of `blocks`
+    blocks would hold more than SURVIVOR_BUDGET survivor entries."""
+    entries = frames * blocks * num_states
+    if entries > SURVIVOR_BUDGET:
+        raise ValueError(
+            f"Viterbi on {frames} frame(s) of {blocks} blocks x {num_states} states needs "
+            f"{entries} survivor entries, over the budget of {SURVIVOR_BUDGET}"
+        )
 
-    Ties break toward the lowest predecessor state, then the lowest input
-    index, so the traceback is deterministic.  With terminated=True the last
+
+def viterbi_batch(trellis, received, terminated=False):
+    """ML decoding of a batch of equal-length frames by minimum Hamming
+    distance: Forney's add-compare-select, one section at a time over every
+    frame and state at once.
+
+    received is an integer array of shape (frames, blocks, n).  Returns
+    (info, metrics): info[f] is the estimated information sequence of frame
+    f, an integer array of shape (blocks - tail, k), and metrics[f] its
+    Hamming distance to the received frame, a Python int.  Each step gathers
+    the metric of every edge entering a state through `trellis.pred` and
+    keeps the first minimum, so of equal candidates the lowest predecessor
+    state, then the lowest input index wins.  With terminated=True the last
     `memory` steps admit only zero inputs and the tail is dropped from the
-    returned estimate.
+    estimate.  The survivor table holds one entry per frame, block and
+    state; a batch over SURVIVOR_BUDGET raises ValueError before any table
+    is built.
     """
-    blocks = _coerce_received(trellis, received)
-    total = len(blocks)
+    received = np.asarray(received)
+    if received.ndim != 3 or received.shape[2] != trellis.n:
+        raise ValueError(f"received must have shape (frames, blocks, {trellis.n})")
+    frames, total, _ = received.shape
     tail = trellis.memory if terminated else 0
     if total <= tail and terminated:
         raise ValueError(f"received length {total} too short for a terminated frame")
+    num_states, num_inputs = trellis.num_states, trellis.num_inputs
+    check_survivor_budget(frames, total, num_states)
+    if received.size and not 0 <= received.min() <= received.max() < trellis.q:
+        raise ValueError(f"received symbols outside [0, {trellis.q})")
 
-    num_states = trellis.num_states
-    metrics = [math.inf] * num_states
-    metrics[0] = 0
-    parents = []
-    for t, rblock in enumerate(blocks):
-        section = trellis.sections[t % trellis.num_sections]
-        inputs = 1 if t >= total - tail else trellis.num_inputs
-        nmetrics = [math.inf] * num_states
-        npar = [None] * num_states
-        for st in range(num_states):
-            mv = metrics[st]
-            if mv == math.inf:
-                continue
-            edges = section[st]
-            for idx in range(inputs):
-                e = edges[idx]
-                d = mv + sum(1 for a, b in zip(e.label, rblock) if a != b)
-                if d < nmetrics[e.to_state]:
-                    nmetrics[e.to_state] = d
-                    npar[e.to_state] = (st, idx)
-        parents.append(npar)
-        metrics = nmetrics
+    pred = trellis.pred
+    from_state = pred // num_inputs
+    # symbol j of the labels of the edges pred[s]: labels[s, j] is (states, inputs)
+    labels = np.ascontiguousarray(
+        np.moveaxis(trellis.label[np.arange(trellis.num_sections)[:, None, None], pred], -1, 1)
+    )
+    zero_input_only = np.where(pred % num_inputs == 0, 0.0, np.inf)
+
+    metrics = np.full((frames, num_states), np.inf)
+    metrics[:, 0] = 0
+    survivors = np.empty((total, frames, num_states), dtype=np.min_scalar_type(num_inputs - 1))
+    for t in range(total):
+        s = t % trellis.num_sections
+        cand = metrics[:, from_state[s]]
+        for j in range(trellis.n):
+            cand += labels[s, j] != received[:, t, j, None, None]
+        if t >= total - tail:
+            cand += zero_input_only[s]
+        survivors[t] = cand.argmin(axis=-1)
+        metrics = cand.min(axis=-1)
 
     if terminated:
-        end_state = 0
-        if metrics[0] == math.inf:
+        if np.isinf(metrics[:, 0]).any():
             raise ValueError("no terminated path reaches the zero state")
+        state = np.zeros(frames, dtype=np.intp)
     else:
-        end_state = min(range(num_states), key=lambda st: (metrics[st], st))
-    metric = metrics[end_state]
+        state = metrics.argmin(axis=1)
+    rows = np.arange(frames)
+    final = metrics[rows, state].astype(np.int64).tolist()
 
-    state = end_state
-    inputs_rev = []
+    inputs = np.empty((frames, total - tail), dtype=np.intp)
     for t in range(total - 1, -1, -1):
-        st, idx = parents[t][state]
-        inputs_rev.append(trellis.input_block(idx))
-        state = st
-    inputs_rev.reverse()
-    info = inputs_rev[: total - tail]
-    return DecodeResult(Sequence(trellis.field, info, width=trellis.k), int(metric))
+        edge = pred[t % trellis.num_sections, state, survivors[t, rows, state]]
+        if t < total - tail:
+            inputs[:, t] = edge % num_inputs
+        state = edge // num_inputs
+    info = inputs[..., None] // trellis.q ** np.arange(trellis.k) % trellis.q
+    return info, final
+
+
+def viterbi(trellis, received, terminated=False):
+    """ML sequence decoding of one frame by minimum Hamming distance:
+    `viterbi_batch` on a batch of one, with its tie-break and its budget."""
+    blocks = _coerce_received(trellis, received)
+    frame = np.array(blocks, dtype=np.intp).reshape(1, len(blocks), trellis.n)
+    info, metrics = viterbi_batch(trellis, frame, terminated)
+    return DecodeResult(Sequence._trusted(trellis.field, info[0].tolist(), trellis.k), metrics[0])
 
 
 def bcjr(trellis, received, channel, terminated=False):
     """Exact symbol-wise APP decoding by the forward-backward recursion.
 
-    Probability domain with per-step renormalization; posteriors[t] is the
-    distribution over the q^k input-block indices at time t (uniform prior).
-    Hard decisions are the per-time argmax.
+    Probability domain with per-step renormalization; posteriors is an
+    (info_len, q^k) array whose row t is the distribution over the q^k
+    input-block indices at time t (uniform prior).  Hard decisions are the
+    per-time argmax.
     """
     q = trellis.q
     if channel.q != q:
@@ -198,7 +246,7 @@ def bcjr(trellis, received, channel, terminated=False):
         beta[t] /= norm
 
     info_len = total - tail
-    posteriors = []
+    posteriors = np.empty((info_len, num_inputs))
     hard = []
     for t in range(info_len):
         section = trellis.sections[t % trellis.num_sections]
@@ -214,7 +262,7 @@ def bcjr(trellis, received, channel, terminated=False):
                 if w:
                     post[idx] += av * w * beta[t + 1, edges[idx].to_state]
         post /= post.sum()
-        posteriors.append(post)
+        posteriors[t] = post
         hard.append(trellis.input_block(int(post.argmax())))
 
     return DecodeResult(

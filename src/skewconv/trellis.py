@@ -140,6 +140,13 @@ class Trellis:
         )
 
     @cached_property
+    def label(self):
+        """label[s, e]: the n output symbols of edge e of section s."""
+        return np.array(
+            [[e.label for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
+        ).reshape(self.num_sections, self.num_states * self.num_inputs, self.n)
+
+    @cached_property
     def pred(self):
         """pred[s, st]: the q^k edges of section s that enter state st, in
         (from_state, input) order."""

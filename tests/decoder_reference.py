@@ -1,0 +1,97 @@
+"""Scalar reference implementations of the decoders' fast paths, kept as test
+oracles for `skewconv.decoder.viterbi_batch` and `skewconv.run_simulation`.
+
+`viterbi` is the per-edge add-compare-select loop over the trellis sections,
+and `run_simulation` decodes one frame at a time with it.
+"""
+
+import math
+
+from skewconv import DecodeResult, Sequence, SimReport, build_trellis
+from skewconv.analysis import _trial_rng
+from skewconv.decoder import QSChannel, _coerce_received
+
+
+def viterbi(trellis, received, terminated=False):
+    """Viterbi one edge at a time: the first (state, input) in scan order that
+    strictly improves a state becomes its survivor."""
+    blocks = _coerce_received(trellis, received)
+    total = len(blocks)
+    tail = trellis.memory if terminated else 0
+    if total <= tail and terminated:
+        raise ValueError(f"received length {total} too short for a terminated frame")
+
+    num_states = trellis.num_states
+    metrics = [math.inf] * num_states
+    metrics[0] = 0
+    parents = []
+    for t, rblock in enumerate(blocks):
+        section = trellis.sections[t % trellis.num_sections]
+        inputs = 1 if t >= total - tail else trellis.num_inputs
+        nmetrics = [math.inf] * num_states
+        npar = [None] * num_states
+        for st in range(num_states):
+            mv = metrics[st]
+            if mv == math.inf:
+                continue
+            edges = section[st]
+            for idx in range(inputs):
+                e = edges[idx]
+                d = mv + sum(1 for a, b in zip(e.label, rblock) if a != b)
+                if d < nmetrics[e.to_state]:
+                    nmetrics[e.to_state] = d
+                    npar[e.to_state] = (st, idx)
+        parents.append(npar)
+        metrics = nmetrics
+
+    if terminated:
+        end_state = 0
+        if metrics[0] == math.inf:
+            raise ValueError("no terminated path reaches the zero state")
+    else:
+        end_state = min(range(num_states), key=lambda st: (metrics[st], st))
+    metric = metrics[end_state]
+
+    state = end_state
+    inputs_rev = []
+    for t in range(total - 1, -1, -1):
+        st, idx = parents[t][state]
+        inputs_rev.append(trellis.input_block(idx))
+        state = st
+    inputs_rev.reverse()
+    info = inputs_rev[: total - tail]
+    return DecodeResult(Sequence(trellis.field, info, width=trellis.k), int(metric))
+
+
+def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
+    """The simulation loop decoding each frame on its own with `viterbi`."""
+    q = code.field.size
+    tr = trellis if trellis is not None else build_trellis(code)
+    channel = QSChannel(q, eps)
+    sym_in = 0
+    sym_out = 0
+    frame_errs = 0
+    for trial in range(trials):
+        rng = _trial_rng(seed, trial)
+        u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
+        sent = code.encode(u, terminate=True)
+        recv = channel.transmit(sent, rng)
+        sym_in += sum(1 for a, b in zip(sent.flat_values(), recv.flat_values()) if a != b)
+        est = viterbi(tr, recv, terminated=True).info_est.to_ints()
+        errs = sum(1 for want, got in zip(u, est) for a, b in zip(want, got) if a != b)
+        sym_out += errs
+        if errs:
+            frame_errs += 1
+    info_symbols = trials * frame_len * code.k
+    return SimReport(
+        eps=eps,
+        trials=trials,
+        frame_len=frame_len,
+        seed=seed,
+        info_symbols=info_symbols,
+        symbol_errors_in=sym_in,
+        symbol_errors_out=sym_out,
+        frame_errors=frame_errs,
+        ber=sym_out / info_symbols,
+        fer=frame_errs / trials,
+    )

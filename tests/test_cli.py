@@ -1,4 +1,6 @@
+import contextlib
 import json
+import signal
 import subprocess
 import sys
 
@@ -267,3 +269,45 @@ def test_dual_rejects_right_module_code(capsys, tmp_path):
     rc, out, err = run_cli(capsys, "dual", str(path))
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "left-module" in err
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def hung(signum, frame):
+        raise TimeoutError(f"did not finish within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_simulate_rejects_an_over_budget_frame_at_once(capsys, code_file):
+    with time_limit(10):
+        rc, out, err = run_cli(
+            capsys, "simulate", code_file, "--eps", "0.1", "--trials", "1",
+            "--frame-len", "100000000",
+        )
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_decode_rejects_an_over_budget_word(capsys, tmp_path):
+    # GF(16), memory 2: 256 states, so 65536 blocks fill the survivor budget
+    doc = {
+        "field": {"p": 2, "n": 4, "modulus": [1, 1, 0, 0, 1], "theta_r": 1},
+        "k": 1,
+        "n": 2,
+        "module_side": "left",
+        "G": [[[9, 3, 14], [9, 14, 13]]],
+    }
+    path = tmp_path / "gf16.json"
+    path.write_text(json.dumps(doc))
+    received = write_seq(tmp_path, "r.txt", "0 0\n" * 65537)
+    with time_limit(20):
+        rc, out, err = run_cli(capsys, "decode", str(path), received)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err

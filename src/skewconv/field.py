@@ -4,9 +4,20 @@ Elements are encoded as integers in [0, p^n) whose base-p digits are the
 polynomial-basis coordinates, little-endian: in GF(4) built on x^2+x+1 the
 class of x is the integer 2.  Multiplication and inversion run on log/antilog
 tables built at construction; the automorphism is theta(a) = a^(p^r).
+
+Addition is digit-wise addition mod p, XOR for p = 2.  For odd p the scalar
+`add_int` runs on Zech logarithms instead of digits: with a = g^i and
+b = g^j, a + b = g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum` and `mul`
+are the same operations over integer arrays; they and the trellis builder run
+on the O(q) read-only numpy tables `log_table`, `antilog_table` and
+`frobenius_table`.
 """
 
 import math
+from functools import cached_property, reduce
+
+import numpy as np
 
 __all__ = ["FiniteField", "FieldElement", "DEFAULT_BINARY_MODULI"]
 
@@ -57,6 +68,16 @@ def _prime_factors(m):
     if m > 1:
         out.append(m)
     return out
+
+
+def _as_ints(a):
+    """a as an array: in its own dtype if it is one, else as intp."""
+    return np.asarray(a, dtype=getattr(a, "dtype", np.intp))
+
+
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
 
 # -- polynomial helpers over GF(p), little-endian coefficient lists ----------
@@ -216,27 +237,99 @@ class FiniteField:
             x = self._mul_raw(x, gen)
         self._antilog = antilog
         self._log = log
+        # antilog_table[i] = g^i for 0 <= i < q - 1; log_table[a] = i where
+        # g^i = a, and -1 at a = 0
+        self.antilog_table = _read_only(np.array(antilog, dtype=np.intp))
+        self.log_table = _read_only(np.array(log, dtype=np.intp))
+        if self.p != 2:
+            # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
+            low = self.antilog_table % self.p
+            self._zech = self.log_table[self.antilog_table - low + (low + 1) % self.p].tolist()
+
+    @cached_property
+    def frobenius_table(self):
+        """frobenius_table[a] = theta(a), made on first use."""
+        table = self.antilog_table[self.log_table * self.p**self.theta_r % (self.size - 1)]
+        table[0] = 0
+        return _read_only(table)
 
     # -- integer-level field operations --
 
     def add_int(self, a, b):
         if self.p == 2:
             return a ^ b
-        p = self.p
-        return self.from_digits(
-            [(x + y) % p for x, y in zip(self.to_digits(a), self.to_digits(b))]
-        )
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log, q1 = self._log, self.size - 1
+        la = log[a]
+        z = self._zech[(log[b] - la) % q1]
+        return 0 if z < 0 else self._antilog[(la + z) % q1]
 
     def neg_int(self, a):
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        p = self.p
-        return self.from_digits([(-x) % p for x in self.to_digits(a)])
+        q1 = self.size - 1
+        return self._antilog[(self._log[a] + q1 // 2) % q1]  # -1 = g^((q - 1) / 2)
 
     def sub_int(self, a, b):
         if self.p == 2:
             return a ^ b
         return self.add_int(a, self.neg_int(b))
+
+    # -- element-wise operations over integer arrays --
+
+    def add(self, a, b):
+        """a + b element-wise over integer arrays (broadcast)."""
+        return self.sum((a, b))
+
+    def sum(self, arrays):
+        """The element-wise sum of one or more integer arrays (broadcast).
+
+        For p = 2 it is XOR, in the arrays' dtype.  For odd p each term's
+        base-p digits go one to a bit field of an int64 (`_spread`), so that
+        adding terms is integer addition; the digits are reduced mod p and
+        packed once at the end, and sooner only if a field could overflow.
+        """
+        if self.p == 2:
+            return reduce(np.bitwise_xor, map(_as_ints, arrays))
+        spread, width = self._spread
+        room = ((1 << width) - 1) // (self.p - 1)  # terms a bit field holds
+        total, count = 0, 0
+        for a in arrays:
+            if count == room:
+                total, count = spread[self._pack(total, width)], 1
+            total = total + spread[a]
+            count += 1
+        return self._pack(total, width)
+
+    @cached_property
+    def _spread(self):
+        """(spread, width): spread[a] holds digit i of a in bits
+        [width * i, width * (i + 1))."""
+        width = 63 // self.n
+        spread = np.zeros(self.size, dtype=np.int64)
+        rest = np.arange(self.size)
+        for i in range(self.n):
+            rest, digit = np.divmod(rest, self.p)
+            spread |= digit << (width * i)
+        return _read_only(spread), width
+
+    def _pack(self, total, width):
+        """Digit sums spread as by `_spread` back to field elements."""
+        mask = (1 << width) - 1
+        out = 0
+        for i in range(self.n):
+            out = out + ((total >> (width * i)) & mask) % self.p * self.p**i
+        return out
+
+    def mul(self, a, b):
+        """a * b element-wise over integer arrays (broadcast), as intp."""
+        a = np.asarray(a, dtype=np.intp)
+        b = np.asarray(b, dtype=np.intp)
+        prod = self.antilog_table[(self.log_table[a] + self.log_table[b]) % (self.size - 1)]
+        return np.where(np.logical_and(a, b), prod, 0)
 
     def mul_int(self, a, b):
         if a == 0 or b == 0:

@@ -5,6 +5,17 @@ times t = s (mod period).  States are the shift-register contents, one
 register per generator row, register i holding the last nu_i input symbols;
 states are packed little-endian by row then delay slot as base-Q digits.
 
+`build_trellis` fills the edge arrays `next_state`, `label` and `weight` for
+every edge at once, one pass per base-q digit of the edge ids (the input
+symbols and the register slots): a digit's products with the delay
+coefficients are one gather from a table made through the field's
+log/antilog tables, the terms are added digit-wise mod p (XOR for p = 2), and
+the register twist is one gather through the Frobenius table.  `sections`,
+nested lists of `TrellisEdge`, is a view over the arrays built on first use;
+the graph algorithms never build it.  A trellis over EDGE_BUDGET edges
+(sections x states x inputs) raises ValueError before any array is
+allocated, as does a DOT export over the same number of edges.
+
 Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.
@@ -27,12 +38,18 @@ __all__ = [
     "FreeDistanceResult",
     "CatastrophicityResult",
     "UnitMemoryBounds",
+    "EDGE_BUDGET",
     "build_trellis",
     "is_catastrophic",
     "unpack_digits",
     "unit_memory_bounds",
     "export_dot",
 ]
+
+EDGE_BUDGET = 2**22
+"""The most edges (sections x states x inputs) `build_trellis` builds and
+`export_dot` writes.  Within it the finished edge arrays take at most 64 MiB,
+plus 4 MiB per output symbol and byte of the label dtype."""
 
 
 class TrellisEdge(NamedTuple):
@@ -82,7 +99,16 @@ def unpack_digits(value, base, count):
 
 
 class Trellis:
-    def __init__(self, field, k, n, register_lengths, sections):
+    """A periodic trellis: `num_sections` sections of `num_states` states x
+    `num_inputs` inputs.
+
+    Edge e = from_state * num_inputs + input of section s is column e of the
+    edge arrays `next_state[s, e]`, `label[s, e]` (its n output symbols) and
+    `weight[s, e]`.  `build_trellis` fills them; a trellis constructed from
+    `sections`, nested lists of `TrellisEdge`, builds them on first use.
+    """
+
+    def __init__(self, field, k, n, register_lengths, sections=None, *, edge_arrays=None):
         self.field = field
         self.k = k
         self.n = n
@@ -91,9 +117,13 @@ class Trellis:
         self.external_degree = sum(register_lengths)
         self.memory = max(register_lengths, default=0)
         self.num_states = self.q**self.external_degree
-        self.sections = sections
-        self.num_sections = len(sections)
         self.num_inputs = self.q**self.k
+        if edge_arrays is None:
+            self.sections = sections
+            self.num_sections = len(sections)
+        else:
+            self._edge_arrays = edge_arrays
+            self.num_sections = len(edge_arrays[0])
 
     # -- packing helpers --
 
@@ -119,32 +149,53 @@ class Trellis:
         return ",".join(self.field.element_name(v) for v in regs)
 
     def edge(self, section, from_state, input_idx):
-        return self.sections[section % self.num_sections][from_state][input_idx]
+        s = section % self.num_sections
+        e = from_state * self.num_inputs + input_idx
+        return TrellisEdge(
+            int(self.next_state[s, e]), tuple(self.label[s, e].tolist()), int(self.weight[s, e])
+        )
 
-    # -- edge arrays, built from `sections` on first use --
-    # Edge e = from_state * num_inputs + input of section s is column e of
-    # row s.
+    # -- the edge arrays and the views over them --
+
+    @cached_property
+    def _edge_arrays(self):
+        """(next_state, label, weight) of a trellis constructed from sections."""
+        edges = [[e for per_state in sec for e in per_state] for sec in self.sections]
+        label = np.array([[e.label for e in sec] for sec in edges], dtype=_label_dtype(self.q))
+        return (
+            np.array([[e.to_state for e in sec] for sec in edges], dtype=np.intp),
+            label.reshape(self.num_sections, self.num_states * self.num_inputs, self.n),
+            np.array([[e.weight for e in sec] for sec in edges], dtype=np.intp),
+        )
 
     @cached_property
     def next_state(self):
         """next_state[s, e]: the state edge e of section s enters."""
-        return np.array(
-            [[e.to_state for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
-        )
+        return self._edge_arrays[0]
+
+    @cached_property
+    def label(self):
+        """label[s, e]: the n output symbols of edge e of section s, in the
+        narrowest unsigned dtype that holds q - 1."""
+        return self._edge_arrays[1]
 
     @cached_property
     def weight(self):
         """weight[s, e]: the output weight of edge e of section s."""
-        return np.array(
-            [[e.weight for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
-        )
+        return self._edge_arrays[2]
 
     @cached_property
-    def label(self):
-        """label[s, e]: the n output symbols of edge e of section s."""
-        return np.array(
-            [[e.label for edges in sec for e in edges] for sec in self.sections], dtype=np.intp
-        ).reshape(self.num_sections, self.num_states * self.num_inputs, self.n)
+    def sections(self):
+        """sections[s][from_state][input]: the edge arrays as `TrellisEdge`s
+        of Python ints, built on first use."""
+        inputs = self.num_inputs
+        out = []
+        for to, labels, weights in zip(
+            self.next_state.tolist(), self.label.tolist(), self.weight.tolist()
+        ):
+            edges = list(map(TrellisEdge, to, map(tuple, labels), weights))
+            out.append([edges[e : e + inputs] for e in range(0, len(edges), inputs)])
+        return out
 
     @cached_property
     def pred(self):
@@ -366,7 +417,7 @@ class Trellis:
         for step in range(length - 1, -1, -1):
             prev_state, idx = parents[step][state]
             section = (start + step) % self.num_sections
-            e = self.sections[section][prev_state][idx]
+            e = self.edge(section, prev_state, idx)
             steps.append(
                 PathStep(section, prev_state, self.input_block(idx), e.label, state)
             )
@@ -442,7 +493,7 @@ class Trellis:
 
     def _path_step(self, node, input_idx):
         phase, state = divmod(node, self.num_states)
-        e = self.sections[phase][state][input_idx]
+        e = self.edge(phase, state, input_idx)
         return PathStep(phase, state, self.input_block(input_idx), e.label, e.to_state)
 
 
@@ -511,60 +562,69 @@ def _min_cycle_mean(src, weight):
     return Fraction(int(num[v]), int(den[v]))
 
 
+def _label_dtype(q):
+    return np.min_scalar_type(q - 1)
+
+
+def _check_edge_budget(sections, q, nu, k):
+    """Raise ValueError if sections x q^nu states x q^k inputs is over
+    EDGE_BUDGET; Python ints, so nothing is allocated for a huge trellis."""
+    if sections * q**nu * q**k > EDGE_BUDGET:
+        raise ValueError(
+            f"{sections} section(s) x {q}^{nu} states x {q}^{k} inputs exceed the "
+            f"budget of {EDGE_BUDGET} trellis edges"
+        )
+
+
 def build_trellis(code):
     """Controller-canonical-form trellis of a code of either module side.
 
     Section s labels its edges with the code's phase-s coefficient tables.
     Each shift applies theta^register_twist to the stored symbols, so slot j
-    of a right-module code's register holds theta^j(u_{t-j}).
+    of a right-module code's register holds theta^j(u_{t-j}).  The edge
+    arrays are filled for every edge at once; a trellis over EDGE_BUDGET
+    edges raises ValueError before any array is allocated.
     """
     field = code.field
     q = field.size
     k, n = code.k, code.n
     regs = code.row_degrees
-    twist = code.register_twist
     nu = sum(regs)
+    phases = code.phase_coefficients
+    _check_edge_budget(len(phases), q, nu, k)
+    # Edge e = from_state * q^k + input: its base-q digits are the k input
+    # symbols, then the nu register slots by row and delay.  Digit j is the
+    # (row, delay) term of the label, and moves to `place` in the next state
+    # (0: shifted out), through theta if the code's registers twist.
     starts = [sum(regs[:row]) for row in range(k)]
-    inputs = [unpack_digits(idx, q, k) for idx in range(q**k)]
-    sections = []
-    for coeffs in code.phase_coefficients:
-        g0 = coeffs[0]
-        per_state = []
-        for st in range(q**nu):
-            slots = unpack_digits(st, q, nu)
-            held = [0] * n
-            for row in range(k):
-                for delay in range(1, regs[row] + 1):
-                    val = slots[starts[row] + delay - 1]
-                    if val == 0:
-                        continue
-                    mat = coeffs[delay]
-                    for j in range(n):
-                        if mat[row][j]:
-                            held[j] = field.add_int(held[j], field.mul_int(val, mat[row][j]))
-            if twist:
-                slots = [field.frobenius_int(v, twist) for v in slots]
-            edges = []
-            for ub in inputs:
-                label = held[:]
-                new_slots = []
-                for row, val in enumerate(ub):
-                    if regs[row]:
-                        new_slots.append(field.frobenius_int(val, twist) if twist else val)
-                        new_slots.extend(slots[starts[row] : starts[row] + regs[row] - 1])
-                    if val == 0:
-                        continue
-                    for j in range(n):
-                        if g0[row][j]:
-                            label[j] = field.add_int(label[j], field.mul_int(val, g0[row][j]))
-                to_state = 0
-                for d in reversed(new_slots):
-                    to_state = to_state * q + d
-                weight = sum(1 for v in label if v)
-                edges.append(TrellisEdge(to_state, tuple(label), weight))
-            per_state.append(edges)
-        sections.append(per_state)
-    return Trellis(field, k, n, regs, sections)
+    terms = [(row, 0, q**start if reg else 0) for row, (start, reg) in enumerate(zip(starts, regs))]
+    terms += [
+        (row, delay, q ** (start + delay) if delay < reg else 0)
+        for row, (start, reg) in enumerate(zip(starts, regs))
+        for delay in range(1, reg + 1)
+    ]
+    # products[s, a, i, row] = a * (row of the phase-s delay-i table)
+    symbol = _label_dtype(q)
+    products = field.mul(np.arange(q)[:, None, None, None], np.array(phases)[:, None])
+    products = products.astype(symbol)
+    edges = np.arange(q ** (k + nu))
+
+    def digit(j):
+        return edges // q**j % q
+
+    next_state = np.zeros(edges.size, dtype=np.intp)
+    for j, (_, _, place) in enumerate(terms):
+        if place:
+            stored = field.frobenius_table[digit(j)] if code.register_twist else digit(j)
+            next_state += stored * place
+    label = field.sum(products[:, digit(j), delay, row] for j, (row, delay, _) in enumerate(terms))
+    label = label.astype(symbol, copy=False)
+    edge_arrays = (
+        next_state[None].repeat(len(phases), axis=0),
+        label,
+        np.add.reduce(label != 0, axis=-1),
+    )
+    return Trellis(field, k, n, regs, edge_arrays=edge_arrays)
 
 
 def is_catastrophic(code_or_trellis):
@@ -587,6 +647,7 @@ def export_dot(trellis, sections):
     sections: (sections + 1) state columns, edges labeled by output blocks."""
     if sections < 1:
         raise ValueError("sections must be >= 1")
+    _check_edge_budget(sections, trellis.q, trellis.external_degree, trellis.k)
     field = trellis.field
     lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]
     for layer in range(sections + 1):

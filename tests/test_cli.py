@@ -311,3 +311,30 @@ def test_decode_rejects_an_over_budget_word(capsys, tmp_path):
         rc, out, err = run_cli(capsys, "decode", str(path), received)
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "budget" in err
+
+
+def test_analyze_rejects_an_over_budget_trellis_at_once(capsys, tmp_path):
+    # GF(256), memory 3: 2^24 states x 256 inputs x 8 sections
+    doc = {
+        "field": {"p": 2, "n": 8, "theta_r": 1},
+        "k": 1,
+        "n": 2,
+        "module_side": "left",
+        "G": [[[1, 2, 3, 5], [7, 11, 13, 17]]],
+    }
+    path = tmp_path / "gf256_m3.json"
+    path.write_text(json.dumps(doc))
+    with time_limit(10):
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_trellis_rejects_an_over_budget_export_at_once(capsys, code_file, tmp_path):
+    target = tmp_path / "t.dot"
+    with time_limit(10):
+        rc, out, err = run_cli(
+            capsys, "trellis", code_file, "--sections", "100000000", "--out", str(target)
+        )
+    assert rc == 1 and out == "" and not target.exists()
+    assert err.count("\n") == 1 and "budget" in err

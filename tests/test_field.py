@@ -1,8 +1,11 @@
+import functools
 import math
 import random
 import signal
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from skewconv import FiniteField
 from skewconv.field import DEFAULT_BINARY_MODULI
@@ -194,3 +197,54 @@ def test_random_field_identities(f8):
             f8.mul_int(a, b), f8.mul_int(a, c)
         )
         assert f8.mul_int(a, b) == f8.mul_int(b, a)
+
+
+def digit_add(field, a, b):
+    return field.from_digits([x + y for x, y in zip(field.to_digits(a), field.to_digits(b))])
+
+
+ODD_FIELDS = [
+    (3, 1, None),
+    (3, 2, [2, 2, 1]),
+    (5, 2, [2, 1, 1]),
+    (3, 3, [1, 2, 0, 1]),
+    (7, 2, [3, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("p,n,modulus", ODD_FIELDS, ids=lambda v: str(v))
+def test_zech_addition_matches_digits_all_pairs(p, n, modulus):
+    f = FiniteField(p, n, modulus)
+    for a in range(f.size):
+        assert f.add_int(a, f.neg_int(a)) == 0
+        assert f.neg_int(a) == f.from_digits([-x for x in f.to_digits(a)])
+        for b in range(f.size):
+            assert f.add_int(a, b) == digit_add(f, a, b)
+            assert f.sub_int(a, b) == digit_add(f, a, f.neg_int(b))
+
+
+SMALL_FIELDS = [
+    FiniteField(p, n, modulus, theta_r=n - 1)
+    for p, n, modulus in ODD_FIELDS + [(2, 1, None), (2, 2, None), (2, 3, None), (2, 4, None)]
+]
+
+
+@given(st.data())
+def test_array_operations_match_scalar_ones(data):
+    f = data.draw(st.sampled_from(SMALL_FIELDS))
+    symbols = st.lists(st.integers(0, f.size - 1), min_size=0, max_size=40)
+    a = data.draw(symbols)
+    b = data.draw(st.lists(st.integers(0, f.size - 1), min_size=len(a), max_size=len(a)))
+    got_add, got_mul = f.add(a, b).tolist(), f.mul(a, b).tolist()
+    assert got_add == [f.add_int(x, y) for x, y in zip(a, b)]
+    assert got_mul == [f.mul_int(x, y) for x, y in zip(a, b)]
+    assert f.frobenius_table[np.array(a, dtype=np.intp)].tolist() == [f.frobenius_int(x) for x in a]
+
+
+def test_sum_of_many_arrays_reduces_its_digit_sums():
+    # GF(3^6) on x^6 + x + 2: a 10-bit digit field holds 511 terms, so 1200
+    # terms overflow it twice
+    f = FiniteField(3, 6, [2, 1, 0, 0, 0, 0, 1])
+    terms = np.random.default_rng(5).integers(0, f.size, size=(1200, 8))
+    want = [functools.reduce(f.add_int, column.tolist()) for column in terms.T]
+    assert f.sum(terms).tolist() == want

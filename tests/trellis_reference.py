@@ -1,9 +1,11 @@
-"""Scalar reference implementations of the trellis graph algorithms, kept as
-test oracles for the array paths in `skewconv.trellis`.
+"""Scalar reference implementations of the trellis construction and graph
+algorithms, kept as test oracles for the array paths in `skewconv.trellis`.
 
-`loop_dp` is the per-edge loop relaxation and `slope` is Karp's recurrence
-over the full (m + 1) x m table of each strong component.  `free_distance`
-and `active_burst_distance` run the library's own methods on `loop_dp`.
+`build_trellis` is the per-edge construction loop over scalar field
+arithmetic, `loop_dp` is the per-edge loop relaxation and `slope` is Karp's
+recurrence over the full (m + 1) x m table of each strong component.
+`free_distance` and `active_burst_distance` run the library's own methods on
+`loop_dp`.
 """
 
 import copy
@@ -11,7 +13,59 @@ import functools
 import math
 from fractions import Fraction
 
-from skewconv.trellis import Trellis
+from skewconv.trellis import Trellis, TrellisEdge, unpack_digits
+
+
+def build_trellis(code):
+    """The trellis of `skewconv.trellis.build_trellis`, one edge at a time:
+    a `Trellis` constructed from its sections."""
+    field = code.field
+    q = field.size
+    k, n = code.k, code.n
+    regs = code.row_degrees
+    twist = code.register_twist
+    nu = sum(regs)
+    starts = [sum(regs[:row]) for row in range(k)]
+    inputs = [unpack_digits(idx, q, k) for idx in range(q**k)]
+    sections = []
+    for coeffs in code.phase_coefficients:
+        g0 = coeffs[0]
+        per_state = []
+        for st in range(q**nu):
+            slots = unpack_digits(st, q, nu)
+            held = [0] * n
+            for row in range(k):
+                for delay in range(1, regs[row] + 1):
+                    val = slots[starts[row] + delay - 1]
+                    if val == 0:
+                        continue
+                    mat = coeffs[delay]
+                    for j in range(n):
+                        if mat[row][j]:
+                            held[j] = field.add_int(held[j], field.mul_int(val, mat[row][j]))
+            if twist:
+                slots = [field.frobenius_int(v, twist) for v in slots]
+            edges = []
+            for ub in inputs:
+                label = held[:]
+                new_slots = []
+                for row, val in enumerate(ub):
+                    if regs[row]:
+                        new_slots.append(field.frobenius_int(val, twist) if twist else val)
+                        new_slots.extend(slots[starts[row] : starts[row] + regs[row] - 1])
+                    if val == 0:
+                        continue
+                    for j in range(n):
+                        if g0[row][j]:
+                            label[j] = field.add_int(label[j], field.mul_int(val, g0[row][j]))
+                to_state = 0
+                for d in reversed(new_slots):
+                    to_state = to_state * q + d
+                weight = sum(1 for v in label if v)
+                edges.append(TrellisEdge(to_state, tuple(label), weight))
+            per_state.append(edges)
+        sections.append(per_state)
+    return Trellis(field, k, n, regs, sections)
 
 
 def loop_dp(tr, steps):

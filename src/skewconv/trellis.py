@@ -19,9 +19,13 @@ allocated, as does a DOT export over the same number of edges.
 Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.
+
+The graph questions are array relaxations over predecessor and successor
+tables of the period-unrolled state graph, those edges removed: Karp's slope
+from a virtual source, Bellman-Ford costs to and from the zero state, and the
+zero-weight cycles by peeling.
 """
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -30,6 +34,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .decoder import SURVIVOR_BUDGET
 
 __all__ = [
     "Trellis",
@@ -130,9 +136,6 @@ class Trellis:
     def input_block(self, idx):
         return tuple(unpack_digits(idx, self.q, self.k))
 
-    def input_weight(self, idx):
-        return sum(1 for v in self.input_block(idx) if v)
-
     def state_registers(self, state):
         """Register contents as a tuple per row, delay slot 1 first."""
         slots = unpack_digits(state, self.q, self.external_degree)
@@ -208,123 +211,81 @@ class Trellis:
         return order.reshape(self.num_sections, self.num_states, self.num_inputs)
 
     @cached_property
-    def _pred_paths(self):
-        """(from_state, weight)[s, st, j] of the edge pred[s, st, j]; the
-        weight is a float, inf on the weight-0 zero-to-zero edges the loop
-        convention removes."""
+    def _loop_weight(self):
+        """weight[s, e] as floats, inf on the weight-0 zero-to-zero edges the
+        loop convention removes."""
         inputs = self.num_inputs
         weight = self.weight.astype(float)
         removed = (self.next_state[:, :inputs] == 0) & (self.weight[:, :inputs] == 0)
         weight[:, :inputs][removed] = np.inf
+        return weight
+
+    @cached_property
+    def _pred_paths(self):
+        """(from_state, weight)[s, st, j] of the edge pred[s, st, j], the
+        weight from `_loop_weight`."""
         flat = self.pred.reshape(self.num_sections, -1)
-        pred_weight = np.take_along_axis(weight, flat, axis=1).reshape(self.pred.shape)
-        return self.pred // inputs, pred_weight
+        pred_weight = np.take_along_axis(self._loop_weight, flat, axis=1).reshape(self.pred.shape)
+        return self.pred // self.num_inputs, pred_weight
 
-    # -- the period-unrolled state graph --
+    # -- the period-unrolled state graph: node phase * num_states + state --
 
-    def _node(self, phase, state):
-        return phase * self.num_states + state
+    @cached_property
+    def _node_preds(self):
+        """(src, w)[j, node]: node is entered from node src[j, node] by an
+        edge of weight w[j, node], j < q^k; node (s, st) is entered through
+        section s - 1.  Contiguous copies: the relaxations gather whole rows."""
+        from_state, pred_weight = self._pred_paths
+        num_nodes = self.num_sections * self.num_states
+        first = (np.arange(self.num_sections) * self.num_states)[:, None, None]
+        src = np.roll(first + from_state, 1, axis=0).reshape(num_nodes, -1)
+        w = np.roll(pred_weight, 1, axis=0).reshape(num_nodes, -1)
+        return np.ascontiguousarray(src.T), np.ascontiguousarray(w.T)
 
-    def _graph(self):
-        """Adjacency over (phase, state) nodes with the weight-0 zero-to-zero
-        edges removed.  Entries are (to_node, weight, input_idx)."""
-        inputs = range(self.num_inputs)
-        next_first = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
-        to_node = (next_first + self.next_state).reshape(-1, self.num_inputs).tolist()
-        weight = self.weight.reshape(-1, self.num_inputs).tolist()
-        adj = [list(zip(to, w, inputs)) for to, w in zip(to_node, weight)]
-        for s in range(self.num_sections):
-            node = self._node(s, 0)
-            zero = self._node((s + 1) % self.num_sections, 0)
-            adj[node] = [e for e in adj[node] if e[:2] != (zero, 0)]
-        return adj
+    @cached_property
+    def _node_succs(self):
+        """(to, w)[i, node]: input i leads from node to node to[i, node] by an
+        edge of weight w[i, node]."""
+        after = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
+        to = (after + self.next_state).reshape(-1, self.num_inputs)
+        w = self._loop_weight.reshape(-1, self.num_inputs)
+        return np.ascontiguousarray(to.T), np.ascontiguousarray(w.T)
 
-    @staticmethod
-    def _sccs(num_nodes, adj):
-        """Tarjan strongly connected components, iterative."""
-        index = [-1] * num_nodes
-        low = [0] * num_nodes
-        on_stack = [False] * num_nodes
-        stack = []
-        sccs = []
-        counter = 0
-        for root in range(num_nodes):
-            if index[root] != -1:
-                continue
-            work = [(root, 0)]
-            while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for i in range(pi, len(adj[v])):
-                    w = adj[v][i][0]
-                    if index[w] == -1:
-                        work[-1] = (v, i + 1)
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(comp)
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-        return sccs
+    def _zero_state_costs(self, tables):
+        """Bellman-Ford to a fixpoint from cost 0 at every zero-state node,
+        pulling along `tables`: `_node_preds` gives the cheapest weight from a
+        zero-state node to each node, `_node_succs` the cheapest weight from
+        each node to a zero-state node.  The weights are nonnegative
+        integers, so a shortest path settles within `nodes` rounds."""
+        src, w = tables
+        dist = np.full(src.shape[1], np.inf)
+        dist[:: self.num_states] = 0
+        while True:
+            relaxed = np.minimum(dist, (dist[src] + w).min(axis=0))
+            if (relaxed == dist).all():
+                return dist
+            dist = relaxed
 
-    def _forward_costs(self, adj):
-        """Cheapest weight from any zero-state node to each node (Dijkstra)."""
-        dist = [math.inf] * len(adj)
-        heap = []
-        for phase in range(self.num_sections):
-            src = self._node(phase, 0)
-            dist[src] = 0
-            heap.append((0, src))
-        heapq.heapify(heap)
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for v, w, _ in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist
-
-    def _return_costs(self, adj):
-        """Cheapest weight from each node to any zero-state node: the forward
-        costs on the reversed graph."""
-        radj = [[] for _ in adj]
-        for u, edges in enumerate(adj):
-            for v, w, idx in edges:
-                radj[v].append((u, w, idx))
-        return self._forward_costs(radj)
-
-    def _zero_output_cycles(self, adj):
-        """The subgraph of zero-output-weight edges, and those of its strong
-        components that hold a cycle."""
-        zadj = [[e for e in edges if e[1] == 0] for edges in adj]
-        cycles = [
-            scc
-            for scc in self._sccs(len(zadj), zadj)
-            if len(scc) > 1 or any(v == scc[0] for v, _, _ in zadj[scc[0]])
-        ]
-        return cycles, zadj
+    @cached_property
+    def _zero_cycle_core(self):
+        """Mask of the nodes on or between cycles of zero output weight: the
+        zero-weight edges, less the removed ones, peeled of every node with no
+        zero-weight in-edge or out-edge among the nodes left, until none
+        goes.  Every node left reaches a zero-weight cycle and is reached
+        from one along zero-weight edges."""
+        to, w = self._node_succs
+        idx, u = np.nonzero(w == 0)
+        v = to[idx, u]
+        core = np.ones(w.shape[1], dtype=bool)
+        while True:
+            inner = core[u] & core[v]
+            u, v = u[inner], v[inner]
+            leaves, enters = np.zeros_like(core), np.zeros_like(core)
+            leaves[u] = enters[v] = True
+            peeled = core & leaves & enters
+            if (peeled == core).all():
+                return core
+            core = peeled
 
     # -- distance measures --
 
@@ -354,11 +315,21 @@ class Trellis:
                 parents.append(_Parents(edge, self.num_inputs))
                 yield start, step + 1, _numbers(dist), parents
 
+    def _check_loop_budget(self, steps):
+        """Raise ValueError if a loop DP of `steps` sections would hold more
+        than SURVIVOR_BUDGET parent entries, one per step and state."""
+        if steps * self.num_states > SURVIVOR_BUDGET:
+            raise ValueError(
+                f"a loop scan of {steps} sections x {self.num_states} states exceeds the "
+                f"budget of {SURVIVOR_BUDGET} parent entries"
+            )
+
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
         math.inf if no ell-loop exists."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
+        self._check_loop_budget(ell)
         return min(dist[0] for _, length, dist, _ in self._loop_dp(ell) if length == ell)
 
     def free_distance(self, ell_max=None, lmax=0):
@@ -373,8 +344,10 @@ class Trellis:
         """
         if ell_max is None:
             ell_max = 8 * (self.external_degree + 1) * self.num_sections
-        adj = self._graph()
-        ret = self._return_costs(adj)
+        if ell_max < 1 or lmax < 0:
+            raise ValueError("ell_max must be >= 1 and lmax >= 0")
+        self._check_loop_budget(max(ell_max, lmax))
+        ret = self._zero_state_costs(self._node_succs).reshape(self.num_sections, -1)
 
         best = math.inf
         best_trace = None  # (start_phase, length, parents list)
@@ -388,16 +361,14 @@ class Trellis:
                 best_trace = (start, length, parents)
             if length == ell_max:
                 end_phase = (start + ell_max) % self.num_sections
-                for st, dv in enumerate(dist):
-                    if dv == math.inf:
-                        continue
-                    frontier_bound = min(frontier_bound, dv + ret[self._node(end_phase, st)])
+                frontier_bound = min(frontier_bound, float(np.add(dist, ret[end_phase]).min()))
 
-        cycles, _ = self._zero_output_cycles(adj)
+        # the cheapest way into the core is the cheapest way into a
+        # zero-weight cycle: each core node reaches one at no cost
+        core = self._zero_cycle_core
         tail_min = math.inf
-        if cycles:
-            dist0 = self._forward_costs(adj)
-            tail_min = min(dist0[v] for scc in cycles for v in scc)
+        if core.any():
+            tail_min = min(_numbers(self._zero_state_costs(self._node_preds)[core]))
 
         value = min(best, tail_min)
         stabilized = frontier_bound >= value
@@ -427,69 +398,34 @@ class Trellis:
 
     def slope(self):
         """Minimum mean edge weight over directed cycles of the unrolled state
-        graph, as an exact Fraction (Karp's recurrence per strong component),
-        or math.inf if the graph has no cycle."""
-        num_nodes = self.num_sections * self.num_states
-        comps = self._sccs(num_nodes, self._graph())
-        # node (s, st) is entered through section s - 1: its j-th entering
-        # edge comes from node src[j, node] with weight w[j, node]
-        from_state, pred_weight = self._pred_paths
-        first = (np.arange(self.num_sections) * self.num_states)[:, None, None]
-        src = np.roll(first + from_state, 1, axis=0).reshape(num_nodes, -1).T
-        w = np.roll(pred_weight, 1, axis=0).reshape(num_nodes, -1).T
-        label = np.empty(num_nodes, dtype=np.intp)
-        pos = np.empty(num_nodes, dtype=np.intp)
-        for c, comp in enumerate(comps):
-            label[comp] = c
-            pos[comp] = np.arange(len(comp))
-        internal = (label[src] == label) & (w < np.inf)
-        best = None
-        for c in np.unique(label[internal.any(axis=0)]).tolist():
-            comp = comps[c]
-            m = len(comp)
-            local = np.where(internal.take(comp, axis=1), pos[src.take(comp, axis=1)], m)
-            mean = _min_cycle_mean(local, w.take(comp, axis=1))
-            if best is None or mean < best:
-                best = mean
-        return best if best is not None else math.inf
+        graph, as an exact Fraction, or math.inf if the graph has no cycle:
+        Karp's recurrence over the whole graph, from a virtual source with a
+        zero-weight edge to every node."""
+        return _min_cycle_mean(*self._node_preds)
 
     def catastrophic_cycle(self):
-        """A cycle with zero output weight but positive input weight, or None."""
-        cycles, zadj = self._zero_output_cycles(self._graph())
-        for scc in cycles:
-            sset = set(scc)
-            seed = None
-            for u in scc:
-                for v, _, idx in zadj[u]:
-                    if v in sset and self.input_weight(idx) > 0:
-                        seed = (u, v, idx)
-                        break
-                if seed:
-                    break
-            if seed is None:
-                continue
-            u, v, idx = seed
-            # close the cycle: BFS from v back to u inside the component
-            prev = {v: None}
-            queue = [v]
-            while queue and u not in prev:
-                x = queue.pop(0)
-                for y, _, yidx in zadj[x]:
-                    if y in sset and y not in prev:
-                        prev[y] = (x, yidx)
-                        queue.append(y)
-            if u not in prev and v != u:
-                continue
-            steps = [self._path_step(u, idx)]
-            node = u
-            back = []
-            while node != v:
-                x, yidx = prev[node]
-                back.append(self._path_step(x, yidx))
-                node = x
-            steps.extend(reversed(back))
-            return steps
-        return None
+        """A cycle of zero output weight and positive input weight, or None.
+
+        The code is catastrophic iff the zero-weight core is nonempty.  Every
+        zero-weight cycle of a code trellis has positive input weight: zero
+        inputs drain the registers to the zero state within `memory` steps,
+        and the zero-input zero-to-zero edge is removed.  The witness starts
+        at the lowest core node and follows each node's lowest-input
+        zero-weight edge into the core until a node repeats; the closed part
+        is returned.
+        """
+        core = self._zero_cycle_core
+        if not core.any():
+            return None
+        to, w = self._node_succs
+        node = int(core.argmax())
+        steps, seen = [], {}
+        while node not in seen:
+            seen[node] = len(steps)
+            idx = int(((w[:, node] == 0) & core[to[:, node]]).argmax())
+            steps.append(self._path_step(node, idx))
+            node = int(to[idx, node])
+        return steps[seen[node] :]
 
     def _path_step(self, node, input_idx):
         phase, state = divmod(node, self.num_states)
@@ -526,27 +462,30 @@ def _numbers(dist):
 
 
 def _min_cycle_mean(src, weight):
-    """Karp's minimum cycle mean of a strongly connected m-node graph, given
-    as a predecessor table: node v is entered from src[j, v] by an edge of
-    weight[j, v], and src == m marks no edge.
+    """Karp's minimum cycle mean of an m-node graph given as a predecessor
+    table: node v is entered from src[j, v] by an edge of weight[j, v].
 
+    A virtual source with a zero-weight edge to every node reaches them all,
+    so D_0 = 0 at every node and the graph need not be strongly connected.
     Two passes keep the working memory at O(m) beside the table: the first
-    relaxes to D_m, the lightest m-edge walk weights from node 0; the second
-    recomputes D_0 .. D_{m-1} and keeps, per node, the largest
-    (D_m - D_k) / (m - k) with its integer numerator and denominator.  Distinct fractions with denominators
-    up to m differ by at least 1/m^2, so comparing them as floats is exact.
+    relaxes to D_m, the lightest m-edge walk weights; the second recomputes
+    D_0 .. D_{m-1} and keeps, per node, the largest (D_m - D_k) / (m - k)
+    with its integer numerator and denominator.  Distinct fractions with
+    denominators up to m differ by at least 1/m^2, so comparing them as
+    floats is exact.  math.inf if no m-edge walk exists, that is no cycle.
     """
     m = src.shape[1]
 
     def walks():
-        d = np.full(m + 1, np.inf)  # d[m] stays inf: the absent predecessor
-        d[0] = 0
+        d = np.zeros(m)
         while True:
-            yield d[:m]
-            np.min(d[src] + weight, axis=0, out=d[:m])
+            yield d
+            np.min(d[src] + weight, axis=0, out=d)
 
     d_m = next(itertools.islice(walks(), m, None)).copy()
     reached = d_m < np.inf
+    if not reached.any():
+        return math.inf
     d_m[~reached] = 0  # not candidates; keeps inf - inf out
     best = np.full(m, -np.inf)
     num = np.zeros(m)
@@ -629,7 +568,8 @@ def build_trellis(code):
 
 def is_catastrophic(code_or_trellis):
     """True iff the state graph has a cycle emitting zero output weight while
-    consuming positive input weight; the witness cycle is returned with it."""
+    consuming positive input weight, that is iff the zero-weight subgraph
+    peels to a nonempty core; the witness cycle is returned with it."""
     tr = code_or_trellis if isinstance(code_or_trellis, Trellis) else build_trellis(code_or_trellis)
     witness = tr.catastrophic_cycle()
     return CatastrophicityResult(witness is not None, witness)

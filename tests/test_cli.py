@@ -330,6 +330,14 @@ def test_analyze_rejects_an_over_budget_trellis_at_once(capsys, tmp_path):
     assert err.count("\n") == 1 and "budget" in err
 
 
+def test_analyze_rejects_an_over_budget_lmax_at_once(capsys, code_file):
+    # the worked code has 4 states: 10^8 loop steps hold 4 x 10^8 parent entries
+    with time_limit(10):
+        rc, out, err = run_cli(capsys, "analyze", code_file, "--lmax", "100000000")
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
 def test_trellis_rejects_an_over_budget_export_at_once(capsys, code_file, tmp_path):
     target = tmp_path / "t.dot"
     with time_limit(10):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from skewconv import FiniteField, is_catastrophic, unit_memory_bounds
+from skewconv.decoder import SURVIVOR_BUDGET
 from skewconv.trellis import build_trellis, export_dot
 
 from conftest import A, A2, make_code
@@ -149,6 +150,24 @@ def test_free_distance_is_min_burst(example_trellis):
     assert fd.value == min(
         example_trellis.active_burst_distance(ell) for ell in range(1, 13)
     )
+
+
+@pytest.mark.parametrize("ell_max,lmax", [(-3, 0), (0, 0), (0, 12), (4, -1)])
+def test_free_distance_rejects_bad_lengths(example_trellis, ell_max, lmax):
+    # a scan that never reaches its frontier would certify inf as stabilized
+    with pytest.raises(ValueError, match="ell_max must be >= 1 and lmax >= 0"):
+        example_trellis.free_distance(ell_max, lmax)
+
+
+def test_loop_scans_over_the_parent_budget_fail_at_once(example_trellis):
+    # 4 states: 2^22 + 1 steps would hold just over 2^24 parent entries
+    steps = SURVIVOR_BUDGET // example_trellis.num_states + 1
+    with pytest.raises(ValueError, match="budget"):
+        example_trellis.free_distance(lmax=steps)
+    with pytest.raises(ValueError, match="budget"):
+        example_trellis.free_distance(ell_max=steps)
+    with pytest.raises(ValueError, match="budget"):
+        example_trellis.active_burst_distance(steps)
 
 
 # -- slope -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The array paths of the trellis graph algorithms against their scalar
-references (loop DP, Karp's slope), their memory, and the plain Python types
-of what they report."""
+references (loop DP, Karp's slope, Dijkstra's costs, the zero-weight cycles
+and the catastrophic search), their memory, and the plain Python types of
+what they report."""
 
 import dataclasses
 import json
@@ -18,16 +19,19 @@ from skewconv import (
     SkewConvCode,
     SkewPolyMatrix,
     SkewTrellisCode,
+    Trellis,
     analyze_code,
     build_trellis,
     is_catastrophic,
     load_code,
 )
+from skewconv.trellis import TrellisEdge
 
-from conftest import A, EXAMPLE_TABLE
+from conftest import A, A2, EXAMPLE_TABLE
 
 SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "suite"
 
+GF2 = FiniteField(2, 1)
 GF4 = FiniteField(2, 2, [1, 1, 1], theta_r=1)
 GF4_ID = FiniteField(2, 2, [1, 1, 1], theta_r=0)
 GF8 = FiniteField(2, 3, [1, 1, 0, 1], theta_r=1)
@@ -74,9 +78,46 @@ def draw_codes():
 CODES = draw_codes()
 
 
-@pytest.fixture(scope="module", params=[code for _, code in CODES], ids=[name for name, _ in CODES])
+# more catastrophic codes beside those CODES holds: binary, and right-module
+# codes with a twisted and an identity automorphism
+CATASTROPHIC = [
+    ("catastrophic-gf2", SkewConvCode, GF2, [[[1, 1], [1, 1]]]),
+    ("catastrophic-gf2-memory2", SkewConvCode, GF2, [[[1, 0, 1], [1, 1]]]),
+    ("catastrophic-right", SkewTrellisCode, GF4, [[[A, A2], [A2, 1]]]),
+    ("catastrophic-right-memory2", SkewTrellisCode, GF4_ID, [[[A, 1, 1], [A, 1, 1]]]),
+]
+GRAPH_CODES = CODES + [
+    (name, cls(SkewPolyMatrix.from_ints(field, table))) for name, cls, field, table in CATASTROPHIC
+]
+
+
+def gf2_trellis(section):
+    """A one-section GF(2) trellis of rate 1/2 from per-state (to_state,
+    weight) pairs, one per input; weight w gets the label of w ones."""
+    labels = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
+    sections = [[[TrellisEdge(to, labels[w], w) for to, w in edges] for edges in section]]
+    return Trellis(GF2, 1, 2, [len(section).bit_length() - 1], sections)
+
+
+HAND_BUILT = [
+    # not strongly connected: the zero state's only cycle has mean 2, and it
+    # never reaches state 1, whose loops have mean 1
+    gf2_trellis([[(0, 0), (0, 2)], [(1, 1), (1, 1)]]),
+    # a zero-weight loop at state 1 with input 1; state 2 only leads into it
+    # and state 3 only out of it along zero-weight edges, and the zero state
+    # reaches state 3 at weight 1 but state 1 only at weight 3
+    gf2_trellis([[(0, 0), (3, 1)], [(3, 0), (1, 0)], [(1, 0), (2, 1)], [(2, 2), (0, 2)]]),
+]
+
+
+@pytest.fixture(
+    scope="module",
+    params=[code for _, code in GRAPH_CODES] + HAND_BUILT,
+    ids=[name for name, _ in GRAPH_CODES] + ["hand-built-two-parts", "hand-built-zero-loop"],
+)
 def trellis(request):
-    return build_trellis(request.param)
+    param = request.param
+    return param if isinstance(param, Trellis) else build_trellis(param)
 
 
 def same(a, b):
@@ -192,3 +233,56 @@ def test_reports_hold_plain_python_types(path):
     fd = build_trellis(code).free_distance()
     assert type(fd.value) in (int, float) and type(fd.stabilized) is bool
     assert all(type(d) is int or d == math.inf for d in fd.burst)
+
+
+# -- the graph questions on the edge arrays ------------------------------------
+
+
+def test_the_extra_codes_are_catastrophic():
+    assert {field.size for _, _, field, _ in CATASTROPHIC} == {2, 4}
+    assert {cls for _, cls, _, _ in CATASTROPHIC} == {SkewConvCode, SkewTrellisCode}
+    for name, code in GRAPH_CODES[len(CODES) :]:
+        assert reference.catastrophic_cycle(build_trellis(code)) is not None, name
+
+
+def test_zero_state_costs_match_dijkstra(trellis):
+    tr = trellis
+    adj = reference.graph(tr)
+    assert tr._zero_state_costs(tr._node_preds).tolist() == reference.forward_costs(tr, adj)
+    assert tr._zero_state_costs(tr._node_succs).tolist() == reference.return_costs(tr, adj)
+
+
+def test_zero_cycle_core_matches_reference(trellis):
+    core = trellis._zero_cycle_core
+    assert core.dtype == bool
+    assert (core == reference.zero_cycle_core(trellis)).all()
+
+
+def test_hand_built_trellises():
+    two_parts, zero_loop = HAND_BUILT
+    assert two_parts.slope() == 1
+    assert zero_loop.slope() == 0
+    assert zero_loop._zero_cycle_core.tolist() == [False, True, False, False]
+    fd = zero_loop.free_distance()
+    assert (fd.value, fd.achieved_by, fd.loop_length) == (3, "loop", 2)
+
+
+def test_catastrophic_witness_is_a_zero_weight_cycle(trellis):
+    tr = trellis
+    got = is_catastrophic(tr)
+    assert got.catastrophic is (reference.catastrophic_cycle(tr) is not None)
+    assert got.catastrophic is (tr.slope() == 0)
+    if not got.catastrophic:
+        assert got.witness is None
+        return
+    steps = got.witness
+    for step, nxt in zip(steps, steps[1:] + steps[:1]):
+        # consecutive sections, closed
+        assert (step.to_state, (step.section + 1) % tr.num_sections) == (
+            nxt.from_state,
+            nxt.section,
+        )
+        idx = sum(d * tr.q**i for i, d in enumerate(step.input_block))
+        assert tr.edge(step.section, step.from_state, idx)[:2] == (step.to_state, step.label)
+    assert all(not any(step.label) for step in steps)
+    assert any(any(step.input_block) for step in steps)

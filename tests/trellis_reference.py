@@ -2,18 +2,25 @@
 algorithms, kept as test oracles for the array paths in `skewconv.trellis`.
 
 `build_trellis` is the per-edge construction loop over scalar field
-arithmetic, `loop_dp` is the per-edge loop relaxation and `slope` is Karp's
-recurrence over the full (m + 1) x m table of each strong component.
-`free_distance` and `active_burst_distance` run the library's own methods on
+arithmetic and `loop_dp` the per-edge loop relaxation.  The graph algorithms
+run on `graph`, per-node adjacency lists of the period-unrolled state graph:
+Tarjan's strong components (`sccs`), Dijkstra's forward and return costs,
+the zero-output-weight cycles and the catastrophic cycle they hold (found by
+an input-weight seed and a BFS), and `slope`, Karp's recurrence over the full
+(m + 1) x m table of each strong component.  `free_distance` puts `loop_dp`
+and these together; `active_burst_distance` runs the library's own method on
 `loop_dp`.
 """
 
 import copy
 import functools
+import heapq
 import math
 from fractions import Fraction
 
-from skewconv.trellis import Trellis, TrellisEdge, unpack_digits
+import numpy as np
+
+from skewconv.trellis import FreeDistanceResult, PathStep, Trellis, TrellisEdge, unpack_digits
 
 
 def build_trellis(code):
@@ -102,19 +109,15 @@ def _on_scalar_dp(tr):
     return shadow
 
 
-def free_distance(tr, ell_max=None, lmax=0):
-    return Trellis.free_distance(_on_scalar_dp(tr), ell_max, lmax)
-
-
 def active_burst_distance(tr, ell):
     return Trellis.active_burst_distance(_on_scalar_dp(tr), ell)
 
 
 def slope(tr):
     """Minimum cycle mean by Karp's full table, per strong component."""
-    adj = tr._graph()
+    adj = graph(tr)
     best = None
-    for scc in tr._sccs(len(adj), adj):
+    for scc in sccs(len(adj), adj):
         pos = {v: i for i, v in enumerate(scc)}
         internal = [(pos[u], pos[v], w) for u in scc for v, w, _ in adj[u] if v in pos]
         if not internal:
@@ -140,3 +143,231 @@ def slope(tr):
             if worst is not None and (best is None or worst < best):
                 best = worst
     return best if best is not None else math.inf
+
+
+# -- the period-unrolled state graph as adjacency lists ----------------------
+
+
+def node(tr, phase, state):
+    return phase * tr.num_states + state
+
+
+def graph(tr):
+    """Adjacency over (phase, state) nodes with the weight-0 zero-to-zero
+    edges removed.  Entries are (to_node, weight, input_idx)."""
+    adj = []
+    for s in range(tr.num_sections):
+        after = (s + 1) % tr.num_sections
+        for st in range(tr.num_states):
+            edges = [tr.edge(s, st, idx) for idx in range(tr.num_inputs)]
+            adj.append(
+                [
+                    (node(tr, after, e.to_state), e.weight, idx)
+                    for idx, e in enumerate(edges)
+                    if not (st == 0 and e.to_state == 0 and e.weight == 0)
+                ]
+            )
+    return adj
+
+
+def sccs(num_nodes, adj):
+    """Tarjan strongly connected components, iterative."""
+    index = [-1] * num_nodes
+    low = [0] * num_nodes
+    on_stack = [False] * num_nodes
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(num_nodes):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i][0]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return comps
+
+
+def forward_costs(tr, adj):
+    """Cheapest weight from any zero-state node to each node (Dijkstra)."""
+    dist = [math.inf] * len(adj)
+    heap = []
+    for phase in range(tr.num_sections):
+        src = node(tr, phase, 0)
+        dist[src] = 0
+        heap.append((0, src))
+    heapq.heapify(heap)
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w, _ in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reverse(adj):
+    radj = [[] for _ in adj]
+    for u, edges in enumerate(adj):
+        for v, w, idx in edges:
+            radj[v].append((u, w, idx))
+    return radj
+
+
+def return_costs(tr, adj):
+    """Cheapest weight from each node to any zero-state node: the forward
+    costs on the reversed graph."""
+    return forward_costs(tr, reverse(adj))
+
+
+def zero_output_cycles(adj):
+    """The subgraph of zero-output-weight edges, and those of its strong
+    components that hold a cycle."""
+    zadj = [[e for e in edges if e[1] == 0] for edges in adj]
+    cycles = [
+        scc
+        for scc in sccs(len(zadj), zadj)
+        if len(scc) > 1 or any(v == scc[0] for v, _, _ in zadj[scc[0]])
+    ]
+    return cycles, zadj
+
+
+def zero_cycle_core(tr):
+    """Mask of the nodes that are reached from a zero-output-weight cycle and
+    reach one, along zero-weight edges."""
+    adj = graph(tr)
+    cycles, zadj = zero_output_cycles(adj)
+
+    def reached(start, edges):
+        seen = set(start)
+        queue = list(start)
+        while queue:
+            for v, _, _ in edges[queue.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
+
+    on_cycles = [v for scc in cycles for v in scc]
+    both = reached(on_cycles, zadj) & reached(on_cycles, reverse(zadj))
+    mask = np.zeros(len(adj), dtype=bool)
+    mask[list(both)] = True
+    return mask
+
+
+def path_step(tr, u, idx):
+    phase, state = divmod(u, tr.num_states)
+    e = tr.edge(phase, state, idx)
+    return PathStep(phase, state, tr.input_block(idx), e.label, e.to_state)
+
+
+def catastrophic_cycle(tr):
+    """A cycle with zero output weight but positive input weight, or None: a
+    seed edge of positive input weight inside a cyclic zero-weight component,
+    closed by a BFS back to its start."""
+    cycles, zadj = zero_output_cycles(graph(tr))
+    for scc in cycles:
+        sset = set(scc)
+        seed = None
+        for u in scc:
+            for v, _, idx in zadj[u]:
+                if v in sset and any(tr.input_block(idx)):
+                    seed = (u, v, idx)
+                    break
+            if seed:
+                break
+        if seed is None:
+            continue
+        u, v, idx = seed
+        prev = {v: None}
+        queue = [v]
+        while queue and u not in prev:
+            x = queue.pop(0)
+            for y, _, yidx in zadj[x]:
+                if y in sset and y not in prev:
+                    prev[y] = (x, yidx)
+                    queue.append(y)
+        if u not in prev and v != u:
+            continue
+        steps = [path_step(tr, u, idx)]
+        at = u
+        back = []
+        while at != v:
+            x, yidx = prev[at]
+            back.append(path_step(tr, x, yidx))
+            at = x
+        steps.extend(reversed(back))
+        return steps
+    return None
+
+
+def free_distance(tr, ell_max=None, lmax=0):
+    """Trellis.free_distance on `loop_dp`, with Dijkstra's return costs for
+    the frontier bound and the forward costs into the cyclic zero-weight
+    components for the zero-output tail."""
+    if ell_max is None:
+        ell_max = 8 * (tr.external_degree + 1) * tr.num_sections
+    adj = graph(tr)
+    ret = return_costs(tr, adj)
+    best = math.inf
+    best_trace = None
+    frontier_bound = math.inf
+    burst = [math.inf] * lmax
+    for start, length, dist, parents in loop_dp(tr, max(ell_max, lmax)):
+        if 1 <= length <= lmax:
+            burst[length - 1] = min(burst[length - 1], dist[0])
+        if 1 <= length <= ell_max and dist[0] < best:
+            best = dist[0]
+            best_trace = (start, length, parents)
+        if length == ell_max:
+            end_phase = (start + ell_max) % tr.num_sections
+            for st, dv in enumerate(dist):
+                if dv != math.inf:
+                    frontier_bound = min(frontier_bound, dv + ret[node(tr, end_phase, st)])
+    cycles, _ = zero_output_cycles(adj)
+    tail_min = math.inf
+    if cycles:
+        dist0 = forward_costs(tr, adj)
+        tail_min = min(dist0[v] for scc in cycles for v in scc)
+    value = min(best, tail_min)
+    stabilized = frontier_bound >= value
+    if tail_min < best:
+        return FreeDistanceResult(value, stabilized, "zero_output_tail", None, None, burst)
+    if best_trace is None:
+        return FreeDistanceResult(value, stabilized, "loop", None, None, burst)
+    start, length, parents = best_trace
+    return FreeDistanceResult(
+        value, stabilized, "loop", length, tr._trace_loop(start, length, parents), burst
+    )

@@ -7,10 +7,13 @@ states are packed little-endian by row then delay slot as base-Q digits.
 
 `build_trellis` fills the edge arrays `next_state`, `label` and `weight` for
 every edge at once, one pass per base-q digit of the edge ids (the input
-symbols and the register slots): a digit's products with the delay
-coefficients are one gather from a table made through the field's
-log/antilog tables, the terms are added digit-wise mod p (XOR for p = 2), and
-the register twist is one gather through the Frobenius table.  `sections`,
+symbols and the register slots), each digit peeled off the int32 ids by one
+divmod: a digit's products with the delay coefficients are one gather from a
+table made through the field's log/antilog tables, the terms are added
+digit-wise mod p (XOR for p = 2), and the register twist is one gather
+through the Frobenius table.  The shift is the same at every phase, so
+`next_state` is one row behind a read-only view over the sections, and
+`pred` one argsort of it.  `sections`,
 nested lists of `TrellisEdge`, is a view over the arrays built on first use;
 the graph algorithms never build it.  A trellis over EDGE_BUDGET edges
 (sections x states x inputs) raises ValueError before any array is
@@ -20,13 +23,15 @@ Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.
 
-The graph questions are array relaxations over predecessor and successor
-tables of the period-unrolled state graph, those edges removed: Karp's slope
-from a virtual source, Bellman-Ford costs to and from the zero state, and the
-zero-weight cycles by peeling.
+The graph questions are array passes over successor (and, for the
+zero-output tail of a catastrophic code only, predecessor) tables of the
+period-unrolled state graph, those edges removed: the slope by Howard's
+policy iteration, accepted only with the potential of an integer
+Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert, McGettrick
+and Quadrat, IFAC 1998; Karp's recurrence is its test oracle), Bellman-Ford
+costs to and from the zero state, and the zero-weight cycles by peeling.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,12 +208,18 @@ class Trellis:
     @cached_property
     def pred(self):
         """pred[s, st]: the q^k edges of section s that enter state st, in
-        (from_state, input) order."""
-        order = np.argsort(self.next_state, axis=1, kind="stable")
-        entered = np.take_along_axis(self.next_state, order, axis=1)
+        (from_state, input) order.  Read-only; one row shared by every
+        section when `next_state` is (a built trellis shifts alike at every
+        phase)."""
+        next_state = self.next_state
+        if next_state.strides[0] == 0:
+            next_state = next_state[:1]
+        order = np.argsort(next_state, axis=1, kind="stable")
+        entered = np.take_along_axis(next_state, order, axis=1)
         expected = np.repeat(np.arange(self.num_states), self.num_inputs)
         assert (entered == expected).all(), "every state must have in-degree q^k"
-        return order.reshape(self.num_sections, self.num_states, self.num_inputs)
+        order = order.reshape(len(order), self.num_states, self.num_inputs)
+        return np.broadcast_to(order, (self.num_sections, *order.shape[1:]))
 
     @cached_property
     def _loop_weight(self):
@@ -234,7 +245,8 @@ class Trellis:
     def _node_preds(self):
         """(src, w)[j, node]: node is entered from node src[j, node] by an
         edge of weight w[j, node], j < q^k; node (s, st) is entered through
-        section s - 1.  Contiguous copies: the relaxations gather whole rows."""
+        section s - 1.  Contiguous copies: the relaxations gather whole rows.
+        Built only for the zero-output tail of a catastrophic code."""
         from_state, pred_weight = self._pred_paths
         num_nodes = self.num_sections * self.num_states
         first = (np.arange(self.num_sections) * self.num_states)[:, None, None]
@@ -398,10 +410,14 @@ class Trellis:
 
     def slope(self):
         """Minimum mean edge weight over directed cycles of the unrolled state
-        graph, as an exact Fraction, or math.inf if the graph has no cycle:
-        Karp's recurrence over the whole graph, from a virtual source with a
-        zero-weight edge to every node."""
-        return _min_cycle_mean(*self._node_preds)
+        graph, as an exact Fraction, or math.inf if the graph has no cycle."""
+        return self._least_mean_cycle.value
+
+    @cached_property
+    def _least_mean_cycle(self):
+        """The slope with its witness cycle and its certificate potential
+        (`_MeanCycle`), by Howard's policy iteration over `_node_succs`."""
+        return _least_mean_cycle(*self._node_succs)
 
     def catastrophic_cycle(self):
         """A cycle of zero output weight and positive input weight, or None.
@@ -461,44 +477,133 @@ def _numbers(dist):
     return out
 
 
-def _min_cycle_mean(src, weight):
-    """Karp's minimum cycle mean of an m-node graph given as a predecessor
-    table: node v is entered from src[j, v] by an edge of weight[j, v].
+class _MeanCycle(NamedTuple):
+    value: Fraction | float  # the least cycle mean; math.inf if no cycle
+    cycle: list | None  # the nodes of a cycle of that mean, in order
+    potential: np.ndarray | None  # p[v] <= w * len - sum + p[to] on every edge
 
-    A virtual source with a zero-weight edge to every node reaches them all,
-    so D_0 = 0 at every node and the graph need not be strongly connected.
-    Two passes keep the working memory at O(m) beside the table: the first
-    relaxes to D_m, the lightest m-edge walk weights; the second recomputes
-    D_0 .. D_{m-1} and keeps, per node, the largest (D_m - D_k) / (m - k)
-    with its integer numerator and denominator.  Distinct fractions with
-    denominators up to m differ by at least 1/m^2, so comparing them as
-    floats is exact.  math.inf if no m-edge walk exists, that is no cycle.
+
+def _least_mean_cycle(to, w):
+    """The least mean cycle of the graph in which input i leads from node v
+    to node to[i, v] at integer weight w[i, v] (inf: no edge), by Howard's
+    policy iteration.
+
+    A policy keeps one out-edge per node.  Its evaluation (`_policy_cycles`)
+    gives each node the cycle it reaches, whose mean a / b is kept in lowest
+    terms, and a bias: b x (the weight of the node's path to the lowest node
+    of that cycle) - a x (the path's length).  Each node then moves to the
+    successor of least mean if that is below its own, and otherwise to the
+    successor of the same mean and least b * w - a + bias if that is below
+    its own bias; the lowest input wins ties, and a node that cannot improve
+    stays.  Means are compared exactly, a1 * b2 < a2 * b1, in int64.  When no
+    node moves, the least mean S / L of the policy's cycles is accepted only
+    once an integer Bellman-Ford on w * L - S settles (`_potential`): then
+    no cycle has a lower mean, and the policy's cycle attains it.  Nodes that
+    reach no cycle are peeled first, and a graph peeled empty has none.
     """
-    m = src.shape[1]
+    live = np.ones(w.shape[1], dtype=bool)
+    while True:
+        kept = live & (np.isfinite(w) & live[to]).any(axis=0)
+        if (kept == live).all():
+            break
+        live = kept
+    nodes = np.flatnonzero(live)
+    if not nodes.size:
+        return _MeanCycle(math.inf, None, None)
+    renumber = np.full(w.shape[1], -1)
+    renumber[nodes] = np.arange(nodes.size)
+    succ = renumber[to[:, nodes]]
+    present = (succ >= 0) & np.isfinite(w[:, nodes])
+    succ[~present] = 0
+    weight = np.where(present, w[:, nodes], 0).astype(np.int64)
+    never = np.iinfo(np.int64).max
+    cols = np.arange(nodes.size)
+    policy = np.where(present, weight, never).argmin(axis=0)
+    # no polynomial bound on the iterations is known; the slowest graphs
+    # known take about 2 x edges (Hansen and Zwick, ISAAC 2010), the code
+    # trellises of the benchmark suite at most 15
+    for _ in range(8 * w.size + 8):
+        f = succ[policy, cols]
+        root, total, length, path_w, path_len = _policy_cycles(f, weight[policy, cols])
+        gcd = np.gcd(total, length)
+        a, b = total // gcd, length // gcd
+        bias = b * path_w - a * path_len
+        sa, sb = a[succ], b[succ]
+        # first a successor of lower mean, the lowest input of the least
+        choice = policy.copy()
+        least_a, least_b = a.copy(), b.copy()
+        for i in range(len(succ)):
+            lower = present[i] & (sa[i] * least_b < least_a * sb[i])
+            choice[lower] = i
+            least_a[lower], least_b[lower] = sa[i, lower], sb[i, lower]
+        # then, where none is lower, a successor of the same mean and less bias
+        same = present & (sa == a) & (sb == b)
+        value = np.where(same, b * weight - a + bias[succ], never)
+        alt = value.argmin(axis=0)
+        better = (choice == policy) & (value[alt, cols] < bias)
+        choice[better] = alt[better]
+        if (choice == policy).all():
+            break
+        policy = choice
+    else:
+        raise AssertionError("Howard's policy iteration did not converge")
+    roots = np.flatnonzero(root == cols).tolist()
+    r = min(roots, key=lambda r: (Fraction(int(total[r]), int(length[r])), r))
+    num, den = int(total[r]), int(length[r])
+    potential = _potential(to, w, num, den)
+    if potential is None:
+        raise AssertionError(f"a cycle of mean below {num}/{den} was missed")
+    cycle = [r]
+    for _ in range(den - 1):
+        cycle.append(int(f[cycle[-1]]))
+    return _MeanCycle(Fraction(num, den), nodes[cycle].tolist(), potential)
 
-    def walks():
-        d = np.zeros(m)
-        while True:
-            yield d
-            np.min(d[src] + weight, axis=0, out=d)
 
-    d_m = next(itertools.islice(walks(), m, None)).copy()
-    reached = d_m < np.inf
-    if not reached.any():
-        return math.inf
-    d_m[~reached] = 0  # not candidates; keeps inf - inf out
-    best = np.full(m, -np.inf)
-    num = np.zeros(m)
-    den = np.ones(m)
-    for k, d_k in zip(range(m), walks()):
-        diff = d_m - d_k  # -inf where no k-edge walk reaches the node
-        mean = diff / (m - k)
-        larger = mean > best
-        best[larger] = mean[larger]
-        num[larger] = diff[larger]
-        den[larger] = m - k
-    v = int(np.where(reached, best, np.inf).argmin())
-    return Fraction(int(num[v]), int(den[v]))
+def _policy_cycles(f, wf):
+    """The cycles of the one-successor graph v -> f[v] of weight wf[v], by
+    pointer doubling: per node, the root (the lowest node of the cycle it
+    reaches), that cycle's total weight and length, and the (weight, length)
+    of the node's path to the root."""
+    m = len(f)
+    rounds = (m - 1).bit_length()  # 2**rounds >= m > any path's length
+    # low[v]: the lowest of the 2**k nodes from v on; jump = f^(2**k)
+    low, jump = np.arange(m), f
+    for _ in range(rounds):
+        low = np.minimum(low, low[jump])
+        jump = jump[jump]
+    root = low[jump]  # jump[v] is on v's cycle, low[jump[v]] spans it
+    at_root = root == np.arange(m)
+    jump = np.where(at_root, root, f)
+    path_w = np.where(at_root, 0, wf)
+    path_len = (~at_root).astype(np.int64)
+    for _ in range(rounds):
+        path_w = path_w + path_w[jump]
+        path_len = path_len + path_len[jump]
+        jump = jump[jump]
+    total = (wf + path_w[f])[root]
+    length = (1 + path_len[f])[root]
+    return root, total, length, path_w, path_len
+
+
+def _potential(to, w, num, den):
+    """Integer Bellman-Ford on the weights w * den - num from 0 at every node,
+    pulling along the successor table: the fixpoint potential p, with
+    p[v] <= w[i, v] * den - num + p[to[i, v]] on every finite edge, or None
+    if it does not settle within `nodes` rounds, which happens iff some
+    cycle has mean below num / den.  Missing edges lead to an extra node
+    held at 0, which no potential (all <= 0) can improve on."""
+    m = w.shape[1]
+    finite = np.isfinite(w)
+    to = np.where(finite, to, m)
+    reduced = np.where(finite, w, 0).astype(np.int64) * den - num
+    reduced[~finite] = 0
+    p = np.zeros(m + 1, dtype=np.int64)
+    for _ in range(m):
+        relaxed = np.minimum(p[:m], (p[to] + reduced).min(axis=0))
+        if (relaxed == p[:m]).all():
+            return p[:m]
+        p[:m] = relaxed
+    return None
 
 
 def _label_dtype(q):
@@ -546,20 +651,28 @@ def build_trellis(code):
     symbol = _label_dtype(q)
     products = field.mul(np.arange(q)[:, None, None, None], np.array(phases)[:, None])
     products = products.astype(symbol)
-    edges = np.arange(q ** (k + nu))
+    # the digits of the edge ids are peeled off one per pass; int32 where the
+    # ids fit, as they do within the edge budget
+    num_edges = q ** (k + nu)
+    rest = np.arange(num_edges, dtype=np.int32 if num_edges <= 2**31 else np.intp)
+    next_state = np.zeros(num_edges, dtype=np.intp)
 
-    def digit(j):
-        return edges // q**j % q
+    def label_terms():
+        """The label's terms, drawn one at a time by `field.sum`; each pass
+        also adds its digit's share of the next state."""
+        nonlocal rest, next_state
+        for row, delay, place in terms:
+            rest, digit = np.divmod(rest, q)
+            if place:
+                next_state += place * (
+                    field.frobenius_table[digit] if code.register_twist else digit
+                )
+            yield np.take(products[:, :, delay, row], digit, axis=1)
 
-    next_state = np.zeros(edges.size, dtype=np.intp)
-    for j, (_, _, place) in enumerate(terms):
-        if place:
-            stored = field.frobenius_table[digit(j)] if code.register_twist else digit(j)
-            next_state += stored * place
-    label = field.sum(products[:, digit(j), delay, row] for j, (row, delay, _) in enumerate(terms))
-    label = label.astype(symbol, copy=False)
+    label = field.sum(label_terms()).astype(symbol, copy=False)
+    # the shift is the same at every phase: one row, read-only, for all
     edge_arrays = (
-        next_state[None].repeat(len(phases), axis=0),
+        np.broadcast_to(next_state, (len(phases), num_edges)),
         label,
         np.add.reduce(label != 0, axis=-1),
     )

@@ -8,10 +8,12 @@ import json
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trellis_reference as reference
 from skewconv import (
@@ -24,6 +26,7 @@ from skewconv import (
     build_trellis,
     is_catastrophic,
     load_code,
+    trellis as trellis_module,
 )
 from skewconv.trellis import TrellisEdge
 
@@ -286,3 +289,186 @@ def test_catastrophic_witness_is_a_zero_weight_cycle(trellis):
         assert tr.edge(step.section, step.from_state, idx)[:2] == (step.to_state, step.label)
     assert all(not any(step.label) for step in steps)
     assert any(any(step.input_block) for step in steps)
+
+
+# -- Howard's slope and its certificate ----------------------------------------
+
+
+def test_slope_matches_both_karp_oracles(trellis):
+    got = trellis.slope()
+    for want in (reference.slope(trellis), reference.karp_two_pass(*trellis._node_preds)):
+        assert type(got) is type(want)
+        assert got == want
+
+
+def check_least_mean_cycle(to, w, found):
+    """`found` is a cycle of the graph (to, w) whose mean is its value, and
+    its potential satisfies p[v] <= w * L - S + p[to] on every edge."""
+    if found.value == math.inf:
+        assert found.cycle is None and found.potential is None
+        return
+    cycle = found.cycle
+    total = 0
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        steps = [w[i, u] for i in range(len(to)) if to[i, u] == v and w[i, u] < math.inf]
+        assert steps, (u, v)
+        total += int(min(steps))
+    assert type(found.value) is Fraction
+    assert found.value == Fraction(total, len(cycle))
+    potential = found.potential
+    assert potential.dtype == np.int64 and (potential <= 0).all()
+    finite = np.isfinite(w)
+    reduced = np.where(finite, w, 0).astype(np.int64) * len(cycle) - total
+    assert (potential <= np.where(finite, reduced + potential[to], 0)).all()
+
+
+def test_slope_cycle_and_potential_certify_it(trellis):
+    to, w = trellis._node_succs
+    found = trellis._least_mean_cycle
+    assert found.value is trellis.slope()
+    check_least_mean_cycle(to, w, found)
+
+
+def test_potential_refuses_a_mean_above_the_least(trellis):
+    to, w = trellis._node_succs
+    found = trellis._least_mean_cycle
+    if found.value == math.inf:
+        return
+    num, den = found.value.numerator, found.value.denominator
+    assert trellis_module._potential(to, w, num, den) is not None
+    assert trellis_module._potential(to, w, num + 1, den) is None
+    assert trellis_module._potential(to, w, num * 2 * den + 1, 2 * den * den) is None
+
+
+def test_the_suite_analysis_never_builds_predecessors_unless_catastrophic():
+    for path in SPECS:
+        code = load_code(path)
+        tr = build_trellis(code)
+        report = analyze_code(code, trellis=tr)
+        assert ("_node_preds" in vars(tr)) is report["catastrophic"], path.stem
+
+
+def adjacency(to, w):
+    """Adjacency lists of a successor table, weights as Python ints."""
+    return [
+        [(int(to[i, u]), int(w[i, u]), i) for i in range(len(to)) if w[i, u] < math.inf]
+        for u in range(to.shape[1])
+    ]
+
+
+def least_mean_cycle(to, w):
+    to = np.array(to, dtype=np.intp)
+    w = np.array(w, dtype=float)
+    found = trellis_module._least_mean_cycle(to, w)
+    check_least_mean_cycle(to, w, found)
+    return found.value
+
+
+# Successor tables (to, w)[input][node]; each case names what it covers.
+CASES = {
+    # two cycles of mean 2/3 and 4/6, of different lengths, in one graph
+    "equal-means": (
+        [[1, 2, 0, 4, 5, 6, 7, 8, 3]],
+        [[0, 1, 1, 1, 0, 1, 1, 0, 1]],
+        Fraction(2, 3),
+    ),
+    # node 1 has only missing edges; node 0 leads only into it
+    "all-missing": ([[1, 1, 0], [1, 0, 2]], [[1, math.inf, 5], [3, math.inf, 4]], Fraction(4)),
+    # a chain into a dead end, peeled one node a round: no cycle is left
+    "no-cycle": (
+        [[1, 2, 3, 3], [2, 3, 3, 0]],
+        [[1, 1, 1, math.inf], [2, 0, 7, math.inf]],
+        math.inf,
+    ),
+    # not strongly connected: 0 <-> 1 at mean 3/2, and 2 -> 3 -> 2 at mean
+    # 1 beside it; 4 leads into both
+    "two-parts": (
+        [[1, 0, 3, 2, 0], [0, 1, 2, 3, 2]],
+        [[1, 2, 1, 1, 0], [5, 5, 9, 9, 0]],
+        Fraction(1),
+    ),
+    # no single move lowers a mean from the greedy start (each node's
+    # lightest edge): only the bias phase finds the cycle 0 -> 1 -> 0
+    "bias-phase": ([[0, 1], [1, 0]], [[2, 2], [3, 0]], Fraction(3, 2)),
+    # a missing edge from node 1 back to node 0 would close a cycle of mean 1
+    "missing-edge": ([[0, 1], [1, 0]], [[2, 3], [2, math.inf]], Fraction(2)),
+    # on an offset of 2**52, the cycles 0-1-2 of mean 1/3 and 3-4-5-6 of
+    # mean 1/4 have means that round to the same float; the least, 7-8-9-10-11
+    # of mean 1/5, is found only once its nodes all leave the first for the
+    # second (input 0 leaves the cycle 7-11, input 1 follows it)
+    "beyond-floats": (
+        [[1, 2, 0, 4, 5, 6, 3, 0, 3, 0, 3, 3], [1, 2, 0, 4, 5, 6, 3, 8, 9, 10, 11, 7]],
+        [
+            [2**52 + d for d in [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]],
+            [2**52 + d for d in [0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1]],
+        ],
+        2**52 + Fraction(1, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES, ids=list(CASES))
+def test_least_mean_cycle_cases(case):
+    to, w, want = CASES[case]
+    assert reference.karp_table(adjacency(np.array(to), np.array(w, dtype=float))) == want
+    got = least_mean_cycle(to, w)
+    assert type(got) is type(want)
+    assert got == want
+
+
+@st.composite
+def successor_tables(draw):
+    """A graph of 1-7 nodes and 1-3 inputs as (to, w)[input][node]: some
+    edges missing (inf), weights 0-4, on an offset of 0 or 2**52."""
+    nodes = draw(st.integers(1, 7))
+    inputs = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0, 2**52]))
+    missing = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    to = [[draw(st.integers(0, nodes - 1)) for _ in range(nodes)] for _ in range(inputs)]
+    w = [
+        [
+            math.inf if draw(st.floats(0, 1)) < missing else offset + draw(st.integers(0, 4))
+            for _ in range(nodes)
+        ]
+        for _ in range(inputs)
+    ]
+    return np.array(to, dtype=np.intp), np.array(w, dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(successor_tables())
+def test_least_mean_cycle_matches_karp_on_random_graphs(graph):
+    to, w = graph
+    got = least_mean_cycle(to, w)
+    want = reference.karp_table(adjacency(to, w))
+    assert type(got) is type(want)
+    assert got == want
+
+
+# -- trellis construction memory -----------------------------------------------
+
+
+def test_built_trellises_share_one_row():
+    tr = build_trellis(load_code(SUITE / "gf16_m2.json"))
+    assert tr.num_sections == 4
+    for table in (tr.next_state, tr.pred):
+        assert table.strides[0] == 0 and not table.flags.writeable
+    want = reference.build_trellis(load_code(SUITE / "gf16_m2.json"))
+    assert np.array_equal(tr.pred, want.pred) and want.pred.strides[0] != 0
+
+
+def test_build_memory_is_a_small_multiple_of_the_edge_arrays():
+    memory = 18  # 2**18 states x 2 inputs = 2**19 edges
+    table = [[[1] + [0] * (memory - 1) + [1], [1, 1] + [0] * (memory - 2) + [1]]]
+    code = SkewConvCode(SkewPolyMatrix.from_ints(GF2, table))
+    build_trellis(code)  # the field's tables, made once
+    tracemalloc.start()
+    try:
+        tr = build_trellis(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.next_state.size == 2**19
+    finished = tr.next_state.nbytes + tr.label.nbytes + tr.weight.nbytes
+    # 1.8 x here; int64 edge ids peeled twice per digit take 2.6 x
+    assert peak < 2 * finished

@@ -7,14 +7,16 @@ run on `graph`, per-node adjacency lists of the period-unrolled state graph:
 Tarjan's strong components (`sccs`), Dijkstra's forward and return costs,
 the zero-output-weight cycles and the catastrophic cycle they hold (found by
 an input-weight seed and a BFS), and `slope`, Karp's recurrence over the full
-(m + 1) x m table of each strong component.  `free_distance` puts `loop_dp`
-and these together; `active_burst_distance` runs the library's own method on
-`loop_dp`.
+(m + 1) x m table of each strong component (`karp_table`).  `karp_two_pass`
+is Karp's recurrence in two O(m) passes over the array predecessor table,
+from a virtual source.  `free_distance` puts `loop_dp` and these together;
+`active_burst_distance` runs the library's own method on `loop_dp`.
 """
 
 import copy
 import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
 
@@ -115,7 +117,13 @@ def active_burst_distance(tr, ell):
 
 def slope(tr):
     """Minimum cycle mean by Karp's full table, per strong component."""
-    adj = graph(tr)
+    return karp_table(graph(tr))
+
+
+def karp_table(adj):
+    """Karp's minimum cycle mean of the graph of adjacency lists adj[u] =
+    [(v, weight, input), ...] over the full (m + 1) x m table of each strong
+    component, in Python ints and Fractions; math.inf if there is no cycle."""
     best = None
     for scc in sccs(len(adj), adj):
         pos = {v: i for i, v in enumerate(scc)}
@@ -143,6 +151,47 @@ def slope(tr):
             if worst is not None and (best is None or worst < best):
                 best = worst
     return best if best is not None else math.inf
+
+
+def karp_two_pass(src, weight):
+    """Karp's minimum cycle mean of an m-node graph given as a predecessor
+    table: node v is entered from src[j, v] by an edge of weight[j, v].
+
+    A virtual source with a zero-weight edge to every node reaches them all,
+    so D_0 = 0 at every node and the graph need not be strongly connected.
+    Two passes keep the working memory at O(m) beside the table: the first
+    relaxes to D_m, the lightest m-edge walk weights; the second recomputes
+    D_0 .. D_{m-1} and keeps, per node, the largest (D_m - D_k) / (m - k)
+    with its integer numerator and denominator.  Distinct fractions with
+    denominators up to m differ by at least 1/m^2, so comparing them as
+    floats is exact for small weights.  math.inf if no m-edge walk exists,
+    that is no cycle.
+    """
+    m = src.shape[1]
+
+    def walks():
+        d = np.zeros(m)
+        while True:
+            yield d
+            np.min(d[src] + weight, axis=0, out=d)
+
+    d_m = next(itertools.islice(walks(), m, None)).copy()
+    reached = d_m < np.inf
+    if not reached.any():
+        return math.inf
+    d_m[~reached] = 0  # not candidates; keeps inf - inf out
+    best = np.full(m, -np.inf)
+    num = np.zeros(m)
+    den = np.ones(m)
+    for k, d_k in zip(range(m), walks()):
+        diff = d_m - d_k  # -inf where no k-edge walk reaches the node
+        mean = diff / (m - k)
+        larger = mean > best
+        best[larger] = mean[larger]
+        num[larger] = diff[larger]
+        den[larger] = m - k
+    v = int(np.where(reached, best, np.inf).argmin())
+    return Fraction(int(num[v]), int(den[v]))
 
 
 # -- the period-unrolled state graph as adjacency lists ----------------------

@@ -3,8 +3,9 @@
 viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when
 eps < (Q-1)/Q), as array steps over the trellis edge tables; viterbi() is the
-same decoder on one frame.  bcjr() runs the exact forward-backward recursion
-and returns per-time posteriors of the information blocks.  Both walk the
+same decoder on one frame.  bcjr() runs the exact forward-backward recursion,
+one edge at a time over the same edge arrays read as Python lists, and
+returns per-time posteriors of the information blocks.  Both walk the
 trellis phase-aware: time t uses section t mod num_sections, so periodic
 time-varying codes decode correctly.
 """
@@ -174,7 +175,9 @@ def bcjr(trellis, received, channel, terminated=False):
     Probability domain with per-step renormalization; posteriors is an
     (info_len, q^k) array whose row t is the distribution over the q^k
     input-block indices at time t (uniform prior).  Hard decisions are the
-    per-time argmax.
+    per-time argmax.  The recursion reads the trellis edge arrays as Python
+    lists, made once per call.  A word of more blocks x states x inputs than
+    `trellis.EDGE_BUDGET` raises ValueError before any work.
     """
     q = trellis.q
     if channel.q != q:
@@ -189,36 +192,45 @@ def bcjr(trellis, received, channel, terminated=False):
     if total <= tail and terminated:
         raise ValueError(f"received length {total} too short for a terminated frame")
 
+    # one trellis section a block: refused where a DOT export of as many
+    # sections would be (the module-level import would be circular)
+    from .trellis import _check_edge_budget
+
+    _check_edge_budget(total, q, trellis.external_degree, trellis.k)
     num_states = trellis.num_states
     num_inputs = trellis.num_inputs
+    # next_state[s][st][idx], labels[s][st][idx]: the edge arrays as lists
+    shape = (trellis.num_sections, num_states, num_inputs)
+    next_state = trellis.next_state.reshape(shape).tolist()
+    labels = trellis.label.reshape(*shape, trellis.n).tolist()
 
     # gammas[t][st][idx] = P(input idx) * P(received_t | label)
     gammas = []
     for t, rblock in enumerate(blocks):
-        section = trellis.sections[t % trellis.num_sections]
+        label = labels[t % trellis.num_sections]
         inputs = 1 if t >= total - tail else num_inputs
         prior = 1.0 if inputs == 1 else 1.0 / num_inputs
         g = np.zeros((num_states, num_inputs))
         for st in range(num_states):
-            edges = section[st]
+            edges = label[st]
             for idx in range(inputs):
-                g[st, idx] = prior * channel.block_likelihood(edges[idx].label, rblock)
+                g[st, idx] = prior * channel.block_likelihood(edges[idx], rblock)
         gammas.append(g)
 
     alpha = np.zeros((total + 1, num_states))
     alpha[0, 0] = 1.0
     for t in range(total):
-        section = trellis.sections[t % trellis.num_sections]
+        to = next_state[t % trellis.num_sections]
         g = gammas[t]
         for st in range(num_states):
             av = alpha[t, st]
             if av == 0.0:
                 continue
-            edges = section[st]
+            edges = to[st]
             for idx in range(num_inputs):
                 w = g[st, idx]
                 if w:
-                    alpha[t + 1, edges[idx].to_state] += av * w
+                    alpha[t + 1, edges[idx]] += av * w
         norm = alpha[t + 1].sum()
         if norm == 0.0:
             raise ValueError(f"received block {t} has zero likelihood under the trellis")
@@ -230,15 +242,15 @@ def bcjr(trellis, received, channel, terminated=False):
     else:
         beta[total, :] = 1.0 / num_states
     for t in range(total - 1, -1, -1):
-        section = trellis.sections[t % trellis.num_sections]
+        to = next_state[t % trellis.num_sections]
         g = gammas[t]
         for st in range(num_states):
-            edges = section[st]
+            edges = to[st]
             acc = 0.0
             for idx in range(num_inputs):
                 w = g[st, idx]
                 if w:
-                    acc += w * beta[t + 1, edges[idx].to_state]
+                    acc += w * beta[t + 1, edges[idx]]
             beta[t, st] = acc
         norm = beta[t].sum()
         if norm == 0.0:
@@ -249,18 +261,18 @@ def bcjr(trellis, received, channel, terminated=False):
     posteriors = np.empty((info_len, num_inputs))
     hard = []
     for t in range(info_len):
-        section = trellis.sections[t % trellis.num_sections]
+        to = next_state[t % trellis.num_sections]
         g = gammas[t]
         post = np.zeros(num_inputs)
         for st in range(num_states):
             av = alpha[t, st]
             if av == 0.0:
                 continue
-            edges = section[st]
+            edges = to[st]
             for idx in range(num_inputs):
                 w = g[st, idx]
                 if w:
-                    post[idx] += av * w * beta[t + 1, edges[idx].to_state]
+                    post[idx] += av * w * beta[t + 1, edges[idx]]
         post /= post.sum()
         posteriors[t] = post
         hard.append(trellis.input_block(int(post.argmax())))

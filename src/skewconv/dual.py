@@ -72,24 +72,9 @@ class SyndromeFormer:
 
     def h_window(self, t_cols):
         """Window of the parity check matrix in column-stationary layout:
-        block (row r, col c) carries theta^c(H_{r-c})."""
-        if t_cols < 1:
-            raise ValueError("t_cols must be >= 1")
-        f = self.field
-        n = self.code.n
-        r = self.check.rows
-        mu_perp = self.dual_memory
-        out = np.zeros(((t_cols + mu_perp) * r, t_cols * n), dtype=np.int64)
-        for rb in range(t_cols + mu_perp):
-            for c in range(t_cols):
-                i = rb - c
-                if not 0 <= i <= mu_perp:
-                    continue
-                hi = self.coefficient_values(i)
-                for a in range(r):
-                    for b in range(n):
-                        out[rb * r + a, c * n + b] = f.frobenius_int(hi[a][b], c)
-        return out
+        block (row r, col c) carries theta^c(H_{r-c}), the transpose of
+        `ht_window(t_cols)`."""
+        return self.ht_window(t_cols).T
 
     def __repr__(self):
         return f"SyndromeFormer(dual_memory={self.dual_memory}, check={self.check!r})"

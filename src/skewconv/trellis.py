@@ -5,7 +5,10 @@ times t = s (mod period).  States are the shift-register contents, one
 register per generator row, register i holding the last nu_i input symbols;
 states are packed little-endian by row then delay slot as base-Q digits.
 
-`build_trellis` fills the edge arrays `next_state`, `label` and `weight` for
+A trellis is its two edge arrays, `next_state` and `label`, with one column
+per edge from_state * q^k + input of each section; `weight` and the
+predecessor table `pred` are derived from them on first use, and `edge()`
+reads one edge as a `TrellisEdge`.  `build_trellis` fills the arrays for
 every edge at once, one pass per base-q digit of the edge ids (the input
 symbols and the register slots), each digit peeled off the int32 ids by one
 divmod: a digit's products with the delay coefficients are one gather from a
@@ -13,23 +16,22 @@ table made through the field's log/antilog tables, the terms are added
 digit-wise mod p (XOR for p = 2), and the register twist is one gather
 through the Frobenius table.  The shift is the same at every phase, so
 `next_state` is one row behind a read-only view over the sections, and
-`pred` one argsort of it.  `sections`,
-nested lists of `TrellisEdge`, is a view over the arrays built on first use;
-the graph algorithms never build it.  A trellis over EDGE_BUDGET edges
-(sections x states x inputs) raises ValueError before any array is
-allocated, as does a DOT export over the same number of edges.
+`pred` one argsort of it.  A trellis over EDGE_BUDGET edges (sections x
+states x inputs) raises ValueError before any array is allocated, as does a
+DOT export over the same number of edges.
 
 Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
-zero state after exactly ell edges.
-
-The graph questions are array passes over successor (and, for the
-zero-output tail of a catastrophic code only, predecessor) tables of the
-period-unrolled state graph, those edges removed: the slope by Howard's
+zero state after exactly ell edges.  One array pass answers each question.
+The loop DP relaxes every start phase at once, one gather through `pred` and
+one argmin a step, and keeps one survivor index per step, section and state
+for the witness (a byte up to 256 inputs).  The graph questions run on the
+successor table of the period-unrolled state graph, those edges removed: the slope by Howard's
 policy iteration, accepted only with the potential of an integer
 Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert, McGettrick
 and Quadrat, IFAC 1998; Karp's recurrence is its test oracle), Bellman-Ford
-costs to and from the zero state, and the zero-weight cycles by peeling.
+costs to the zero-state nodes and to the zero-weight core, and the core by
+peeling.
 """
 
 import math
@@ -114,12 +116,12 @@ class Trellis:
     `num_inputs` inputs.
 
     Edge e = from_state * num_inputs + input of section s is column e of the
-    edge arrays `next_state[s, e]`, `label[s, e]` (its n output symbols) and
-    `weight[s, e]`.  `build_trellis` fills them; a trellis constructed from
-    `sections`, nested lists of `TrellisEdge`, builds them on first use.
+    edge arrays `next_state[s, e]`, the state it enters, and `label[s, e]`,
+    its n output symbols; `weight` and `pred` are derived from them on first
+    use.
     """
 
-    def __init__(self, field, k, n, register_lengths, sections=None, *, edge_arrays=None):
+    def __init__(self, field, k, n, register_lengths, next_state, label):
         self.field = field
         self.k = k
         self.n = n
@@ -129,12 +131,9 @@ class Trellis:
         self.memory = max(register_lengths, default=0)
         self.num_states = self.q**self.external_degree
         self.num_inputs = self.q**self.k
-        if edge_arrays is None:
-            self.sections = sections
-            self.num_sections = len(sections)
-        else:
-            self._edge_arrays = edge_arrays
-            self.num_sections = len(edge_arrays[0])
+        self.num_sections = len(next_state)
+        self.next_state = next_state
+        self.label = label
 
     # -- packing helpers --
 
@@ -163,47 +162,12 @@ class Trellis:
             int(self.next_state[s, e]), tuple(self.label[s, e].tolist()), int(self.weight[s, e])
         )
 
-    # -- the edge arrays and the views over them --
-
-    @cached_property
-    def _edge_arrays(self):
-        """(next_state, label, weight) of a trellis constructed from sections."""
-        edges = [[e for per_state in sec for e in per_state] for sec in self.sections]
-        label = np.array([[e.label for e in sec] for sec in edges], dtype=_label_dtype(self.q))
-        return (
-            np.array([[e.to_state for e in sec] for sec in edges], dtype=np.intp),
-            label.reshape(self.num_sections, self.num_states * self.num_inputs, self.n),
-            np.array([[e.weight for e in sec] for sec in edges], dtype=np.intp),
-        )
-
-    @cached_property
-    def next_state(self):
-        """next_state[s, e]: the state edge e of section s enters."""
-        return self._edge_arrays[0]
-
-    @cached_property
-    def label(self):
-        """label[s, e]: the n output symbols of edge e of section s, in the
-        narrowest unsigned dtype that holds q - 1."""
-        return self._edge_arrays[1]
+    # -- the tables derived from the edge arrays --
 
     @cached_property
     def weight(self):
         """weight[s, e]: the output weight of edge e of section s."""
-        return self._edge_arrays[2]
-
-    @cached_property
-    def sections(self):
-        """sections[s][from_state][input]: the edge arrays as `TrellisEdge`s
-        of Python ints, built on first use."""
-        inputs = self.num_inputs
-        out = []
-        for to, labels, weights in zip(
-            self.next_state.tolist(), self.label.tolist(), self.weight.tolist()
-        ):
-            edges = list(map(TrellisEdge, to, map(tuple, labels), weights))
-            out.append([edges[e : e + inputs] for e in range(0, len(edges), inputs)])
-        return out
+        return np.add.reduce(self.label != 0, axis=-1)
 
     @cached_property
     def pred(self):
@@ -211,9 +175,7 @@ class Trellis:
         (from_state, input) order.  Read-only; one row shared by every
         section when `next_state` is (a built trellis shifts alike at every
         phase)."""
-        next_state = self.next_state
-        if next_state.strides[0] == 0:
-            next_state = next_state[:1]
+        next_state = _rows(self.next_state)
         order = np.argsort(next_state, axis=1, kind="stable")
         entered = np.take_along_axis(next_state, order, axis=1)
         expected = np.repeat(np.arange(self.num_states), self.num_inputs)
@@ -234,46 +196,34 @@ class Trellis:
     @cached_property
     def _pred_paths(self):
         """(from_state, weight)[s, st, j] of the edge pred[s, st, j], the
-        weight from `_loop_weight`."""
-        flat = self.pred.reshape(self.num_sections, -1)
-        pred_weight = np.take_along_axis(self._loop_weight, flat, axis=1).reshape(self.pred.shape)
-        return self.pred // self.num_inputs, pred_weight
+        weight from `_loop_weight`; from_state shares one row as `pred`
+        does."""
+        pred = self.pred
+        flat = pred.reshape(self.num_sections, -1)
+        pred_weight = np.take_along_axis(self._loop_weight, flat, axis=1).reshape(pred.shape)
+        return np.broadcast_to(_rows(pred) // self.num_inputs, pred.shape), pred_weight
 
     # -- the period-unrolled state graph: node phase * num_states + state --
 
     @cached_property
-    def _node_preds(self):
-        """(src, w)[j, node]: node is entered from node src[j, node] by an
-        edge of weight w[j, node], j < q^k; node (s, st) is entered through
-        section s - 1.  Contiguous copies: the relaxations gather whole rows.
-        Built only for the zero-output tail of a catastrophic code."""
-        from_state, pred_weight = self._pred_paths
-        num_nodes = self.num_sections * self.num_states
-        first = (np.arange(self.num_sections) * self.num_states)[:, None, None]
-        src = np.roll(first + from_state, 1, axis=0).reshape(num_nodes, -1)
-        w = np.roll(pred_weight, 1, axis=0).reshape(num_nodes, -1)
-        return np.ascontiguousarray(src.T), np.ascontiguousarray(w.T)
-
-    @cached_property
     def _node_succs(self):
         """(to, w)[i, node]: input i leads from node to node to[i, node] by an
-        edge of weight w[i, node]."""
+        edge of weight w[i, node].  Contiguous copies: the relaxations gather
+        whole rows."""
         after = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
         to = (after + self.next_state).reshape(-1, self.num_inputs)
         w = self._loop_weight.reshape(-1, self.num_inputs)
         return np.ascontiguousarray(to.T), np.ascontiguousarray(w.T)
 
-    def _zero_state_costs(self, tables):
-        """Bellman-Ford to a fixpoint from cost 0 at every zero-state node,
-        pulling along `tables`: `_node_preds` gives the cheapest weight from a
-        zero-state node to each node, `_node_succs` the cheapest weight from
-        each node to a zero-state node.  The weights are nonnegative
-        integers, so a shortest path settles within `nodes` rounds."""
-        src, w = tables
-        dist = np.full(src.shape[1], np.inf)
-        dist[:: self.num_states] = 0
+    def _costs_to(self, targets):
+        """Bellman-Ford to a fixpoint along `_node_succs` from cost 0 at the
+        nodes of the mask `targets`: the cheapest weight from each node to
+        one of them.  The weights are nonnegative integers, so a shortest
+        path settles within `nodes` rounds."""
+        to, w = self._node_succs
+        dist = np.where(targets, 0.0, np.inf)
         while True:
-            relaxed = np.minimum(dist, (dist[src] + w).min(axis=0))
+            relaxed = np.minimum(dist, (dist[to] + w).min(axis=0))
             if (relaxed == dist).all():
                 return dist
             dist = relaxed
@@ -281,55 +231,53 @@ class Trellis:
     @cached_property
     def _zero_cycle_core(self):
         """Mask of the nodes on or between cycles of zero output weight: the
-        zero-weight edges, less the removed ones, peeled of every node with no
-        zero-weight in-edge or out-edge among the nodes left, until none
-        goes.  Every node left reaches a zero-weight cycle and is reached
-        from one along zero-weight edges."""
+        zero-weight edges, less the removed ones, peeled (`_peel`).  Every
+        node left reaches a zero-weight cycle and is reached from one along
+        zero-weight edges."""
         to, w = self._node_succs
-        idx, u = np.nonzero(w == 0)
-        v = to[idx, u]
-        core = np.ones(w.shape[1], dtype=bool)
-        while True:
-            inner = core[u] & core[v]
-            u, v = u[inner], v[inner]
-            leaves, enters = np.zeros_like(core), np.zeros_like(core)
-            leaves[u] = enters[v] = True
-            peeled = core & leaves & enters
-            if (peeled == core).all():
-                return core
-            core = peeled
+        return _peel(to, w == 0)
 
     # -- distance measures --
 
-    def _loop_dp(self, steps):
-        """The loop relaxation: from the zero state at each start phase in
-        turn, the lightest path weight to every state, one section at a time,
-        never riding a weight-0 edge from zero state to zero state.
+    def _loop_dp(self, steps, row_at):
+        """The loop relaxation from the zero state at every start phase at
+        once, one section a step, never riding a weight-0 edge from zero
+        state to zero state.
 
-        Yields (start, length, dist, parents) for length = 0..steps: dist[st]
-        is the lightest weight of a length-edge path ending in state st, and
-        parents[step][st] the (state, input) that path last came by.  Of equal
-        candidates the lowest (state, input) wins.
+        Returns (zero, row, survivors).  zero[start, length] is the lightest
+        weight of a length-edge loop from phase `start`, length = 0..steps,
+        and row[start, st] the lightest weight of a path of row_at edges to
+        state st.  A path whose step-th edge is in section s came into state
+        st there by the edge pred[s, st, survivors[step, s, st]].  Of equal
+        candidates the lowest (state, input) wins: the first minimum in
+        `pred` order.
         """
         from_state, weight = self._pred_paths
-        states = np.arange(self.num_states)
-        for start in range(self.num_sections):
-            dist = np.full(self.num_states, np.inf)
-            dist[0] = 0
-            parents = []
-            yield start, 0, _numbers(dist), parents
-            for step in range(steps):
-                s = (start + step) % self.num_sections
-                cand = dist[from_state[s]] + weight[s]
-                best = cand.argmin(axis=1)
-                dist = cand[states, best]
-                edge = np.where(dist < np.inf, self.pred[s, states, best], -1)
-                parents.append(_Parents(edge, self.num_inputs))
-                yield start, step + 1, _numbers(dist), parents
+        sections, states = self.num_sections, self.num_states
+        # dist[s, st]: the lightest path to state st at phase s, from the
+        # start phase `step` sections back; the edges of section s leave it
+        src = np.arange(sections)[:, None, None] * states + from_state
+        dist = np.full((sections, states), np.inf)
+        dist[:, 0] = 0
+        zero = np.zeros((sections, steps + 1))
+        row = dist
+        survivors = np.empty(
+            (steps, sections, states), dtype=np.min_scalar_type(self.num_inputs - 1)
+        )
+        for step in range(1, steps + 1):
+            cand = np.take(dist, src) + weight
+            best = survivors[step - 1] = cand.argmin(axis=2)
+            dist = np.roll(np.take_along_axis(cand, best[..., None], axis=2)[..., 0], 1, axis=0)
+            # by start phase: row start of dist is phase start + step
+            zero[:, step] = np.roll(dist[:, 0], -step)
+            if step == row_at:
+                row = np.roll(dist, -step, axis=0)
+        return zero, row, survivors
 
     def _check_loop_budget(self, steps):
         """Raise ValueError if a loop DP of `steps` sections would hold more
-        than SURVIVOR_BUDGET parent entries, one per step and state."""
+        than SURVIVOR_BUDGET survivor entries per section, one per step and
+        state."""
         if steps * self.num_states > SURVIVOR_BUDGET:
             raise ValueError(
                 f"a loop scan of {steps} sections x {self.num_states} states exceeds the "
@@ -342,7 +290,8 @@ class Trellis:
         if ell < 1:
             raise ValueError("ell must be >= 1")
         self._check_loop_budget(ell)
-        return min(dist[0] for _, length, dist, _ in self._loop_dp(ell) if length == ell)
+        zero, _, _ = self._loop_dp(ell, ell)
+        return _number(zero[:, ell].min())
 
     def free_distance(self, ell_max=None, lmax=0):
         """Minimum nonzero codeword weight.
@@ -359,52 +308,46 @@ class Trellis:
         if ell_max < 1 or lmax < 0:
             raise ValueError("ell_max must be >= 1 and lmax >= 0")
         self._check_loop_budget(max(ell_max, lmax))
-        ret = self._zero_state_costs(self._node_succs).reshape(self.num_sections, -1)
+        zero, row, survivors = self._loop_dp(max(ell_max, lmax), ell_max)
+        burst = [_number(d) for d in zero[:, 1 : lmax + 1].min(axis=0)]
+        # the first lightest loop in (start, length) order
+        loops = zero[:, 1 : ell_max + 1]
+        start, length = divmod(int(loops.argmin()), ell_max)
+        best = _number(loops[start, length])
+        length += 1
 
-        best = math.inf
-        best_trace = None  # (start_phase, length, parents list)
-        frontier_bound = math.inf
-        burst = [math.inf] * lmax
-        for start, length, dist, parents in self._loop_dp(max(ell_max, lmax)):
-            if 1 <= length <= lmax:
-                burst[length - 1] = min(burst[length - 1], dist[0])
-            if 1 <= length <= ell_max and dist[0] < best:
-                best = dist[0]
-                best_trace = (start, length, parents)
-            if length == ell_max:
-                end_phase = (start + ell_max) % self.num_sections
-                frontier_bound = min(frontier_bound, float(np.add(dist, ret[end_phase]).min()))
+        to_zero = np.zeros(self.num_sections * self.num_states, dtype=bool)
+        to_zero[:: self.num_states] = True
+        ret = self._costs_to(to_zero).reshape(self.num_sections, -1)
+        end_phase = (np.arange(self.num_sections) + ell_max) % self.num_sections
+        frontier_bound = float((row + ret[end_phase]).min())
 
         # the cheapest way into the core is the cheapest way into a
         # zero-weight cycle: each core node reaches one at no cost
         core = self._zero_cycle_core
         tail_min = math.inf
         if core.any():
-            tail_min = min(_numbers(self._zero_state_costs(self._node_preds)[core]))
+            tail_min = _number(self._costs_to(core)[:: self.num_states].min())
 
         value = min(best, tail_min)
         stabilized = frontier_bound >= value
         if tail_min < best:
             return FreeDistanceResult(value, stabilized, "zero_output_tail", None, None, burst)
-        witness = None
-        loop_length = None
-        if best_trace is not None:
-            start, length, parents = best_trace
-            witness = self._trace_loop(start, length, parents)
-            loop_length = length
-        return FreeDistanceResult(value, stabilized, "loop", loop_length, witness, burst)
+        if best == math.inf:
+            return FreeDistanceResult(value, stabilized, "loop", None, None, burst)
+        witness = self._trace_loop(start, length, survivors)
+        return FreeDistanceResult(value, stabilized, "loop", length, witness, burst)
 
-    def _trace_loop(self, start, length, parents):
+    def _trace_loop(self, start, length, survivors):
+        """The steps of the loop of `length` edges from phase `start` that
+        `_loop_dp` kept, traced back from the zero state."""
         steps = []
         state = 0
         for step in range(length - 1, -1, -1):
-            prev_state, idx = parents[step][state]
             section = (start + step) % self.num_sections
-            e = self.edge(section, prev_state, idx)
-            steps.append(
-                PathStep(section, prev_state, self.input_block(idx), e.label, state)
-            )
-            state = prev_state
+            edge = int(self.pred[section, state, survivors[step, section, state]])
+            state, idx = divmod(edge, self.num_inputs)
+            steps.append(self._path_step(section * self.num_states + state, idx))
         steps.reverse()
         return steps
 
@@ -449,32 +392,33 @@ class Trellis:
         return PathStep(phase, state, self.input_block(input_idx), e.label, e.to_state)
 
 
-class _Parents:
-    """parents[st] of one loop-DP step: the (state, input) the lightest path
-    into st last came by, or None; held as flat edge ids, -1 for None."""
-
-    __slots__ = ("edge", "inputs")
-
-    def __init__(self, edge, inputs):
-        self.edge = edge
-        self.inputs = inputs
-
-    def __len__(self):
-        return len(self.edge)
-
-    def __getitem__(self, st):
-        e = int(self.edge[st])
-        return None if e < 0 else divmod(e, self.inputs)
+def _rows(table):
+    """The one row a zero-stride table repeats, else the table itself."""
+    return table[:1] if table.strides[0] == 0 else table
 
 
-def _numbers(dist):
-    """A float distance array as a list of Python ints, math.inf where
-    unreachable."""
-    unreached = dist == np.inf
-    out = np.where(unreached, 0, dist).astype(np.int64).tolist()
-    for st in np.flatnonzero(unreached).tolist():
-        out[st] = math.inf
-    return out
+def _number(dist):
+    """A float distance as a Python int, math.inf where unreached."""
+    return int(dist) if dist < np.inf else math.inf
+
+
+def _peel(to, edge_mask):
+    """Mask of the nodes left when the graph of the edges v -> to[i, v] with
+    edge_mask[i, v] is peeled of every node with no in-edge or no out-edge
+    among the nodes left, until none goes: the nodes on cycles and on paths
+    between them."""
+    idx, u = np.nonzero(edge_mask)
+    v = to[idx, u]
+    live = np.ones(to.shape[1], dtype=bool)
+    while True:
+        inner = live[u] & live[v]
+        u, v = u[inner], v[inner]
+        leaves, enters = np.zeros_like(live), np.zeros_like(live)
+        leaves[u] = enters[v] = True
+        kept = live & leaves & enters
+        if (kept == live).all():
+            return live
+        live = kept
 
 
 class _MeanCycle(NamedTuple):
@@ -498,16 +442,11 @@ def _least_mean_cycle(to, w):
     stays.  Means are compared exactly, a1 * b2 < a2 * b1, in int64.  When no
     node moves, the least mean S / L of the policy's cycles is accepted only
     once an integer Bellman-Ford on w * L - S settles (`_potential`): then
-    no cycle has a lower mean, and the policy's cycle attains it.  Nodes that
-    reach no cycle are peeled first, and a graph peeled empty has none.
+    no cycle has a lower mean, and the policy's cycle attains it.  Nodes on
+    no cycle nor between two are peeled first (`_peel`), and a graph peeled
+    empty has no cycle.
     """
-    live = np.ones(w.shape[1], dtype=bool)
-    while True:
-        kept = live & (np.isfinite(w) & live[to]).any(axis=0)
-        if (kept == live).all():
-            break
-        live = kept
-    nodes = np.flatnonzero(live)
+    nodes = np.flatnonzero(_peel(to, np.isfinite(w)))
     if not nodes.size:
         return _MeanCycle(math.inf, None, None)
     renumber = np.full(w.shape[1], -1)
@@ -606,10 +545,6 @@ def _potential(to, w, num, den):
     return None
 
 
-def _label_dtype(q):
-    return np.min_scalar_type(q - 1)
-
-
 def _check_edge_budget(sections, q, nu, k):
     """Raise ValueError if sections x q^nu states x q^k inputs is over
     EDGE_BUDGET; Python ints, so nothing is allocated for a huge trellis."""
@@ -648,7 +583,7 @@ def build_trellis(code):
         for delay in range(1, reg + 1)
     ]
     # products[s, a, i, row] = a * (row of the phase-s delay-i table)
-    symbol = _label_dtype(q)
+    symbol = np.min_scalar_type(q - 1)
     products = field.mul(np.arange(q)[:, None, None, None], np.array(phases)[:, None])
     products = products.astype(symbol)
     # the digits of the edge ids are peeled off one per pass; int32 where the
@@ -671,12 +606,8 @@ def build_trellis(code):
 
     label = field.sum(label_terms()).astype(symbol, copy=False)
     # the shift is the same at every phase: one row, read-only, for all
-    edge_arrays = (
-        np.broadcast_to(next_state, (len(phases), num_edges)),
-        label,
-        np.add.reduce(label != 0, axis=-1),
-    )
-    return Trellis(field, k, n, regs, edge_arrays=edge_arrays)
+    next_state = np.broadcast_to(next_state, (len(phases), num_edges))
+    return Trellis(field, k, n, regs, next_state, label)
 
 
 def is_catastrophic(code_or_trellis):
@@ -706,11 +637,12 @@ def export_dot(trellis, sections):
     for layer in range(sections + 1):
         for st in range(trellis.num_states):
             lines.append(f'  t{layer}_s{st} [label="{trellis.state_name(st)}"];')
+    next_state, labels = trellis.next_state.tolist(), trellis.label.tolist()
     for layer in range(sections):
-        section = trellis.sections[layer % trellis.num_sections]
-        for st in range(trellis.num_states):
-            for e in section[st]:
-                label = " ".join(field.element_name(v) for v in e.label)
-                lines.append(f'  t{layer}_s{st} -> t{layer + 1}_s{e.to_state} [label="{label}"];')
+        s = layer % trellis.num_sections
+        for e, (to, label) in enumerate(zip(next_state[s], labels[s])):
+            st = e // trellis.num_inputs
+            text = " ".join(field.element_name(v) for v in label)
+            lines.append(f'  t{layer}_s{st} -> t{layer + 1}_s{to} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Scalar reference implementations of the decoders' fast paths, kept as test
 oracles for `skewconv.decoder.viterbi_batch` and `skewconv.run_simulation`.
 
-`viterbi` is the per-edge add-compare-select loop over the trellis sections,
-and `run_simulation` decodes one frame at a time with it.
+`viterbi` is the per-edge add-compare-select loop over the trellis edges,
+read one at a time through `Trellis.edge`, and `run_simulation` decodes one
+frame at a time with it.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 from skewconv import DecodeResult, Sequence, SimReport, build_trellis
 from skewconv.analysis import _trial_rng
 from skewconv.decoder import QSChannel, _coerce_received
+from trellis_reference import sections
 
 
 def viterbi(trellis, received, terminated=False):
@@ -25,8 +27,9 @@ def viterbi(trellis, received, terminated=False):
     metrics = [math.inf] * num_states
     metrics[0] = 0
     parents = []
+    edges_of = sections(trellis)
     for t, rblock in enumerate(blocks):
-        section = trellis.sections[t % trellis.num_sections]
+        section = edges_of[t % trellis.num_sections]
         inputs = 1 if t >= total - tail else trellis.num_inputs
         nmetrics = [math.inf] * num_states
         npar = [None] * num_states

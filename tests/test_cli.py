@@ -1,11 +1,14 @@
 import contextlib
 import json
+import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import skewconv
 from skewconv.cli import main
 
 from conftest import A, A2
@@ -254,10 +257,14 @@ def test_missing_file_exit_code(capsys):
 def test_module_entry_point(code_file, tmp_path):
     u = tmp_path / "u.txt"
     u.write_text("1\n")
+    # the subprocess imports the same skewconv as this test, installed or not
+    package_dir = str(Path(skewconv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "skewconv", "encode", code_file, str(u), "--terminate"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 2\n2 3\n"
@@ -309,6 +316,18 @@ def test_decode_rejects_an_over_budget_word(capsys, tmp_path):
     received = write_seq(tmp_path, "r.txt", "0 0\n" * 65537)
     with time_limit(20):
         rc, out, err = run_cli(capsys, "decode", str(path), received)
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_bcjr_rejects_an_over_budget_word_at_once(capsys, tmp_path):
+    # 1100 blocks x 256 states x 16 inputs is over the 2^22 edge budget
+    spec = Path(__file__).resolve().parents[1] / "perfbench" / "suite" / "gf16_m2.json"
+    received = write_seq(tmp_path, "r.txt", "0 0\n" * 1100)
+    with time_limit(10):
+        rc, out, err = run_cli(
+            capsys, "decode", str(spec), received, "--method", "bcjr", "--eps", "0.05"
+        )
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "budget" in err
 

@@ -6,6 +6,7 @@ import importlib.util
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from skewconv import (
@@ -59,11 +60,15 @@ def test_module_sides_differ_only_in_data(f4, f4_id):
     assert (left.module_side, left.register_twist, left.period) == ("left", 0, 2)
     assert (right.module_side, right.register_twist, right.period) == ("right", 1, 1)
     assert right.encode_right([[1], [A]]) == right.encode([[1], [A]])
-    assert build_trellis_right(right).sections == build_trellis(right).sections
+    assert same_edges(build_trellis_right(right), build_trellis(right))
     # with theta = id both readings are the same code
     left_id = SkewConvCode(SkewPolyMatrix.from_ints(f4_id, EXAMPLE_TABLE))
     right_id = SkewTrellisCode(SkewPolyMatrix.from_ints(f4_id, EXAMPLE_TABLE))
-    assert build_trellis(left_id).sections == build_trellis(right_id).sections
+    assert same_edges(build_trellis(left_id), build_trellis(right_id))
+
+
+def same_edges(a, b):
+    return np.array_equal(a.next_state, b.next_state) and np.array_equal(a.label, b.label)
 
 
 def test_is_catastrophic_takes_right_code(f4, f4_id):
@@ -86,9 +91,9 @@ def test_analyze_runs_the_loop_dp_once(example_code, monkeypatch):
     calls = []
     original = Trellis._loop_dp
 
-    def counted(self, steps):
+    def counted(self, steps, row_at):
         calls.append(steps)
-        return original(self, steps)
+        return original(self, steps, row_at)
 
     monkeypatch.setattr(Trellis, "_loop_dp", counted)
     report = analyze_code(example_code, lmax=20)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from skewconv import QSChannel, Sequence, bcjr, viterbi
+from skewconv import trellis as trellis_module
 from skewconv.trellis import Trellis, build_trellis
 
 from conftest import A, A2
@@ -112,7 +113,7 @@ def test_decoding_is_phase_aware(example_code, tr):
     good = viterbi(tr, v, terminated=True)
     assert good.metric == 0 and good.info_est.to_ints() == [(0,), (1,), (0,)]
     # a degraded decoder that replays section 0 at every time misreads it
-    frozen = Trellis(tr.field, tr.k, tr.n, tr.register_lengths, [tr.sections[0]])
+    frozen = Trellis(tr.field, tr.k, tr.n, tr.register_lengths, tr.next_state[:1], tr.label[:1])
     degraded = viterbi(frozen, v, terminated=True)
     assert degraded.metric > 0 or degraded.info_est.to_ints() != [(0,), (1,), (0,)]
 
@@ -186,6 +187,16 @@ def test_bcjr_eps_validation(tr, example_code):
         bcjr(tr, v, QSChannel(4, 0.0), terminated=True)
     with pytest.raises(ValueError, match="eps"):
         bcjr(tr, v, QSChannel(4, 0.9), terminated=True)
+
+
+def test_bcjr_refuses_a_word_over_the_edge_budget(tr, example_code, monkeypatch):
+    v = example_code.encode([[1], [0]], terminate=True)  # 3 blocks x 4 states x 4 inputs
+    channel = QSChannel(4, 0.1)
+    monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 48)
+    assert bcjr(tr, v, channel, terminated=True).posteriors.shape == (2, 4)
+    monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 47)
+    with pytest.raises(ValueError, match="budget of 47 trellis edges"):
+        bcjr(tr, v, channel, terminated=True)
 
 
 # -- channel -------------------------------------------------------------------

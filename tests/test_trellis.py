@@ -26,8 +26,8 @@ def test_structure(example_trellis):
     tr = example_trellis
     assert tr.num_states == 4
     assert tr.num_sections == 2
-    for section in tr.sections:
-        assert sum(len(edges) for edges in section) == tr.num_states * tr.num_inputs
+    assert tr.next_state.shape == (tr.num_sections, tr.num_states * tr.num_inputs)
+    assert tr.label.shape == (*tr.next_state.shape, tr.n)
 
 
 def test_section_labels_match_phase_formulas(example_trellis, f4):

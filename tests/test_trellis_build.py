@@ -1,5 +1,5 @@
 """The array trellis builder against the per-edge reference builder, the
-views over its arrays, and the edge budget."""
+edges read from its arrays, and the edge budget."""
 
 import random
 from pathlib import Path
@@ -89,7 +89,6 @@ def pair(request):
 
 def test_edge_arrays_match_reference(pair):
     got, want = pair
-    assert "sections" not in vars(got)
     for name in ("next_state", "label", "weight"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.label.dtype == np.min_scalar_type(got.q - 1)
@@ -97,9 +96,10 @@ def test_edge_arrays_match_reference(pair):
 
 
 def test_sections_view_matches_reference(pair):
+    # every edge of every section, read through edge(), as plain Python ints
     got, want = pair
-    assert got.sections == want.sections
-    for section in got.sections:
+    assert reference.sections(got) == reference.sections(want)
+    for section in reference.sections(got):
         for edges in section:
             for e in edges:
                 assert type(e) is TrellisEdge
@@ -112,7 +112,7 @@ def test_edge_reads_the_arrays(pair):
     for _ in range(20):
         args = (rng.randrange(2 * got.num_sections), rng.randrange(got.num_states),
                 rng.randrange(got.num_inputs))
-        assert got.edge(*args) == want.sections[args[0] % want.num_sections][args[1]][args[2]]
+        assert got.edge(*args) == want.edge(args[0] % want.num_sections, *args[1:])
 
 
 def test_wide_field_labels_take_two_bytes():
@@ -128,10 +128,11 @@ SPECS = sorted(p for p in SUITE.glob("*.json") if p.name != "expected.json")
 
 @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
 def test_analysis_never_builds_sections(path):
+    # the analysis keeps no per-edge Python objects on the trellis
     code = load_code(path)
     tr = build_trellis(code)
     analyze_code(code, trellis=tr)
-    assert "sections" not in vars(tr)
+    assert not any(isinstance(value, list) for value in vars(tr).values())
 
 
 def test_edge_budget_is_checked_before_building(monkeypatch):

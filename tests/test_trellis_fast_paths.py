@@ -28,7 +28,6 @@ from skewconv import (
     load_code,
     trellis as trellis_module,
 )
-from skewconv.trellis import TrellisEdge
 
 from conftest import A, A2, EXAMPLE_TABLE
 
@@ -98,8 +97,9 @@ def gf2_trellis(section):
     """A one-section GF(2) trellis of rate 1/2 from per-state (to_state,
     weight) pairs, one per input; weight w gets the label of w ones."""
     labels = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
-    sections = [[[TrellisEdge(to, labels[w], w) for to, w in edges] for edges in section]]
-    return Trellis(GF2, 1, 2, [len(section).bit_length() - 1], sections)
+    next_state = np.array([[to for edges in section for to, _ in edges]], dtype=np.intp)
+    label = np.array([[labels[w] for edges in section for _, w in edges]], dtype=np.uint8)
+    return Trellis(GF2, 1, 2, [len(section).bit_length() - 1], next_state, label)
 
 
 HAND_BUILT = [
@@ -146,9 +146,9 @@ def test_the_code_set_covers_the_cases():
 
 def test_edge_arrays_are_built_on_first_use():
     tr = build_trellis(dict(CODES)["mixed-k2-left"])
-    assert not {"next_state", "weight", "pred"} & vars(tr).keys()
+    assert not {"weight", "pred"} & vars(tr).keys()
     assert tr.pred.shape == (tr.num_sections, tr.num_states, tr.num_inputs)
-    assert {"next_state", "pred"} <= vars(tr).keys()
+    assert "pred" in vars(tr) and "weight" not in vars(tr)
 
 
 def test_pred_lists_the_edges_into_each_state_in_order(trellis):
@@ -157,7 +157,7 @@ def test_pred_lists_the_edges_into_each_state_in_order(trellis):
     entered = np.take_along_axis(trellis.next_state, flat, axis=1).reshape(pred.shape)
     assert (entered == np.arange(trellis.num_states)[:, None]).all()
     assert (np.diff(pred, axis=2) > 0).all()
-    for s, section in enumerate(trellis.sections):
+    for s, section in enumerate(reference.sections(trellis)):
         for st, edges in enumerate(section):
             for idx, e in enumerate(edges):
                 flat_id = st * trellis.num_inputs + idx
@@ -166,16 +166,22 @@ def test_pred_lists_the_edges_into_each_state_in_order(trellis):
 
 def test_loop_dp_matches_reference(trellis):
     steps = 8
-    fast = trellis._loop_dp(steps)
-    for want in reference.loop_dp(trellis, steps):
-        got = next(fast)
-        assert got[:2] == want[:2]
-        assert same(got[2], want[2]), want[:2]
-        start, length, _, parents = want
-        if length:
-            assert [got[3][length - 1][st] for st in range(trellis.num_states)] == parents[-1]
-            assert all(same(got[3][length - 1][st], p) for st, p in enumerate(parents[-1]))
-    assert next(fast, None) is None
+    want = list(reference.loop_dp(trellis, steps))
+    for row_at in (1, 5, steps):
+        zero, row, survivors = trellis._loop_dp(steps, row_at)
+        assert zero.shape == (trellis.num_sections, steps + 1)
+        assert survivors.dtype == np.min_scalar_type(trellis.num_inputs - 1)
+        for start, length, dist, parents in want:
+            assert zero[start, length] == dist[0], (start, length)
+            if length == row_at:
+                assert row[start].tolist() == dist, start
+            if not length:
+                continue
+            s = (start + length - 1) % trellis.num_sections
+            for st, parent in enumerate(parents[length - 1]):
+                if parent is not None:
+                    edge = trellis.pred[s, st, survivors[length - 1, s, st]]
+                    assert divmod(int(edge), trellis.num_inputs) == parent, (start, length, st)
 
 
 def test_slope_matches_reference(trellis):
@@ -251,8 +257,16 @@ def test_the_extra_codes_are_catastrophic():
 def test_zero_state_costs_match_dijkstra(trellis):
     tr = trellis
     adj = reference.graph(tr)
-    assert tr._zero_state_costs(tr._node_preds).tolist() == reference.forward_costs(tr, adj)
-    assert tr._zero_state_costs(tr._node_succs).tolist() == reference.return_costs(tr, adj)
+    zero_states = np.zeros(len(adj), dtype=bool)
+    zero_states[:: tr.num_states] = True
+    assert tr._costs_to(zero_states).tolist() == reference.return_costs(tr, adj)
+    # the zero-output tail: the costs to the core at the zero-state nodes
+    # are the forward costs from them into the core
+    core = tr._zero_cycle_core
+    to_core = reference.dijkstra(reference.reverse(adj), np.flatnonzero(core).tolist())
+    assert tr._costs_to(core).tolist() == to_core
+    forward = reference.forward_costs(tr, adj)
+    assert min(to_core[:: tr.num_states]) == min(np.array(forward)[core], default=math.inf)
 
 
 def test_zero_cycle_core_matches_reference(trellis):
@@ -294,9 +308,18 @@ def test_catastrophic_witness_is_a_zero_weight_cycle(trellis):
 # -- Howard's slope and its certificate ----------------------------------------
 
 
+def node_preds(to, w):
+    """(src, w)[j, node]: the predecessor table of the successor table (to,
+    w), each node's in-edges in (source, input) order."""
+    inputs, nodes = to.shape
+    order = np.argsort(to.T.ravel(), kind="stable")
+    return order.reshape(nodes, inputs).T // inputs, w.T.ravel()[order].reshape(nodes, inputs).T
+
+
 def test_slope_matches_both_karp_oracles(trellis):
     got = trellis.slope()
-    for want in (reference.slope(trellis), reference.karp_two_pass(*trellis._node_preds)):
+    preds = node_preds(*trellis._node_succs)
+    for want in (reference.slope(trellis), reference.karp_two_pass(*preds)):
         assert type(got) is type(want)
         assert got == want
 
@@ -341,11 +364,16 @@ def test_potential_refuses_a_mean_above_the_least(trellis):
 
 
 def test_the_suite_analysis_never_builds_predecessors_unless_catastrophic():
+    # one node table serves every graph question: the successors
     for path in SPECS:
         code = load_code(path)
         tr = build_trellis(code)
         report = analyze_code(code, trellis=tr)
-        assert ("_node_preds" in vars(tr)) is report["catastrophic"], path.stem
+        tables = {name for name, value in vars(tr).items() if isinstance(value, np.ndarray)}
+        edge_tables = {"next_state", "label", "weight", "pred", "_loop_weight"}
+        assert tables <= edge_tables | {"_zero_cycle_core"}, path.stem
+        assert "_node_succs" in vars(tr), path.stem
+        assert bool(tr._zero_cycle_core.any()) is report["catastrophic"], path.stem
 
 
 def adjacency(to, w):
@@ -451,7 +479,7 @@ def test_least_mean_cycle_matches_karp_on_random_graphs(graph):
 def test_built_trellises_share_one_row():
     tr = build_trellis(load_code(SUITE / "gf16_m2.json"))
     assert tr.num_sections == 4
-    for table in (tr.next_state, tr.pred):
+    for table in (tr.next_state, tr.pred, tr._pred_paths[0]):
         assert table.strides[0] == 0 and not table.flags.writeable
     want = reference.build_trellis(load_code(SUITE / "gf16_m2.json"))
     assert np.array_equal(tr.pred, want.pred) and want.pred.strides[0] != 0

@@ -2,19 +2,19 @@
 algorithms, kept as test oracles for the array paths in `skewconv.trellis`.
 
 `build_trellis` is the per-edge construction loop over scalar field
-arithmetic and `loop_dp` the per-edge loop relaxation.  The graph algorithms
+arithmetic, and `loop_dp` the per-edge loop relaxation over the edges read
+one at a time through `Trellis.edge` (`sections`).  The graph algorithms
 run on `graph`, per-node adjacency lists of the period-unrolled state graph:
 Tarjan's strong components (`sccs`), Dijkstra's forward and return costs,
 the zero-output-weight cycles and the catastrophic cycle they hold (found by
 an input-weight seed and a BFS), and `slope`, Karp's recurrence over the full
 (m + 1) x m table of each strong component (`karp_table`).  `karp_two_pass`
 is Karp's recurrence in two O(m) passes over the array predecessor table,
-from a virtual source.  `free_distance` puts `loop_dp` and these together;
-`active_burst_distance` runs the library's own method on `loop_dp`.
+from a virtual source.  `free_distance` and `active_burst_distance` put
+`loop_dp` and these together, tracing the witness from `loop_dp`'s own
+parents.
 """
 
-import copy
-import functools
 import heapq
 import itertools
 import math
@@ -22,12 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from skewconv.trellis import FreeDistanceResult, PathStep, Trellis, TrellisEdge, unpack_digits
+from skewconv.trellis import FreeDistanceResult, PathStep, Trellis, unpack_digits
 
 
 def build_trellis(code):
     """The trellis of `skewconv.trellis.build_trellis`, one edge at a time:
-    a `Trellis` constructed from its sections."""
+    a `Trellis` constructed from edge arrays with a row per section, whose
+    derived weights are checked against the edges' own."""
     field = code.field
     q = field.size
     k, n = code.k, code.n
@@ -36,10 +37,12 @@ def build_trellis(code):
     nu = sum(regs)
     starts = [sum(regs[:row]) for row in range(k)]
     inputs = [unpack_digits(idx, q, k) for idx in range(q**k)]
-    sections = []
+    next_state, labels, weights = [], [], []
     for coeffs in code.phase_coefficients:
         g0 = coeffs[0]
-        per_state = []
+        next_state.append([])
+        labels.append([])
+        weights.append([])
         for st in range(q**nu):
             slots = unpack_digits(st, q, nu)
             held = [0] * n
@@ -54,7 +57,6 @@ def build_trellis(code):
                             held[j] = field.add_int(held[j], field.mul_int(val, mat[row][j]))
             if twist:
                 slots = [field.frobenius_int(v, twist) for v in slots]
-            edges = []
             for ub in inputs:
                 label = held[:]
                 new_slots = []
@@ -70,23 +72,45 @@ def build_trellis(code):
                 to_state = 0
                 for d in reversed(new_slots):
                     to_state = to_state * q + d
-                weight = sum(1 for v in label if v)
-                edges.append(TrellisEdge(to_state, tuple(label), weight))
-            per_state.append(edges)
-        sections.append(per_state)
-    return Trellis(field, k, n, regs, sections)
+                next_state[-1].append(to_state)
+                labels[-1].append(label)
+                weights[-1].append(sum(1 for v in label if v))
+    tr = Trellis(
+        field,
+        k,
+        n,
+        regs,
+        np.array(next_state, dtype=np.intp),
+        np.array(labels, dtype=np.min_scalar_type(q - 1)),
+    )
+    assert tr.weight.tolist() == weights
+    return tr
+
+
+def sections(tr):
+    """sections[s][from_state][input]: every edge as a `TrellisEdge`, read
+    through `Trellis.edge`."""
+    return [
+        [[tr.edge(s, st, idx) for idx in range(tr.num_inputs)] for st in range(tr.num_states)]
+        for s in range(tr.num_sections)
+    ]
 
 
 def loop_dp(tr, steps):
-    """Trellis._loop_dp, one edge at a time: the first (state, input) in
-    scan order that strictly improves a state becomes its parent."""
+    """The loop relaxation one edge at a time, one start phase after
+    another: yields (start, length, dist, parents) for length = 0..steps,
+    where dist[st] is the lightest weight of a length-edge path from the
+    zero state to st and parents[step][st] the (state, input) it last came
+    by.  The first (state, input) in scan order that strictly improves a
+    state becomes its parent."""
+    edges = sections(tr)
     for start in range(tr.num_sections):
         dist = [math.inf] * tr.num_states
         dist[0] = 0
         parents = []
         yield start, 0, dist, parents
         for step in range(steps):
-            section = tr.sections[(start + step) % tr.num_sections]
+            section = edges[(start + step) % tr.num_sections]
             ndist = [math.inf] * tr.num_states
             npar = [None] * tr.num_states
             for st, dv in enumerate(dist):
@@ -105,14 +129,24 @@ def loop_dp(tr, steps):
             yield start, step + 1, dist, parents
 
 
-def _on_scalar_dp(tr):
-    shadow = copy.copy(tr)
-    shadow._loop_dp = functools.partial(loop_dp, tr)
-    return shadow
-
-
 def active_burst_distance(tr, ell):
-    return Trellis.active_burst_distance(_on_scalar_dp(tr), ell)
+    """The lightest ell-loop over all start phases, math.inf if none."""
+    return min(dist[0] for _, length, dist, _ in loop_dp(tr, ell) if length == ell)
+
+
+def trace_loop(tr, start, length, parents):
+    """The steps of the loop of `length` edges from phase `start` that
+    `loop_dp`'s parents keep, traced back from the zero state."""
+    steps = []
+    state = 0
+    for step in range(length - 1, -1, -1):
+        prev_state, idx = parents[step][state]
+        section = (start + step) % tr.num_sections
+        e = tr.edge(section, prev_state, idx)
+        steps.append(PathStep(section, prev_state, tr.input_block(idx), e.label, state))
+        state = prev_state
+    steps.reverse()
+    return steps
 
 
 def slope(tr):
@@ -267,13 +301,16 @@ def sccs(num_nodes, adj):
 
 
 def forward_costs(tr, adj):
-    """Cheapest weight from any zero-state node to each node (Dijkstra)."""
+    """Cheapest weight from any zero-state node to each node."""
+    return dijkstra(adj, [node(tr, phase, 0) for phase in range(tr.num_sections)])
+
+
+def dijkstra(adj, sources):
+    """Cheapest weight from any of the nodes `sources` to each node."""
     dist = [math.inf] * len(adj)
-    heap = []
-    for phase in range(tr.num_sections):
-        src = node(tr, phase, 0)
+    for src in sources:
         dist[src] = 0
-        heap.append((0, src))
+    heap = [(0, src) for src in sources]
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
@@ -418,5 +455,5 @@ def free_distance(tr, ell_max=None, lmax=0):
         return FreeDistanceResult(value, stabilized, "loop", None, None, burst)
     start, length, parents = best_trace
     return FreeDistanceResult(
-        value, stabilized, "loop", length, tr._trace_loop(start, length, parents), burst
+        value, stabilized, "loop", length, trace_loop(tr, start, length, parents), burst
     )

@@ -99,14 +99,16 @@ def _trial_rng(seed, trial):
 
 
 def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
-    """Monte-Carlo frame loop: random frame -> terminated encode -> q-ary
+    """Monte-Carlo frame loop: random frames -> terminated encode -> q-ary
     symmetric channel -> Viterbi -> symbol/frame error counts.
 
-    Each trial draws its frame and its channel errors from its own seeded
-    generator, so the counts do not depend on how trials are grouped.  The
-    frames are decoded in batches of at most BATCH_EDGES / (states x inputs)
-    frames, one `viterbi_batch` call each, and within the survivor budget,
-    so memory does not grow with the number of trials.
+    Each trial draws its information symbols and then its channel errors
+    from its own seeded generator, so the counts do not depend on how trials
+    are grouped.  The trials run in batches of at most
+    BATCH_EDGES / (states x inputs) frames, within the survivor budget: a
+    batch is encoded by one `encode_batch` call, corrupted by one
+    `QSChannel.apply_errors` and decoded by one `viterbi_batch` call, so
+    memory does not grow with the number of trials.
     """
     q = code.field.size
     max_eps = (q - 1) / q
@@ -126,24 +128,30 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
         ),
     )
     channel = QSChannel(q, eps)
-    info = np.empty((batch, frame_len, code.k), dtype=np.intp)
-    sent = np.empty((batch, blocks, code.n), dtype=np.intp)
-    received = np.empty_like(sent)
     sym_in = 0
     sym_out = 0
     frame_errs = 0
     for first in range(0, trials, batch):
         count = min(batch, trials - first)
-        for b in range(count):
-            rng = _trial_rng(seed, first + b)
-            u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
-            codeword = code.encode(u, terminate=True)
-            info[b] = u
-            sent[b] = codeword.to_ints()
-            received[b] = channel.transmit(codeword, rng).to_ints()
-        est, _ = viterbi_batch(tr, received[:count], terminated=True)
-        wrong = est != info[:count]
-        sym_in += int(np.count_nonzero(sent[:count] != received[:count]))
+        # the draws of the batch's trials, flat in trial order
+        info, errors, offsets = [], [], []
+        for trial in range(first, first + count):
+            rng = _trial_rng(seed, trial)
+            randrange = rng.randrange
+            info.extend([randrange(q) for _ in range(frame_len * code.k)])
+            errs, offs = channel.draw_errors(rng, blocks * code.n)
+            errors.extend(errs)
+            offsets.extend(offs)
+        info = np.array(info, dtype=np.intp).reshape(count, frame_len, code.k)
+        sent = code.encode_batch(info, terminate=True)
+        received = channel.apply_errors(
+            sent,
+            np.array(errors).reshape(sent.shape),
+            np.array(offsets, dtype=np.intp).reshape(sent.shape),
+        )
+        est, _ = viterbi_batch(tr, received, terminated=True)
+        wrong = est != info
+        sym_in += int(np.count_nonzero(sent != received))
         sym_out += int(np.count_nonzero(wrong))
         frame_errs += int(np.count_nonzero(wrong.any(axis=(1, 2))))
     info_symbols = trials * frame_len * code.k

@@ -1,5 +1,10 @@
 """Trellis-based decoding over the q-ary symmetric channel.
 
+QSChannel draws a word's errors from a generator (`draw_errors`), one
+random() a symbol and one offset on an error, whatever the symbols sent,
+and applies them as one array step (`apply_errors`); `transmit` does both
+on one sequence, and `run_simulation` applies a whole batch's draws at once.
+
 viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when
 eps < (Q-1)/Q), as array steps over the trellis edge tables; viterbi() is the
@@ -54,15 +59,37 @@ class QSChannel:
         hits = len(sent_block) - mismatches
         return (1.0 - self.eps) ** hits * (self.eps / (self.q - 1)) ** mismatches
 
-    def transmit_symbol(self, symbol, rng):
-        if rng.random() >= self.eps:
-            return symbol
-        other = rng.randrange(self.q - 1)
-        return other if other < symbol else other + 1
+    def draw_errors(self, rng, count):
+        """The channel's draws for `count` symbols from rng, in order: one
+        random() a symbol, an error where it is below eps, and then one
+        randrange(q - 1) for the error's offset.  Returns (errors, offsets),
+        two lists of `count` entries, offset 0 where no error."""
+        eps, others = self.eps, self.q - 1
+        random, randrange = rng.random, rng.randrange
+        errors, offsets = [False] * count, [0] * count
+        for i in range(count):
+            if random() < eps:
+                errors[i] = True
+                offsets[i] = randrange(others)
+        return errors, offsets
+
+    @staticmethod
+    def apply_errors(sent, errors, offsets):
+        """The received symbols: offset o replaces the sent symbol s by
+        o + (o >= s), one of the other q - 1 symbols, where errors is set."""
+        sent = np.asarray(sent)
+        offsets = np.asarray(offsets)
+        return np.where(errors, offsets + (offsets >= sent), sent)
 
     def transmit(self, seq, rng):
-        out = [[self.transmit_symbol(v, rng) for v in block] for block in seq.to_ints()]
-        return Sequence._trusted(seq.field, out, seq.width)
+        """One pass of a sequence over the channel: `draw_errors` for its
+        symbols in block order, then `apply_errors`."""
+        sent = np.array(seq.to_ints(), dtype=np.intp)
+        errors, offsets = self.draw_errors(rng, sent.size)
+        received = self.apply_errors(
+            sent, np.reshape(errors, sent.shape), np.reshape(offsets, sent.shape)
+        )
+        return Sequence._trusted(seq.field, received.tolist(), seq.width)
 
 
 @dataclass

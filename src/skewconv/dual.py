@@ -231,20 +231,34 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     mu = code.memory
     info_len = max(length - mu, 1)
     total = info_len + mu
+    # every word is drawn first, with the generator's state after it, and
+    # all are encoded at once and checked by one syndrome product
+    words, states = [], []
+    for _ in range(num_words):
+        words.append([rng.randrange(field.size) for _ in range(code.k * info_len)])
+        states.append(rng.getstate())
+    info = np.array(words, dtype=np.intp).reshape(num_words, info_len, code.k)
+    codewords = code.encode_batch(info, terminate=True).reshape(num_words, total * code.n)
     ht = sf.ht_window(total)
-    for _ in range(num_words):
-        u = [[rng.randrange(field.size) for _ in range(code.k)] for _ in range(info_len)]
-        v = code.encode(u, terminate=True).flat_values()
-        if f_matmul(field, [v], ht).any():
-            return False
+    bad = f_matmul(field, codewords, ht).any(axis=1)
+    if bad.any():
+        # the generator as left by a check that stops at the first bad word
+        rng.setstate(states[int(bad.argmax())])
+        return False
 
-    hw = sf.h_window(total)
+    # the random codewords of both windows, drawn pairwise as before and
+    # checked at once: every pair must be orthogonal
+    hw = ht.T  # the same as sf.h_window(total)
     gw = code.scalar_generator(info_len)
+    u_rows, w_rows, states = [], [], []
     for _ in range(num_words):
-        u = [rng.randrange(field.size) for _ in range(gw.shape[0])]
-        w = [rng.randrange(field.size) for _ in range(hw.shape[0])]
-        v = f_matmul(field, [u], gw)
-        vperp = f_matmul(field, [w], hw)
-        if f_matmul(field, v, vperp.T).any():
-            return False
+        u_rows.append([rng.randrange(field.size) for _ in range(gw.shape[0])])
+        w_rows.append([rng.randrange(field.size) for _ in range(hw.shape[0])])
+        states.append(rng.getstate())
+    v = f_matmul(field, np.array(u_rows, dtype=np.int64).reshape(num_words, gw.shape[0]), gw)
+    vperp = f_matmul(field, np.array(w_rows, dtype=np.int64).reshape(num_words, hw.shape[0]), hw)
+    bad = field.sum(field.mul(v, vperp).T) != 0
+    if bad.any():
+        rng.setstate(states[int(bad.argmax())])
+        return False
     return True

@@ -5,6 +5,9 @@ import numpy as np
 
 __all__ = ["f_rref", "f_rank", "f_matmul", "nullspace_mod_p"]
 
+# the most products `f_matmul` forms at once, beyond one row's
+_MATMUL_TERMS = 1 << 16
+
 
 def f_rref(field, mat):
     """Reduced row echelon form over the field.  Returns (rref, pivot_cols)."""
@@ -40,22 +43,20 @@ def f_rank(field, mat):
 
 
 def f_matmul(field, a, b):
-    """Matrix product over the field; zero terms are skipped."""
+    """Matrix product over the field as array steps: the products
+    a[i, x] * b[x, j] of a band of rows at once, summed over x by
+    `FiniteField.sum`; a band holds at most about _MATMUL_TERMS products."""
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch")
-    b_rows = b.tolist()
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for i, a_row in enumerate(a.tolist()):
-        acc = [0] * b.shape[1]
-        for x, b_row in zip(a_row, b_rows):
-            if x == 0:
-                continue
-            for j, y in enumerate(b_row):
-                if y:
-                    acc[j] = field.add_int(acc[j], field.mul_int(x, y))
-        out[i] = acc
+    if not b.size:
+        return out
+    band = max(1, _MATMUL_TERMS // b.size)
+    for start in range(0, len(a), band):
+        terms = field.mul(a[start : start + band, :, None], b)
+        out[start : start + band] = field.sum(np.moveaxis(terms, 1, 0))
     return out
 
 

@@ -6,10 +6,13 @@ check of their linearity.
 single section) and plugs directly into viterbi()/bcjr().
 """
 
+import random
 from dataclasses import dataclass
 
-from .code import Sequence, SkewTrellisCode
-from .trellis import build_trellis, unpack_digits
+import numpy as np
+
+from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode
+from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
 
@@ -28,56 +31,94 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
     """Checks additivity and fixed-subfield homogeneity on random inputs and,
     when theta != id, searches exhaustively for a full-field homogeneity
     violation on short inputs."""
-    import itertools
-    import random
-
     rng = rng or random.Random(0)
     field = code.field
-    q = field.size
-    k = code.k
-
-    def random_u():
-        length = rng.randrange(1, max_len + 1)
-        return [[rng.randrange(q) for _ in range(k)] for _ in range(length)]
-
-    additive_ok = True
-    for _ in range(pairs):
-        u1 = Sequence(field, random_u(), width=k)
-        u2 = Sequence(field, [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))], width=k)
-        lhs = code.encode(u1 + u2, terminate=True)
-        rhs = code.encode(u1, terminate=True) + code.encode(u2, terminate=True)
-        if lhs != rhs:
-            additive_ok = False
-            break
-
+    additive_ok = _first_failure(code, rng, [1] * pairs, max_len) is None
     fixed = field.fixed_subfield()
-    subfield_homogeneous = True
-    for c in fixed:
-        for _ in range(pairs // 5 + 1):
-            u1 = random_u()
-            u2 = [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))]
-            useq = Sequence(field, u1, width=k)
-            u2seq = Sequence(field, u2, width=k)
-            lhs = code.encode(useq.scale(c) + u2seq, terminate=True)
-            rhs = code.encode(useq, terminate=True).scale(c) + code.encode(
-                u2seq, terminate=True
-            )
-            if lhs != rhs:
-                subfield_homogeneous = False
-                break
-        if not subfield_homogeneous:
-            break
-
+    scales = [c for c in fixed for _ in range(pairs // 5 + 1)]
+    subfield_homogeneous = _first_failure(code, rng, scales, max_len) is None
     witness = None
     if field.automorphism_order > 1:
-        for a in range(1, q):
-            if witness:
-                break
-            for blocks in itertools.product(range(q**k), repeat=witness_len):
-                useq = Sequence(field, [unpack_digits(b, q, k) for b in blocks], width=k)
-                lhs = code.encode(useq.scale(a), terminate=True)
-                rhs = code.encode(useq, terminate=True).scale(a)
-                if lhs != rhs:
-                    witness = (a, useq.to_ints(), lhs, rhs)
-                    break
+        witness = _homogeneity_witness(code, witness_len)
     return LinearityReport(fixed, additive_ok, subfield_homogeneous, witness)
+
+
+def _first_failure(code, rng, scales, max_len):
+    """The index of the first pair that fails encode(c u1 + u2) =
+    c encode(u1) + encode(u2), one pair per scale c, or None.
+
+    Each pair draws a length in [1, max_len], then u1's symbols and u2's.
+    All pairs are drawn first and checked at once, zero-padded to max_len
+    blocks: a padded terminated codeword is the unpadded one followed by zero
+    blocks.  The generator is then left as after the draws of the first
+    failing pair, where a check that stops there leaves it.
+    """
+    field = code.field
+    q, k = field.size, code.k
+    drawn, states = [], []
+    for _ in scales:
+        length = rng.randrange(1, max_len + 1)
+        drawn.append([rng.randrange(q) for _ in range(2 * length * k)])
+        states.append(rng.getstate())
+    pairs = np.zeros((2, len(scales), max_len * k), dtype=np.intp)
+    for row, symbols in enumerate(drawn):
+        half = len(symbols) // 2
+        pairs[:, row, :half] = symbols[:half], symbols[half:]
+    u1, u2 = pairs.reshape(2, len(scales), max_len, k)
+    c = np.array(scales, dtype=np.intp)[:, None, None]
+    lhs = code.encode_batch(field.add(field.mul(c, u1), u2), terminate=True)
+    rhs = field.add(
+        field.mul(c, code.encode_batch(u1, terminate=True)), code.encode_batch(u2, terminate=True)
+    )
+    failed = (lhs != rhs).any(axis=(1, 2))
+    if not failed.any():
+        return None
+    first = int(failed.argmax())
+    rng.setstate(states[first])
+    return first
+
+
+def _homogeneity_witness(code, witness_len):
+    """The first scale a = 1, 2, ... and input u of witness_len blocks, in
+    `itertools.product` order over the q^k input blocks, with
+    encode(a u) != a encode(u), as (a, u, encode(a u), a encode(u)); None if
+    there is none.
+
+    The inputs are encoded in chunks of about ENCODE_CHUNK output symbols,
+    so memory does not grow with q^(k * witness_len); with one chunk they are
+    encoded once for all scales.
+    """
+    field = code.field
+    q, k, n = field.size, code.k, code.n
+    words = q ** (k * witness_len)
+    chunk = max(1, ENCODE_CHUNK // ((witness_len + code.memory) * n))
+
+    def inputs(start, stop):
+        # the base-q digits of the word ids, least significant first: the
+        # symbols of the last block, then those of the one before, ...
+        ids = np.arange(start, stop)
+        u = np.empty((len(ids), witness_len, k), dtype=np.intp)
+        for block in range(witness_len - 1, -1, -1):
+            for row in range(k):
+                ids, u[:, block, row] = np.divmod(ids, q)
+        return u
+
+    plain = None
+    for a in range(1, q):
+        for start in range(0, words, chunk):
+            if plain is None or plain[0] != start:
+                u = inputs(start, min(start + chunk, words))
+                plain = start, u, code.encode_batch(u, terminate=True)
+            _, u, v = plain
+            lhs = code.encode_batch(field.mul(a, u), terminate=True)
+            rhs = field.mul(a, v)
+            failed = (lhs != rhs).any(axis=(1, 2))
+            if failed.any():
+                i = int(failed.argmax())
+                return (
+                    a,
+                    [tuple(block) for block in u[i].tolist()],
+                    Sequence._trusted(field, lhs[i].tolist(), n),
+                    Sequence._trusted(field, rhs[i].tolist(), n),
+                )
+    return None

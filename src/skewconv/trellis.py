@@ -24,8 +24,9 @@ Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.  One array pass answers each question.
 The loop DP relaxes every start phase at once, one gather through `pred` and
-one argmin a step, and keeps one survivor index per step, section and state
-for the witness (a byte up to 256 inputs).  The graph questions run on the
+one argmin a step; `free_distance`, which traces a witness loop, keeps one
+survivor index per step, section and state (a byte up to 256 inputs), and
+`active_burst_distance` keeps none.  The graph questions run on the
 successor table of the period-unrolled state graph, those edges removed: the slope by Howard's
 policy iteration, accepted only with the potential of an integer
 Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert, McGettrick
@@ -183,10 +184,9 @@ class Trellis:
         order = order.reshape(len(order), self.num_states, self.num_inputs)
         return np.broadcast_to(order, (self.num_sections, *order.shape[1:]))
 
-    @cached_property
     def _loop_weight(self):
         """weight[s, e] as floats, inf on the weight-0 zero-to-zero edges the
-        loop convention removes."""
+        loop convention removes; made anew for each table that holds it."""
         inputs = self.num_inputs
         weight = self.weight.astype(float)
         removed = (self.next_state[:, :inputs] == 0) & (self.weight[:, :inputs] == 0)
@@ -200,7 +200,7 @@ class Trellis:
         does."""
         pred = self.pred
         flat = pred.reshape(self.num_sections, -1)
-        pred_weight = np.take_along_axis(self._loop_weight, flat, axis=1).reshape(pred.shape)
+        pred_weight = np.take_along_axis(self._loop_weight(), flat, axis=1).reshape(pred.shape)
         return np.broadcast_to(_rows(pred) // self.num_inputs, pred.shape), pred_weight
 
     # -- the period-unrolled state graph: node phase * num_states + state --
@@ -212,7 +212,7 @@ class Trellis:
         whole rows."""
         after = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
         to = (after + self.next_state).reshape(-1, self.num_inputs)
-        w = self._loop_weight.reshape(-1, self.num_inputs)
+        w = self._loop_weight().reshape(-1, self.num_inputs)
         return np.ascontiguousarray(to.T), np.ascontiguousarray(w.T)
 
     def _costs_to(self, targets):
@@ -239,7 +239,7 @@ class Trellis:
 
     # -- distance measures --
 
-    def _loop_dp(self, steps, row_at):
+    def _loop_dp(self, steps, row_at, trace=True):
         """The loop relaxation from the zero state at every start phase at
         once, one section a step, never riding a weight-0 edge from zero
         state to zero state.
@@ -250,7 +250,8 @@ class Trellis:
         state st.  A path whose step-th edge is in section s came into state
         st there by the edge pred[s, st, survivors[step, s, st]].  Of equal
         candidates the lowest (state, input) wins: the first minimum in
-        `pred` order.
+        `pred` order.  Without trace no survivor is kept, and survivors is
+        None.
         """
         from_state, weight = self._pred_paths
         sections, states = self.num_sections, self.num_states
@@ -261,12 +262,16 @@ class Trellis:
         dist[:, 0] = 0
         zero = np.zeros((sections, steps + 1))
         row = dist
-        survivors = np.empty(
-            (steps, sections, states), dtype=np.min_scalar_type(self.num_inputs - 1)
-        )
+        survivors = None
+        if trace:
+            survivors = np.empty(
+                (steps, sections, states), dtype=np.min_scalar_type(self.num_inputs - 1)
+            )
         for step in range(1, steps + 1):
             cand = np.take(dist, src) + weight
-            best = survivors[step - 1] = cand.argmin(axis=2)
+            best = cand.argmin(axis=2)
+            if trace:
+                survivors[step - 1] = best
             dist = np.roll(np.take_along_axis(cand, best[..., None], axis=2)[..., 0], 1, axis=0)
             # by start phase: row start of dist is phase start + step
             zero[:, step] = np.roll(dist[:, 0], -step)
@@ -290,7 +295,7 @@ class Trellis:
         if ell < 1:
             raise ValueError("ell must be >= 1")
         self._check_loop_budget(ell)
-        zero, _, _ = self._loop_dp(ell, ell)
+        zero, _, _ = self._loop_dp(ell, ell, trace=False)
         return _number(zero[:, ell].min())
 
     def free_distance(self, ell_max=None, lmax=0):

@@ -1,17 +1,35 @@
-"""Scalar reference implementations of the decoders' fast paths, kept as test
-oracles for `skewconv.decoder.viterbi_batch` and `skewconv.run_simulation`.
+"""Scalar reference implementations of the decoders' fast paths and of the
+channel, kept as test oracles for `skewconv.decoder.viterbi_batch`,
+`QSChannel.transmit` and `skewconv.run_simulation`.
 
 `viterbi` is the per-edge add-compare-select loop over the trellis edges,
-read one at a time through `Trellis.edge`, and `run_simulation` decodes one
-frame at a time with it.
+read one at a time through `Trellis.edge`; `transmit` sends one symbol at a
+time; and `run_simulation` encodes each frame with the per-symbol reference
+encoder, sends it with `transmit` and decodes it with `viterbi`.
 """
 
 import math
 
+import code_reference
 from skewconv import DecodeResult, Sequence, SimReport, build_trellis
 from skewconv.analysis import _trial_rng
 from skewconv.decoder import QSChannel, _coerce_received
 from trellis_reference import sections
+
+
+def transmit_symbol(channel, symbol, rng):
+    """One symbol over the q-ary symmetric channel: one random(), and on an
+    error one randrange(q - 1) for which of the other q - 1 symbols."""
+    if rng.random() >= channel.eps:
+        return symbol
+    other = rng.randrange(channel.q - 1)
+    return other if other < symbol else other + 1
+
+
+def transmit(channel, seq, rng):
+    """A sequence over the channel one symbol at a time, in block order."""
+    out = [[transmit_symbol(channel, v, rng) for v in block] for block in seq.to_ints()]
+    return Sequence._trusted(seq.field, out, seq.width)
 
 
 def viterbi(trellis, received, terminated=False):
@@ -67,7 +85,8 @@ def viterbi(trellis, received, terminated=False):
 
 
 def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
-    """The simulation loop decoding each frame on its own with `viterbi`."""
+    """The simulation loop, one frame at a time: the reference encoder,
+    `transmit` and `viterbi`."""
     q = code.field.size
     tr = trellis if trellis is not None else build_trellis(code)
     channel = QSChannel(q, eps)
@@ -77,8 +96,8 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(frame_len)]
-        sent = code.encode(u, terminate=True)
-        recv = channel.transmit(sent, rng)
+        sent = code_reference.encode(code, u, terminate=True)
+        recv = transmit(channel, sent, rng)
         sym_in += sum(1 for a, b in zip(sent.flat_values(), recv.flat_values()) if a != b)
         est = viterbi(tr, recv, terminated=True).info_est.to_ints()
         errs = sum(1 for want, got in zip(u, est) for a, b in zip(want, got) if a != b)

@@ -500,3 +500,31 @@ def test_build_memory_is_a_small_multiple_of_the_edge_arrays():
     finished = tr.next_state.nbytes + tr.label.nbytes + tr.weight.nbytes
     # 1.8 x here; int64 edge ids peeled twice per digit take 2.6 x
     assert peak < 2 * finished
+
+
+def test_the_analysis_caches_the_edge_weights_only_in_its_tables():
+    # the loop weights live in `_pred_paths` and `_node_succs`, not beside them
+    for path in SPECS:
+        code = load_code(path)
+        tr = build_trellis(code)
+        analyze_code(code, trellis=tr)
+        assert "_loop_weight" not in vars(tr), path.stem
+        assert "_pred_paths" in vars(tr) and "_node_succs" in vars(tr), path.stem
+
+
+def test_active_burst_distance_keeps_no_survivors():
+    tr = build_trellis(load_code(SUITE / "gf9_31_m3.json"))
+    ell = 3000
+    want = tr.free_distance(ell_max=ell, lmax=ell).burst[ell - 1]
+    tr.active_burst_distance(2)  # the cached tables
+    tracemalloc.start()
+    try:
+        got = tr.active_burst_distance(ell)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # a survivor table here is ell x 2 sections x 729 states, 4,374,000
+    # bytes; a step's own temporaries are about 0.5 MB whatever ell is
+    survivors = ell * tr.num_sections * tr.num_states
+    assert peak < survivors // 4

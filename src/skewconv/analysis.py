@@ -7,20 +7,23 @@ from dataclasses import dataclass
 import numpy as np
 
 # re-exported: `skewconv.analysis.viterbi` stays importable
-from .decoder import (  # noqa: F401
+from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
+from .trellis import (
     SURVIVOR_BUDGET,
-    QSChannel,
+    build_trellis,
     check_survivor_budget,
-    viterbi,
-    viterbi_batch,
+    is_catastrophic,
+    unit_memory_bounds,
 )
-from .trellis import build_trellis, is_catastrophic, unit_memory_bounds
 
 __all__ = ["analyze_code", "SimReport", "run_simulation"]
 
 # Edges (frames x states x inputs) one Viterbi step of run_simulation covers
 # at most: enough frames to spread numpy's per-call cost, few enough that a
-# step's temporaries (one float per edge) stay under 1 MiB.
+# step's temporaries stay within about 1 MiB: the `acs` candidates (a float64
+# an edge, 512 KiB), the branch metric (a byte an edge up to 255 output
+# symbols, a float64 in the tail) and a byte an edge and output symbol for
+# the label compares.
 BATCH_EDGES = 1 << 16
 
 

@@ -7,12 +7,12 @@ on one sequence, and `run_simulation` applies a whole batch's draws at once.
 
 viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when
-eps < (Q-1)/Q), as array steps over the trellis edge tables; viterbi() is the
-same decoder on one frame.  bcjr() runs the exact forward-backward recursion,
-one edge at a time over the same edge arrays read as Python lists, and
-returns per-time posteriors of the information blocks.  Both walk the
-trellis phase-aware: time t uses section t mod num_sections, so periodic
-time-varying codes decode correctly.
+eps < (Q-1)/Q): one `trellis.acs` step a section over every frame, then one
+`Trellis.traceback`; viterbi() is the same decoder on one frame.  bcjr() runs
+the exact forward-backward recursion, one edge at a time over the same edge
+arrays read as Python lists, and returns per-time posteriors of the
+information blocks.  Both walk the trellis phase-aware: time t uses section
+t mod num_sections, so periodic time-varying codes decode correctly.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import Sequence
+from .trellis import SURVIVOR_BUDGET, _check_edge_budget, acs, check_survivor_budget
 
 __all__ = [
     "QSChannel",
@@ -30,11 +31,6 @@ __all__ = [
     "viterbi_batch",
     "bcjr",
 ]
-
-SURVIVOR_BUDGET = 1 << 24
-"""The most survivor-table entries (frames x received blocks x states) one
-Viterbi call may hold: 16 MiB at one byte an entry, which serves up to 256
-inputs per state.  A larger call raises ValueError before allocating it."""
 
 
 class QSChannel:
@@ -77,8 +73,7 @@ class QSChannel:
     def apply_errors(sent, errors, offsets):
         """The received symbols: offset o replaces the sent symbol s by
         o + (o >= s), one of the other q - 1 symbols, where errors is set."""
-        sent = np.asarray(sent)
-        offsets = np.asarray(offsets)
+        sent, offsets = np.asarray(sent), np.asarray(offsets)
         return np.where(errors, offsets + (offsets >= sent), sent)
 
     def transmit(self, seq, rng):
@@ -107,37 +102,31 @@ def _coerce_received(trellis, received):
     return Sequence(trellis.field, received, width=trellis.n).to_ints()
 
 
-def check_survivor_budget(frames, blocks, num_states):
-    """Raise ValueError if a Viterbi call on `frames` frames of `blocks`
-    blocks would hold more than SURVIVOR_BUDGET survivor entries."""
-    entries = frames * blocks * num_states
-    if entries > SURVIVOR_BUDGET:
-        raise ValueError(
-            f"Viterbi on {frames} frame(s) of {blocks} blocks x {num_states} states needs "
-            f"{entries} survivor entries, over the budget of {SURVIVOR_BUDGET}"
-        )
-
-
 def viterbi_batch(trellis, received, terminated=False):
     """ML decoding of a batch of equal-length frames by minimum Hamming
     distance: Forney's add-compare-select, one section at a time over every
     frame and state at once.
 
-    received is an integer array of shape (frames, blocks, n).  Returns
+    received is an integer array of shape (frames, blocks, n); an array of
+    any other dtype, float or bool, raises ValueError.  Returns
     (info, metrics): info[f] is the estimated information sequence of frame
     f, an integer array of shape (blocks - tail, k), and metrics[f] its
-    Hamming distance to the received frame, a Python int.  Each step gathers
-    the metric of every edge entering a state through `trellis.pred` and
-    keeps the first minimum, so of equal candidates the lowest predecessor
-    state, then the lowest input index wins.  With terminated=True the last
-    `memory` steps admit only zero inputs and the tail is dropped from the
-    estimate.  The survivor table holds one entry per frame, block and
+    Hamming distance to the received frame, a Python int.  Each step is one
+    `trellis.acs` over the frames: it gathers the metric of every edge
+    entering a state through `trellis.pred`, adds the edge's Hamming
+    distance to the received block and keeps the first minimum, so of equal
+    candidates the lowest predecessor state, then the lowest input index
+    wins; `Trellis.traceback` walks the survivors back.  With
+    terminated=True the last `memory` steps admit only zero inputs and the
+    tail is dropped from the estimate.  The survivor table holds one entry per frame, block and
     state; a batch over SURVIVOR_BUDGET raises ValueError before any table
     is built.
     """
     received = np.asarray(received)
     if received.ndim != 3 or received.shape[2] != trellis.n:
         raise ValueError(f"received must have shape (frames, blocks, {trellis.n})")
+    if not np.issubdtype(received.dtype, np.integer):
+        raise ValueError(f"received must be an integer array, not {received.dtype}")
     frames, total, _ = received.shape
     tail = trellis.memory if terminated else 0
     if total <= tail and terminated:
@@ -154,37 +143,26 @@ def viterbi_batch(trellis, received, terminated=False):
         np.moveaxis(trellis.label[np.arange(trellis.num_sections)[:, None, None], pred], -1, 1)
     )
     zero_input_only = np.where(pred % num_inputs == 0, 0.0, np.inf)
+    no_mismatch = np.zeros((), dtype=np.min_scalar_type(trellis.n))  # counts stay narrow
 
     metrics = np.full((frames, num_states), np.inf)
     metrics[:, 0] = 0
     survivors = np.empty((total, frames, num_states), dtype=np.min_scalar_type(num_inputs - 1))
     for t in range(total):
         s = t % trellis.num_sections
-        cand = metrics[:, from_state[s]]
-        for j in range(trellis.n):
-            cand += labels[s, j] != received[:, t, j, None, None]
+        mismatches = (labels[s, j] != received[:, t, j, None, None] for j in range(trellis.n))
+        branch = sum(mismatches, no_mismatch)
         if t >= total - tail:
-            cand += zero_input_only[s]
-        survivors[t] = cand.argmin(axis=-1)
-        metrics = cand.min(axis=-1)
+            branch = branch + zero_input_only[s]
+        metrics, survivors[t] = acs(metrics, from_state[s], branch)
 
-    if terminated:
-        if np.isinf(metrics[:, 0]).any():
-            raise ValueError("no terminated path reaches the zero state")
-        state = np.zeros(frames, dtype=np.intp)
-    else:
-        state = metrics.argmin(axis=1)
-    rows = np.arange(frames)
-    final = metrics[rows, state].astype(np.int64).tolist()
-
-    inputs = np.empty((frames, total - tail), dtype=np.intp)
-    for t in range(total - 1, -1, -1):
-        edge = pred[t % trellis.num_sections, state, survivors[t, rows, state]]
-        if t < total - tail:
-            inputs[:, t] = edge % num_inputs
-        state = edge // num_inputs
+    state = np.zeros(frames, dtype=np.intp) if terminated else metrics.argmin(axis=1)
+    final = metrics[np.arange(frames), state]
+    if np.isinf(final).any():
+        raise ValueError("no terminated path reaches the zero state")
+    inputs = trellis.traceback(survivors, state)[: total - tail].T % num_inputs
     info = inputs[..., None] // trellis.q ** np.arange(trellis.k) % trellis.q
-    return info, final
+    return info, final.astype(np.int64).tolist()
 
 
 def viterbi(trellis, received, terminated=False):
@@ -220,12 +198,9 @@ def bcjr(trellis, received, channel, terminated=False):
         raise ValueError(f"received length {total} too short for a terminated frame")
 
     # one trellis section a block: refused where a DOT export of as many
-    # sections would be (the module-level import would be circular)
-    from .trellis import _check_edge_budget
-
+    # sections would be
     _check_edge_budget(total, q, trellis.external_degree, trellis.k)
-    num_states = trellis.num_states
-    num_inputs = trellis.num_inputs
+    num_states, num_inputs = trellis.num_states, trellis.num_inputs
     # next_state[s][st][idx], labels[s][st][idx]: the edge arrays as lists
     shape = (trellis.num_sections, num_states, num_inputs)
     next_state = trellis.next_state.reshape(shape).tolist()
@@ -263,47 +238,35 @@ def bcjr(trellis, received, channel, terminated=False):
             raise ValueError(f"received block {t} has zero likelihood under the trellis")
         alpha[t + 1] /= norm
 
+    # the backward pass also sums the posteriors, alpha[t] x gamma x beta[t + 1]
     beta = np.zeros((total + 1, num_states))
     if terminated:
         beta[total, 0] = 1.0
     else:
         beta[total, :] = 1.0 / num_states
+    info_len = total - tail
+    posteriors = np.empty((info_len, num_inputs))
     for t in range(total - 1, -1, -1):
         to = next_state[t % trellis.num_sections]
         g = gammas[t]
+        post = np.zeros(num_inputs)
         for st in range(num_states):
             edges = to[st]
+            av = alpha[t, st]
             acc = 0.0
             for idx in range(num_inputs):
                 w = g[st, idx]
                 if w:
-                    acc += w * beta[t + 1, edges[idx]]
+                    b = beta[t + 1, edges[idx]]
+                    acc += w * b
+                    post[idx] += av * w * b
             beta[t, st] = acc
         norm = beta[t].sum()
         if norm == 0.0:
             raise ValueError(f"received block {t} has zero likelihood under the trellis")
         beta[t] /= norm
+        if t < info_len:
+            posteriors[t] = post / post.sum()
 
-    info_len = total - tail
-    posteriors = np.empty((info_len, num_inputs))
-    hard = []
-    for t in range(info_len):
-        to = next_state[t % trellis.num_sections]
-        g = gammas[t]
-        post = np.zeros(num_inputs)
-        for st in range(num_states):
-            av = alpha[t, st]
-            if av == 0.0:
-                continue
-            edges = to[st]
-            for idx in range(num_inputs):
-                w = g[st, idx]
-                if w:
-                    post[idx] += av * w * beta[t + 1, edges[idx]]
-        post /= post.sum()
-        posteriors[t] = post
-        hard.append(trellis.input_block(int(post.argmax())))
-
-    return DecodeResult(
-        Sequence(trellis.field, hard, width=trellis.k), None, posteriors
-    )
+    hard = [trellis.input_block(int(post.argmax())) for post in posteriors]
+    return DecodeResult(Sequence(trellis.field, hard, width=trellis.k), None, posteriors)

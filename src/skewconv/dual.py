@@ -11,6 +11,8 @@ coefficients (theta twists the unknowns, so it is not linear over the full
 field).  The solver works row by row on that digit system.
 """
 
+import random
+
 import numpy as np
 
 from .linalg import f_matmul, f_rank, nullspace_mod_p
@@ -219,8 +221,6 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     terminated codewords have zero syndrome on a finite window, and random
     dual-window codewords are orthogonal to random codewords under the plain
     scalar product."""
-    import random
-
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field

@@ -23,16 +23,18 @@ DOT export over the same number of edges.
 Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.  One array pass answers each question.
-The loop DP relaxes every start phase at once, one gather through `pred` and
-one argmin a step; `free_distance`, which traces a witness loop, keeps one
-survivor index per step, section and state (a byte up to 256 inputs), and
-`active_burst_distance` keeps none.  The graph questions run on the
-successor table of the period-unrolled state graph, those edges removed: the slope by Howard's
-policy iteration, accepted only with the potential of an integer
-Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert, McGettrick
-and Quadrat, IFAC 1998; Karp's recurrence is its test oracle), Bellman-Ford
-costs to the zero-state nodes and to the zero-weight core, and the core by
-peeling.
+The loop DP and Viterbi share one add-compare-select kernel, `acs`, over a
+batch of start phases or frames, and one `Trellis.traceback`.  The loop DP
+relaxes every start phase at once, one `acs` step a section on distance
+rows indexed by start phase; `free_distance`, which traces a witness loop,
+keeps one survivor index per step, start phase and state (a byte up to 256
+inputs), and `active_burst_distance` keeps none.  The graph questions run
+on the successor table of the period-unrolled state graph, those edges
+removed: the slope by Howard's policy iteration, accepted only with the
+potential of an integer Bellman-Ford that certifies it (Cochet-Terrasson,
+Cohen, Gaubert, McGettrick and Quadrat, IFAC 1998; Karp's recurrence is its
+test oracle), costs to the zero-state nodes and to the zero-weight core by
+the same `_bellman_ford` in floats, and the core by peeling.
 """
 
 import math
@@ -43,8 +45,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .decoder import SURVIVOR_BUDGET
-
 __all__ = [
     "Trellis",
     "TrellisEdge",
@@ -53,7 +53,10 @@ __all__ = [
     "CatastrophicityResult",
     "UnitMemoryBounds",
     "EDGE_BUDGET",
+    "SURVIVOR_BUDGET",
+    "acs",
     "build_trellis",
+    "check_survivor_budget",
     "is_catastrophic",
     "unpack_digits",
     "unit_memory_bounds",
@@ -64,6 +67,11 @@ EDGE_BUDGET = 2**22
 """The most edges (sections x states x inputs) `build_trellis` builds and
 `export_dot` writes.  Within it the finished edge arrays take at most 64 MiB,
 plus 4 MiB per output symbol and byte of the label dtype."""
+
+SURVIVOR_BUDGET = 1 << 24
+"""The most survivor-table entries (frames x received blocks x states) one
+Viterbi call may hold: 16 MiB at one byte an entry, which serves up to 256
+inputs per state.  A larger call raises ValueError before allocating it."""
 
 
 class TrellisEdge(NamedTuple):
@@ -210,23 +218,17 @@ class Trellis:
         """(to, w)[i, node]: input i leads from node to node to[i, node] by an
         edge of weight w[i, node].  Contiguous copies: the relaxations gather
         whole rows."""
-        after = np.roll(np.arange(self.num_sections) * self.num_states, -1)[:, None]
+        after = ((np.arange(self.num_sections) + 1) % self.num_sections * self.num_states)[:, None]
         to = (after + self.next_state).reshape(-1, self.num_inputs)
         w = self._loop_weight().reshape(-1, self.num_inputs)
         return np.ascontiguousarray(to.T), np.ascontiguousarray(w.T)
 
     def _costs_to(self, targets):
-        """Bellman-Ford to a fixpoint along `_node_succs` from cost 0 at the
-        nodes of the mask `targets`: the cheapest weight from each node to
-        one of them.  The weights are nonnegative integers, so a shortest
-        path settles within `nodes` rounds."""
-        to, w = self._node_succs
-        dist = np.where(targets, 0.0, np.inf)
-        while True:
-            relaxed = np.minimum(dist, (dist[to] + w).min(axis=0))
-            if (relaxed == dist).all():
-                return dist
-            dist = relaxed
+        """`_bellman_ford` along `_node_succs` from cost 0 at the nodes of
+        the mask `targets`: the cheapest weight from each node to one of
+        them.  The weights are nonnegative integers, so it settles within
+        `nodes` rounds."""
+        return _bellman_ford(*self._node_succs, np.where(targets, 0.0, np.inf))
 
     @cached_property
     def _zero_cycle_core(self):
@@ -242,59 +244,57 @@ class Trellis:
     def _loop_dp(self, steps, row_at, trace=True):
         """The loop relaxation from the zero state at every start phase at
         once, one section a step, never riding a weight-0 edge from zero
-        state to zero state.
+        state to zero state: one `acs` step a section, over a batch of one
+        distance row per start phase.
 
         Returns (zero, row, survivors).  zero[start, length] is the lightest
         weight of a length-edge loop from phase `start`, length = 0..steps,
         and row[start, st] the lightest weight of a path of row_at edges to
-        state st.  A path whose step-th edge is in section s came into state
-        st there by the edge pred[s, st, survivors[step, s, st]].  Of equal
-        candidates the lowest (state, input) wins: the first minimum in
-        `pred` order.  Without trace no survivor is kept, and survivors is
-        None.
+        state st.  The path from phase `start` whose step-th edge is in
+        section s came into state st there by the edge
+        pred[s, st, survivors[step, start, st]].  Of equal candidates the
+        lowest (state, input) wins: the first minimum in `pred` order.
+        Without trace no survivor is kept, and survivors is None.  A scan
+        that would keep more than SURVIVOR_BUDGET survivor entries per start
+        phase, steps x states, raises ValueError before any work.
         """
-        from_state, weight = self._pred_paths
         sections, states = self.num_sections, self.num_states
-        # dist[s, st]: the lightest path to state st at phase s, from the
-        # start phase `step` sections back; the edges of section s leave it
-        src = np.arange(sections)[:, None, None] * states + from_state
+        if steps * states > SURVIVOR_BUDGET:
+            raise ValueError(
+                f"a loop scan of {steps} sections x {states} states exceeds the "
+                f"budget of {SURVIVOR_BUDGET} survivor entries"
+            )
+        # dist[start, st]: the lightest path from phase `start` to state st.
+        # Its step-th edge is in section (start + step - 1) % sections, row
+        # `start` of the doubled tables from o = (step - 1) % sections; src
+        # serves every step when the sections share one row.
+        from_state, weight = (np.concatenate([t, t]) for t in self._pred_paths)
+        per_section = len(_rows(self.pred)) > 1
+        offsets = np.arange(sections)[:, None, None] * states
+        src = offsets + from_state[:sections]
         dist = np.full((sections, states), np.inf)
         dist[:, 0] = 0
         zero = np.zeros((sections, steps + 1))
         row = dist
-        survivors = None
-        if trace:
-            survivors = np.empty(
-                (steps, sections, states), dtype=np.min_scalar_type(self.num_inputs - 1)
-            )
+        dtype = np.min_scalar_type(self.num_inputs - 1)
+        survivors = np.empty((steps, sections, states), dtype=dtype) if trace else None
         for step in range(1, steps + 1):
-            cand = np.take(dist, src) + weight
-            best = cand.argmin(axis=2)
+            o = (step - 1) % sections
+            if per_section:
+                src = offsets + from_state[o : o + sections]
+            dist, best = acs(dist, src, weight[o : o + sections])
             if trace:
                 survivors[step - 1] = best
-            dist = np.roll(np.take_along_axis(cand, best[..., None], axis=2)[..., 0], 1, axis=0)
-            # by start phase: row start of dist is phase start + step
-            zero[:, step] = np.roll(dist[:, 0], -step)
+            zero[:, step] = dist[:, 0]
             if step == row_at:
-                row = np.roll(dist, -step, axis=0)
+                row = dist
         return zero, row, survivors
-
-    def _check_loop_budget(self, steps):
-        """Raise ValueError if a loop DP of `steps` sections would hold more
-        than SURVIVOR_BUDGET survivor entries per section, one per step and
-        state."""
-        if steps * self.num_states > SURVIVOR_BUDGET:
-            raise ValueError(
-                f"a loop scan of {steps} sections x {self.num_states} states exceeds the "
-                f"budget of {SURVIVOR_BUDGET} parent entries"
-            )
 
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
         math.inf if no ell-loop exists."""
         if ell < 1:
             raise ValueError("ell must be >= 1")
-        self._check_loop_budget(ell)
         zero, _, _ = self._loop_dp(ell, ell, trace=False)
         return _number(zero[:, ell].min())
 
@@ -312,7 +312,6 @@ class Trellis:
             ell_max = 8 * (self.external_degree + 1) * self.num_sections
         if ell_max < 1 or lmax < 0:
             raise ValueError("ell_max must be >= 1 and lmax >= 0")
-        self._check_loop_budget(max(ell_max, lmax))
         zero, row, survivors = self._loop_dp(max(ell_max, lmax), ell_max)
         burst = [_number(d) for d in zero[:, 1 : lmax + 1].min(axis=0)]
         # the first lightest loop in (start, length) order
@@ -321,8 +320,7 @@ class Trellis:
         best = _number(loops[start, length])
         length += 1
 
-        to_zero = np.zeros(self.num_sections * self.num_states, dtype=bool)
-        to_zero[:: self.num_states] = True
+        to_zero = np.arange(self.num_sections * self.num_states) % self.num_states == 0
         ret = self._costs_to(to_zero).reshape(self.num_sections, -1)
         end_phase = (np.arange(self.num_sections) + ell_max) % self.num_sections
         frontier_bound = float((row + ret[end_phase]).min())
@@ -346,15 +344,23 @@ class Trellis:
     def _trace_loop(self, start, length, survivors):
         """The steps of the loop of `length` edges from phase `start` that
         `_loop_dp` kept, traced back from the zero state."""
-        steps = []
-        state = 0
-        for step in range(length - 1, -1, -1):
-            section = (start + step) % self.num_sections
-            edge = int(self.pred[section, state, survivors[step, section, state]])
-            state, idx = divmod(edge, self.num_inputs)
-            steps.append(self._path_step(section * self.num_states + state, idx))
-        steps.reverse()
-        return steps
+        edges = self.traceback(survivors[:length, start, None], np.zeros(1, dtype=np.intp), start)
+        return [
+            self._path_step((start + t) % self.num_sections, *divmod(edge, self.num_inputs))
+            for t, edge in enumerate(edges[:, 0].tolist())
+        ]
+
+    def traceback(self, survivors, state, first=0):
+        """edges[t, b]: the edge of section (first + t) % num_sections by
+        which path b came into its state at step t, traced back through
+        `pred` and `survivors` (as `acs` keeps them) from state[b] after the
+        last of len(survivors) steps."""
+        rows = np.arange(len(state))
+        edges = np.empty((len(survivors), len(state)), dtype=np.intp)
+        for t in range(len(survivors) - 1, -1, -1):
+            edges[t] = self.pred[(first + t) % self.num_sections, state, survivors[t, rows, state]]
+            state = edges[t] // self.num_inputs
+        return edges
 
     def slope(self):
         """Minimum mean edge weight over directed cycles of the unrolled state
@@ -387,14 +393,26 @@ class Trellis:
         while node not in seen:
             seen[node] = len(steps)
             idx = int(((w[:, node] == 0) & core[to[:, node]]).argmax())
-            steps.append(self._path_step(node, idx))
+            steps.append(self._path_step(*divmod(node, self.num_states), idx))
             node = int(to[idx, node])
         return steps[seen[node] :]
 
-    def _path_step(self, node, input_idx):
-        phase, state = divmod(node, self.num_states)
+    def _path_step(self, phase, state, input_idx):
         e = self.edge(phase, state, input_idx)
         return PathStep(phase, state, self.input_block(input_idx), e.label, e.to_state)
+
+
+def acs(dist, src, branch):
+    """One add-compare-select step over a batch of rows b of dist[b, st]
+    (frames, or start phases): edge j into state st of row b leaves state
+    src[st, j] of the row, or entry src[b, st, j] of dist.flat, at cost
+    branch[b, st, j].  Returns the new dist and best[b, st], the j kept: the
+    first minimum, so the lowest j of equal candidates, 0 if all are inf."""
+    cand = dist[:, src] if src.ndim == 2 else dist.take(src)
+    cand += branch
+    best = cand.argmin(axis=-1)
+    starts = np.arange(0, cand.size, cand.shape[-1]).reshape(best.shape)
+    return cand.take(starts + best), best
 
 
 def _rows(table):
@@ -529,25 +547,32 @@ def _policy_cycles(f, wf):
     return root, total, length, path_w, path_len
 
 
+def _bellman_ford(to, w, dist):
+    """Pull Bellman-Ford: rounds of dist[v] = min(dist[v], w[i, v] +
+    dist[to[i, v]]) over the m = w.shape[1] nodes (entries of dist past m
+    stay fixed) to the fixpoint, or None if it does not settle within m
+    rounds, as it does unless a cycle has negative weight."""
+    m = w.shape[1]
+    for _ in range(m):
+        relaxed = np.minimum(dist[:m], (dist[to] + w).min(axis=0))
+        if (relaxed == dist[:m]).all():
+            return dist[:m]
+        dist[:m] = relaxed
+    return None
+
+
 def _potential(to, w, num, den):
-    """Integer Bellman-Ford on the weights w * den - num from 0 at every node,
-    pulling along the successor table: the fixpoint potential p, with
-    p[v] <= w[i, v] * den - num + p[to[i, v]] on every finite edge, or None
-    if it does not settle within `nodes` rounds, which happens iff some
-    cycle has mean below num / den.  Missing edges lead to an extra node
-    held at 0, which no potential (all <= 0) can improve on."""
+    """Integer `_bellman_ford` on the weights w * den - num from 0 at every
+    node: the fixpoint potential p, with p[v] <= w[i, v] * den - num +
+    p[to[i, v]] on every finite edge, or None if it does not settle within
+    `nodes` rounds, which happens iff some cycle has mean below num / den.
+    Missing edges lead to an extra node held at 0, which no potential
+    (all <= 0) can improve on."""
     m = w.shape[1]
     finite = np.isfinite(w)
-    to = np.where(finite, to, m)
     reduced = np.where(finite, w, 0).astype(np.int64) * den - num
     reduced[~finite] = 0
-    p = np.zeros(m + 1, dtype=np.int64)
-    for _ in range(m):
-        relaxed = np.minimum(p[:m], (p[to] + reduced).min(axis=0))
-        if (relaxed == p[:m]).all():
-            return p[:m]
-        p[:m] = relaxed
-    return None
+    return _bellman_ford(np.where(finite, to, m), reduced, np.zeros(m + 1, dtype=np.int64))
 
 
 def _check_edge_budget(sections, q, nu, k):
@@ -557,6 +582,17 @@ def _check_edge_budget(sections, q, nu, k):
         raise ValueError(
             f"{sections} section(s) x {q}^{nu} states x {q}^{k} inputs exceed the "
             f"budget of {EDGE_BUDGET} trellis edges"
+        )
+
+
+def check_survivor_budget(frames, blocks, num_states):
+    """Raise ValueError if a Viterbi call on `frames` frames of `blocks`
+    blocks would hold more than SURVIVOR_BUDGET survivor entries."""
+    entries = frames * blocks * num_states
+    if entries > SURVIVOR_BUDGET:
+        raise ValueError(
+            f"Viterbi on {frames} frame(s) of {blocks} blocks x {num_states} states needs "
+            f"{entries} survivor entries, over the budget of {SURVIVOR_BUDGET}"
         )
 
 

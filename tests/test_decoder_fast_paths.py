@@ -178,6 +178,16 @@ def test_viterbi_batch_validates_its_input():
         viterbi_batch(tr, np.zeros((2, 1, 2), dtype=int), terminated=True)
 
 
+@pytest.mark.parametrize(
+    "received",
+    [np.full((1, 3, 2), 0.5), np.full((1, 3, 2), 1.9), np.zeros((1, 3, 2), dtype=bool)],
+    ids=["float-0.5", "float-1.9", "bool"],
+)
+def test_viterbi_batch_refuses_a_non_integer_array(received):
+    with pytest.raises(ValueError, match="integer"):
+        viterbi_batch(TRELLISES["worked"], received)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
 @pytest.mark.parametrize("name", ["worked", "gf2-right", "gf4-k2-left", "gf9-right", "gf16-left"])
 def test_run_simulation_matches_the_per_frame_loop(name, eps, monkeypatch):

@@ -93,13 +93,19 @@ GRAPH_CODES = CODES + [
 ]
 
 
-def gf2_trellis(section):
-    """A one-section GF(2) trellis of rate 1/2 from per-state (to_state,
-    weight) pairs, one per input; weight w gets the label of w ones."""
+def gf2_trellis(*sections):
+    """A GF(2) trellis of rate 1/2, one section per argument, from
+    per-state (to_state, weight) pairs, one per input; weight w gets the
+    label of w ones."""
     labels = {0: (0, 0), 1: (1, 0), 2: (1, 1)}
-    next_state = np.array([[to for edges in section for to, _ in edges]], dtype=np.intp)
-    label = np.array([[labels[w] for edges in section for _, w in edges]], dtype=np.uint8)
-    return Trellis(GF2, 1, 2, [len(section).bit_length() - 1], next_state, label)
+    next_state = np.array(
+        [[to for edges in section for to, _ in edges] for section in sections], dtype=np.intp
+    )
+    label = np.array(
+        [[labels[w] for edges in section for _, w in edges] for section in sections],
+        dtype=np.uint8,
+    )
+    return Trellis(GF2, 1, 2, [len(sections[0]).bit_length() - 1], next_state, label)
 
 
 HAND_BUILT = [
@@ -113,10 +119,32 @@ HAND_BUILT = [
 ]
 
 
+# the multi-section codes again, built by the scalar reference with a row
+# per section: a built trellis shares one `next_state` row, so only these
+# take the loop DP's per-section gather.  A code's shift is the same at
+# every phase, so the last one, whose two sections shift differently, is the
+# one that tells the sections apart there.
+PER_SECTION = [
+    (f"{name}-per-section", reference.build_trellis(code))
+    for name, code in GRAPH_CODES
+    if code.period > 1
+] + [
+    (
+        "hand-built-two-shifts",
+        gf2_trellis(
+            [[(0, 0), (1, 2)], [(2, 1), (3, 1)], [(0, 1), (1, 0)], [(2, 2), (3, 1)]],
+            [[(2, 1), (3, 2)], [(0, 2), (1, 1)], [(2, 0), (3, 1)], [(0, 1), (1, 2)]],
+        ),
+    )
+]
+
+
 @pytest.fixture(
     scope="module",
-    params=[code for _, code in GRAPH_CODES] + HAND_BUILT,
-    ids=[name for name, _ in GRAPH_CODES] + ["hand-built-two-parts", "hand-built-zero-loop"],
+    params=[code for _, code in GRAPH_CODES] + HAND_BUILT + [tr for _, tr in PER_SECTION],
+    ids=[name for name, _ in GRAPH_CODES]
+    + ["hand-built-two-parts", "hand-built-zero-loop"]
+    + [name for name, _ in PER_SECTION],
 )
 def trellis(request):
     param = request.param
@@ -142,6 +170,20 @@ def test_the_code_set_covers_the_cases():
     assert any(code.k == 2 and len(set(code.row_degrees)) > 1 for code in codes.values())
     catastrophic = build_trellis(codes["catastrophic"])
     assert is_catastrophic(catastrophic).catastrophic and catastrophic.slope() == 0
+
+
+def test_the_per_section_trellises_keep_a_row_per_section():
+    assert len(PER_SECTION) >= 10
+    for name, tr in PER_SECTION:
+        assert tr.num_sections > 1, name
+        for table in (tr.next_state, tr.pred, tr._pred_paths[0]):
+            assert table.strides[0] != 0, name
+        if name.endswith("-per-section"):
+            built = build_trellis(dict(GRAPH_CODES)[name.removesuffix("-per-section")])
+            assert np.array_equal(tr.pred, built.pred), name
+            assert np.array_equal(tr.label, built.label), name
+    two_shifts = dict(PER_SECTION)["hand-built-two-shifts"]
+    assert not np.array_equal(two_shifts.pred[0], two_shifts.pred[1])
 
 
 def test_edge_arrays_are_built_on_first_use():
@@ -180,8 +222,45 @@ def test_loop_dp_matches_reference(trellis):
             s = (start + length - 1) % trellis.num_sections
             for st, parent in enumerate(parents[length - 1]):
                 if parent is not None:
-                    edge = trellis.pred[s, st, survivors[length - 1, s, st]]
+                    edge = trellis.pred[s, st, survivors[length - 1, start, st]]
                     assert divmod(int(edge), trellis.num_inputs) == parent, (start, length, st)
+
+
+def test_acs_keeps_the_first_minimum():
+    # state 0 is entered from states 1, 0, 1 at costs 3, 1, 1; state 1 from
+    # states 0, 0, 1 at equal cost
+    dist = np.array([[0.0, 0.0]])
+    src = np.array([[1, 0, 1], [0, 0, 1]])
+    branch = np.array([[[3, 1, 1], [2, 2, 2]]])
+    got, best = trellis_module.acs(dist, src, branch)
+    assert got.tolist() == [[1.0, 2.0]] and best.tolist() == [[1, 0]]
+    assert dist.tolist() == [[0.0, 0.0]]
+
+
+def test_acs_keeps_the_first_edge_where_every_candidate_is_inf():
+    dist = np.array([[np.inf, 0.0], [np.inf, np.inf]])
+    src = np.array([[0, 0], [1, 0]])
+    branch = np.array([[[0, np.inf], [np.inf, 1]]])
+    got, best = trellis_module.acs(dist, src, branch)
+    assert np.isinf(got).all() and best.tolist() == [[0, 0], [0, 0]]
+
+
+def test_acs_on_a_batch_matches_per_row_indices_and_a_scalar_scan():
+    rng = np.random.default_rng(11)
+    frames, states, inputs = 7, 9, 4
+    dist = rng.integers(0, 5, (frames, states)).astype(float)
+    dist[rng.random(dist.shape) < 0.2] = np.inf
+    from_state = rng.integers(0, states, (states, inputs))
+    branch = rng.integers(0, 3, (frames, states, inputs))
+    shared = trellis_module.acs(dist, from_state, branch)
+    flat = np.arange(frames)[:, None, None] * states + from_state
+    per_row = trellis_module.acs(dist, flat, branch)
+    assert np.array_equal(per_row[0], shared[0]) and np.array_equal(per_row[1], shared[1])
+    for b in range(frames):
+        for st in range(states):
+            cand = [dist[b, from_state[st, j]] + branch[b, st, j] for j in range(inputs)]
+            assert shared[0][b, st] == min(cand)
+            assert shared[1][b, st] == cand.index(min(cand))
 
 
 def test_slope_matches_reference(trellis):

@@ -24,12 +24,17 @@ from .field import FieldElement, _read_only
 from .linalg import f_rank
 from .skewpoly import SkewPoly, SkewPolyMatrix
 
-__all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "ENCODE_CHUNK"]
+__all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "ENCODE_CHUNK", "RANK_WINDOW_BUDGET"]
 
 ENCODE_CHUNK = 1 << 16
 """About the most products (frames x blocks x (memory + 1) x k x n) that
 `encode_batch` forms at once: a longer input is encoded in time chunks that
 overlap by `memory` input blocks."""
+
+RANK_WINDOW_BUDGET = 1 << 18
+"""The most entries, rows x columns, of the scalar window whose rank the
+validation of a generator with rank(G_0) < k eliminates; a larger window is
+refused before it is built."""
 
 
 class Sequence:
@@ -148,10 +153,6 @@ class Sequence:
         ) + "]"
 
 
-def _twist_matrix(field, mat, power):
-    return [[field.frobenius_int(v, power) for v in row] for row in mat]
-
-
 class SkewConvCode:
     """[n, k] skew convolutional code with polynomial generator matrix G(D).
 
@@ -180,33 +181,43 @@ class SkewConvCode:
         self.memory = int(max(generator.degree, 0))
         self.row_degrees = generator.row_degrees()
         self.external_degree = sum(self.row_degrees)
-        # coefficient matrices G_0..G_mu as integer tables
-        self._coeff = [generator.coefficient_values(i) for i in range(self.memory + 1)]
-        twist_period = self._compute_period()
+        # G_0 .. G_mu as one read-only integer array, indexed [i, row, col]
+        self.coefficients = _read_only(
+            np.array([generator.coefficient_values(i) for i in range(self.memory + 1)], dtype=np.intp)
+        )
+        # twisted[j, i] = theta^j(G_i) over one order of theta; the least j
+        # that fixes G(D), a divisor of the order, is the twist period
+        order = self.field.automorphism_order
+        twisted = self.field.frobenius(self.coefficients, np.arange(order)[:, None, None, None])
+        twist_period = next(
+            j for j in range(1, order + 1)
+            if order % j == 0 and np.array_equal(twisted[j % order], self.coefficients)
+        )
         if validate:
             self._check_full_rank(twist_period)
-        self.phase_coefficients = self._coefficient_tables(twist_period)
+        self.phase_coefficients = self._coefficient_tables(twisted, twist_period)
         self.period = len(self.phase_coefficients)
 
-    def _coefficient_tables(self, twist_period):
-        return [
-            [_twist_matrix(self.field, self._coeff[i], s - i) for i in range(self.memory + 1)]
-            for s in range(twist_period)
-        ]
-
-    def _compute_period(self):
-        order = self.field.automorphism_order
-        for i in range(1, order + 1):
-            if order % i:
-                continue
-            if all(
-                _twist_matrix(self.field, g, i) == g for g in self._coeff
-            ):
-                return i
-        return order
+    def _coefficient_tables(self, twisted, twist_period):
+        # phase s, delay i: theta^(s - i)(G_i)
+        delays = np.arange(self.memory + 1)
+        return twisted[(np.arange(twist_period)[:, None] - delays) % len(twisted), delays].tolist()
 
     def _check_full_rank(self, twist_period):
+        """The scalar window of twist_period x (memory + 1) block rows has
+        full row rank.  If rank(G_0) = k it has: block row t starts with
+        theta^t(G_0) at block column t, so the window is block upper
+        triangular with full-rank diagonal blocks.  Otherwise the window is
+        eliminated, if it has at most RANK_WINDOW_BUDGET entries."""
+        if f_rank(self.field, self.coefficients[0]) == self.k:
+            return
         t_rows = twist_period * (self.memory + 1)
+        entries = t_rows * self.k * (t_rows + self.memory) * self.n
+        if entries > RANK_WINDOW_BUDGET:
+            raise ValueError(
+                f"rank(G_0) < k and the rank check's scalar window has {entries} entries, "
+                f"over the budget of {RANK_WINDOW_BUDGET}"
+            )
         window = self.scalar_generator(t_rows)
         if f_rank(self.field, window) != t_rows * self.k:
             raise ValueError("generator matrix is rank-deficient on its scalar window")
@@ -317,23 +328,20 @@ class SkewConvCode:
 
         Block row t carries theta^t(G_i) at block column t+i.  The "tilde"
         form re-parameterizes via G_i = theta^i(G~_i), putting theta^(t+i)(G~_i)
-        at the same position; both span the same row space.
+        at the same position, which is the same entry: the two forms give
+        the same window.
         """
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
         if form not in ("standard", "tilde"):
             raise ValueError(f"unknown form {form!r}")
-        f = self.field
         k, n, mu = self.k, self.n, self.memory
+        # [G_0 | G_1 | ... | G_mu], twisted by theta^t for block row t
+        band = self.coefficients.transpose(1, 0, 2).reshape(k, (mu + 1) * n)
+        twisted = self.field.frobenius(band, np.arange(t_rows)[:, None, None])
         out = np.zeros((t_rows * k, (t_rows + mu) * n), dtype=np.int64)
         for t in range(t_rows):
-            for i in range(mu + 1):
-                if form == "standard":
-                    block = _twist_matrix(f, self._coeff[i], t)
-                else:
-                    tilde = _twist_matrix(f, self._coeff[i], -i)
-                    block = _twist_matrix(f, tilde, t + i)
-                out[t * k : (t + 1) * k, (t + i) * n : (t + i + 1) * n] = block
+            out[t * k : (t + 1) * k, t * n : (t + mu + 1) * n] = twisted[t]
         return out
 
     # -- regrouping into an equivalent fixed code -------------------------
@@ -345,23 +353,15 @@ class SkewConvCode:
         tau = self.period
         if tau == 1:
             return self.generator
-        f = self.field
         k, n, mu = self.k, self.n, self.memory
-        blocked_memory = (mu + tau - 1) // tau
-        coeff_mats = []
-        for j in range(blocked_memory + 1):
-            big = [[0] * (tau * n) for _ in range(tau * k)]
-            for a in range(tau):
-                for b in range(tau):
-                    i = b - a + j * tau
-                    if not 0 <= i <= mu:
-                        continue
-                    block = _twist_matrix(f, self._coeff[i], a)
-                    for r in range(k):
-                        for c in range(n):
-                            big[a * k + r][b * n + c] = block[r][c]
-            coeff_mats.append(big)
-        return SkewPolyMatrix.from_coefficients(f, coeff_mats)
+        # twisted[a, i] = theta^a(G_i), the block of row a, column b = a + i - j tau
+        twisted = self.field.frobenius(self.coefficients, np.arange(tau)[:, None, None, None])
+        big = np.zeros(((mu + tau - 1) // tau + 1, tau * k, tau * n), dtype=np.intp)
+        for a in range(tau):
+            for i in range(mu + 1):
+                j, b = divmod(a + i, tau)
+                big[j, a * k : (a + 1) * k, b * n : (b + 1) * n] = twisted[a, i]
+        return SkewPolyMatrix.from_coefficients(self.field, big.tolist())
 
     def __repr__(self):
         return (
@@ -384,7 +384,7 @@ class SkewTrellisCode(SkewConvCode):
     module_side = "right"
     register_twist = 1
 
-    def _coefficient_tables(self, twist_period):
-        return [self._coeff]
+    def _coefficient_tables(self, twisted, twist_period):
+        return [self.coefficients.tolist()]
 
     encode_right = SkewConvCode.encode

@@ -1,22 +1,33 @@
 """Syndrome former of the dual code.
 
 Solves G(D) H^T(D) = 0 for an (n-k) x n polynomial matrix H(D) with
-rank(H_0) = n - k, ascending in the dual memory.  Expanding the skew product
-coefficientwise gives, for each product degree s,
+rank(H_0) = n - k, ascending in the dual memory mu_perp.  A row
+h(D) = sum_j h_j D^j of H meets G(D) = sum_i G_i D^i through
+(G_i D^i)(h_j D^j)^T = G_i theta^i(h_j)^T D^(i+j), so for each product
+degree s
 
-    sum_i G_i * theta^i(H_{s-i}^T) = 0,
+    sum_i G_i theta^i(h_(s-i))^T = 0.
 
-which is linear over the prime subfield in the base-p digits of the unknown
-coefficients (theta twists the unknowns, so it is not linear over the full
-field).  The solver works row by row on that digit system.
+In the unknowns x_j = theta^-j(h_j), theta^i(h_(s-i)) = theta^s(x_(s-i)),
+and applying theta^-s to the equation gives
+
+    sum_i theta^-s(G_i) x_(s-i)^T = 0,
+
+which is linear over the whole field: one k(mu + mu_perp + 1) x
+n(mu_perp + 1) system per dual memory, solved by `linalg.f_nullspace`.
+A right scalar multiple h(D) c has x_j c as its unknowns, so right scalar
+row operations on H are plain row operations on the rows x.  The solver
+keeps the first n - k basis rows whose x_0 = h_0 are independent, brings
+H_0 to reduced echelon form by one elimination of those rows x, and
+returns h_j = theta^j(x_j).
 """
 
 import random
 
 import numpy as np
 
-from .linalg import f_matmul, f_rank, nullspace_mod_p
-from .skewpoly import SkewPoly, SkewPolyMatrix
+from .linalg import f_matmul, f_nullspace, f_rank, f_rref
+from .skewpoly import SkewPolyMatrix
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
 
@@ -59,17 +70,14 @@ class SyndromeFormer:
         carries theta^t(H_i^T) at block column t + i."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
-        f = self.field
-        n = self.code.n
-        r = self.check.rows
-        mu_perp = self.dual_memory
+        n, r, mu_perp = self.code.n, self.check.rows, self.dual_memory
+        # [H_0^T | H_1^T | ... | H_mu_perp^T], twisted by theta^t for block row t
+        h = np.array([self.coefficient_values(i) for i in range(mu_perp + 1)])
+        band = h.transpose(2, 0, 1).reshape(n, (mu_perp + 1) * r)
+        twisted = self.field.frobenius(band, np.arange(t_rows)[:, None, None])
         out = np.zeros((t_rows * n, (t_rows + mu_perp) * r), dtype=np.int64)
         for t in range(t_rows):
-            for i in range(mu_perp + 1):
-                hi = self.coefficient_values(i)
-                for a in range(r):
-                    for b in range(n):
-                        out[t * n + b, (t + i) * r + a] = f.frobenius_int(hi[a][b], t)
+            out[t * n : (t + 1) * n, t * r : (t + mu_perp + 1) * r] = twisted[t]
         return out
 
     def h_window(self, t_cols):
@@ -82,97 +90,19 @@ class SyndromeFormer:
         return f"SyndromeFormer(dual_memory={self.dual_memory}, check={self.check!r})"
 
 
-def _solve_single_row(code, mu_perp):
-    """All rows h(D) of degree <= mu_perp with G(D) h^T(D) = 0, as a basis of
-    the solution space over the prime subfield."""
-    field = code.field
-    p, e = field.p, field.n
-    k, n, mu = code.k, code.n, code.memory
-    num_field_vars = n * (mu_perp + 1)
-    ncols = num_field_vars * e
-    nrows = k * (mu + mu_perp + 1) * e
-    system = [[0] * ncols for _ in range(nrows)]
-    basis_imgs = {}  # (coeff value, twist) -> per-digit image digit-columns
-    for s in range(mu + mu_perp + 1):
-        for out_row in range(k):
-            eq_base = (s * k + out_row) * e
-            for j in range(mu_perp + 1):
-                i = s - j
-                if not 0 <= i <= mu:
-                    continue
-                gi = code.generator.coefficient_values(i)
-                for col in range(n):
-                    a = gi[out_row][col]
-                    if a == 0:
-                        continue
-                    key = (a, i % max(field.automorphism_order, 1))
-                    cols = basis_imgs.get(key)
-                    if cols is None:
-                        cols = []
-                        for d in range(e):
-                            img = field.mul_int(a, field.frobenius_int(p**d, i))
-                            cols.append(field.to_digits(img))
-                        basis_imgs[key] = cols
-                    var_base = (j * n + col) * e
-                    for d in range(e):
-                        digits = cols[d]
-                        row_sys = var_base + d
-                        for dd in range(e):
-                            if digits[dd]:
-                                system[eq_base + dd][row_sys] = (
-                                    system[eq_base + dd][row_sys] + digits[dd]
-                                ) % p
-    basis = nullspace_mod_p(p, system, ncols)
-    rows = []
-    for vec in basis:
-        coeffs = []
-        for j in range(mu_perp + 1):
-            coeff = []
-            for col in range(n):
-                var_base = (j * n + col) * e
-                coeff.append(field.from_digits(vec[var_base : var_base + e]))
-            coeffs.append(coeff)
-        rows.append(coeffs)  # rows[b][j][col]
-    return rows
-
-
-def _right_scale(field, row, c):
-    """row * c in the skew ring: coefficient j picks up theta^j(c)."""
-    return [
-        [field.mul_int(v, field.frobenius_int(c, j)) for v in coeff]
-        for j, coeff in enumerate(row)
-    ]
-
-
-def _row_add(field, row_a, row_b):
-    return [
-        [field.add_int(x, y) for x, y in zip(ca, cb)] for ca, cb in zip(row_a, row_b)
-    ]
-
-
-def _normalize_rows(field, rows):
-    """Gauss-Jordan on the H_0 blocks using right scalar operations only
-    (which preserve the solution space); H_0 ends in reduced echelon form."""
-    rows = [list(map(list, r)) for r in rows]
-    n = len(rows[0][0])
-    pivot_rows = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv_int(rows[r][0][col])
-        rows[r] = _right_scale(field, rows[r], inv)
-        for i in range(len(rows)):
-            if i != r and rows[i][0][col]:
-                scaled = _right_scale(field, rows[r], field.neg_int(rows[i][0][col]))
-                rows[i] = _row_add(field, rows[i], scaled)
-        pivot_rows.append(r)
-        r += 1
-        if r == len(rows):
-            break
-    return rows
+def _solutions(code, mu_perp):
+    """Basis, in free-column order, of the x = (x_0, ..., x_mu_perp) of
+    length n (mu_perp + 1) with sum_i theta^-s(G_i) x_(s-i)^T = 0 for every
+    product degree s."""
+    field, k, n, mu = code.field, code.k, code.n, code.memory
+    degrees = mu + mu_perp + 1
+    twisted = field.frobenius(code.coefficients, -np.arange(degrees)[:, None, None, None])
+    system = np.zeros((degrees, k, mu_perp + 1, n), dtype=np.int64)
+    for s in range(degrees):
+        lo, hi = max(0, s - mu), min(s, mu_perp)
+        # x_j meets theta^-s(G_(s-j)), j = lo .. hi
+        system[s, :, lo : hi + 1] = twisted[s, s - hi : s - lo + 1][::-1].transpose(1, 0, 2)
+    return f_nullspace(field, system.reshape(degrees * k, (mu_perp + 1) * n))
 
 
 def syndrome_former(code, mu_perp_max=None):
@@ -187,31 +117,22 @@ def syndrome_former(code, mu_perp_max=None):
         raise ValueError(f"mu_perp_max must be >= 0, got {mu_perp_max}")
     if mu_perp_max is None:
         mu_perp_max = code.n * max(code.memory, 1)
-    field = code.field
-    need = code.n - code.k
+    field, n = code.field, code.n
+    need = n - code.k
     if need == 0:
         raise ValueError("rate-1 code has no dual syndrome former with rank n - k > 0")
     for mu_perp in range(mu_perp_max + 1):
-        candidates = _solve_single_row(code, mu_perp)
-        if not candidates:
-            continue
-        chosen = []
-        h0_stack = []
-        for cand in candidates:
-            trial = h0_stack + [cand[0]]
-            if f_rank(field, trial) == len(trial):
-                chosen.append(cand)
-                h0_stack = trial
-                if len(chosen) == need:
-                    break
+        x = _solutions(code, mu_perp)
+        # the first solutions whose x_0 = h_0 rows are independent: the
+        # pivot columns of those rows side by side
+        chosen = f_rref(field, x[:, :n].T)[1][:need]
         if len(chosen) < need:
             continue
-        chosen = _normalize_rows(field, chosen)
-        table = [
-            [[coeffs[j][col] for j in range(mu_perp + 1)] for col in range(code.n)]
-            for coeffs in chosen
-        ]
-        check = SkewPolyMatrix.from_ints(field, table)
+        # x_0 of the chosen rows has full row rank, so every pivot of their
+        # rref lies in x_0: the rref is T x with T x_0 in reduced echelon form
+        x = f_rref(field, x[chosen])[0].reshape(need, mu_perp + 1, n)
+        h = field.frobenius(x, np.arange(mu_perp + 1)[:, None])
+        check = SkewPolyMatrix.from_ints(field, h.transpose(0, 2, 1).tolist())
         return SyndromeFormer(code, check)
     raise SyndromeFormerNotFound(code, mu_perp_max)
 

@@ -8,10 +8,10 @@ tables built at construction; the automorphism is theta(a) = a^(p^r).
 Addition is digit-wise addition mod p, XOR for p = 2.  For odd p the scalar
 `add_int` runs on Zech logarithms instead of digits: with a = g^i and
 b = g^j, a + b = g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some
-comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum` and `mul`
-are the same operations over integer arrays; they and the trellis builder run
-on the O(q) read-only numpy tables `log_table`, `antilog_table` and
-`frobenius_table`.
+comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`
+and `frobenius` are the same operations over integer arrays; they and the
+trellis builder run on the O(q) read-only numpy tables `log_table`,
+`antilog_table` and `frobenius_table`.
 """
 
 import math
@@ -362,6 +362,14 @@ class FiniteField:
             return a
         q1 = self.size - 1
         return self._antilog[self._log[a] * (self.p**j) % q1]
+
+    def frobenius(self, a, i=1):
+        """theta^i(a) element-wise over an integer array, as intp; i is an
+        integer or an integer array broadcast against a."""
+        a = np.asarray(a, dtype=np.intp)
+        powers = self.p ** (self.theta_r * np.asarray(i) % self.n)
+        twisted = self.antilog_table[self.log_table[a] * powers % (self.size - 1)]
+        return np.where(a != 0, twisted, 0)
 
     @property
     def automorphism_order(self):

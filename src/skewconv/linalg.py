@@ -1,45 +1,68 @@
-"""Exact linear algebra over a FiniteField (integer-encoded matrices) and
-nullspace computation over the prime subfield."""
+"""Exact linear algebra over a FiniteField on integer-encoded matrices:
+one Gauss-Jordan elimination (`f_rref`), and the rank, nullspace and matrix
+product built on the field's array operations."""
 
 import numpy as np
 
-__all__ = ["f_rref", "f_rank", "f_matmul", "nullspace_mod_p"]
+__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul"]
 
 # the most products `f_matmul` forms at once, beyond one row's
 _MATMUL_TERMS = 1 << 16
 
 
 def f_rref(field, mat):
-    """Reduced row echelon form over the field.  Returns (rref, pivot_cols)."""
+    """Reduced row echelon form over the field.  Returns (rref, pivot_cols).
+
+    Gauss-Jordan as array steps, one pivot at a time: the next pivot is the
+    first nonzero of the leftmost column that is nonzero below the rows
+    already reduced.  Its row is scaled to -1 at the pivot, and each row
+    with a nonzero in the pivot column gets that entry times the scaled row
+    added, all at once through `field.mul` and `field.add`; the pivot row
+    itself is first cleared to the entry -1, so it ends scaled to 1.
+    Columns left of the pivot are already reduced and are not touched.
+    """
     m = np.array(mat, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    rows, cols = m.shape
+    minus_one = field.p - 1  # -1 lies in the prime subfield
     pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i, c] != 0), None)
-        if pivot is None:
-            continue
-        m[[r, pivot]] = m[[pivot, r]]
-        inv = field.inv_int(int(m[r, c]))
-        m[r] = [field.mul_int(int(v), inv) for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i, c] != 0:
-                factor = int(m[i, c])
-                m[i] = [
-                    field.sub_int(int(v), field.mul_int(factor, int(w)))
-                    for v, w in zip(m[i], m[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+    c = 0
+    for r in range(m.shape[0]):
+        open_cols = m[r:, c:].any(axis=0)
+        if not open_cols.any():
             break
+        c += int(open_cols.argmax())
+        i = r + int((m[r:, c] != 0).argmax())
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        neg_row = field.mul(m[r, c:], field.neg_int(field.inv_int(int(m[r, c]))))
+        m[r, c] = minus_one
+        hit = np.flatnonzero(m[:, c])
+        coef = m[hit, c, None]
+        m[r, c:] = 0
+        m[hit, c:] = field.add(m[hit, c:], field.mul(coef, neg_row))
+        pivots.append(c)
+        c += 1
     return m, pivots
 
 
 def f_rank(field, mat):
     return len(f_rref(field, mat)[1])
+
+
+def f_nullspace(field, mat):
+    """Basis of the right nullspace of a 2-D matrix over the field, one row
+    per free column of its reduced echelon form, in column order: the row of
+    free column c is 1 at c, 0 at the other free columns, and minus the
+    rref's column c at the pivot columns."""
+    rref, pivots = f_rref(field, mat)
+    free = np.ones(rref.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.mul(rref[: len(pivots), free].T, field.p - 1)
+    return basis
 
 
 def f_matmul(field, a, b):
@@ -58,40 +81,3 @@ def f_matmul(field, a, b):
         terms = field.mul(a[start : start + band, :, None], b)
         out[start : start + band] = field.sum(np.moveaxis(terms, 1, 0))
     return out
-
-
-def nullspace_mod_p(p, rows, ncols):
-    """Basis of the right nullspace of a matrix over GF(p).
-
-    rows: iterable of length-ncols integer rows (reduced mod p).  Returns a
-    list of length-ncols basis vectors, deterministic in free-column order.
-    """
-    m = [list(int(v) % p for v in row) for row in rows]
-    nrows = len(m)
-    pivot_of_col = {}
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    basis = []
-    for c in range(ncols):
-        if c in pivot_of_col:
-            continue
-        vec = [0] * ncols
-        vec[c] = 1
-        for pc, pr in pivot_of_col.items():
-            vec[pc] = (-m[pr][c]) % p
-        basis.append(vec)
-    return basis

@@ -1,11 +1,17 @@
-"""Scalar reference implementations of the array encoder and of the analysis
-checks built on it, kept as test oracles for `SkewConvCode.encode_batch`,
-`linalg.f_matmul`, `dual.verify_duality` and `skewtrellis.linearity_report`.
+"""Scalar reference implementations of the array encoder, the linear
+algebra and the analysis checks built on them, kept as test oracles for
+`SkewConvCode.encode_batch`, the code's twisted coefficient tables and
+windows, `linalg.f_rref`, `linalg.f_nullspace`, `linalg.f_matmul`,
+`dual.syndrome_former`, `SyndromeFormer.ht_window`, `dual.verify_duality`
+and `skewtrellis.linearity_report`.
 
 Each is the per-symbol (or per-word) loop the library ran before its array
-form: `encode` walks every time, delay, row and output symbol; the duality
-and linearity checks encode one word at a time and stop at the first that
-fails, so the generator is left where that word's draws leave it.
+form: `encode` walks every time, delay, row and output symbol; the windows
+and tables twist one entry at a time; `f_rref` and `nullspace_mod_p` reduce
+one row at a time; `syndrome_former` solves G(D) h^T(D) = 0 over the prime
+subfield, in the base-p digits of the unknowns; the duality and linearity
+checks encode one word at a time and stop at the first that fails, so the
+generator is left where that word's draws leave it.
 """
 
 import itertools
@@ -15,6 +21,7 @@ import numpy as np
 
 from skewconv import Sequence
 from skewconv.dual import SyndromeFormer
+from skewconv.skewpoly import SkewPolyMatrix
 from skewconv.trellis import unpack_digits
 
 
@@ -153,3 +160,232 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
                     witness = (a, useq.to_ints(), lhs, rhs)
                     break
     return fixed, additive_ok, subfield_homogeneous, witness
+
+
+# -- twisted coefficient tables and windows -----------------------------------
+
+
+def twist_matrix(field, mat, power):
+    return [[field.frobenius_int(v, power) for v in row] for row in mat]
+
+
+def phase_coefficients(code):
+    """theta^(s - i)(G_i) for every phase s and delay i of a left-module code."""
+    coeff = [code.generator.coefficient_values(i) for i in range(code.memory + 1)]
+    return [[twist_matrix(code.field, coeff[i], s - i) for i in range(code.memory + 1)] for s in range(code.period)]
+
+
+def scalar_generator(code, t_rows, form="standard"):
+    """Block row t carries theta^t(G_i), or theta^(t+i)(G~_i) with
+    G~_i = theta^-i(G_i), at block column t + i."""
+    f = code.field
+    k, n, mu = code.k, code.n, code.memory
+    out = np.zeros((t_rows * k, (t_rows + mu) * n), dtype=np.int64)
+    for t in range(t_rows):
+        for i in range(mu + 1):
+            g = code.generator.coefficient_values(i)
+            if form == "standard":
+                block = twist_matrix(f, g, t)
+            else:
+                block = twist_matrix(f, twist_matrix(f, g, -i), t + i)
+            out[t * k : (t + 1) * k, (t + i) * n : (t + i + 1) * n] = block
+    return out
+
+
+def tau_block(code):
+    """The regrouped fixed code's generator, one entry at a time."""
+    tau, f = code.period, code.field
+    k, n, mu = code.k, code.n, code.memory
+    coeff_mats = []
+    for j in range((mu + tau - 1) // tau + 1):
+        big = [[0] * (tau * n) for _ in range(tau * k)]
+        for a in range(tau):
+            for b in range(tau):
+                i = b - a + j * tau
+                if not 0 <= i <= mu:
+                    continue
+                block = twist_matrix(f, code.generator.coefficient_values(i), a)
+                for r in range(k):
+                    for c in range(n):
+                        big[a * k + r][b * n + c] = block[r][c]
+        coeff_mats.append(big)
+    return SkewPolyMatrix.from_coefficients(f, coeff_mats)
+
+
+def ht_window(sf, t_rows):
+    """Block row t carries theta^t(H_i^T) at block column t + i."""
+    f = sf.field
+    n, r, mu_perp = sf.code.n, sf.check.rows, sf.dual_memory
+    out = np.zeros((t_rows * n, (t_rows + mu_perp) * r), dtype=np.int64)
+    for t in range(t_rows):
+        for i in range(mu_perp + 1):
+            hi = sf.coefficient_values(i)
+            for a in range(r):
+                for b in range(n):
+                    out[t * n + b, (t + i) * r + a] = f.frobenius_int(hi[a][b], t)
+    return out
+
+
+# -- linear algebra, one row at a time -----------------------------------------
+
+
+def f_rref(field, mat):
+    """Reduced row echelon form over the field.  Returns (rref, pivot_cols)."""
+    m = np.array(mat, dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        if pivot is None:
+            continue
+        m[[r, pivot]] = m[[pivot, r]]
+        inv = field.inv_int(int(m[r, c]))
+        m[r] = [field.mul_int(int(v), inv) for v in m[r]]
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                factor = int(m[i, c])
+                m[i] = [
+                    field.sub_int(int(v), field.mul_int(factor, int(w)))
+                    for v, w in zip(m[i], m[r])
+                ]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def f_rank(field, mat):
+    return len(f_rref(field, mat)[1])
+
+
+def nullspace_mod_p(p, rows, ncols):
+    """Basis of the right nullspace of a matrix over GF(p), as a list of
+    length-ncols vectors in free-column order."""
+    m = [list(int(v) % p for v in row) for row in rows]
+    nrows = len(m)
+    pivot_of_col = {}
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[r])]
+        pivot_of_col[c] = r
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for c in range(ncols):
+        if c in pivot_of_col:
+            continue
+        vec = [0] * ncols
+        vec[c] = 1
+        for pc, pr in pivot_of_col.items():
+            vec[pc] = (-m[pr][c]) % p
+        basis.append(vec)
+    return basis
+
+
+# -- the syndrome former over the prime subfield -------------------------------
+
+
+def digit_solutions(code, mu_perp):
+    """All rows h(D) of degree <= mu_perp with G(D) h^T(D) = 0, as a basis
+    over the prime subfield: sum_i G_i theta^i(h_{s-i}^T) = 0 for every s,
+    in the base-p digits of the unknown coefficients.  rows[b][j][col]."""
+    field = code.field
+    p, e = field.p, field.n
+    k, n, mu = code.k, code.n, code.memory
+    ncols = n * (mu_perp + 1) * e
+    system = [[0] * ncols for _ in range(k * (mu + mu_perp + 1) * e)]
+    for s in range(mu + mu_perp + 1):
+        for out_row in range(k):
+            eq_base = (s * k + out_row) * e
+            for j in range(mu_perp + 1):
+                i = s - j
+                if not 0 <= i <= mu:
+                    continue
+                gi = code.generator.coefficient_values(i)
+                for col in range(n):
+                    a = gi[out_row][col]
+                    if a == 0:
+                        continue
+                    var_base = (j * n + col) * e
+                    for d in range(e):
+                        img = field.to_digits(field.mul_int(a, field.frobenius_int(p**d, i)))
+                        for dd in range(e):
+                            row = system[eq_base + dd]
+                            row[var_base + d] = (row[var_base + d] + img[dd]) % p
+    rows = []
+    for vec in nullspace_mod_p(p, system, ncols):
+        rows.append(
+            [
+                [field.from_digits(vec[(j * n + col) * e : (j * n + col + 1) * e]) for col in range(n)]
+                for j in range(mu_perp + 1)
+            ]
+        )
+    return rows
+
+
+def _right_scale(field, row, c):
+    """row * c in the skew ring: coefficient j picks up theta^j(c)."""
+    return [[field.mul_int(v, field.frobenius_int(c, j)) for v in coeff] for j, coeff in enumerate(row)]
+
+
+def normalize_rows(field, rows):
+    """Gauss-Jordan on the H_0 blocks by right scalar operations only (which
+    keep the solution space); H_0 ends in reduced echelon form."""
+    rows = [list(map(list, r)) for r in rows]
+    n = len(rows[0][0])
+    r = 0
+    for col in range(n):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][0][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = _right_scale(field, rows[r], field.inv_int(rows[r][0][col]))
+        for i in range(len(rows)):
+            if i != r and rows[i][0][col]:
+                scaled = _right_scale(field, rows[r], field.neg_int(rows[i][0][col]))
+                rows[i] = [
+                    [field.add_int(x, y) for x, y in zip(ca, cb)] for ca, cb in zip(rows[i], scaled)
+                ]
+        r += 1
+        if r == len(rows):
+            break
+    return rows
+
+
+def syndrome_former(code, mu_perp_max=None):
+    """(mu_perp, H as nested ints) by the digit system, the greedy choice of
+    candidates whose H_0 rows stay independent and `normalize_rows`; None if
+    no H(D) exists up to the cap (default n * memory)."""
+    field = code.field
+    need = code.n - code.k
+    if mu_perp_max is None:
+        mu_perp_max = code.n * max(code.memory, 1)
+    for mu_perp in range(mu_perp_max + 1):
+        chosen, h0_stack = [], []
+        for cand in digit_solutions(code, mu_perp):
+            if f_rank(field, h0_stack + [cand[0]]) == len(h0_stack) + 1:
+                chosen.append(cand)
+                h0_stack.append(cand[0])
+                if len(chosen) == need:
+                    break
+        if len(chosen) < need:
+            continue
+        chosen = normalize_rows(field, chosen)
+        table = [[[c[j][col] for j in range(mu_perp + 1)] for col in range(code.n)] for c in chosen]
+        check = SkewPolyMatrix.from_ints(field, table)
+        return max(check.degree, 0), check.to_ints()
+    return None

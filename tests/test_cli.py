@@ -365,3 +365,27 @@ def test_trellis_rejects_an_over_budget_export_at_once(capsys, code_file, tmp_pa
         )
     assert rc == 1 and out == "" and not target.exists()
     assert err.count("\n") == 1 and "budget" in err
+
+
+def memory_200_doc(g0):
+    # GF(4), theta = a^2: 2 x 201 block rows of 602 block columns
+    rest = [[(3 * i + j) % 4 for i in range(1, 200)] + [1 + j] for j in range(2)]
+    return dict(EXAMPLE_DOC, G=[[[g0[j]] + rest[j] for j in range(2)]])
+
+
+def test_a_long_memory_spec_with_full_rank_g0_loads_at_once(capsys, tmp_path):
+    path = tmp_path / "m200.json"
+    path.write_text(json.dumps(memory_200_doc([1, 1])))
+    with time_limit(10):
+        rc, out, err = run_cli(capsys, "dual", str(path), "--mu-perp-max", "0")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "syndrome former" in err
+
+
+def test_a_rank_check_over_budget_exits_at_once(capsys, tmp_path):
+    path = tmp_path / "m200.json"
+    path.write_text(json.dumps(memory_200_doc([0, 0])))
+    with time_limit(10):
+        rc, out, err = run_cli(capsys, "analyze", str(path))
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1 and "budget" in err and "rank(G_0) < k" in err

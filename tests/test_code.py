@@ -3,10 +3,43 @@ import random
 import numpy as np
 import pytest
 
-from skewconv import FiniteField, Sequence, SkewConvCode, SkewPolyMatrix
+from skewconv import FiniteField, Sequence, SkewConvCode, SkewPolyMatrix, SkewTrellisCode
+from skewconv.code import RANK_WINDOW_BUDGET
 from skewconv.linalg import f_rank, f_rref
 
+import code_reference as ref
 from conftest import A, A2, EXAMPLE_TABLE, make_code
+
+TWIST_FIELDS = [
+    FiniteField(2, 2, [1, 1, 1], theta_r=1),
+    FiniteField(2, 3, [1, 1, 0, 1], theta_r=1),
+    FiniteField(3, 2, [2, 2, 1], theta_r=1),
+    FiniteField(2, 4, theta_r=2),
+]
+
+
+def random_generator(rng, field, deficiency=None):
+    """A nonzero k x n generator with k <= n and memory <= 3.  deficiency
+    "g0" makes G_0's last row repeat its first (zero if k = 1), and, if
+    k > 1, "left" makes the last row c times the first and "shift" D times
+    the first; each leaves rank(G_0) < k."""
+    n = rng.randrange(1, 4)
+    k = rng.randrange(1, n + 1)
+    mu = rng.randrange(1 if deficiency else 0, 3)
+    coeffs = [[[rng.randrange(field.size) for _ in range(n)] for _ in range(k)] for _ in range(mu + 1)]
+    coeffs[-1][0][0] = coeffs[-1][0][0] or 1
+    if deficiency == "g0":
+        coeffs[0][-1] = coeffs[0][0] if k > 1 else [0] * n
+    elif deficiency == "left" and k > 1:
+        c = rng.randrange(1, field.size)
+        for g in coeffs:
+            g[-1] = [field.mul_int(c, v) for v in g[0]]
+    elif deficiency == "shift" and k > 1:
+        coeffs.append([[0] * n for _ in range(k)])
+        for i in range(len(coeffs)):
+            # D g(D) = sum_i theta(g_i) D^(i+1)
+            coeffs[i][-1] = [0] * n if i == 0 else [field.frobenius_int(v) for v in coeffs[i - 1][0]]
+    return SkewPolyMatrix.from_coefficients(field, coeffs)
 
 
 def reference_encode(code, ublocks, terminate):
@@ -234,6 +267,59 @@ def test_shape_validation(f4):
         make_code(f4, [[[1]], [[A]]])  # k = 2 > n = 1
     with pytest.raises(ValueError, match="zero"):
         make_code(f4, [[[0], [0]]])
+
+
+def test_rank_check_accepts_exactly_the_full_rank_windows():
+    # rank(G_0) = k accepts at once; otherwise the window is eliminated
+    rng = random.Random(20)
+    seen = set()
+    for trial in range(160):
+        field = TWIST_FIELDS[trial % len(TWIST_FIELDS)]
+        deficiency = (None, "g0", "left", "shift")[trial % 4]
+        generator = random_generator(rng, field, deficiency)
+        unchecked = SkewConvCode(generator, validate=False)
+        t_rows = unchecked.period * (unchecked.memory + 1)
+        window = ref.scalar_generator(unchecked, t_rows)
+        full = ref.f_rank(field, window) == t_rows * unchecked.k
+        try:
+            SkewConvCode(generator)
+            accepted = True
+        except ValueError as exc:
+            assert "rank-deficient" in str(exc)
+            accepted = False
+        assert accepted == full
+        seen.add((ref.f_rank(field, unchecked.coefficients[0]) == unchecked.k, full))
+    # a full-rank G_0, and a deficient G_0 in both a full-rank and a deficient window
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_rank_check_refuses_an_over_budget_window_at_once(f4):
+    # rank(G_0) = 0 < 1: 2 x 301 block rows of a memory-300 code
+    table = [[[0] * 300 + [1], [0] * 300 + [A]]]
+    t_rows = 2 * 301
+    assert t_rows * (t_rows + 300) * 2 > RANK_WINDOW_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        make_code(f4, table)
+    # with rank(G_0) = k the same memory needs no window
+    assert make_code(f4, [[[1] + [0] * 299 + [1], [0] * 300 + [A]]]).memory == 300
+
+
+@pytest.mark.parametrize("side", [SkewConvCode, SkewTrellisCode])
+def test_twisted_tables_and_windows_match_the_entrywise_oracle(side):
+    rng = random.Random(21)
+    for trial in range(40):
+        field = TWIST_FIELDS[trial % len(TWIST_FIELDS)]
+        code = side(random_generator(rng, field), validate=False)
+        for t_rows in (1, 2, 5):
+            for form in ("standard", "tilde"):
+                got = code.scalar_generator(t_rows, form)
+                assert np.array_equal(got, ref.scalar_generator(code, t_rows, form))
+        if side is SkewConvCode:
+            assert code.phase_coefficients == ref.phase_coefficients(code)
+            assert code.tau_block() == ref.tau_block(code)
+            for t in range(2 * code.period):
+                for i in range(code.memory + 1):
+                    assert code.time_coefficient(t, i) == ref.phase_coefficients(code)[t % code.period][i]
 
 
 def test_full_rank_g0_stays_full_rank_under_twist(example_code, f4):

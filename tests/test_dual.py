@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +16,14 @@ from skewconv import (
     syndrome_former,
     verify_duality,
 )
+from skewconv.cli import main
+from skewconv.codespec import load_code
 from skewconv.linalg import f_matmul, f_rank
 
+import code_reference as ref
 from conftest import A, A2, EXAMPLE_TABLE, make_code
+
+SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "suite"
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +227,74 @@ def test_right_module_code_has_no_syndrome_former(f4, example_sf):
         verify_duality(right, example_sf.check)
     with pytest.raises(ValueError, match="left-module"):
         right.tau_block()
+
+
+def test_matches_the_digit_system_solver_on_random_codes():
+    # n - k >= 2, over fields with theta of order 1 to 3, and a cap that
+    # some codes do not meet; every third code has its first row times D,
+    # so that rank(G_0) < k
+    fields = [
+        FiniteField(2, 1),
+        FiniteField(2, 2, [1, 1, 1], theta_r=1),
+        FiniteField(2, 3, [1, 1, 0, 1], theta_r=1),
+        FiniteField(3, 2, [2, 2, 1], theta_r=1),
+        FiniteField(3, 3, [1, 2, 0, 1], theta_r=1),
+    ]
+    rng = random.Random(41)
+    wider = found = 0
+    for trial in range(150):
+        field = fields[trial % len(fields)]
+        n = rng.randrange(3, 5)
+        k = rng.randrange(1, n - 1)
+        mu = rng.randrange(0, 3)
+        table = [[[rng.randrange(field.size) for _ in range(rng.randrange(1, mu + 2))] for _ in range(n)] for _ in range(k)]
+        if trial % 3 == 0:
+            table[0] = [[0] + cell for cell in table[0]]
+        try:
+            code = make_code(field, table)
+        except ValueError:
+            continue
+        cap = rng.randrange(0, 3)
+        want = ref.syndrome_former(code, cap)
+        if want is None:
+            with pytest.raises(SyndromeFormerNotFound):
+                syndrome_former(code, cap)
+            continue
+        sf = syndrome_former(code, cap)
+        assert (sf.dual_memory, sf.check.to_ints()) == want
+        found += 1
+        wider += len(ref.digit_solutions(code, want[0])) > (n - k) * field.n
+    # some solution spaces are wider than n - k, so the choice among them counts
+    assert found >= 80 and wider >= 15
+
+
+def test_check_window_matches_the_entrywise_fill(f4):
+    f27 = FiniteField(3, 3, [1, 2, 0, 1], theta_r=1)
+    for field, table in (
+        (f4, [[[1], [A], [A2, 1]]]),
+        (f4, EXAMPLE_TABLE),
+        (f27, [[[1, 5, 7], [2, 0, 11], [4, 9, 1]]]),
+    ):
+        sf = syndrome_former(make_code(field, table))
+        for t in (1, 2, 7):
+            assert np.array_equal(sf.ht_window(t), ref.ht_window(sf, t))
+
+
+def suite_duals():
+    expected = json.loads((SUITE / "expected.json").read_text())["analyze"]
+    return {name: entry["dual"] for name, entry in expected.items() if "dual" in entry}
+
+
+@pytest.mark.parametrize("name", sorted(suite_duals()))
+def test_reproduces_the_committed_suite_syndrome_formers(name, capsys):
+    want = suite_duals()[name]
+    path = SUITE / f"{name}.json"
+    sf = syndrome_former(load_code(path))
+    assert {"mu_perp": sf.dual_memory, "H": sf.check.to_ints()} == want
+    assert main(["dual", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+def test_every_left_module_suite_code_has_a_committed_dual():
+    left = {p.stem for p in SUITE.glob("*.json") if p.stem != "expected" and load_code(p).module_side == "left"}
+    assert left == set(suite_duals())

@@ -241,6 +241,18 @@ def test_array_operations_match_scalar_ones(data):
     assert f.frobenius_table[np.array(a, dtype=np.intp)].tolist() == [f.frobenius_int(x) for x in a]
 
 
+@pytest.mark.parametrize("f", SMALL_FIELDS + [FiniteField(2, 4, theta_r=1), FiniteField(2, 4, theta_r=2)], ids=repr)
+def test_array_frobenius_matches_the_scalar_one(f):
+    values = np.arange(f.size)
+    powers = np.arange(-f.n - 1, 2 * f.n + 2)
+    got = f.frobenius(values, powers[:, None])
+    assert got.shape == (len(powers), f.size)
+    for row, i in zip(got.tolist(), powers.tolist()):
+        assert row == [f.frobenius_int(a, i) for a in range(f.size)]
+        assert f.frobenius(values, i).tolist() == row
+    assert f.frobenius(values).tolist() == f.frobenius_table.tolist()
+
+
 def test_sum_of_many_arrays_reduces_its_digit_sums():
     # GF(3^6) on x^6 + x + 2: a 10-bit digit field holds 511 terms, so 1200
     # terms overflow it twice

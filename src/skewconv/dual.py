@@ -45,6 +45,9 @@ class SyndromeFormer:
     """Parity-check data of the dual code: H(D) with G(D) H^T(D) = 0."""
 
     def __init__(self, code, check, validate=True):
+        """With validate, G(D) H^T(D) = 0 and rank(H_0) = n - k are checked
+        here, and `verify_duality` does not form the product again for this
+        code object."""
         if not isinstance(check, SkewPolyMatrix):
             raise ValueError("check must be a SkewPolyMatrix")
         if check.rows != code.n - code.k or check.cols != code.n:
@@ -56,6 +59,7 @@ class SyndromeFormer:
         self.field = code.field
         self.check = check
         self.dual_memory = int(max(check.degree, 0))
+        self._validated = validate
         if validate:
             if not (code.generator @ check.transpose()).is_zero:
                 raise ValueError("G(D) H^T(D) != 0")
@@ -141,45 +145,66 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     """Three-way duality check: the polynomial product vanishes, random
     terminated codewords have zero syndrome on a finite window, and random
     dual-window codewords are orthogonal to random codewords under the plain
-    scalar product."""
+    scalar product.
+
+    The product is not formed again for a `SyndromeFormer` that validated it
+    for this code object.  Each random phase draws all its words first and
+    checks them at once; on a failure the generator is set back to the state
+    saved before the phase and the words up to the first bad one are drawn
+    again, so it is left where a check that stops there leaves it.
+    """
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field
-    if not (code.generator @ sf.check.transpose()).is_zero:
-        return False
+    if not (sf._validated and sf.code is code):
+        if not (code.generator @ sf.check.transpose()).is_zero:
+            return False
 
     rng = rng or random.Random(0)
+    q = field.size
     mu = code.memory
     info_len = max(length - mu, 1)
     total = info_len + mu
-    # every word is drawn first, with the generator's state after it, and
-    # all are encoded at once and checked by one syndrome product
-    words, states = [], []
-    for _ in range(num_words):
-        words.append([rng.randrange(field.size) for _ in range(code.k * info_len)])
-        states.append(rng.getstate())
+
+    def word():
+        return [rng.randrange(q) for _ in range(code.k * info_len)]
+
+    # every word is encoded at once and checked by one syndrome product
+    start = rng.getstate()
+    words = [word() for _ in range(num_words)]
     info = np.array(words, dtype=np.intp).reshape(num_words, info_len, code.k)
     codewords = code.encode_batch(info, terminate=True).reshape(num_words, total * code.n)
     ht = sf.ht_window(total)
     bad = f_matmul(field, codewords, ht).any(axis=1)
     if bad.any():
-        # the generator as left by a check that stops at the first bad word
-        rng.setstate(states[int(bad.argmax())])
+        _redraw(rng, start, word, int(bad.argmax()) + 1)
         return False
 
-    # the random codewords of both windows, drawn pairwise as before and
-    # checked at once: every pair must be orthogonal
+    # the random codewords of both windows, drawn pairwise and checked at
+    # once: every pair must be orthogonal
     hw = ht.T  # the same as sf.h_window(total)
     gw = code.scalar_generator(info_len)
-    u_rows, w_rows, states = [], [], []
-    for _ in range(num_words):
-        u_rows.append([rng.randrange(field.size) for _ in range(gw.shape[0])])
-        w_rows.append([rng.randrange(field.size) for _ in range(hw.shape[0])])
-        states.append(rng.getstate())
-    v = f_matmul(field, np.array(u_rows, dtype=np.int64).reshape(num_words, gw.shape[0]), gw)
-    vperp = f_matmul(field, np.array(w_rows, dtype=np.int64).reshape(num_words, hw.shape[0]), hw)
+
+    def pair():
+        u = [rng.randrange(q) for _ in range(gw.shape[0])]
+        return u, [rng.randrange(q) for _ in range(hw.shape[0])]
+
+    start = rng.getstate()
+    pairs = [pair() for _ in range(num_words)]
+    u_rows = np.array([u for u, _ in pairs], dtype=np.int64).reshape(num_words, gw.shape[0])
+    w_rows = np.array([w for _, w in pairs], dtype=np.int64).reshape(num_words, hw.shape[0])
+    v = f_matmul(field, u_rows, gw)
+    vperp = f_matmul(field, w_rows, hw)
     bad = field.sum(field.mul(v, vperp).T) != 0
     if bad.any():
-        rng.setstate(states[int(bad.argmax())])
+        _redraw(rng, start, pair, int(bad.argmax()) + 1)
         return False
     return True
+
+
+def _redraw(rng, state, draw, count):
+    """Set rng to state and make `count` draws again: the generator as left
+    by a check that stops after the count-th."""
+    rng.setstate(state)
+    for _ in range(count):
+        draw()

@@ -20,16 +20,31 @@ def _as_value(field, c):
 
 
 class SkewPoly:
-    """Coefficient vector ascending in D, trailing zeros stripped."""
+    """Coefficient vector ascending in D, trailing zeros stripped.
 
-    __slots__ = ("field", "coeffs")
+    The coefficients are held as a tuple of plain integers; `coeffs` and
+    `coefficient` box them into `FieldElement`s on access, and the
+    arithmetic, the integer view `coefficient_values`, equality and hashing
+    never box.
+    """
+
+    __slots__ = ("field", "_values")
 
     def __init__(self, field, coeffs=()):
         values = [_as_value(field, c) for c in coeffs]
-        while values and values[-1] == 0:
-            values.pop()
+        for v in values:
+            if not 0 <= v < field.size:
+                raise ValueError(f"value {v} outside [0, {field.size})")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(FieldElement(field, v) for v in values))
+        object.__setattr__(self, "_values", _strip(values))
+
+    @classmethod
+    def _trusted(cls, field, values):
+        """The polynomial of a list of in-range integers, taken unchecked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "_values", _strip(values))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPoly is immutable")
@@ -47,20 +62,25 @@ class SkewPoly:
         return cls(field, (0, 1))
 
     @property
+    def coeffs(self):
+        return tuple(FieldElement(self.field, v) for v in self._values)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._values) - 1 if self._values else NEG_INF
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self._values
 
     def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return FieldElement(self.field, 0)
+        return FieldElement(self.field, self._value(i))
+
+    def _value(self, i):
+        return self._values[i] if 0 <= i < len(self._values) else 0
 
     def coefficient_values(self):
-        return [c.value for c in self.coeffs]
+        return list(self._values)
 
     def _coerce(self, other):
         if isinstance(other, SkewPoly):
@@ -76,19 +96,19 @@ class SkewPoly:
         if other is None:
             return NotImplemented
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self._values, other._values
         if len(a) < len(b):
             a, b = b, a
-        out = [c.value for c in a]
+        out = list(a)
         for i, c in enumerate(b):
-            out[i] = f.add_int(out[i], c.value)
-        return SkewPoly(f, out)
+            out[i] = f.add_int(out[i], c)
+        return SkewPoly._trusted(f, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return SkewPoly(f, [f.neg_int(c.value) for c in self.coeffs])
+        return SkewPoly._trusted(f, [f.neg_int(c) for c in self._values])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -109,16 +129,16 @@ class SkewPoly:
         f = self.field
         if self.is_zero or other.is_zero:
             return SkewPoly.zero(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.value == 0:
+        out = [0] * (len(self._values) + len(other._values) - 1)
+        for i, x in enumerate(self._values):
+            if x == 0:
                 continue
-            for j, y in enumerate(other.coeffs):
-                if y.value == 0:
+            for j, y in enumerate(other._values):
+                if y == 0:
                     continue
-                term = f.mul_int(x.value, f.frobenius_int(y.value, i))
+                term = f.mul_int(x, f.frobenius_int(y, i))
                 out[i + j] = f.add_int(out[i + j], term)
-        return SkewPoly(f, out)
+        return SkewPoly._trusted(f, out)
 
     def __rmul__(self, other):
         # scalar * poly: a constant commutes past nothing, so build it as a poly
@@ -134,9 +154,9 @@ class SkewPoly:
         if divisor is None or divisor.is_zero:
             raise ZeroDivisionError("right division by the zero polynomial")
         f = self.field
-        dd = len(divisor.coeffs) - 1
-        lead = divisor.coeffs[-1].value
-        rem = [c.value for c in self.coeffs]
+        dd = len(divisor._values) - 1
+        lead = divisor._values[-1]
+        rem = list(self._values)
         quot = [0] * max(len(rem) - dd, 0)
         while len(rem) - 1 >= dd and any(rem):
             while rem and rem[-1] == 0:
@@ -147,35 +167,43 @@ class SkewPoly:
             # solve c * theta^e(lead) = rem_lead
             c = f.mul_int(rem[-1], f.inv_int(f.frobenius_int(lead, e)))
             quot[e] = f.add_int(quot[e], c)
-            for j, y in enumerate(divisor.coeffs):
-                term = f.mul_int(c, f.frobenius_int(y.value, e))
+            for j, y in enumerate(divisor._values):
+                term = f.mul_int(c, f.frobenius_int(y, e))
                 rem[e + j] = f.sub_int(rem[e + j], term)
-        return SkewPoly(f, quot), SkewPoly(f, rem)
+        return SkewPoly._trusted(f, quot), SkewPoly._trusted(f, rem)
 
     def __eq__(self, other):
         if isinstance(other, (FieldElement, int)):
             other = self._coerce(other)
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return self.field == other.field and self.coefficient_values() == other.coefficient_values()
+        return self.field == other.field and self._values == other._values
 
     def __hash__(self):
-        return hash((self.field, tuple(self.coefficient_values())))
+        return hash((self.field, self._values))
 
     def __repr__(self):
         if self.is_zero:
             return "0"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.value == 0:
+        for i, c in enumerate(self._values):
+            if c == 0:
                 continue
-            name = self.field.element_name(c.value)
+            name = self.field.element_name(c)
             if i == 0:
                 terms.append(name)
             else:
                 dpow = "D" if i == 1 else f"D^{i}"
                 terms.append(dpow if name == "1" else f"{name}*{dpow}")
         return " + ".join(terms)
+
+
+def _strip(values):
+    """The values as a tuple, trailing zeros stripped."""
+    end = len(values)
+    while end and values[end - 1] == 0:
+        end -= 1
+    return tuple(values[:end])
 
 
 class SkewPolyMatrix:
@@ -226,7 +254,7 @@ class SkewPolyMatrix:
 
     def coefficient_values(self, i):
         """Coefficient matrix of D^i as nested integer lists."""
-        return [[e.coefficient(i).value for e in row] for row in self.entries]
+        return [[e._value(i) for e in row] for row in self.entries]
 
     def row_degrees(self):
         return [max(int(max(e.degree, 0)) if not e.is_zero else 0 for e in row) for row in self.entries]

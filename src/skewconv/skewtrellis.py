@@ -50,16 +50,19 @@ def _first_failure(code, rng, scales, max_len):
     Each pair draws a length in [1, max_len], then u1's symbols and u2's.
     All pairs are drawn first and checked at once, zero-padded to max_len
     blocks: a padded terminated codeword is the unpadded one followed by zero
-    blocks.  The generator is then left as after the draws of the first
-    failing pair, where a check that stops there leaves it.
+    blocks.  On a failure the generator is set back to its state before the
+    draws and the pairs up to the first failing one are drawn again, so it
+    is left where a check that stops there leaves it.
     """
     field = code.field
     q, k = field.size, code.k
-    drawn, states = [], []
-    for _ in scales:
+
+    def pair():
         length = rng.randrange(1, max_len + 1)
-        drawn.append([rng.randrange(q) for _ in range(2 * length * k)])
-        states.append(rng.getstate())
+        return [rng.randrange(q) for _ in range(2 * length * k)]
+
+    start = rng.getstate()
+    drawn = [pair() for _ in scales]
     pairs = np.zeros((2, len(scales), max_len * k), dtype=np.intp)
     for row, symbols in enumerate(drawn):
         half = len(symbols) // 2
@@ -74,7 +77,9 @@ def _first_failure(code, rng, scales, max_len):
     if not failed.any():
         return None
     first = int(failed.argmax())
-    rng.setstate(states[first])
+    rng.setstate(start)
+    for _ in range(first + 1):
+        pair()
     return first
 
 

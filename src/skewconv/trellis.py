@@ -28,7 +28,11 @@ batch of start phases or frames, and one `Trellis.traceback`.  The loop DP
 relaxes every start phase at once, one `acs` step a section on distance
 rows indexed by start phase; `free_distance`, which traces a witness loop,
 keeps one survivor index per step, start phase and state (a byte up to 256
-inputs), and `active_burst_distance` keeps none.  The graph questions run
+inputs), and `active_burst_distance` keeps none.  `free_distance` stops
+the scan at the first step, past lmax, at which its frontier bound (the
+lightest path so far plus its cheapest return to the zero state, a bound
+that never falls) is strictly above the lightest loop found: no longer loop
+can then tie it, so the result is the full scan's.  The graph questions run
 on the successor table of the period-unrolled state graph, those edges
 removed: the slope by Howard's policy iteration, accepted only with the
 potential of an integer Bellman-Ford that certifies it (Cochet-Terrasson,
@@ -241,7 +245,7 @@ class Trellis:
 
     # -- distance measures --
 
-    def _loop_dp(self, steps, row_at, trace=True):
+    def _loop_dp(self, steps, row_at, trace=True, ret=None, stop_from=0):
         """The loop relaxation from the zero state at every start phase at
         once, one section a step, never riding a weight-0 edge from zero
         state to zero state: one `acs` step a section, over a batch of one
@@ -257,13 +261,14 @@ class Trellis:
         Without trace no survivor is kept, and survivors is None.  A scan
         that would keep more than SURVIVOR_BUDGET survivor entries per start
         phase, steps x states, raises ValueError before any work.
+
+        Given the return costs ret[phase, st] to the zero-state nodes, the
+        scan stops after the first step L with stop_from <= L < row_at at
+        which the `_frontier` is strictly above the lightest loop of at most
+        L edges: zero then holds lengths 0..L and row is the row at L.
         """
         sections, states = self.num_sections, self.num_states
-        if steps * states > SURVIVOR_BUDGET:
-            raise ValueError(
-                f"a loop scan of {steps} sections x {states} states exceeds the "
-                f"budget of {SURVIVOR_BUDGET} survivor entries"
-            )
+        self._check_loop_budget(steps)
         # dist[start, st]: the lightest path from phase `start` to state st.
         # Its step-th edge is in section (start + step - 1) % sections, row
         # `start` of the doubled tables from o = (step - 1) % sections; src
@@ -276,6 +281,7 @@ class Trellis:
         dist[:, 0] = 0
         zero = np.zeros((sections, steps + 1))
         row = dist
+        lightest = np.inf
         dtype = np.min_scalar_type(self.num_inputs - 1)
         survivors = np.empty((steps, sections, states), dtype=dtype) if trace else None
         for step in range(1, steps + 1):
@@ -288,7 +294,22 @@ class Trellis:
             zero[:, step] = dist[:, 0]
             if step == row_at:
                 row = dist
+            if ret is None:
+                continue
+            lightest = min(lightest, zero[:, step].min())
+            if stop_from <= step < row_at and _frontier(dist, ret, step) > lightest:
+                return zero[:, : step + 1], dist, survivors
         return zero, row, survivors
+
+    def _check_loop_budget(self, steps):
+        """Raise ValueError if a loop scan of `steps` steps would keep more
+        than SURVIVOR_BUDGET survivor entries per start phase, steps x
+        states."""
+        if steps * self.num_states > SURVIVOR_BUDGET:
+            raise ValueError(
+                f"a loop scan of {steps} sections x {self.num_states} states exceeds the "
+                f"budget of {SURVIVOR_BUDGET} survivor entries"
+            )
 
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
@@ -304,26 +325,40 @@ class Trellis:
         Scans loops up to ell_max and, separately, paths that enter a cycle of
         zero output weight (the catastrophic case, where the minimum is not
         attained by any loop).  The stabilized flag certifies that no loop
-        longer than ell_max can beat the reported value.  The same loop
+        longer than the scan can beat the reported value.  The same loop
         relaxation, run on to lmax sections if that is longer, gives the
         active burst distances d_1..d_lmax in `burst`.
+
+        The scan stops early, after the first step L with lmax <= L <
+        ell_max at which the frontier (`_frontier`, the lightest path of L
+        edges plus its cheapest return to the zero state) is strictly above
+        the lightest loop of at most L edges.  The frontier never falls as L
+        grows, since ret[s] <= w + ret[s'] on every edge, so every longer
+        loop is strictly heavier: the first lightest loop in (start phase,
+        length) order, and so the value, loop length and witness, are those
+        of the full scan, `burst` needs lengths up to lmax only, and the
+        frontier at L, which the stabilized flag compares, is at most the
+        one at ell_max.  A tie must not stop the scan: a loop of equal
+        weight, longer and from an earlier start phase, comes first.
         """
         if ell_max is None:
             ell_max = 8 * (self.external_degree + 1) * self.num_sections
         if ell_max < 1 or lmax < 0:
             raise ValueError("ell_max must be >= 1 and lmax >= 0")
-        zero, row, survivors = self._loop_dp(max(ell_max, lmax), ell_max)
-        burst = [_number(d) for d in zero[:, 1 : lmax + 1].min(axis=0)]
-        # the first lightest loop in (start, length) order
-        loops = zero[:, 1 : ell_max + 1]
-        start, length = divmod(int(loops.argmin()), ell_max)
-        best = _number(loops[start, length])
-        length += 1
-
+        steps = max(ell_max, lmax)
+        self._check_loop_budget(steps)  # before the return costs
         to_zero = np.arange(self.num_sections * self.num_states) % self.num_states == 0
         ret = self._costs_to(to_zero).reshape(self.num_sections, -1)
-        end_phase = (np.arange(self.num_sections) + ell_max) % self.num_sections
-        frontier_bound = float((row + ret[end_phase]).min())
+        zero, row, survivors = self._loop_dp(steps, ell_max, ret=ret, stop_from=lmax)
+        # the step of `row`: where the scan stopped, else ell_max
+        scanned = min(zero.shape[1] - 1, ell_max)
+        burst = [_number(d) for d in zero[:, 1 : lmax + 1].min(axis=0)]
+        # the first lightest loop in (start, length) order
+        loops = zero[:, 1 : scanned + 1]
+        start, length = divmod(int(loops.argmin()), scanned)
+        best = _number(loops[start, length])
+        length += 1
+        frontier_bound = _frontier(row, ret, scanned)
 
         # the cheapest way into the core is the cheapest way into a
         # zero-weight cycle: each core node reaches one at no cost
@@ -413,6 +448,16 @@ def acs(dist, src, branch):
     best = cand.argmin(axis=-1)
     starts = np.arange(0, cand.size, cand.shape[-1]).reshape(best.shape)
     return cand.take(starts + best), best
+
+
+def _frontier(dist, ret, step):
+    """min over (start, st) of dist[start, st] + ret[(start + step) % P, st]
+    for the distance rows dist after `step` edges of the loop DP and the
+    cheapest returns ret[phase, st] from state st at `phase` to the zero
+    state: a lower bound on the weight of every loop of `step` or more
+    edges."""
+    phases = len(ret)
+    return float((dist + ret[(np.arange(phases) + step) % phases]).min())
 
 
 def _rows(table):

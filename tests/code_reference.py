@@ -2,8 +2,8 @@
 algebra and the analysis checks built on them, kept as test oracles for
 `SkewConvCode.encode_batch`, the code's twisted coefficient tables and
 windows, `linalg.f_rref`, `linalg.f_nullspace`, `linalg.f_matmul`,
-`dual.syndrome_former`, `SyndromeFormer.ht_window`, `dual.verify_duality`
-and `skewtrellis.linearity_report`.
+`dual.syndrome_former`, `SyndromeFormer.ht_window`, `dual.verify_duality`,
+`skewtrellis.linearity_report` and its `_first_failure`.
 
 Each is the per-symbol (or per-word) loop the library ran before its array
 form: `encode` walks every time, delay, row and output symbol; the windows
@@ -160,6 +160,26 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
                     witness = (a, useq.to_ints(), lhs, rhs)
                     break
     return fixed, additive_ok, subfield_homogeneous, witness
+
+
+def first_failure(code, rng, scales, max_len):
+    """`skewtrellis._first_failure` one pair at a time: the index of the
+    first pair with encode(c u1 + u2) != c encode(u1) + encode(u2), one pair
+    per scale c, or None.  Each pair draws a length in [1, max_len], then
+    u1's symbols and u2's, block by block."""
+    field = code.field
+    q, k = field.size, code.k
+    for i, c in enumerate(scales):
+        length = rng.randrange(1, max_len + 1)
+        symbols = [rng.randrange(q) for _ in range(2 * length * k)]
+        blocks = [symbols[t * k : (t + 1) * k] for t in range(2 * length)]
+        u1 = Sequence(field, blocks[:length], width=k)
+        u2 = Sequence(field, blocks[length:], width=k)
+        lhs = code.encode(u1.scale(c) + u2, terminate=True)
+        rhs = code.encode(u1, terminate=True).scale(c) + code.encode(u2, terminate=True)
+        if lhs != rhs:
+            return i
+    return None
 
 
 # -- twisted coefficient tables and windows -----------------------------------

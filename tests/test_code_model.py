@@ -91,9 +91,9 @@ def test_analyze_runs_the_loop_dp_once(example_code, monkeypatch):
     calls = []
     original = Trellis._loop_dp
 
-    def counted(self, steps, row_at):
+    def counted(self, steps, row_at, *args, **kwargs):
         calls.append(steps)
-        return original(self, steps, row_at)
+        return original(self, steps, row_at, *args, **kwargs)
 
     monkeypatch.setattr(Trellis, "_loop_dp", counted)
     report = analyze_code(example_code, lmax=20)

@@ -137,6 +137,41 @@ def test_verify_duality_accepts_and_rejects(example_code, example_sf, f4):
     assert not verify_duality(example_code, perturbed)
 
 
+def test_verify_duality_forms_the_product_unless_a_former_validated_it(
+    example_code, example_sf, f4, monkeypatch
+):
+    check = example_sf.check
+    twin = make_code(f4, EXAMPLE_TABLE)  # an equal code, another object
+    cases = [
+        (example_code, SyndromeFormer(example_code, check), 0),
+        (example_code, SyndromeFormer(example_code, check, validate=False), 1),
+        (example_code, check, 1),
+        (twin, SyndromeFormer(example_code, check), 1),
+    ]
+    products = []
+    matmul = SkewPolyMatrix.__matmul__
+
+    def counted(self, other):
+        products.append(other)
+        return matmul(self, other)
+
+    monkeypatch.setattr(SkewPolyMatrix, "__matmul__", counted)
+    for code, sf, formed in cases:
+        products.clear()
+        assert verify_duality(code, sf)
+        assert len(products) == formed
+
+
+def test_an_unvalidated_former_of_a_perturbed_h_is_rejected(example_code, example_sf, f4):
+    # a bare perturbed matrix: test_verify_duality_accepts_and_rejects
+    table = example_sf.check.to_ints()
+    table[0][1][0] ^= 1
+    perturbed = SkewPolyMatrix.from_ints(f4, table)
+    assert not verify_duality(example_code, SyndromeFormer(example_code, perturbed, validate=False))
+    with pytest.raises(ValueError, match="G"):
+        SyndromeFormer(example_code, perturbed)
+
+
 def test_polynomial_and_window_conditions_agree(f4):
     rng = random.Random(31)
     found = 0

@@ -17,6 +17,7 @@ from skewconv import (
     SkewConvCode,
     SkewPolyMatrix,
     SkewTrellisCode,
+    SyndromeFormer,
     code as code_module,
     linearity_report,
     skewtrellis as skewtrellis_module,
@@ -256,6 +257,66 @@ def test_verify_duality_orthogonality_failures_match(monkeypatch):
         assert rng.getstate() == ref_rng.getstate(), name
         results.append(got)
     assert False in results
+
+
+class CountingRandom(random.Random):
+    """A generator that counts the calls of its getstate."""
+
+    getstates = 0
+
+    def getstate(self):
+        self.getstates += 1
+        return super().getstate()
+
+
+def perturbed_check(sf):
+    """sf's H(D) with 1 added to the constant term of its first entry."""
+    field = sf.field
+    table = sf.check.to_ints()
+    cell = table[0][0]
+    cell[:1] = [(cell[0] + 1) % field.size] if cell else [1]
+    return SkewPolyMatrix.from_ints(field, table)
+
+
+def test_a_failing_duality_check_leaves_the_generator_as_the_per_word_check(monkeypatch):
+    # a former validated for the code skips the product; its window is
+    # replaced by that of a perturbed H, which only the random words see
+    results = []
+    for name, code, sf in DUALS:
+        sf = SyndromeFormer(code, sf.check)
+        bad = SyndromeFormer(code, perturbed_check(sf), validate=False)
+        monkeypatch.setattr(sf, "ht_window", bad.ht_window)
+        for seed, num_words in ((0, 20), (1, 20), (2, 1), (3, 3)):
+            rng, ref_rng = CountingRandom(seed), random.Random(seed)
+            got = verify_duality(code, sf, num_words=num_words, rng=rng)
+            getstates = rng.getstates
+            assert got is reference.verify_duality(code, sf, num_words=num_words, rng=ref_rng)
+            assert rng.getstate() == ref_rng.getstate(), name
+            # one saved state per random phase the check reached
+            assert getstates == (1 if got is False else 2), name
+            results.append(got)
+    assert results.count(False) > len(DUALS)
+
+
+def test_a_failing_linearity_check_leaves_the_generator_as_the_per_pair_check():
+    # a right-module code with memory is linear over the fixed subfield
+    # only: a scale outside it fails at the first pair whose u1 has a
+    # symbol outside it
+    failures = set()
+    for name, code in CODES.items():
+        field = code.field
+        if code.module_side != "right" or field.automorphism_order == 1 or not code.memory:
+            continue
+        outside = [c for c in range(2, field.size) if c not in field.fixed_subfield()]
+        scales = [1, outside[0]] * 10
+        for seed in range(6):
+            rng, ref_rng = CountingRandom(seed), random.Random(seed)
+            got = skewtrellis_module._first_failure(code, rng, scales, 3)
+            assert rng.getstates == 1, name
+            assert got == reference.first_failure(code, ref_rng, scales, 3), name
+            assert rng.getstate() == ref_rng.getstate(), name
+            failures.add(got)
+    assert None not in failures and len(failures) > 1
 
 
 def witness_ints(witness):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from skewconv import SkewPoly, SkewPolyMatrix
+from skewconv import FieldElement, SkewPoly, SkewPolyMatrix
 
 from conftest import A, A2
+from test_sequence_storage import box_count  # noqa: F401
 
 
 def rand_poly(field, rng, max_deg):
@@ -120,6 +121,36 @@ def test_scalar_multiplication(f4):
     assert a * p == SkewPoly(f4, [A, A2])
     # right scalar picks up the twist on the D coefficient
     assert p * a == SkewPoly(f4, [A, f4.mul_int(A, f4.frobenius_int(A))])
+
+
+def test_arithmetic_and_integer_views_never_box(f4, box_count):
+    rng = random.Random(10)
+    a, b = rand_poly(f4, rng, 4), rand_poly(f4, rng, 3)
+    p = a * b + a - b - A
+    q, r = p.right_divmod(b)
+    assert q * b + r == p and hash(p) == hash(SkewPoly(f4, p.coefficient_values()))
+    assert p.degree == 7 and not p.is_zero and repr(p)
+    m = SkewPolyMatrix.from_ints(f4, [[[1, A], [A, A2]]])
+    mm = m @ m.transpose()
+    assert mm.coefficient_values(2) == [[0]] and mm.to_ints() and not mm.is_zero
+    assert box_count == []
+
+
+def test_coefficients_box_on_access(f4, box_count):
+    p = SkewPoly(f4, [1, A, 0, A2, 0])
+    coeffs = p.coeffs
+    assert box_count == [1, A, 0, A2]
+    assert all(type(c) is FieldElement and c.field is f4 for c in coeffs)
+    box_count.clear()
+    assert (p.coefficient(1).value, p.coefficient(4).value, p.coefficient(-1).value) == (A, 0, 0)
+    assert box_count == [A, 0, 0]
+
+
+def test_out_of_range_coefficients_are_refused(f4):
+    with pytest.raises(ValueError, match=r"value 4 outside \[0, 4\)"):
+        SkewPoly(f4, [1, 4, 0])
+    with pytest.raises(ValueError, match="outside"):
+        SkewPoly(f4, [-1])
 
 
 def test_degree_and_canonical_form(f4):

@@ -139,12 +139,40 @@ PER_SECTION = [
 ]
 
 
+# two-section trellises on which `free_distance` stops its scan early
+EARLY_STOP = [
+    # every loop of at most 3 edges weighs 2 or more; the lightest, of
+    # weight 1, closes at step 4 from phase 0, and the frontier passes it at
+    # step 5
+    (
+        "hand-built-late-lightest-loop",
+        gf2_trellis(
+            [[(0, 0), (1, 1)], [(3, 2), (3, 0)], [(2, 1), (1, 2)], [(0, 2), (2, 1)]],
+            [[(3, 0), (2, 0)], [(1, 0), (3, 1)], [(2, 0), (1, 1)], [(0, 0), (0, 1)]],
+        ),
+    ),
+    # two loops of weight 1: one edge from phase 1, and three edges from
+    # phase 0, which comes first in (start, length) order; after step 1 the
+    # frontier equals the lightest loop, so a scan stopping on a tie there
+    # would report the one-edge loop
+    (
+        "hand-built-equal-weight-tie",
+        gf2_trellis(
+            [[(1, 2), (1, 1)], [(0, 1), (2, 2)], [(3, 0), (0, 0)], [(2, 2), (3, 1)]],
+            [[(2, 2), (0, 1)], [(2, 0), (1, 2)], [(0, 1), (3, 0)], [(1, 0), (3, 1)]],
+        ),
+    ),
+]
+
+
 @pytest.fixture(
     scope="module",
-    params=[code for _, code in GRAPH_CODES] + HAND_BUILT + [tr for _, tr in PER_SECTION],
+    params=[code for _, code in GRAPH_CODES]
+    + HAND_BUILT
+    + [tr for _, tr in PER_SECTION + EARLY_STOP],
     ids=[name for name, _ in GRAPH_CODES]
     + ["hand-built-two-parts", "hand-built-zero-loop"]
-    + [name for name, _ in PER_SECTION],
+    + [name for name, _ in PER_SECTION + EARLY_STOP],
 )
 def trellis(request):
     param = request.param
@@ -269,12 +297,66 @@ def test_slope_matches_reference(trellis):
     assert got == want
 
 
-@pytest.mark.parametrize("ell_max,lmax", [(None, 12), (4, 0), (2, 6)])
+@pytest.mark.parametrize("ell_max,lmax", [(None, 12), (4, 0), (2, 6), (None, 0), (None, 24)])
 def test_free_distance_matches_reference(trellis, ell_max, lmax):
     got = trellis.free_distance(ell_max, lmax)
     want = reference.free_distance(trellis, ell_max, lmax)
     for f in dataclasses.fields(want):
         assert same(getattr(got, f.name), getattr(want, f.name)), f.name
+
+
+@pytest.fixture
+def acs_steps(monkeypatch):
+    """The number of `trellis.acs` calls made since the fixture ran."""
+    calls = []
+    acs = trellis_module.acs
+
+    def counted(*args):
+        calls.append(1)
+        return acs(*args)
+
+    monkeypatch.setattr(trellis_module, "acs", counted)
+    return calls
+
+
+def test_the_scan_stops_right_after_the_lightest_loop_closes(acs_steps):
+    tr = dict(EARLY_STOP)["hand-built-late-lightest-loop"]
+    assert [tr.active_burst_distance(ell) for ell in (1, 2, 3, 4)] == [math.inf, 2, 4, 1]
+    acs_steps.clear()
+    fd = tr.free_distance()
+    assert len(acs_steps) == 5 < 8 * 3 * 2
+    assert (fd.value, fd.loop_length, fd.witness[0].section, fd.stabilized) == (1, 4, 0, True)
+    # a scan that ends where the lightest loop closes still finds it, and
+    # one a step shorter does not
+    for ell_max, value in ((4, 1), (3, 2)):
+        acs_steps.clear()
+        assert tr.free_distance(ell_max).value == value
+        assert len(acs_steps) == ell_max
+    # lmax holds the scan back; past it, the stop is again the first step
+    # whose frontier is above the lightest loop
+    acs_steps.clear()
+    assert tr.free_distance(lmax=7).burst[3] == 1
+    assert len(acs_steps) == 7
+
+
+def test_an_equal_weight_tie_does_not_stop_the_scan(acs_steps):
+    tr = dict(EARLY_STOP)["hand-built-equal-weight-tie"]
+    zero, row, _ = tr._loop_dp(1, 1)
+    ret = tr._costs_to(np.arange(8) % 4 == 0).reshape(2, 4)
+    assert zero[:, 1].tolist() == [np.inf, 1] and trellis_module._frontier(row, ret, 1) == 1
+    acs_steps.clear()
+    fd = tr.free_distance()
+    assert (fd.value, fd.loop_length, fd.witness[0].section) == (1, 3, 0)
+    assert len(acs_steps) == 4
+
+
+@pytest.mark.parametrize("name,steps", [("gf16_m2", 24), ("gf4_worked_id", 16)])
+def test_analyze_scans_until_the_frontier_settles(name, steps, acs_steps):
+    # gf16_m2 settles at lmax = 24 of ell_max = 96; the catastrophic
+    # gf4_worked_id never does and scans all ell_max = 16 steps
+    code = load_code(SUITE / f"{name}.json")
+    analyze_code(code, trellis=build_trellis(code))
+    assert len(acs_steps) == steps
 
 
 def test_active_burst_distance_matches_reference(trellis):

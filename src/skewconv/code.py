@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .field import FieldElement, _read_only
-from .linalg import f_rank
-from .skewpoly import SkewPoly, SkewPolyMatrix
+from .linalg import f_rank, f_window
+from .skewpoly import SkewPolyMatrix
 
 __all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "ENCODE_CHUNK", "RANK_WINDOW_BUDGET"]
 
@@ -153,6 +153,26 @@ class Sequence:
         ) + "]"
 
 
+def coerce_sequence(field, u, width):
+    """u as a Sequence of `width`-symbol blocks over field: the one coercion
+    of the encoder's input and the decoders' received word."""
+    if isinstance(u, Sequence):
+        if u.width not in (None, width):
+            raise ValueError(f"blocks have length {u.width}, expected {width}")
+        if u.field != field:
+            raise ValueError("mixed-field operands")
+        return u
+    return Sequence(field, u, width=width)
+
+
+def _redraw(rng, state, draw, count):
+    """Set rng to state and make `count` draws again: the generator as left
+    by a check that stops after the count-th."""
+    rng.setstate(state)
+    for _ in range(count):
+        draw()
+
+
 class SkewConvCode:
     """[n, k] skew convolutional code with polynomial generator matrix G(D).
 
@@ -229,13 +249,7 @@ class SkewConvCode:
     # -- encoding -------------------------------------------------------
 
     def coerce_sequence(self, u, width):
-        if isinstance(u, Sequence):
-            if u.width not in (None, width):
-                raise ValueError(f"blocks have length {u.width}, expected {width}")
-            if u.field != self.field:
-                raise ValueError("mixed-field operands")
-            return u
-        return Sequence(self.field, u, width=width)
+        return coerce_sequence(self.field, u, width)
 
     def encode(self, u, terminate=False):
         """Encode an information sequence: `encode_batch` on a batch of one.
@@ -324,25 +338,15 @@ class SkewConvCode:
     # -- scalar (semi-infinite) generator windows -------------------------
 
     def scalar_generator(self, t_rows, form="standard"):
-        """First t_rows block rows of the scalar generator matrix.
-
-        Block row t carries theta^t(G_i) at block column t+i.  The "tilde"
-        form re-parameterizes via G_i = theta^i(G~_i), putting theta^(t+i)(G~_i)
-        at the same position, which is the same entry: the two forms give
-        the same window.
-        """
+        """First t_rows block rows of the scalar generator matrix, the window
+        `f_window(G, t_rows)`: block row t carries theta^t(G_i) at block
+        column t+i.  The "tilde" form puts theta^(t+i)(G~_i), G_i =
+        theta^i(G~_i), there: the same entry, so both forms give one window."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
         if form not in ("standard", "tilde"):
             raise ValueError(f"unknown form {form!r}")
-        k, n, mu = self.k, self.n, self.memory
-        # [G_0 | G_1 | ... | G_mu], twisted by theta^t for block row t
-        band = self.coefficients.transpose(1, 0, 2).reshape(k, (mu + 1) * n)
-        twisted = self.field.frobenius(band, np.arange(t_rows)[:, None, None])
-        out = np.zeros((t_rows * k, (t_rows + mu) * n), dtype=np.int64)
-        for t in range(t_rows):
-            out[t * k : (t + 1) * k, t * n : (t + mu + 1) * n] = twisted[t]
-        return out
+        return f_window(self.field, self.coefficients, t_rows)
 
     # -- regrouping into an equivalent fixed code -------------------------
 
@@ -351,16 +355,12 @@ class SkewConvCode:
         by regrouping `period` consecutive blocks."""
         self.require_left_module("tau_block")
         tau = self.period
-        if tau == 1:
-            return self.generator
-        k, n, mu = self.k, self.n, self.memory
-        # twisted[a, i] = theta^a(G_i), the block of row a, column b = a + i - j tau
-        twisted = self.field.frobenius(self.coefficients, np.arange(tau)[:, None, None, None])
-        big = np.zeros(((mu + tau - 1) // tau + 1, tau * k, tau * n), dtype=np.intp)
-        for a in range(tau):
-            for i in range(mu + 1):
-                j, b = divmod(a + i, tau)
-                big[j, a * k : (a + 1) * k, b * n : (b + 1) * n] = twisted[a, i]
+        # block row a of the window holds theta^a(G_i) at block column
+        # a + i = j tau + b, which is block (a, b) of coefficient j
+        width = ((self.memory + tau - 1) // tau + 1) * tau * self.n
+        window = f_window(self.field, self.coefficients, tau)
+        window = np.pad(window, ((0, 0), (0, width - window.shape[1])))
+        big = window.reshape(tau * self.k, -1, tau * self.n).transpose(1, 0, 2)
         return SkewPolyMatrix.from_coefficients(self.field, big.tolist())
 
     def __repr__(self):

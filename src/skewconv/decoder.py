@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .code import Sequence
+from .code import Sequence, coerce_sequence
 from .trellis import SURVIVOR_BUDGET, _check_edge_budget, acs, check_survivor_budget
 
 __all__ = [
@@ -94,14 +94,6 @@ class DecodeResult:
     posteriors: np.ndarray | None = dc_field(default=None)
 
 
-def _coerce_received(trellis, received):
-    if isinstance(received, Sequence):
-        if received.width not in (None, trellis.n):
-            raise ValueError(f"received blocks have length {received.width}, expected {trellis.n}")
-        return received.to_ints()
-    return Sequence(trellis.field, received, width=trellis.n).to_ints()
-
-
 def viterbi_batch(trellis, received, terminated=False):
     """ML decoding of a batch of equal-length frames by minimum Hamming
     distance: Forney's add-compare-select, one section at a time over every
@@ -168,7 +160,7 @@ def viterbi_batch(trellis, received, terminated=False):
 def viterbi(trellis, received, terminated=False):
     """ML sequence decoding of one frame by minimum Hamming distance:
     `viterbi_batch` on a batch of one, with its tie-break and its budget."""
-    blocks = _coerce_received(trellis, received)
+    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
     frame = np.array(blocks, dtype=np.intp).reshape(1, len(blocks), trellis.n)
     info, metrics = viterbi_batch(trellis, frame, terminated)
     return DecodeResult(Sequence._trusted(trellis.field, info[0].tolist(), trellis.k), metrics[0])
@@ -191,7 +183,7 @@ def bcjr(trellis, received, channel, terminated=False):
     if not 0.0 < channel.eps < max_eps:
         raise ValueError(f"eps must lie in (0, {max_eps}) for APP decoding")
 
-    blocks = _coerce_received(trellis, received)
+    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
     total = len(blocks)
     tail = trellis.memory if terminated else 0
     if total <= tail and terminated:

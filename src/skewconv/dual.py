@@ -14,19 +14,26 @@ and applying theta^-s to the equation gives
     sum_i theta^-s(G_i) x_(s-i)^T = 0,
 
 which is linear over the whole field: one k(mu + mu_perp + 1) x
-n(mu_perp + 1) system per dual memory, solved by `linalg.f_nullspace`.
+n(mu_perp + 1) system per dual memory, solved by `linalg.f_nullspace`: the
+transposed theta^-1 window f_window(theta^-i(G_i)^T, mu_perp + 1, twist=-1),
+whose block row j holds theta^-(i+j)(G_i)^T at block column s = i + j.
 A right scalar multiple h(D) c has x_j c as its unknowns, so right scalar
 row operations on H are plain row operations on the rows x.  The solver
 keeps the first n - k basis rows whose x_0 = h_0 are independent, brings
 H_0 to reduced echelon form by one elimination of those rows x, and
 returns h_j = theta^j(x_j).
+
+G(D) H^T(D) = 0 is decided on the windows too: block column s of
+f_window(G, 1) f_window(H^T, mu + 1) is sum_i G_i theta^i(H_(s-i))^T.
 """
 
 import random
 
 import numpy as np
 
-from .linalg import f_matmul, f_nullspace, f_rank, f_rref
+from .code import _redraw
+from .field import _read_only
+from .linalg import f_matmul, f_nullspace, f_rank, f_rref, f_window
 from .skewpoly import SkewPolyMatrix
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
@@ -45,9 +52,7 @@ class SyndromeFormer:
     """Parity-check data of the dual code: H(D) with G(D) H^T(D) = 0."""
 
     def __init__(self, code, check, validate=True):
-        """With validate, G(D) H^T(D) = 0 and rank(H_0) = n - k are checked
-        here, and `verify_duality` does not form the product again for this
-        code object."""
+        """With validate, G(D) H^T(D) = 0 and rank(H_0) = n - k are checked."""
         if not isinstance(check, SkewPolyMatrix):
             raise ValueError("check must be a SkewPolyMatrix")
         if check.rows != code.n - code.k or check.cols != code.n:
@@ -55,34 +60,33 @@ class SyndromeFormer:
                 f"check matrix must be {code.n - code.k} x {code.n}, "
                 f"got {check.rows} x {check.cols}"
             )
+        if check.field != code.field:
+            raise ValueError("mixed-field operands")
         self.code = code
         self.field = code.field
         self.check = check
         self.dual_memory = int(max(check.degree, 0))
-        self._validated = validate
+        # H_0 .. H_mu_perp as one read-only integer array, indexed [i, row, col]
+        values = [check.coefficient_values(i) for i in range(self.dual_memory + 1)]
+        self.coefficients = _read_only(np.array(values, dtype=np.intp))
         if validate:
-            if not (code.generator @ check.transpose()).is_zero:
+            if not _annihilates(self.field, code.coefficients, self.coefficients):
                 raise ValueError("G(D) H^T(D) != 0")
-            if f_rank(self.field, check.coefficient_values(0)) != check.rows:
+            if f_rank(self.field, self.coefficients[0]) != check.rows:
                 raise ValueError("rank(H_0) < n - k")
 
     def coefficient_values(self, i):
-        return self.check.coefficient_values(i)
+        """H_i as nested integer lists, zero outside 0 .. dual_memory."""
+        if not 0 <= i <= self.dual_memory:
+            return np.zeros_like(self.coefficients[0]).tolist()
+        return self.coefficients[i].tolist()
 
     def ht_window(self, t_rows):
         """Window of the semi-infinite transposed check matrix: block row t
         carries theta^t(H_i^T) at block column t + i."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
-        n, r, mu_perp = self.code.n, self.check.rows, self.dual_memory
-        # [H_0^T | H_1^T | ... | H_mu_perp^T], twisted by theta^t for block row t
-        h = np.array([self.coefficient_values(i) for i in range(mu_perp + 1)])
-        band = h.transpose(2, 0, 1).reshape(n, (mu_perp + 1) * r)
-        twisted = self.field.frobenius(band, np.arange(t_rows)[:, None, None])
-        out = np.zeros((t_rows * n, (t_rows + mu_perp) * r), dtype=np.int64)
-        for t in range(t_rows):
-            out[t * n : (t + 1) * n, t * r : (t + mu_perp + 1) * r] = twisted[t]
-        return out
+        return f_window(self.field, self.coefficients.transpose(0, 2, 1), t_rows)
 
     def h_window(self, t_cols):
         """Window of the parity check matrix in column-stationary layout:
@@ -94,19 +98,21 @@ class SyndromeFormer:
         return f"SyndromeFormer(dual_memory={self.dual_memory}, check={self.check!r})"
 
 
+def _annihilates(field, g, h):
+    """G(D) H^T(D) = 0, for G and H given as coefficient arrays
+    [i, row, col]: block row 0 of the window product is zero."""
+    ht = f_window(field, h.transpose(0, 2, 1), len(g))
+    return not f_matmul(field, f_window(field, g, 1), ht).any()
+
+
 def _solutions(code, mu_perp):
     """Basis, in free-column order, of the x = (x_0, ..., x_mu_perp) of
     length n (mu_perp + 1) with sum_i theta^-s(G_i) x_(s-i)^T = 0 for every
-    product degree s."""
-    field, k, n, mu = code.field, code.k, code.n, code.memory
-    degrees = mu + mu_perp + 1
-    twisted = field.frobenius(code.coefficients, -np.arange(degrees)[:, None, None, None])
-    system = np.zeros((degrees, k, mu_perp + 1, n), dtype=np.int64)
-    for s in range(degrees):
-        lo, hi = max(0, s - mu), min(s, mu_perp)
-        # x_j meets theta^-s(G_(s-j)), j = lo .. hi
-        system[s, :, lo : hi + 1] = twisted[s, s - hi : s - lo + 1][::-1].transpose(1, 0, 2)
-    return f_nullspace(field, system.reshape(degrees * k, (mu_perp + 1) * n))
+    product degree s: the kernel of the transposed theta^-1 window."""
+    field = code.field
+    delays = np.arange(code.memory + 1)[:, None, None]
+    gt = field.frobenius(code.coefficients, -delays).transpose(0, 2, 1)
+    return f_nullspace(field, f_window(field, gt, mu_perp + 1, twist=-1).T)
 
 
 def syndrome_former(code, mu_perp_max=None):
@@ -147,24 +153,22 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     dual-window codewords are orthogonal to random codewords under the plain
     scalar product.
 
-    The product is not formed again for a `SyndromeFormer` that validated it
-    for this code object.  Each random phase draws all its words first and
-    checks them at once; on a failure the generator is set back to the state
-    saved before the phase and the words up to the first bad one are drawn
-    again, so it is left where a check that stops there leaves it.
+    The product is decided on the coefficient windows by the check that
+    `SyndromeFormer` validates with.  Each random phase draws all its words
+    first and checks them at once; on a failure the generator is set back to
+    the state saved before the phase and the words up to the first bad one
+    are drawn again, so it is left where a check that stops there leaves it.
     """
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field
-    if not (sf._validated and sf.code is code):
-        if not (code.generator @ sf.check.transpose()).is_zero:
-            return False
+    if not _annihilates(field, code.coefficients, sf.coefficients):
+        return False
 
     rng = rng or random.Random(0)
     q = field.size
-    mu = code.memory
-    info_len = max(length - mu, 1)
-    total = info_len + mu
+    info_len = max(length - code.memory, 1)
+    total = info_len + code.memory
 
     def word():
         return [rng.randrange(q) for _ in range(code.k * info_len)]
@@ -200,11 +204,3 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
         _redraw(rng, start, pair, int(bad.argmax()) + 1)
         return False
     return True
-
-
-def _redraw(rng, state, draw, count):
-    """Set rng to state and make `count` draws again: the generator as left
-    by a check that stops after the count-th."""
-    rng.setstate(state)
-    for _ in range(count):
-        draw()

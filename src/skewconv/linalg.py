@@ -1,10 +1,11 @@
 """Exact linear algebra over a FiniteField on integer-encoded matrices:
-one Gauss-Jordan elimination (`f_rref`), and the rank, nullspace and matrix
-product built on the field's array operations."""
+one Gauss-Jordan elimination (`f_rref`), the rank, nullspace and matrix
+product built on the field's array operations, and `f_window`, the one
+builder of the banded scalar windows of a skew polynomial matrix."""
 
 import numpy as np
 
-__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul"]
+__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul", "f_window"]
 
 # the most products `f_matmul` forms at once, beyond one row's
 _MATMUL_TERMS = 1 << 16
@@ -81,3 +82,15 @@ def f_matmul(field, a, b):
         terms = field.mul(a[start : start + band, :, None], b)
         out[start : start + band] = field.sum(np.moveaxis(terms, 1, 0))
     return out
+
+
+def f_window(field, coefficients, blocks, twist=1):
+    """Scalar window of blocks block rows of a polynomial matrix
+    C(D) = sum_i C_i D^i given as an integer array [i, row, col]: block row t
+    holds theta^(twist * t)(C_i) at block column t + i, zeros elsewhere."""
+    terms, rows, cols = coefficients.shape
+    t = np.arange(blocks)[:, None]
+    out = np.zeros((blocks, rows, blocks + terms - 1, cols), dtype=np.int64)
+    # the twisted blocks, indexed (t, i, row, col), go to out[t, :, t + i, :]
+    out[t, :, t + np.arange(terms), :] = field.frobenius(coefficients, twist * t[..., None, None])
+    return out.reshape(blocks * rows, -1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode
+from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode, _redraw
 from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
@@ -77,9 +77,7 @@ def _first_failure(code, rng, scales, max_len):
     if not failed.any():
         return None
     first = int(failed.argmax())
-    rng.setstate(start)
-    for _ in range(first + 1):
-        pair()
+    _redraw(rng, start, pair, first + 1)
     return first
 
 

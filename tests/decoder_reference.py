@@ -13,7 +13,8 @@ import math
 import code_reference
 from skewconv import DecodeResult, Sequence, SimReport, build_trellis
 from skewconv.analysis import _trial_rng
-from skewconv.decoder import QSChannel, _coerce_received
+from skewconv.code import coerce_sequence
+from skewconv.decoder import QSChannel
 from trellis_reference import sections
 
 
@@ -35,7 +36,7 @@ def transmit(channel, seq, rng):
 def viterbi(trellis, received, terminated=False):
     """Viterbi one edge at a time: the first (state, input) in scan order that
     strictly improves a state becomes its survivor."""
-    blocks = _coerce_received(trellis, received)
+    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
     total = len(blocks)
     tail = trellis.memory if terminated else 0
     if total <= tail and terminated:

@@ -189,6 +189,22 @@ def test_bcjr_eps_validation(tr, example_code):
         bcjr(tr, v, QSChannel(4, 0.9), terminated=True)
 
 
+def test_decoders_refuse_a_word_over_another_field(tr, example_code, f8):
+    # GF(8) symbols below 4 would pass a range check against the GF(4) trellis
+    received = Sequence(f8, [[7, 7]] * 6)
+    low = Sequence(f8, [[1, 3]] * 6)
+    channel = QSChannel(4, 0.1)
+    for word in (received, low):
+        with pytest.raises(ValueError, match="^mixed-field operands$"):
+            example_code.encode(Sequence(f8, [[1]] * 6))
+        with pytest.raises(ValueError, match="^mixed-field operands$"):
+            viterbi(tr, word, terminated=True)
+        with pytest.raises(ValueError, match="^mixed-field operands$"):
+            bcjr(tr, word, channel, terminated=True)
+    with pytest.raises(ValueError, match="^blocks have length 1, expected 2$"):
+        bcjr(tr, Sequence(tr.field, [[1]] * 4), channel)
+
+
 def test_bcjr_refuses_a_word_over_the_edge_budget(tr, example_code, monkeypatch):
     v = example_code.encode([[1], [0]], terminate=True)  # 3 blocks x 4 states x 4 inputs
     channel = QSChannel(4, 0.1)

@@ -18,6 +18,7 @@ from skewconv import (
 )
 from skewconv.cli import main
 from skewconv.codespec import load_code
+from skewconv.dual import _annihilates
 from skewconv.linalg import f_matmul, f_rank
 
 import code_reference as ref
@@ -137,17 +138,11 @@ def test_verify_duality_accepts_and_rejects(example_code, example_sf, f4):
     assert not verify_duality(example_code, perturbed)
 
 
-def test_verify_duality_forms_the_product_unless_a_former_validated_it(
-    example_code, example_sf, f4, monkeypatch
-):
+def test_verify_duality_never_forms_the_product(example_code, example_sf, f4, monkeypatch):
+    # G(D) H^T(D) = 0 is decided on the coefficient windows for every kind
+    # of check, so no skew polynomial product is formed
     check = example_sf.check
     twin = make_code(f4, EXAMPLE_TABLE)  # an equal code, another object
-    cases = [
-        (example_code, SyndromeFormer(example_code, check), 0),
-        (example_code, SyndromeFormer(example_code, check, validate=False), 1),
-        (example_code, check, 1),
-        (twin, SyndromeFormer(example_code, check), 1),
-    ]
     products = []
     matmul = SkewPolyMatrix.__matmul__
 
@@ -156,10 +151,15 @@ def test_verify_duality_forms_the_product_unless_a_former_validated_it(
         return matmul(self, other)
 
     monkeypatch.setattr(SkewPolyMatrix, "__matmul__", counted)
-    for code, sf, formed in cases:
-        products.clear()
+    cases = [
+        (example_code, SyndromeFormer(example_code, check)),
+        (example_code, SyndromeFormer(example_code, check, validate=False)),
+        (example_code, check),
+        (twin, SyndromeFormer(example_code, check)),
+    ]
+    for code, sf in cases:
         assert verify_duality(code, sf)
-        assert len(products) == formed
+    assert products == []
 
 
 def test_an_unvalidated_former_of_a_perturbed_h_is_rejected(example_code, example_sf, f4):
@@ -198,6 +198,57 @@ def test_polynomial_and_window_conditions_agree(f4):
         bsf = SyndromeFormer(code, broken, validate=False)
         assert f_matmul(f4, gw, bsf.ht_window(4 + code.memory)).any()
     assert found == 5
+
+
+WINDOW_FIELDS = {
+    "gf4": FiniteField(2, 2, [1, 1, 1], theta_r=1),
+    "gf8": FiniteField(2, 3, [1, 1, 0, 1], theta_r=1),
+    "gf9": FiniteField(3, 2, [2, 2, 1], theta_r=1),
+    "gf16_a2": FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=1),
+    "gf16_a4": FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=2),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("name", sorted(WINDOW_FIELDS))
+def test_window_duality_predicate_matches_the_product(name, k):
+    # the window predicate against the skew product, on found formers and on
+    # formers with one coefficient of H changed
+    field = WINDOW_FIELDS[name]
+    rng = random.Random(f"{name}-{k}")
+    found = rejected = 0
+    for _ in range(200):
+        if found == 4:
+            break
+        n = k + rng.randrange(1, 3)
+        mu = rng.randrange(1, 3)
+        table = [[[rng.randrange(field.size) for _ in range(mu + 1)] for _ in range(n)] for _ in range(k)]
+        try:
+            code = make_code(field, table)
+            sf = syndrome_former(code, 3)
+        except (ValueError, SyndromeFormerNotFound):
+            continue
+        found += 1
+        assert (code.generator @ sf.check.transpose()).is_zero
+        assert _annihilates(field, code.coefficients, sf.coefficients)
+        gw = code.scalar_generator(3)
+        assert not f_matmul(field, gw, sf.ht_window(3 + code.memory)).any()
+        for _ in range(3):
+            broken_table = sf.check.to_ints()
+            cell = broken_table[rng.randrange(n - k)][rng.randrange(n)]
+            cell += [0] * (sf.dual_memory + 1 - len(cell))
+            j = rng.randrange(len(cell))
+            cell[j] = field.add_int(cell[j], rng.randrange(1, field.size))
+            broken = SkewPolyMatrix.from_ints(field, broken_table)
+            bsf = SyndromeFormer(code, broken, validate=False)
+            zero = (code.generator @ broken.transpose()).is_zero
+            assert _annihilates(field, code.coefficients, bsf.coefficients) is zero
+            if not zero:
+                rejected += 1
+                assert not verify_duality(code, bsf)
+                with pytest.raises(ValueError, match="G"):
+                    SyndromeFormer(code, broken)
+    assert found == 4 and rejected >= 6
 
 
 def test_zero_syndrome_means_membership(example_code, example_sf, f4):
@@ -246,6 +297,23 @@ def test_syndrome_former_constructor_validation(example_code, f4):
     bad = SkewPolyMatrix.from_ints(f4, [[[1, A], [1, A]]])
     with pytest.raises(ValueError):
         SyndromeFormer(example_code, bad)
+
+
+def test_coefficients_outside_the_dual_memory_are_zero(example_sf):
+    mu_perp = example_sf.dual_memory
+    for i in (-1, mu_perp + 1, mu_perp + 5):
+        assert example_sf.coefficient_values(i) == example_sf.check.coefficient_values(i) == [[0, 0]]
+    for i in range(mu_perp + 1):
+        assert example_sf.coefficient_values(i) == example_sf.check.coefficient_values(i)
+
+
+def test_a_check_over_another_field_is_refused(example_code, example_sf, f8):
+    check = SkewPolyMatrix.from_ints(f8, example_sf.check.to_ints())
+    for validate in (True, False):
+        with pytest.raises(ValueError, match="^mixed-field operands$"):
+            SyndromeFormer(example_code, check, validate=validate)
+    with pytest.raises(ValueError, match="^mixed-field operands$"):
+        verify_duality(example_code, check)
 
 
 def test_rate_one_code_has_no_former(f4):

@@ -113,9 +113,10 @@ def _cmd_dual(args, out):
         raise CodeSpecError("a code-spec file is required (positional or --code)")
     code = load_code(path)
     sf = syndrome_former(code, mu_perp_max=args.mu_perp_max)
-    doc = {"mu_perp": sf.dual_memory, "H": sf.check.to_ints()}
+    check = sf.check
+    doc = {"mu_perp": sf.dual_memory, "H": check.to_ints()}
     if args.pretty:
-        doc["H_pretty"] = [[repr(e) for e in row] for row in sf.check.entries]
+        doc["H_pretty"] = [[repr(e) for e in row] for row in check.entries]
     out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 

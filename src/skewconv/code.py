@@ -16,6 +16,7 @@ right-module (trellis) encoding twists the stored inputs instead:
     v_t = sum_i theta^i(u_{t-i}) * G_i.
 """
 
+import random
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +31,11 @@ ENCODE_CHUNK = 1 << 16
 """About the most products (frames x blocks x (memory + 1) x k x n) that
 `encode_batch` forms at once: a longer input is encoded in time chunks that
 overlap by `memory` input blocks."""
+
+# words `_draw_symbols` makes beyond 5/4 of those its symbols need on average
+_DRAW_SPARE = 32
+# the methods randrange(q) goes through, which an instance may override
+_DRAW_METHODS = {"randrange", "_randbelow", "getrandbits"}
 
 RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
@@ -171,6 +177,52 @@ def _redraw(rng, state, draw, count):
     rng.setstate(state)
     for _ in range(count):
         draw()
+
+
+def _draws_by_words(rng):
+    """Whether rng is a random.Random whose randrange is random.Random's own
+    rejection draw on the Mersenne Twister's 32-bit words: neither its class
+    nor the instance overrides it or the words (a subclass that overrides
+    random() draws without them)."""
+    if not isinstance(rng, random.Random) or vars(rng).keys() & _DRAW_METHODS:
+        return False
+    cls = type(rng)
+    return (
+        cls.randrange is random.Random.randrange
+        and cls._randbelow is random.Random._randbelow_with_getrandbits
+        and cls.getrandbits is random.Random.getrandbits
+    )
+
+
+def _draw_symbols(rng, q, count, state):
+    """count draws of rng.randrange(q) as an intp array, rng left where they
+    leave it; state is rng.getstate() before the draws.
+
+    randrange(q) keeps the top q.bit_length() bits of the generator's next
+    32-bit word if they are below q, and takes the next word otherwise.  So
+    for a generator that draws that way (`_draws_by_words`) the words are
+    made in blocks of getrandbits(32 m), whose little-endian 32-bit words
+    are the m next words in order, and the generator is then set back to
+    state and advanced by the words used.  Any other generator draws symbol
+    by symbol.
+    """
+    bits = q.bit_length()
+    if bits > 32 or not _draws_by_words(rng):
+        return np.array([rng.randrange(q) for _ in range(count)], dtype=np.intp)
+    if not count:
+        return np.zeros(0, dtype=np.intp)
+    words, kept = None, ()
+    while len(kept) < count:
+        # 5/4 of the words the missing symbols need on average, and spares
+        m = (count - len(kept)) * 5 * (1 << bits) // (4 * q) + _DRAW_SPARE
+        block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        block = np.frombuffer(block, dtype="<u4") >> (32 - bits)
+        words = block if words is None else np.concatenate((words, block))
+        kept = np.flatnonzero(words < q)
+    kept = kept[:count]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(kept[-1]) + 1))
+    return words[kept].astype(np.intp)
 
 
 class SkewConvCode:

@@ -15,7 +15,7 @@ and applying theta^-s to the equation gives
 
 which is linear over the whole field: one k(mu + mu_perp + 1) x
 n(mu_perp + 1) system per dual memory, solved by `linalg.f_nullspace`: the
-transposed theta^-1 window f_window(theta^-i(G_i)^T, mu_perp + 1, twist=-1),
+transposed window f_window(G^T, mu_perp + 1, twist=-1, delay_twist=-1),
 whose block row j holds theta^-(i+j)(G_i)^T at block column s = i + j.
 A right scalar multiple h(D) c has x_j c as its unknowns, so right scalar
 row operations on H are plain row operations on the rows x.  The solver
@@ -31,7 +31,7 @@ import random
 
 import numpy as np
 
-from .code import _redraw
+from .code import _draw_symbols, _redraw
 from .field import _read_only
 from .linalg import f_matmul, f_nullspace, f_rank, f_rref, f_window
 from .skewpoly import SkewPolyMatrix
@@ -49,10 +49,13 @@ class SyndromeFormerNotFound(Exception):
 
 
 class SyndromeFormer:
-    """Parity-check data of the dual code: H(D) with G(D) H^T(D) = 0."""
+    """Parity-check data of the dual code: H(D) with G(D) H^T(D) = 0, held
+    once, as the read-only array `coefficients` of H_0 .. H_dual_memory
+    indexed [i, row, col]."""
 
     def __init__(self, code, check, validate=True):
-        """With validate, G(D) H^T(D) = 0 and rank(H_0) = n - k are checked."""
+        """check is H(D) as a SkewPolyMatrix.  With validate,
+        G(D) H^T(D) = 0 and rank(H_0) = n - k are checked."""
         if not isinstance(check, SkewPolyMatrix):
             raise ValueError("check must be a SkewPolyMatrix")
         if check.rows != code.n - code.k or check.cols != code.n:
@@ -62,18 +65,32 @@ class SyndromeFormer:
             )
         if check.field != code.field:
             raise ValueError("mixed-field operands")
+        values = [check.coefficient_values(i) for i in range(int(max(check.degree, 0)) + 1)]
+        self._hold(code, np.array(values, dtype=np.intp), validate)
+
+    @classmethod
+    def _from_coefficients(cls, code, coefficients, validate=True):
+        """The former of the (n - k) x n H(D) given by its coefficient array
+        [i, row, col] over the code's field, whose last entry is nonzero."""
+        sf = cls.__new__(cls)
+        sf._hold(code, coefficients, validate)
+        return sf
+
+    def _hold(self, code, coefficients, validate):
         self.code = code
         self.field = code.field
-        self.check = check
-        self.dual_memory = int(max(check.degree, 0))
-        # H_0 .. H_mu_perp as one read-only integer array, indexed [i, row, col]
-        values = [check.coefficient_values(i) for i in range(self.dual_memory + 1)]
-        self.coefficients = _read_only(np.array(values, dtype=np.intp))
+        self.coefficients = _read_only(coefficients)
+        self.dual_memory = len(coefficients) - 1
         if validate:
             if not _annihilates(self.field, code.coefficients, self.coefficients):
                 raise ValueError("G(D) H^T(D) != 0")
-            if f_rank(self.field, self.coefficients[0]) != check.rows:
+            if f_rank(self.field, self.coefficients[0]) != code.n - code.k:
                 raise ValueError("rank(H_0) < n - k")
+
+    @property
+    def check(self):
+        """H(D) as a SkewPolyMatrix, made from `coefficients` on each use."""
+        return SkewPolyMatrix.from_coefficients(self.field, self.coefficients.tolist())
 
     def coefficient_values(self, i):
         """H_i as nested integer lists, zero outside 0 .. dual_memory."""
@@ -105,14 +122,19 @@ def _annihilates(field, g, h):
     return not f_matmul(field, f_window(field, g, 1), ht).any()
 
 
+def _system(code, mu_perp):
+    """The matrix of the equations sum_i theta^-s(G_i) x_(s-i)^T = 0, one
+    block row of k per product degree s, over x = (x_0, ..., x_mu_perp):
+    the transposed window whose block row j holds theta^-(i + j)(G_i)^T at
+    block column s = i + j."""
+    gt = code.coefficients.transpose(0, 2, 1)
+    return f_window(code.field, gt, mu_perp + 1, twist=-1, delay_twist=-1).T
+
+
 def _solutions(code, mu_perp):
-    """Basis, in free-column order, of the x = (x_0, ..., x_mu_perp) of
-    length n (mu_perp + 1) with sum_i theta^-s(G_i) x_(s-i)^T = 0 for every
-    product degree s: the kernel of the transposed theta^-1 window."""
-    field = code.field
-    delays = np.arange(code.memory + 1)[:, None, None]
-    gt = field.frobenius(code.coefficients, -delays).transpose(0, 2, 1)
-    return f_nullspace(field, f_window(field, gt, mu_perp + 1, twist=-1).T)
+    """Basis, in free-column order, of the x of length n (mu_perp + 1) with
+    `_system(code, mu_perp)` x^T = 0."""
+    return f_nullspace(code.field, _system(code, mu_perp))
 
 
 def syndrome_former(code, mu_perp_max=None):
@@ -141,9 +163,10 @@ def syndrome_former(code, mu_perp_max=None):
         # x_0 of the chosen rows has full row rank, so every pivot of their
         # rref lies in x_0: the rref is T x with T x_0 in reduced echelon form
         x = f_rref(field, x[chosen])[0].reshape(need, mu_perp + 1, n)
-        h = field.frobenius(x, np.arange(mu_perp + 1)[:, None])
-        check = SkewPolyMatrix.from_ints(field, h.transpose(0, 2, 1).tolist())
-        return SyndromeFormer(code, check)
+        # h_j = theta^j(x_j), as the coefficient array [j, row, col]; the
+        # last is nonzero, or the rows would solve for a smaller mu_perp
+        h = field.frobenius(x.transpose(1, 0, 2), np.arange(mu_perp + 1)[:, None, None])
+        return SyndromeFormer._from_coefficients(code, h)
     raise SyndromeFormerNotFound(code, mu_perp_max)
 
 
@@ -154,10 +177,12 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     scalar product.
 
     The product is decided on the coefficient windows by the check that
-    `SyndromeFormer` validates with.  Each random phase draws all its words
-    first and checks them at once; on a failure the generator is set back to
-    the state saved before the phase and the words up to the first bad one
-    are drawn again, so it is left where a check that stops there leaves it.
+    `SyndromeFormer` validates with.  Each random phase saves the generator's
+    state once, draws all its words as one block of symbols
+    (`code._draw_symbols`: the symbols and the final state of a loop of
+    randrange(q)) and checks them at once; on a failure the generator is set
+    back to the saved state and the words up to the first bad one are drawn
+    again, so it is left where a check that stops there leaves it.
     """
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
@@ -175,8 +200,8 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
 
     # every word is encoded at once and checked by one syndrome product
     start = rng.getstate()
-    words = [word() for _ in range(num_words)]
-    info = np.array(words, dtype=np.intp).reshape(num_words, info_len, code.k)
+    info = _draw_symbols(rng, q, num_words * code.k * info_len, start)
+    info = info.reshape(num_words, info_len, code.k)
     codewords = code.encode_batch(info, terminate=True).reshape(num_words, total * code.n)
     ht = sf.ht_window(total)
     bad = f_matmul(field, codewords, ht).any(axis=1)
@@ -188,17 +213,17 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     # once: every pair must be orthogonal
     hw = ht.T  # the same as sf.h_window(total)
     gw = code.scalar_generator(info_len)
+    rows = len(gw)
 
     def pair():
-        u = [rng.randrange(q) for _ in range(gw.shape[0])]
-        return u, [rng.randrange(q) for _ in range(hw.shape[0])]
+        u = [rng.randrange(q) for _ in range(rows)]
+        return u, [rng.randrange(q) for _ in range(len(hw))]
 
     start = rng.getstate()
-    pairs = [pair() for _ in range(num_words)]
-    u_rows = np.array([u for u, _ in pairs], dtype=np.int64).reshape(num_words, gw.shape[0])
-    w_rows = np.array([w for _, w in pairs], dtype=np.int64).reshape(num_words, hw.shape[0])
-    v = f_matmul(field, u_rows, gw)
-    vperp = f_matmul(field, w_rows, hw)
+    pairs = _draw_symbols(rng, q, num_words * (rows + len(hw)), start)
+    pairs = pairs.reshape(num_words, rows + len(hw))
+    v = f_matmul(field, pairs[:, :rows], gw)
+    vperp = f_matmul(field, pairs[:, rows:], hw)
     bad = field.sum(field.mul(v, vperp).T) != 0
     if bad.any():
         _redraw(rng, start, pair, int(bad.argmax()) + 1)

@@ -11,7 +11,11 @@ b = g^j, a + b = g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`
 and `frobenius` are the same operations over integer arrays; they and the
 trellis builder run on the O(q) read-only numpy tables `log_table`,
-`antilog_table` and `frobenius_table`.
+`antilog_table` and `frobenius_table`.  Each costs O(1) numpy calls: `sum`
+of a stacked array is one reduction along its first axis (one XOR reduce
+for p = 2; for odd p one gather into digit bit fields, integer sums and one
+pack), and `mul` is one gather of a product table padded with zeros, at a
+sum of two logs whose log of 0 is a sentinel past the antilogs.
 """
 
 import math
@@ -228,19 +232,27 @@ class FiniteField:
                 gen = cand
                 break
         self.generator = gen
-        antilog = [0] * max(q1, 1)
-        log = [-1] * self.size
-        x = 1
-        for i in range(q1):
-            antilog[i] = x
-            log[x] = i
-            x = self._mul_raw(x, gen)
-        self._antilog = antilog
-        self._log = log
-        # antilog_table[i] = g^i for 0 <= i < q - 1; log_table[a] = i where
-        # g^i = a, and -1 at a = 0
-        self.antilog_table = _read_only(np.array(antilog, dtype=np.intp))
-        self.log_table = _read_only(np.array(log, dtype=np.intp))
+        # antilog_table[i] = g^i for 0 <= i < q - 1, one product by g per
+        # power; log_table[a] = i where g^i = a, and -1 at a = 0
+        antilog = [1]
+        while len(antilog) < q1:
+            antilog.append(self._mul_raw(antilog[-1], gen))
+        antilog = np.array(antilog, dtype=np.intp)
+        log = np.full(self.size, -1, dtype=np.intp)
+        log[antilog] = np.arange(q1)
+        self.antilog_table = _read_only(antilog)
+        self.log_table = _read_only(log)
+        self._antilog = antilog.tolist()
+        self._log = log.tolist()
+        # the product tables: _product_logs is log_table with the sentinel
+        # 2(q - 1) at 0, and _product_table is the antilog table twice over,
+        # so that a sum of two logs needs no reduction mod q - 1, then zeros
+        # from 2(q - 1) to 4(q - 1), where a sum with a sentinel lands
+        logs = self.log_table.copy()
+        logs[0] = 2 * q1
+        self._product_logs = _read_only(logs)
+        zeros = np.zeros(2 * q1 + 1, dtype=np.intp)
+        self._product_table = _read_only(np.concatenate((antilog, antilog, zeros)))
         if self.p != 2:
             # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
             low = self.antilog_table % self.p
@@ -284,21 +296,35 @@ class FiniteField:
         """a + b element-wise over integer arrays (broadcast)."""
         return self.sum((a, b))
 
-    def sum(self, arrays):
-        """The element-wise sum of one or more integer arrays (broadcast).
+    def sum(self, terms):
+        """The element-wise sum of integer arrays: of an ndarray's entries
+        along axis 0, or of the arrays an iterable yields (broadcast).
 
-        For p = 2 it is XOR, in the arrays' dtype.  For odd p each term's
-        base-p digits go one to a bit field of an int64 (`_spread`), so that
-        adding terms is integer addition; the digits are reduced mod p and
-        packed once at the end, and sooner only if a field could overflow.
+        For p = 2 it is XOR, in the terms' dtype: one `bitwise_xor.reduce`
+        of an ndarray.  For odd p each term's base-p digits go one to a bit
+        field of an int64 (`_spread`), so that adding terms is integer
+        addition, and the digits are reduced mod p and packed back to
+        elements (`_pack`) at the end.  An ndarray is spread by one gather
+        and summed by one integer sum; past `_room` terms, the most a bit
+        field holds, it is summed `_room` terms at a time and the group sums
+        are packed, spread and summed the same way.  An iterable is summed
+        as it is drawn, so that its terms are never stacked.
         """
+        if isinstance(terms, np.ndarray):
+            if self.p == 2:
+                return np.bitwise_xor.reduce(terms, axis=0)
+            spread, width = self._spread
+            total = spread[terms]
+            while len(total) > self._room:
+                groups = np.add.reduceat(total, np.arange(0, len(total), self._room), axis=0)
+                total = spread[self._pack(groups, width)]
+            return self._pack(total.sum(axis=0), width)
         if self.p == 2:
-            return reduce(np.bitwise_xor, map(_as_ints, arrays))
+            return reduce(np.bitwise_xor, map(_as_ints, terms))
         spread, width = self._spread
-        room = ((1 << width) - 1) // (self.p - 1)  # terms a bit field holds
         total, count = 0, 0
-        for a in arrays:
-            if count == room:
+        for a in terms:
+            if count == self._room:
                 total, count = spread[self._pack(total, width)], 1
             total = total + spread[a]
             count += 1
@@ -316,6 +342,11 @@ class FiniteField:
             spread |= digit << (width * i)
         return _read_only(spread), width
 
+    @cached_property
+    def _room(self):
+        """The most digits p - 1 a `_spread` bit field holds summed."""
+        return ((1 << self._spread[1]) - 1) // (self.p - 1)
+
     def _pack(self, total, width):
         """Digit sums spread as by `_spread` back to field elements."""
         mask = (1 << width) - 1
@@ -325,11 +356,10 @@ class FiniteField:
         return out
 
     def mul(self, a, b):
-        """a * b element-wise over integer arrays (broadcast), as intp."""
-        a = np.asarray(a, dtype=np.intp)
-        b = np.asarray(b, dtype=np.intp)
-        prod = self.antilog_table[(self.log_table[a] + self.log_table[b]) % (self.size - 1)]
-        return np.where(np.logical_and(a, b), prod, 0)
+        """a * b element-wise over integer arrays (broadcast), as intp: one
+        gather of `_product_table` at `_product_logs[a] + _product_logs[b]`."""
+        logs = self._product_logs
+        return self._product_table[logs[a] + logs[b]]
 
     def mul_int(self, a, b):
         if a == 0 or b == 0:

@@ -84,13 +84,16 @@ def f_matmul(field, a, b):
     return out
 
 
-def f_window(field, coefficients, blocks, twist=1):
+def f_window(field, coefficients, blocks, twist=1, delay_twist=0):
     """Scalar window of blocks block rows of a polynomial matrix
     C(D) = sum_i C_i D^i given as an integer array [i, row, col]: block row t
-    holds theta^(twist * t)(C_i) at block column t + i, zeros elsewhere."""
+    holds theta^(twist * t + delay_twist * i)(C_i) at block column t + i,
+    zeros elsewhere."""
     terms, rows, cols = coefficients.shape
     t = np.arange(blocks)[:, None]
+    i = np.arange(terms)
     out = np.zeros((blocks, rows, blocks + terms - 1, cols), dtype=np.int64)
     # the twisted blocks, indexed (t, i, row, col), go to out[t, :, t + i, :]
-    out[t, :, t + np.arange(terms), :] = field.frobenius(coefficients, twist * t[..., None, None])
+    powers = (twist * t + delay_twist * i)[..., None, None]
+    out[t, :, t + i, :] = field.frobenius(coefficients, powers)
     return out.reshape(blocks * rows, -1)

@@ -2,7 +2,8 @@
 algebra and the analysis checks built on them, kept as test oracles for
 `SkewConvCode.encode_batch`, the code's twisted coefficient tables and
 windows, `linalg.f_rref`, `linalg.f_nullspace`, `linalg.f_matmul`,
-`dual.syndrome_former`, `SyndromeFormer.ht_window`, `dual.verify_duality`,
+`dual.syndrome_former` and its system, `SyndromeFormer.ht_window`,
+`dual.verify_duality`,
 `skewtrellis.linearity_report` and its `_first_failure`.
 
 Each is the per-symbol (or per-word) loop the library ran before its array
@@ -21,6 +22,7 @@ import numpy as np
 
 from skewconv import Sequence
 from skewconv.dual import SyndromeFormer
+from skewconv.linalg import f_window
 from skewconv.skewpoly import SkewPolyMatrix
 from skewconv.trellis import unpack_digits
 
@@ -317,6 +319,15 @@ def nullspace_mod_p(p, rows, ncols):
 
 
 # -- the syndrome former over the prime subfield -------------------------------
+
+
+def syndrome_system(code, mu_perp):
+    """The syndrome former's system as built with two twists: theta^-i on
+    G_i, then theta^-j on block row j of the transposed window."""
+    field = code.field
+    delays = np.arange(code.memory + 1)[:, None, None]
+    gt = field.frobenius(code.coefficients, -delays).transpose(0, 2, 1)
+    return f_window(field, gt, mu_perp + 1, twist=-1).T
 
 
 def digit_solutions(code, mu_perp):

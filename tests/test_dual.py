@@ -18,7 +18,7 @@ from skewconv import (
 )
 from skewconv.cli import main
 from skewconv.codespec import load_code
-from skewconv.dual import _annihilates
+from skewconv.dual import _annihilates, _system
 from skewconv.linalg import f_matmul, f_rank
 
 import code_reference as ref
@@ -369,6 +369,44 @@ def test_matches_the_digit_system_solver_on_random_codes():
         wider += len(ref.digit_solutions(code, want[0])) > (n - k) * field.n
     # some solution spaces are wider than n - k, so the choice among them counts
     assert found >= 80 and wider >= 15
+
+
+def test_the_system_twists_g_once_to_the_same_matrix():
+    fields = [
+        FiniteField(2, 2, [1, 1, 1], theta_r=1),
+        FiniteField(2, 3, [1, 1, 0, 1], theta_r=1),
+        FiniteField(3, 2, [2, 2, 1], theta_r=1),
+        FiniteField(2, 4, theta_r=1),
+        FiniteField(2, 4, theta_r=2),
+        FiniteField(3, 3, [1, 2, 0, 1], theta_r=1),
+    ]
+    rng = random.Random(77)
+    checked = 0
+    for trial in range(120):
+        field = fields[trial % len(fields)]
+        n = rng.randrange(2, 5)
+        k = rng.randrange(1, n)
+        mu = rng.randrange(0, 4)
+        table = [[[rng.randrange(field.size) for _ in range(mu + 1)] for _ in range(n)] for _ in range(k)]
+        try:
+            code = make_code(field, table)
+        except ValueError:
+            continue
+        for mu_perp in range(4):
+            got = _system(code, mu_perp)
+            assert np.array_equal(got, ref.syndrome_system(code, mu_perp)), (trial, mu_perp)
+        checked += 1
+    assert checked >= 100
+
+
+def test_the_former_holds_h_once_as_a_read_only_array(example_code, example_sf):
+    assert set(vars(example_sf)) == {"code", "field", "coefficients", "dual_memory"}
+    assert not example_sf.coefficients.flags.writeable
+    check = example_sf.check
+    assert check is not example_sf.check and check == example_sf.check
+    again = SyndromeFormer(example_code, check)
+    assert np.array_equal(again.coefficients, example_sf.coefficients)
+    assert again.dual_memory == example_sf.dual_memory and again.check == check
 
 
 def test_check_window_matches_the_entrywise_fill(f4):

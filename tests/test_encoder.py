@@ -298,6 +298,41 @@ def test_a_failing_duality_check_leaves_the_generator_as_the_per_word_check(monk
     assert results.count(False) > len(DUALS)
 
 
+@pytest.mark.parametrize("phase", [1, 2], ids=["syndrome", "orthogonality"])
+@pytest.mark.parametrize("q", [2, 4, 9, 16])
+def test_a_check_failing_in_either_phase_leaves_the_generator_as_the_per_word_check(
+    q, phase, monkeypatch
+):
+    # phase 1 sees the window of a perturbed H; phase 2 a perturbed
+    # generator window, under which every codeword still has a zero syndrome
+    if phase == 2:
+        scalar_generator = SkewConvCode.scalar_generator
+
+        def perturbed(self, t_rows, form="standard"):
+            window = scalar_generator(self, t_rows, form)
+            window[-1, -1] = (window[-1, -1] + 1) % self.field.size
+            return window
+
+        monkeypatch.setattr(SkewConvCode, "scalar_generator", perturbed)
+    failed_there = 0
+    for name, code, sf in DUALS:
+        if code.field.size != q:
+            continue
+        if phase == 1:
+            sf = SyndromeFormer(code, sf.check)
+            bad = SyndromeFormer(code, perturbed_check(sf), validate=False)
+            monkeypatch.setattr(sf, "ht_window", bad.ht_window)
+        for seed, num_words in ((0, 20), (1, 20), (2, 1), (3, 3), (4, 60)):
+            rng, ref_rng = CountingRandom(seed), random.Random(seed)
+            got = verify_duality(code, sf, num_words=num_words, rng=rng)
+            phases = rng.getstates
+            assert got is reference.verify_duality(code, sf, num_words=num_words, rng=ref_rng)
+            assert rng.getstate() == ref_rng.getstate(), name
+            assert rng.random() == ref_rng.random(), name
+            failed_there += got is False and phases == phase
+    assert failed_there >= 2
+
+
 def test_a_failing_linearity_check_leaves_the_generator_as_the_per_pair_check():
     # a right-module code with memory is linear over the fixed subfield
     # only: a scale outside it fails at the first pair whose u1 has a

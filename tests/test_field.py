@@ -260,3 +260,117 @@ def test_sum_of_many_arrays_reduces_its_digit_sums():
     terms = np.random.default_rng(5).integers(0, f.size, size=(1200, 8))
     want = [functools.reduce(f.add_int, column.tolist()) for column in terms.T]
     assert f.sum(terms).tolist() == want
+
+
+# -- the one-call sum and the padded product table ----------------------------
+
+# fields whose digit fields hold few terms (GF(3^8) 63, GF(3^10) 31) and
+# large binary ones
+BIG_FIELDS = {
+    "gf3^8": (3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),
+    "gf3^10": (3, 10, [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1]),
+    "gf2^16": (2, 16, None),
+    "gf2^20": (2, 20, [1] + [0] * 16 + [1, 0, 0, 1]),
+}
+
+
+@functools.cache
+def big_field(name):
+    p, n, modulus = BIG_FIELDS[name]
+    return FiniteField(p, n, modulus, theta_r=1)
+
+
+@pytest.mark.parametrize("name", BIG_FIELDS)
+def test_big_field_tables_are_consistent(name):
+    f = big_field(name)
+    q1 = f.size - 1
+    assert np.array_equal(np.sort(f.antilog_table), np.arange(1, f.size))
+    assert np.array_equal(f.log_table[f.antilog_table], np.arange(q1))
+    assert f.log_table[0] == -1
+    assert f._antilog == f.antilog_table.tolist() and f._log == f.log_table.tolist()
+    # g^i by naive square-and-multiply at a few exponents
+    for i in random.Random(name).sample(range(q1), 20):
+        x, base, e = 1, f.generator, i
+        while e:
+            if e & 1:
+                x = naive_mul(f, x, base)
+            base = naive_mul(f, base, base)
+            e >>= 1
+        assert f.antilog_table[i] == x
+
+
+SUM_FIELDS = SMALL_FIELDS + [FiniteField(3, 6, [2, 1, 0, 0, 0, 0, 1])] + list(BIG_FIELDS)
+
+
+@pytest.mark.parametrize("f", SUM_FIELDS, ids=str)
+def test_a_stacked_sum_is_the_streaming_sum(f):
+    f = big_field(f) if isinstance(f, str) else f
+    rng = np.random.default_rng(f.size)
+    counts = [1, 2, 3, 40]
+    if f.p != 2 and f._room < 100:
+        counts += [f._room, f._room + 1, 2 * f._room, 2 * f._room + 1, 5 * f._room + 3]
+    for count in counts:
+        terms = rng.integers(0, f.size, size=(count, 3, 5))
+        stacked = f.sum(terms)
+        assert stacked.shape == (3, 5)
+        assert np.array_equal(stacked, f.sum(iter(terms))), count
+        assert np.array_equal(f.sum(terms[:, 0, 0]), f.sum(iter(terms[:, 0, 0]))), count
+    assert np.array_equal(f.sum(np.zeros((0, 4), dtype=np.intp)), np.zeros(4))
+    if f.p == 2:
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int32, np.intp):
+            if f.size - 1 <= np.iinfo(dtype).max:
+                terms = rng.integers(0, f.size, size=(7, 6)).astype(dtype)
+                assert f.sum(terms).dtype == dtype
+                assert np.array_equal(f.sum(terms), f.sum(iter(terms)))
+
+
+def test_the_sum_past_a_digit_field_matches_the_scalar_adds():
+    for name in ("gf3^8", "gf3^10"):
+        f = big_field(name)
+        terms = np.random.default_rng(9).integers(0, f.size, size=(4 * f._room + 7, 6))
+        want = [functools.reduce(f.add_int, column.tolist()) for column in terms.T]
+        assert f.sum(terms).tolist() == want
+        assert f._room == {"gf3^8": 63, "gf3^10": 31}[name]
+
+
+def log_product(f, a, b):
+    """a * b by the log/antilog formula, without the padded table."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp))
+    prod = f.antilog_table[(f.log_table[a] + f.log_table[b]) % (f.size - 1)]
+    return np.where((a != 0) & (b != 0), prod, 0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    SMALL_FIELDS + [FiniteField(2, 8, theta_r=1), FiniteField(3, 5, [1, 2, 0, 0, 0, 1]), FiniteField(5, 3, [2, 0, 1, 1])],
+    ids=repr,
+)
+def test_mul_is_the_log_formula_on_all_pairs(f):
+    a = np.arange(f.size)[:, None]
+    b = np.arange(f.size)[None, :]
+    got = f.mul(a, b)
+    assert got.dtype == np.intp and got.shape == (f.size, f.size)
+    assert np.array_equal(got, log_product(f, a, b))
+
+
+@pytest.mark.parametrize("name", ["gf2^16", "gf3^8", "gf2^20"])
+def test_mul_is_the_log_formula_on_random_pairs(name):
+    f = big_field(name)
+    rng = np.random.default_rng(len(name))
+    a, b = rng.integers(0, f.size, size=(2, 10**5))
+    a[::10] = 0
+    b[5::13] = 0
+    a[:3], b[:3] = (0, 0, 1), (0, 1, 0)
+    narrow = np.uint32 if f.size > 2**16 else np.uint16
+    for x, y in ((a, b), (a.astype(narrow), b.astype(np.int32))):
+        got = f.mul(x, y)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, log_product(f, a, b))
+    # scalars, one scalar, and broadcasting
+    for x, y in zip(a[:50].tolist(), b[:50].tolist()):
+        assert f.mul(x, y) == f.mul_int(x, y) == log_product(f, x, y)
+    assert np.array_equal(f.mul(a[:100], 7), log_product(f, a[:100], 7))
+    assert np.array_equal(f.mul(0, b[:100]), np.zeros(100))
+    grid = f.mul(a[:40, None], b[None, :30])
+    assert grid.shape == (40, 30)
+    assert np.array_equal(grid, log_product(f, a[:40, None], b[None, :30]))

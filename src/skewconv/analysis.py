@@ -20,10 +20,10 @@ __all__ = ["analyze_code", "SimReport", "run_simulation"]
 
 # Edges (frames x states x inputs) one Viterbi step of run_simulation covers
 # at most: enough frames to spread numpy's per-call cost, few enough that a
-# step's temporaries stay within about 1 MiB: the `acs` candidates (a float64
-# an edge, 512 KiB), the branch metric (a byte an edge up to 255 output
-# symbols, a float64 in the tail) and a byte an edge and output symbol for
-# the label compares.
+# step's temporaries stay within about 1 MiB: the `acs` candidates (an int64
+# key an edge, 512 KiB), the branch keys (a byte an edge while (n + 1) x
+# inputs fits one, an int64 in the tail) and a byte an edge and output
+# symbol for the label compares.
 BATCH_EDGES = 1 << 16
 
 

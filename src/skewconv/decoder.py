@@ -7,12 +7,13 @@ on one sequence, and `run_simulation` applies a whole batch's draws at once.
 
 viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when
-eps < (Q-1)/Q): one `trellis.acs` step a section over every frame, then one
-`Trellis.traceback`; viterbi() is the same decoder on one frame.  bcjr() runs
-the exact forward-backward recursion, one edge at a time over the same edge
-arrays read as Python lists, and returns per-time posteriors of the
-information blocks.  Both walk the trellis phase-aware: time t uses section
-t mod num_sections, so periodic time-varying codes decode correctly.
+eps < (Q-1)/Q): one `trellis.acs` step a section over every frame, on
+packed integer keys, then one `Trellis.traceback`; viterbi() is the same
+decoder on one frame.  bcjr() runs the exact forward-backward recursion, one
+edge at a time over the same edge arrays read as Python lists, and returns
+per-time posteriors of the information blocks.  Both walk the trellis
+phase-aware: time t uses section t mod num_sections, so periodic
+time-varying codes decode correctly.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -20,7 +21,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .code import Sequence, coerce_sequence
-from .trellis import SURVIVOR_BUDGET, _check_edge_budget, acs, check_survivor_budget
+from .trellis import (
+    SURVIVOR_BUDGET,
+    _check_edge_budget,
+    _check_keys,
+    _rows,
+    acs,
+    check_survivor_budget,
+)
 
 __all__ = [
     "QSChannel",
@@ -104,15 +112,16 @@ def viterbi_batch(trellis, received, terminated=False):
     (info, metrics): info[f] is the estimated information sequence of frame
     f, an integer array of shape (blocks - tail, k), and metrics[f] its
     Hamming distance to the received frame, a Python int.  Each step is one
-    `trellis.acs` over the frames: it gathers the metric of every edge
-    entering a state through `trellis.pred`, adds the edge's Hamming
-    distance to the received block and keeps the first minimum, so of equal
-    candidates the lowest predecessor state, then the lowest input index
-    wins; `Trellis.traceback` walks the survivors back.  With
-    terminated=True the last `memory` steps admit only zero inputs and the
-    tail is dropped from the estimate.  The survivor table holds one entry per frame, block and
-    state; a batch over SURVIVOR_BUDGET raises ValueError before any table
-    is built.
+    `trellis.acs` over the frames on packed keys: it gathers the metric key
+    of every edge entering a state through `trellis.pred`, adds the edge's
+    key, its Hamming distance to the received block x num_inputs + its
+    position j in `pred` order, and keeps the least, so of equal candidates
+    the lowest predecessor state, then the lowest input index wins;
+    `Trellis.traceback` walks the survivors back.  With terminated=True the
+    last `memory` steps admit only zero inputs, the others keyed as
+    unreached, and the tail is dropped from the estimate.  The survivor
+    table holds one entry per frame, block and state; a batch over
+    SURVIVOR_BUDGET raises ValueError before any table is built.
     """
     received = np.asarray(received)
     if received.ndim != 3 or received.shape[2] != trellis.n:
@@ -128,33 +137,44 @@ def viterbi_batch(trellis, received, terminated=False):
     if received.size and not 0 <= received.min() <= received.max() < trellis.q:
         raise ValueError(f"received symbols outside [0, {trellis.q})")
 
-    pred = trellis.pred
-    from_state = pred // num_inputs
-    # symbol j of the labels of the edges pred[s]: labels[s, j] is (states, inputs)
+    # pred[s, j, st]: the edges into state st, the inputs axis leading, in
+    # one row for every section where `pred` shares one
+    pred = np.ascontiguousarray(np.swapaxes(_rows(trellis.pred), 1, 2))
+    shape = (trellis.num_sections, *pred.shape[1:])
+    from_state = np.broadcast_to(pred // num_inputs, shape)
+    # symbol i of the labels of the edges pred[s]: labels[s, i] is (inputs, states)
     labels = np.ascontiguousarray(
         np.moveaxis(trellis.label[np.arange(trellis.num_sections)[:, None, None], pred], -1, 1)
     )
-    zero_input_only = np.where(pred % num_inputs == 0, 0.0, np.inf)
-    no_mismatch = np.zeros((), dtype=np.min_scalar_type(trellis.n))  # counts stay narrow
+    unreached = _check_keys(num_inputs, total * trellis.n)
+    # the keys, mismatches x num_inputs + j, stay narrow until `acs` adds
+    # them; in the tail only zero inputs may be taken, the others keyed U
+    narrow = np.min_scalar_type((trellis.n + 1) * num_inputs - 1)
+    no_mismatch = np.zeros((), dtype=narrow)
+    j = np.arange(num_inputs, dtype=narrow)[:, None]
+    zero_input = np.broadcast_to(pred % num_inputs == 0, shape)
+    never = np.int64(unreached)
 
-    metrics = np.full((frames, num_states), np.inf)
+    metrics = np.full((frames, num_states), unreached, dtype=np.int64)
     metrics[:, 0] = 0
     survivors = np.empty((total, frames, num_states), dtype=np.min_scalar_type(num_inputs - 1))
     for t in range(total):
         s = t % trellis.num_sections
-        mismatches = (labels[s, j] != received[:, t, j, None, None] for j in range(trellis.n))
-        branch = sum(mismatches, no_mismatch)
+        mismatches = (labels[s, i] != received[:, t, i, None, None] for i in range(trellis.n))
+        keys = sum(mismatches, no_mismatch)
+        keys *= num_inputs
+        keys += j
         if t >= total - tail:
-            branch = branch + zero_input_only[s]
-        metrics, survivors[t] = acs(metrics, from_state[s], branch)
+            keys = np.where(zero_input[s], keys, never)
+        metrics, survivors[t] = acs(metrics, from_state[s], keys)
 
     state = np.zeros(frames, dtype=np.intp) if terminated else metrics.argmin(axis=1)
     final = metrics[np.arange(frames), state]
-    if np.isinf(final).any():
+    if (final == unreached).any():
         raise ValueError("no terminated path reaches the zero state")
     inputs = trellis.traceback(survivors, state)[: total - tail].T % num_inputs
     info = inputs[..., None] // trellis.q ** np.arange(trellis.k) % trellis.q
-    return info, final.astype(np.int64).tolist()
+    return info, (final // num_inputs).tolist()
 
 
 def viterbi(trellis, received, terminated=False):

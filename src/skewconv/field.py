@@ -14,8 +14,10 @@ trellis builder run on the O(q) read-only numpy tables `log_table`,
 `antilog_table` and `frobenius_table`.  Each costs O(1) numpy calls: `sum`
 of a stacked array is one reduction along its first axis (one XOR reduce
 for p = 2; for odd p one gather into digit bit fields, integer sums and one
-pack), and `mul` is one gather of a product table padded with zeros, at a
-sum of two logs whose log of 0 is a sentinel past the antilogs.
+pack), `mul` is one gather of a product table padded with zeros, at a sum
+of two logs whose log of 0 is a sentinel past the antilogs, and odd-p
+`add` one gather of the same table at a Zech-log sum padded the same way.
+`frobenius` by powers that are all 0 mod the automorphism order is a copy.
 """
 
 import math
@@ -256,7 +258,31 @@ class FiniteField:
         if self.p != 2:
             # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
             low = self.antilog_table % self.p
-            self._zech = self.log_table[self.antilog_table - low + (low + 1) % self.p].tolist()
+            zech = self.log_table[self.antilog_table - low + (low + 1) % self.p]
+            self._zech = zech.tolist()
+            self._sum_logs, self._sum_zech = self._zech_tables(zech)
+
+    def _zech_tables(self, zech):
+        """(sum_logs, sum_zech) for `add`: a + b is the `_product_table`
+        entry at _product_logs[a] + sum_zech[sum_logs[b] - _product_logs[a]].
+        sum_logs is log_table + 2(q - 1), with 6(q - 1) at 0, so that the
+        difference d falls in one range per case, each mapped by sum_zech:
+        - a = 0 < b: d = log b in [0, q - 1), to d - 2(q - 1), so the gather
+          lands on g^(log b);
+        - both nonzero: d = log b - log a + 2(q - 1) in (q - 1, 3(q - 1)),
+          to zech[d mod (q - 1)], or to the zero block at 2(q - 1) where b =
+          -a;
+        - both zero: d = 4(q - 1), to 2(q - 1), in the zero block;
+        - a > 0 = b: d in (5(q - 1), 6(q - 1)], to 0, so it lands on a."""
+        q1 = self.size - 1
+        sum_logs = self.log_table + 2 * q1
+        sum_logs[0] = 6 * q1
+        sum_zech = np.zeros(6 * q1 + 1, dtype=np.intp)
+        sum_zech[:q1] = np.arange(q1) - 2 * q1
+        d = np.arange(q1, 3 * q1)
+        sum_zech[d] = np.where(zech[d % q1] < 0, 2 * q1, zech[d % q1])
+        sum_zech[4 * q1] = 2 * q1
+        return _read_only(sum_logs), _read_only(sum_zech)
 
     @cached_property
     def frobenius_table(self):
@@ -293,8 +319,13 @@ class FiniteField:
     # -- element-wise operations over integer arrays --
 
     def add(self, a, b):
-        """a + b element-wise over integer arrays (broadcast)."""
-        return self.sum((a, b))
+        """a + b element-wise over integer arrays (broadcast): XOR in the
+        operands' dtype for p = 2, and for odd p, as intp, one gather of
+        `_product_table` at a Zech-log sum (`_zech_tables`)."""
+        if self.p == 2:
+            return np.bitwise_xor(_as_ints(a), _as_ints(b))
+        la = self._product_logs[a]
+        return self._product_table[la + self._sum_zech[self._sum_logs[b] - la]]
 
     def sum(self, terms):
         """The element-wise sum of integer arrays: of an ndarray's entries
@@ -397,8 +428,10 @@ class FiniteField:
         """theta^i(a) element-wise over an integer array, as intp; i is an
         integer or an integer array broadcast against a."""
         a = np.asarray(a, dtype=np.intp)
-        powers = self.p ** (self.theta_r * np.asarray(i) % self.n)
-        twisted = self.antilog_table[self.log_table[a] * powers % (self.size - 1)]
+        j = self.theta_r * np.asarray(i) % self.n
+        if not j.any():  # every power is theta^0: a, broadcast against the zeros j
+            return a + j
+        twisted = self.antilog_table[self.log_table[a] * self.p**j % (self.size - 1)]
         return np.where(a != 0, twisted, 0)
 
     @property

@@ -24,21 +24,30 @@ Distance measures follow the loop convention: a loop leaves the zero state,
 never rides a weight-0 edge from zero state to zero state, and returns to the
 zero state after exactly ell edges.  One array pass answers each question.
 The loop DP and Viterbi share one add-compare-select kernel, `acs`, over a
-batch of start phases or frames, and one `Trellis.traceback`.  The loop DP
-relaxes every start phase at once, one `acs` step a section on distance
-rows indexed by start phase; `free_distance`, which traces a witness loop,
-keeps one survivor index per step, start phase and state (a byte up to 256
-inputs), and `active_burst_distance` keeps none.  `free_distance` stops
-the scan at the first step, past lmax, at which its frontier bound (the
-lightest path so far plus its cheapest return to the zero state, a bound
-that never falls) is strictly above the lightest loop found: no longer loop
-can then tie it, so the result is the full scan's.  The graph questions run
-on the successor table of the period-unrolled state graph, those edges
-removed: the slope by Howard's policy iteration, accepted only with the
-potential of an integer Bellman-Ford that certifies it (Cochet-Terrasson,
-Cohen, Gaubert, McGettrick and Quadrat, IFAC 1998; Karp's recurrence is its
-test oracle), costs to the zero-state nodes and to the zero-weight core by
-the same `_bellman_ford` in floats, and the core by peeling.
+batch of rows (the loop DP's sections, or frames), and one
+`Trellis.traceback`.  `acs` works on packed int64 keys, distance x
+num_inputs + j for the edge's position j in `pred` order, so that one
+elementwise minimum over the inputs gives the least distance and the first
+minimum together (Forney, "The Viterbi algorithm", Proc. IEEE 1973, for
+the step).  Unreached states and edges that may not be taken carry one
+saturating sentinel key, `_unreached`, and every caller asserts that its
+distances stay below it (`_check_keys`).  The loop DP relaxes every start
+phase at once, one `acs` step a section on key rows indexed by the section
+of their last edge, so that every step runs on the same cached tables
+(`_loop_tables`); `free_distance`, which traces a witness loop, keeps one
+survivor index per step, section and state (a byte up to 256 inputs), and
+`active_burst_distance` keeps none.  `free_distance` stops the scan at the
+first step, past lmax, at which its frontier bound (the lightest path so
+far plus its cheapest return to the zero state, cached in keys as
+`_return_keys`, a bound that never falls) is strictly above the lightest
+loop found: no longer loop can then tie it, so the result is the full
+scan's.  The graph questions run on the successor table of the
+period-unrolled state graph, those edges removed: the slope by Howard's
+policy iteration, accepted only with the potential of an integer
+Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert,
+McGettrick and Quadrat, IFAC 1998; Karp's recurrence is its test oracle),
+costs to the zero-state nodes and to the zero-weight core by the same
+`_bellman_ford` in floats, and the core by peeling.
 """
 
 import math
@@ -179,8 +188,9 @@ class Trellis:
 
     @cached_property
     def weight(self):
-        """weight[s, e]: the output weight of edge e of section s."""
-        return np.add.reduce(self.label != 0, axis=-1)
+        """weight[s, e]: the output weight of edge e of section s, in the
+        narrowest unsigned dtype that holds n."""
+        return np.add.reduce(self.label != 0, axis=-1, dtype=np.min_scalar_type(self.n))
 
     @cached_property
     def pred(self):
@@ -196,36 +206,56 @@ class Trellis:
         order = order.reshape(len(order), self.num_states, self.num_inputs)
         return np.broadcast_to(order, (self.num_sections, *order.shape[1:]))
 
-    def _loop_weight(self):
-        """weight[s, e] as floats, inf on the weight-0 zero-to-zero edges the
-        loop convention removes; made anew for each table that holds it."""
-        inputs = self.num_inputs
-        weight = self.weight.astype(float)
-        removed = (self.next_state[:, :inputs] == 0) & (self.weight[:, :inputs] == 0)
-        weight[:, :inputs][removed] = np.inf
-        return weight
+    @cached_property
+    def _loop_tables(self):
+        """(src, keys)[s, j, st] of the edge pred[s, st, j], for `acs` on
+        the loop DP's rows, one per section (`_loop_dp`): src, int32, is the
+        entry of the row of section s - 1 it leaves, ((s - 1) mod
+        num_sections) x num_states + its from_state, and keys its weight x
+        num_inputs + j, or `_unreached` on a removed edge."""
+        sections, states, inputs = self.num_sections, self.num_states, self.num_inputs
+        pred = np.swapaxes(self.pred, 1, 2)
+        section = np.arange(sections)[:, None, None]
+        src = np.empty(pred.shape, dtype=np.int32)
+        src[:] = (section - 1) % sections * states + pred // inputs
+        keys = np.empty(pred.shape, dtype=np.int64)
+        keys[:] = self.weight[section, pred]
+        keys *= inputs
+        keys += np.arange(inputs)[:, None]
+        # the removed edges enter state 0 from state 0, one of the first inputs edges
+        into_zero = keys[:, :, 0]
+        into_zero[(pred[:, :, 0] < inputs) & (into_zero < inputs)] = _unreached(inputs)
+        return src, keys
 
     @cached_property
-    def _pred_paths(self):
-        """(from_state, weight)[s, st, j] of the edge pred[s, st, j], the
-        weight from `_loop_weight`; from_state shares one row as `pred`
-        does."""
-        pred = self.pred
-        flat = pred.reshape(self.num_sections, -1)
-        pred_weight = np.take_along_axis(self._loop_weight(), flat, axis=1).reshape(pred.shape)
-        return np.broadcast_to(_rows(pred) // self.num_inputs, pred.shape), pred_weight
+    def _return_keys(self):
+        """ret[s, st]: num_inputs x the cheapest weight from state st, entered
+        by an edge of section s, back to the zero state, that is from node
+        ((s + 1) mod num_sections, st) to a zero-state node; `_unreached`
+        where there is no way back.  Rows as the loop DP's."""
+        sections, states = self.num_sections, self.num_states
+        to_zero = np.arange(sections * states) % states == 0
+        cost = self._costs_to(to_zero).reshape(sections, states)
+        cost = cost[(np.arange(sections) + 1) % sections]
+        ret = np.full(cost.shape, _unreached(self.num_inputs), dtype=np.int64)
+        back = cost < np.inf
+        ret[back] = cost[back].astype(np.int64) * self.num_inputs
+        return ret
 
     # -- the period-unrolled state graph: node phase * num_states + state --
 
     @cached_property
     def _node_succs(self):
         """(to, w)[i, node]: input i leads from node to node to[i, node] by an
-        edge of weight w[i, node].  Contiguous copies: the relaxations gather
-        whole rows."""
+        edge of weight w[i, node], a float, inf on the removed edges.
+        Contiguous copies: the relaxations gather whole rows."""
         after = ((np.arange(self.num_sections) + 1) % self.num_sections * self.num_states)[:, None]
         to = (after + self.next_state).reshape(-1, self.num_inputs)
-        w = self._loop_weight().reshape(-1, self.num_inputs)
-        return np.ascontiguousarray(to.T), np.ascontiguousarray(w.T)
+        # the removed edges: weight 0 from the zero state back to it
+        w = self.weight.astype(float)
+        from_zero = w[:, : self.num_inputs]
+        from_zero[(self.next_state[:, : self.num_inputs] == 0) & (from_zero == 0)] = np.inf
+        return np.ascontiguousarray(to.T), np.ascontiguousarray(w.reshape(to.shape).T)
 
     def _costs_to(self, targets):
         """`_bellman_ford` along `_node_succs` from cost 0 at the nodes of
@@ -248,62 +278,62 @@ class Trellis:
     def _loop_dp(self, steps, row_at, trace=True, ret=None, stop_from=0):
         """The loop relaxation from the zero state at every start phase at
         once, one section a step, never riding a weight-0 edge from zero
-        state to zero state: one `acs` step a section, over a batch of one
-        distance row per start phase.
+        state to zero state: one `acs` step a section on `_loop_tables`,
+        over a batch of one key row per section.  Row s holds the paths whose
+        last edge is in section s, so the paths from phase `start` are in row
+        (start + step - 1) mod num_sections after `step` edges, and every
+        step gathers row s from row s - 1 by the same tables.
 
-        Returns (zero, row, survivors).  zero[start, length] is the lightest
-        weight of a length-edge loop from phase `start`, length = 0..steps,
-        and row[start, st] the lightest weight of a path of row_at edges to
-        state st.  The path from phase `start` whose step-th edge is in
-        section s came into state st there by the edge
-        pred[s, st, survivors[step, start, st]].  Of equal candidates the
-        lowest (state, input) wins: the first minimum in `pred` order.
-        Without trace no survivor is kept, and survivors is None.  A scan
-        that would keep more than SURVIVOR_BUDGET survivor entries per start
-        phase, steps x states, raises ValueError before any work.
+        Returns (zero, row, survivors), in keys, distance x num_inputs, and
+        `_unreached` where no path is.  zero[start, length] is the lightest
+        length-edge loop from phase `start`, length = 0..steps, and row[s,
+        st] the lightest path of row_at edges into state st whose last edge
+        is in section s.  A path whose step-th edge is in section s came
+        into state st there by the edge pred[s, st, survivors[step - 1, s,
+        st]].  Of equal candidates the lowest (state, input) wins: the first
+        minimum in `pred` order.  Without trace no survivor is kept, and
+        survivors is None.  A scan that would keep more than SURVIVOR_BUDGET
+        survivor entries per row, steps x states, raises ValueError before
+        any work.
 
-        Given the return costs ret[phase, st] to the zero-state nodes, the
-        scan stops after the first step L with stop_from <= L < row_at at
-        which the `_frontier` is strictly above the lightest loop of at most
-        L edges: zero then holds lengths 0..L and row is the row at L.
+        Given the return keys ret (`_return_keys`), the scan stops after the
+        first step L with stop_from <= L < row_at at which the `_frontier`
+        is strictly above the lightest loop of at most L edges: zero then
+        holds lengths 0..L and row is the row at L.
         """
-        sections, states = self.num_sections, self.num_states
+        sections, states, inputs = self.num_sections, self.num_states, self.num_inputs
         self._check_loop_budget(steps)
-        # dist[start, st]: the lightest path from phase `start` to state st.
-        # Its step-th edge is in section (start + step - 1) % sections, row
-        # `start` of the doubled tables from o = (step - 1) % sections; src
-        # serves every step when the sections share one row.
-        from_state, weight = (np.concatenate([t, t]) for t in self._pred_paths)
-        per_section = len(_rows(self.pred)) > 1
-        offsets = np.arange(sections)[:, None, None] * states
-        src = offsets + from_state[:sections]
-        dist = np.full((sections, states), np.inf)
-        dist[:, 0] = 0
-        zero = np.zeros((sections, steps + 1))
-        row = dist
-        lightest = np.inf
-        dtype = np.min_scalar_type(self.num_inputs - 1)
+        # a path's weight, and with its way back to the zero state a walk's
+        unreached = _check_keys(inputs, (steps + sections * states) * self.n)
+        src, keys = self._loop_tables
+        rows = np.full((sections, states), unreached, dtype=np.int64)
+        rows[:, 0] = 0
+        # zero[s, step]: rows[s, 0] after `step` edges
+        zero = np.zeros((sections, steps + 1), dtype=np.int64)
+        row = rows
+        lightest = unreached
+        dtype = np.min_scalar_type(inputs - 1)
         survivors = np.empty((steps, sections, states), dtype=dtype) if trace else None
         for step in range(1, steps + 1):
-            o = (step - 1) % sections
-            if per_section:
-                src = offsets + from_state[o : o + sections]
-            dist, best = acs(dist, src, weight[o : o + sections])
+            rows, best = acs(rows, src, keys)
             if trace:
                 survivors[step - 1] = best
-            zero[:, step] = dist[:, 0]
+            zero[:, step] = rows[:, 0]
             if step == row_at:
-                row = dist
+                row = rows
             if ret is None:
                 continue
             lightest = min(lightest, zero[:, step].min())
-            if stop_from <= step < row_at and _frontier(dist, ret, step) > lightest:
-                return zero[:, : step + 1], dist, survivors
-        return zero, row, survivors
+            if stop_from <= step < row_at and _frontier(rows, ret) > lightest:
+                zero, row = zero[:, : step + 1], rows
+                break
+        # the loops from phase `start` by length
+        at = (np.arange(sections)[:, None] + np.arange(zero.shape[1]) - 1) % sections
+        return np.take_along_axis(zero, at, axis=0), row, survivors
 
     def _check_loop_budget(self, steps):
         """Raise ValueError if a loop scan of `steps` steps would keep more
-        than SURVIVOR_BUDGET survivor entries per start phase, steps x
+        than SURVIVOR_BUDGET survivor entries per row (section), steps x
         states."""
         if steps * self.num_states > SURVIVOR_BUDGET:
             raise ValueError(
@@ -317,7 +347,7 @@ class Trellis:
         if ell < 1:
             raise ValueError("ell must be >= 1")
         zero, _, _ = self._loop_dp(ell, ell, trace=False)
-        return _number(zero[:, ell].min())
+        return _number(zero[:, ell].min(), self.num_inputs)
 
     def free_distance(self, ell_max=None, lmax=0):
         """Minimum nonzero codeword weight.
@@ -347,25 +377,26 @@ class Trellis:
             raise ValueError("ell_max must be >= 1 and lmax >= 0")
         steps = max(ell_max, lmax)
         self._check_loop_budget(steps)  # before the return costs
-        to_zero = np.arange(self.num_sections * self.num_states) % self.num_states == 0
-        ret = self._costs_to(to_zero).reshape(self.num_sections, -1)
+        inputs = self.num_inputs
+        ret = self._return_keys
         zero, row, survivors = self._loop_dp(steps, ell_max, ret=ret, stop_from=lmax)
         # the step of `row`: where the scan stopped, else ell_max
         scanned = min(zero.shape[1] - 1, ell_max)
-        burst = [_number(d) for d in zero[:, 1 : lmax + 1].min(axis=0)]
+        burst = [_number(d, inputs) for d in zero[:, 1 : lmax + 1].min(axis=0)]
         # the first lightest loop in (start, length) order
         loops = zero[:, 1 : scanned + 1]
         start, length = divmod(int(loops.argmin()), scanned)
-        best = _number(loops[start, length])
+        best = _number(loops[start, length], inputs)
         length += 1
-        frontier_bound = _frontier(row, ret, scanned)
+        frontier_bound = _number(_frontier(row, ret), inputs)
 
         # the cheapest way into the core is the cheapest way into a
         # zero-weight cycle: each core node reaches one at no cost
         core = self._zero_cycle_core
         tail_min = math.inf
         if core.any():
-            tail_min = _number(self._costs_to(core)[:: self.num_states].min())
+            tail = self._costs_to(core)[:: self.num_states].min()
+            tail_min = int(tail) if tail < np.inf else math.inf
 
         value = min(best, tail_min)
         stabilized = frontier_bound >= value
@@ -379,7 +410,9 @@ class Trellis:
     def _trace_loop(self, start, length, survivors):
         """The steps of the loop of `length` edges from phase `start` that
         `_loop_dp` kept, traced back from the zero state."""
-        edges = self.traceback(survivors[:length, start, None], np.zeros(1, dtype=np.intp), start)
+        step = np.arange(length)
+        kept = survivors[step, (start + step) % self.num_sections, None]
+        edges = self.traceback(kept, np.zeros(1, dtype=np.intp), start)
         return [
             self._path_step((start + t) % self.num_sections, *divmod(edge, self.num_inputs))
             for t, edge in enumerate(edges[:, 0].tolist())
@@ -437,27 +470,56 @@ class Trellis:
         return PathStep(phase, state, self.input_block(input_idx), e.label, e.to_state)
 
 
-def acs(dist, src, branch):
-    """One add-compare-select step over a batch of rows b of dist[b, st]
-    (frames, or start phases): edge j into state st of row b leaves state
-    src[st, j] of the row, or entry src[b, st, j] of dist.flat, at cost
-    branch[b, st, j].  Returns the new dist and best[b, st], the j kept: the
-    first minimum, so the lowest j of equal candidates, 0 if all are inf."""
-    cand = dist[:, src] if src.ndim == 2 else dist.take(src)
-    cand += branch
-    best = cand.argmin(axis=-1)
-    starts = np.arange(0, cand.size, cand.shape[-1]).reshape(best.shape)
-    return cand.take(starts + best), best
+def acs(rows, src, keys):
+    """One add-compare-select step over a batch of key rows rows[b, st]
+    (frames, or the sections of the loop DP), each entry a distance x I, I
+    = keys.shape[1] inputs, or U = `_unreached(I)` where unreached.
+
+    Edge j into state st leaves state src[j, st] of the row, or entry
+    src[b, j, st] of rows.flat, with key keys[b, j, st]: its branch
+    distance x I + j, or U for an edge that may not be taken.  One
+    elementwise minimum over j of the candidates row + key gives the least
+    distance and, of equal ones, the lowest j: the first minimum.  Returns
+    the new rows, key - key % I clamped to U, and best[b, st] = key % I,
+    the j kept, which means nothing where the state stays unreached.  The
+    callers bound their distances by `_check_keys`, so no sum wraps."""
+    cand = rows[:, src] if src.ndim == 2 else rows.take(src)
+    cand += keys
+    key = np.minimum.reduce(cand, axis=1)
+    inputs = cand.shape[1]
+    best = key % inputs
+    key -= best
+    np.minimum(key, _unreached(inputs), out=key)
+    return key, best
 
 
-def _frontier(dist, ret, step):
-    """min over (start, st) of dist[start, st] + ret[(start + step) % P, st]
-    for the distance rows dist after `step` edges of the loop DP and the
-    cheapest returns ret[phase, st] from state st at `phase` to the zero
-    state: a lower bound on the weight of every loop of `step` or more
-    edges."""
-    phases = len(ret)
-    return float((dist + ret[(np.arange(phases) + step) % phases]).min())
+def _unreached(inputs):
+    """U, the key of an unreached state and of an edge that may not be
+    taken in `acs` over `inputs` inputs: the largest multiple of inputs
+    below 2^62.  A sum of two keys up to U stays below 2^63, and a key from
+    U on stays at U or more when its j is taken off."""
+    return ((1 << 62) - 1) // inputs * inputs
+
+
+def _check_keys(inputs, max_distance):
+    """Assert that `acs` keys over `inputs` inputs are exact for every
+    distance up to max_distance, that is below U / inputs, and return U
+    (`_unreached`): a key up to max_distance x inputs + inputs - 1 is then
+    below U, and U + U below 2^63."""
+    unreached = _unreached(inputs)
+    assert 2 * unreached < 1 << 63, f"{unreached} + {unreached} overflows int64"
+    assert (max_distance + 1) * inputs <= unreached, (
+        f"distances up to {max_distance} x {inputs} inputs reach the key {unreached} of "
+        "an unreached state"
+    )
+    return unreached
+
+
+def _frontier(rows, ret):
+    """min over (s, st) of rows[s, st] + ret[s, st] for the key rows of the
+    loop DP and the return keys `_return_keys`: a lower bound, in keys, on
+    the weight of every loop of as many edges as the rows hold or more."""
+    return int((rows + ret).min())
 
 
 def _rows(table):
@@ -465,9 +527,11 @@ def _rows(table):
     return table[:1] if table.strides[0] == 0 else table
 
 
-def _number(dist):
-    """A float distance as a Python int, math.inf where unreached."""
-    return int(dist) if dist < np.inf else math.inf
+def _number(key, inputs):
+    """A distance key of `acs` over `inputs` inputs as a Python int
+    distance, math.inf from `_unreached` on."""
+    key = int(key)
+    return key // inputs if key < _unreached(inputs) else math.inf
 
 
 def _peel(to, edge_mask):

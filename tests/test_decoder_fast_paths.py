@@ -263,3 +263,31 @@ def test_bcjr_posteriors_are_one_array(case):
         assert np.allclose(res.posteriors.sum(axis=1), 1.0, rtol=0, atol=1e-9)
         hard = [tr.input_block(int(i)) for i in res.posteriors.argmax(axis=1)]
         assert res.info_est.to_ints() == hard
+
+
+# two right-module codes of k = 2: over GF(8), of 64 inputs, and over GF(4),
+# of memory 2, whose shortest terminated frames reach the tail with states
+# still unreached
+TAIL_CODES = [
+    (GF8, [[[3], [5], [6]], [[7, 1], [3, 7], [5, 7]]]),
+    (GF4, [[[2, 2, 0], [2, 3, 3], [1, 1, 0]], [[2], [3], [2]]]),
+]
+
+
+@pytest.mark.parametrize("field,table", TAIL_CODES, ids=["gf8-64-inputs", "gf4-memory2"])
+def test_a_terminated_tail_takes_only_zero_inputs(field, table):
+    # the tail's other inputs are keyed U exactly, neither cut to the narrow
+    # keys' dtype nor past U, where a sum with an unreached row would wrap;
+    # each terminated estimate is the word at its metric
+    code = SkewTrellisCode(SkewPolyMatrix.from_ints(field, table))
+    tr = build_trellis(code)
+    rng = np.random.default_rng(1)
+    for length in (tr.memory + 1, tr.memory + 2, 8):
+        received = rng.integers(0, tr.q, (64, length, tr.n))
+        info, metrics = viterbi_batch(tr, received, terminated=True)
+        sent = code.encode_batch(info, terminate=True)
+        assert metrics == np.count_nonzero(sent != received, axis=(1, 2)).tolist()
+        for word, est, metric in zip(received[:8], info, metrics):
+            want = reference.viterbi(tr, word.tolist(), terminated=True)
+            assert [tuple(block) for block in est.tolist()] == want.info_est.to_ints()
+            assert metric == want.metric

@@ -374,3 +374,62 @@ def test_mul_is_the_log_formula_on_random_pairs(name):
     grid = f.mul(a[:40, None], b[None, :30])
     assert grid.shape == (40, 30)
     assert np.array_equal(grid, log_product(f, a[:40, None], b[None, :30]))
+
+
+# -- odd-p add as one Zech-log gather, and the identity Frobenius -------------
+
+ZECH_ADD_FIELDS = [
+    (3, 1, None),
+    (7, 1, None),
+    (3, 2, [2, 2, 1]),
+    (5, 2, [2, 1, 1]),
+    (3, 3, [1, 2, 0, 1]),
+    (7, 2, [3, 1, 1]),
+    (3, 5, [1, 2, 0, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("p,n,modulus", ZECH_ADD_FIELDS, ids=lambda v: str(v))
+def test_odd_add_is_add_int_on_all_pairs(p, n, modulus):
+    f = FiniteField(p, n, modulus)
+    q1 = f.size - 1
+    assert f._sum_logs.shape == (f.size,) and f._sum_zech.shape == (6 * q1 + 1,)
+    a, b = np.divmod(np.arange(f.size**2), f.size)
+    got = f.add(a, b)
+    assert got.dtype == np.intp
+    assert got.tolist() == [f.add_int(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    # narrow dtypes, broadcasting and scalars
+    column = np.arange(f.size, dtype=np.uint8 if f.size <= 256 else np.uint16)
+    assert np.array_equal(f.add(column[:, None], column), got.reshape(f.size, f.size))
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, f.neg_int(1)), (f.size - 1, f.size - 2)):
+        assert f.add(x, y) == f.add_int(x, y)
+    assert np.array_equal(f.add(column, 0), column) and np.array_equal(f.add(0, column), column)
+
+
+def test_binary_add_is_xor_in_the_operands_dtype(f8):
+    a = np.arange(8, dtype=np.uint8)
+    got = f8.add(a[:, None], a)
+    assert got.dtype == np.uint8 and np.array_equal(got, a[:, None] ^ a)
+    assert f8.add(5, 3) == 6
+
+
+@pytest.mark.parametrize(
+    "f",
+    [FiniteField(2, 4, theta_r=2), FiniteField(3, 2, [2, 2, 1], theta_r=1), FiniteField(2, 2, [1, 1, 1])],
+    ids=repr,
+)
+def test_frobenius_by_a_multiple_of_the_order_is_a_copy(f, monkeypatch):
+    order = f.automorphism_order
+    a = np.arange(f.size, dtype=np.uint8).reshape(1, -1)
+    want = {i: f.frobenius(a, i) for i in (1, order + 1)}
+    # the identity reads no table
+    monkeypatch.setattr(f, "log_table", None)
+    monkeypatch.setattr(f, "antilog_table", None)
+    for i in (0, order, -2 * order, np.array([[0], [order], [3 * order]])):
+        got = f.frobenius(a, i)
+        assert got.dtype == np.intp and got.flags.writeable and not np.shares_memory(got, a)
+        assert got.shape == np.broadcast_shapes(a.shape, np.shape(i))
+        assert np.array_equal(got, np.broadcast_to(a, got.shape))
+    monkeypatch.undo()
+    for i, before in want.items():
+        assert np.array_equal(f.frobenius(a, i), before)

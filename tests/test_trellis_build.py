@@ -92,7 +92,8 @@ def test_edge_arrays_match_reference(pair):
     for name in ("next_state", "label", "weight"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.label.dtype == np.min_scalar_type(got.q - 1)
-    assert got.next_state.dtype == got.weight.dtype == np.intp
+    assert got.next_state.dtype == np.intp
+    assert got.weight.dtype == np.min_scalar_type(got.n)
 
 
 def test_sections_view_matches_reference(pair):

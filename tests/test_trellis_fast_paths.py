@@ -28,6 +28,7 @@ from skewconv import (
     load_code,
     trellis as trellis_module,
 )
+from skewconv.decoder import viterbi_batch
 
 from conftest import A, A2, EXAMPLE_TABLE
 
@@ -204,7 +205,7 @@ def test_the_per_section_trellises_keep_a_row_per_section():
     assert len(PER_SECTION) >= 10
     for name, tr in PER_SECTION:
         assert tr.num_sections > 1, name
-        for table in (tr.next_state, tr.pred, tr._pred_paths[0]):
+        for table in (tr.next_state, tr.pred):
             assert table.strides[0] != 0, name
         if name.endswith("-per-section"):
             built = build_trellis(dict(GRAPH_CODES)[name.removesuffix("-per-section")])
@@ -236,59 +237,167 @@ def test_pred_lists_the_edges_into_each_state_in_order(trellis):
 
 def test_loop_dp_matches_reference(trellis):
     steps = 8
+    sections, inputs = trellis.num_sections, trellis.num_inputs
+    unreached = trellis_module._unreached(inputs)
+
+    def keys(dist):
+        return [unreached if d == math.inf else d * inputs for d in dist]
+
     want = list(reference.loop_dp(trellis, steps))
     for row_at in (1, 5, steps):
         zero, row, survivors = trellis._loop_dp(steps, row_at)
-        assert zero.shape == (trellis.num_sections, steps + 1)
-        assert survivors.dtype == np.min_scalar_type(trellis.num_inputs - 1)
+        assert zero.shape == (sections, steps + 1)
+        assert survivors.dtype == np.min_scalar_type(inputs - 1)
         for start, length, dist, parents in want:
-            assert zero[start, length] == dist[0], (start, length)
+            assert zero[start, length] == keys(dist)[0], (start, length)
+            # rows and survivors are by the section of the last edge
+            s = (start + length - 1) % sections
             if length == row_at:
-                assert row[start].tolist() == dist, start
+                assert row[s].tolist() == keys(dist), start
             if not length:
                 continue
-            s = (start + length - 1) % trellis.num_sections
             for st, parent in enumerate(parents[length - 1]):
                 if parent is not None:
-                    edge = trellis.pred[s, st, survivors[length - 1, start, st]]
-                    assert divmod(int(edge), trellis.num_inputs) == parent, (start, length, st)
+                    edge = trellis.pred[s, st, survivors[length - 1, s, st]]
+                    assert divmod(int(edge), inputs) == parent, (start, length, st)
 
 
 def test_acs_keeps_the_first_minimum():
-    # state 0 is entered from states 1, 0, 1 at costs 3, 1, 1; state 1 from
-    # states 0, 0, 1 at equal cost
-    dist = np.array([[0.0, 0.0]])
-    src = np.array([[1, 0, 1], [0, 0, 1]])
-    branch = np.array([[[3, 1, 1], [2, 2, 2]]])
-    got, best = trellis_module.acs(dist, src, branch)
-    assert got.tolist() == [[1.0, 2.0]] and best.tolist() == [[1, 0]]
-    assert dist.tolist() == [[0.0, 0.0]]
+    # state 0 is entered from states 1, 0, 1 at weights 3, 1, 1; state 1 from
+    # states 0, 0, 1 at equal weight; src[j, st] and keys[b, j, st]
+    inputs = 3
+    rows = np.array([[0, 0]])
+    src = np.array([[1, 0], [0, 0], [1, 1]])
+    weight = np.array([[[3, 2], [1, 2], [1, 2]]])
+    got, best = trellis_module.acs(rows, src, weight * inputs + np.arange(inputs)[:, None])
+    assert got.tolist() == [[1 * inputs, 2 * inputs]] and best.tolist() == [[1, 0]]
+    assert rows.tolist() == [[0, 0]]
 
 
-def test_acs_keeps_the_first_edge_where_every_candidate_is_inf():
-    dist = np.array([[np.inf, 0.0], [np.inf, np.inf]])
-    src = np.array([[0, 0], [1, 0]])
-    branch = np.array([[[0, np.inf], [np.inf, 1]]])
-    got, best = trellis_module.acs(dist, src, branch)
-    assert np.isinf(got).all() and best.tolist() == [[0, 0], [0, 0]]
+def test_acs_keeps_unreached_states_at_the_sentinel():
+    # row 0: state 0 is entered from the unreached state 0 only, state 1 by
+    # an edge that may not be taken from the reached state 1 and from state
+    # 0; row 1 is all unreached.  Every candidate is U + U at most.
+    inputs = 2
+    unreached = trellis_module._unreached(inputs)
+    rows = np.array([[unreached, 0], [unreached, unreached]])
+    src = np.array([[0, 1], [0, 0]])
+    keys = np.array([[[0, unreached], [unreached, 3]]])
+    got, _ = trellis_module.acs(rows, src, keys)
+    assert got.tolist() == [[unreached, unreached], [unreached, unreached]]
 
 
 def test_acs_on_a_batch_matches_per_row_indices_and_a_scalar_scan():
     rng = np.random.default_rng(11)
     frames, states, inputs = 7, 9, 4
-    dist = rng.integers(0, 5, (frames, states)).astype(float)
-    dist[rng.random(dist.shape) < 0.2] = np.inf
-    from_state = rng.integers(0, states, (states, inputs))
-    branch = rng.integers(0, 3, (frames, states, inputs))
-    shared = trellis_module.acs(dist, from_state, branch)
+    unreached = trellis_module._unreached(inputs)
+    dist = rng.integers(0, 5, (frames, states))
+    reached = rng.random(dist.shape) >= 0.2
+    rows = np.where(reached, dist * inputs, unreached)
+    from_state = rng.integers(0, states, (inputs, states))
+    branch = rng.integers(0, 3, (frames, inputs, states))
+    keys = branch * inputs + np.arange(inputs)[:, None]
+    shared = trellis_module.acs(rows, from_state, keys)
     flat = np.arange(frames)[:, None, None] * states + from_state
-    per_row = trellis_module.acs(dist, flat, branch)
+    per_row = trellis_module.acs(rows, flat, keys)
     assert np.array_equal(per_row[0], shared[0]) and np.array_equal(per_row[1], shared[1])
     for b in range(frames):
         for st in range(states):
-            cand = [dist[b, from_state[st, j]] + branch[b, st, j] for j in range(inputs)]
-            assert shared[0][b, st] == min(cand)
+            cand = [
+                dist[b, from_state[j, st]] + branch[b, j, st]
+                if reached[b, from_state[j, st]]
+                else math.inf
+                for j in range(inputs)
+            ]
+            if min(cand) == math.inf:
+                assert shared[0][b, st] == unreached
+                continue
+            assert shared[0][b, st] == min(cand) * inputs
             assert shared[1][b, st] == cand.index(min(cand))
+
+
+# (frames, states, inputs, src, taken): src "shared" is one src[j, st] for
+# every row, "per-row" one per row of rows.flat; taken "any" lets a share of
+# the edges be taken, "tail" one edge into each state, as a terminated tail
+ACS_CASES = [
+    (1, 5, 3, "shared", "any"),
+    (1, 5, 3, "per-row", "any"),
+    (1, 16, 16, "shared", "tail"),
+    (6, 81, 81, "per-row", "any"),
+    (4096, 4, 4, "shared", "any"),
+    (4096, 4, 4, "shared", "tail"),
+    (4096, 4, 4, "per-row", "any"),
+]
+
+
+@pytest.mark.parametrize("frames,states,inputs,src,taken", ACS_CASES)
+def test_acs_matches_the_float_argmin_step(frames, states, inputs, src, taken):
+    rng = np.random.default_rng(frames * states + inputs)
+    unreached = trellis_module._unreached(inputs)
+    # small weights, so most states see ties; row 0 all unreached
+    dist = rng.integers(0, 4, (frames, states))
+    reached = rng.random(dist.shape) >= 0.3
+    reached[0] = False
+    branch = rng.integers(0, 3, (frames, inputs, states))
+    if taken == "tail":
+        allowed = np.arange(inputs)[:, None] == rng.integers(0, inputs, states)
+    else:
+        allowed = rng.random(branch.shape) >= 0.2
+    from_state = rng.integers(0, states, (inputs, states))
+    if src == "per-row":
+        from_state = rng.integers(0, states, (frames, inputs, states))
+    flat = np.arange(frames)[:, None, None] * states + from_state
+    rows = np.where(reached, dist * inputs, unreached)
+    keys = np.where(allowed, branch * inputs + np.arange(inputs)[:, None], unreached)
+    got, best = trellis_module.acs(rows, from_state if src == "shared" else flat, keys)
+    # the oracle's layout is [b, st, j]
+    want, want_best = reference.acs(
+        np.where(reached, dist, np.inf),
+        np.swapaxes(from_state if src == "shared" else flat, -1, -2),
+        np.swapaxes(np.where(allowed, branch, np.inf), 1, 2),
+    )
+    out = want < np.inf
+    expected = np.full(want.shape, unreached, dtype=np.int64)
+    expected[out] = want[out].astype(np.int64) * inputs
+    assert np.array_equal(got, expected)
+    assert np.array_equal(best[out], want_best[out])
+    assert not out[0].any()
+
+
+def test_the_key_range_is_asserted_before_it_wraps():
+    # the keys of distances below U / inputs are exact; the next would reach U
+    for inputs in (1, 2, 3, 16, 81, 3**12):
+        unreached = trellis_module._unreached(inputs)
+        assert unreached % inputs == 0 and 2 * unreached < 2**63 <= 2 * unreached + 2 * inputs
+        top = unreached // inputs - 1
+        assert trellis_module._check_keys(inputs, top) == unreached
+        with pytest.raises(AssertionError):
+            trellis_module._check_keys(inputs, top + 1)
+        # state 0 is entered at distance top by its last edge, whose key is
+        # inputs - 1, the farthest reachable key; state 1 only from the
+        # unreached state 1 by edges that may not be taken, at U + U
+        rows = np.array([[top * inputs, unreached]])
+        src = np.tile([0, 1], (inputs, 1))
+        keys = np.full((1, inputs, 2), unreached)
+        keys[0, -1, 0] = inputs - 1
+        got, best = trellis_module.acs(rows, src, keys)
+        assert got.tolist() == [[top * inputs, unreached]] and best[0, 0] == inputs - 1
+
+
+def test_the_key_range_is_checked_on_every_path(monkeypatch):
+    # with a sentinel of 64 x inputs, a distance from 64 on would read as
+    # unreached; n = 2 symbols an edge, 2 sections x 4 states
+    tr = build_trellis(load_code(SUITE / "gf4_worked.json"))
+    word = np.zeros((1, 31, 2), dtype=np.intp)
+    want = tr.active_burst_distance(23), viterbi_batch(tr, word)
+    monkeypatch.setattr(trellis_module, "_unreached", lambda inputs: 64 * inputs)
+    with pytest.raises(AssertionError):
+        tr.active_burst_distance(24)  # a path and its way back, (24 + 8) x 2
+    with pytest.raises(AssertionError):
+        viterbi_batch(tr, np.zeros((1, 32, 2), dtype=np.intp))
+    assert tr.active_burst_distance(23) == want[0]
+    got = viterbi_batch(tr, word)
+    assert np.array_equal(got[0], want[1][0]) and got[1] == want[1][1]
 
 
 def test_slope_matches_reference(trellis):
@@ -342,8 +451,9 @@ def test_the_scan_stops_right_after_the_lightest_loop_closes(acs_steps):
 def test_an_equal_weight_tie_does_not_stop_the_scan(acs_steps):
     tr = dict(EARLY_STOP)["hand-built-equal-weight-tie"]
     zero, row, _ = tr._loop_dp(1, 1)
-    ret = tr._costs_to(np.arange(8) % 4 == 0).reshape(2, 4)
-    assert zero[:, 1].tolist() == [np.inf, 1] and trellis_module._frontier(row, ret, 1) == 1
+    unreached = trellis_module._unreached(tr.num_inputs)
+    frontier = trellis_module._frontier(row, tr._return_keys)
+    assert zero[:, 1].tolist() == [unreached, tr.num_inputs] and frontier == tr.num_inputs
     acs_steps.clear()
     fd = tr.free_distance()
     assert (fd.value, fd.loop_length, fd.witness[0].section) == (1, 3, 0)
@@ -531,8 +641,8 @@ def test_the_suite_analysis_never_builds_predecessors_unless_catastrophic():
         tr = build_trellis(code)
         report = analyze_code(code, trellis=tr)
         tables = {name for name, value in vars(tr).items() if isinstance(value, np.ndarray)}
-        edge_tables = {"next_state", "label", "weight", "pred", "_loop_weight"}
-        assert tables <= edge_tables | {"_zero_cycle_core"}, path.stem
+        edge_tables = {"next_state", "label", "weight", "pred"}
+        assert tables <= edge_tables | {"_zero_cycle_core", "_return_keys"}, path.stem
         assert "_node_succs" in vars(tr), path.stem
         assert bool(tr._zero_cycle_core.any()) is report["catastrophic"], path.stem
 
@@ -640,7 +750,7 @@ def test_least_mean_cycle_matches_karp_on_random_graphs(graph):
 def test_built_trellises_share_one_row():
     tr = build_trellis(load_code(SUITE / "gf16_m2.json"))
     assert tr.num_sections == 4
-    for table in (tr.next_state, tr.pred, tr._pred_paths[0]):
+    for table in (tr.next_state, tr.pred):
         assert table.strides[0] == 0 and not table.flags.writeable
     want = reference.build_trellis(load_code(SUITE / "gf16_m2.json"))
     assert np.array_equal(tr.pred, want.pred) and want.pred.strides[0] != 0
@@ -658,19 +768,54 @@ def test_build_memory_is_a_small_multiple_of_the_edge_arrays():
     finally:
         tracemalloc.stop()
     assert tr.next_state.size == 2**19
-    finished = tr.next_state.nbytes + tr.label.nbytes + tr.weight.nbytes
-    # 1.8 x here; int64 edge ids peeled twice per digit take 2.6 x
-    assert peak < 2 * finished
+    # the build makes no weights: 3.2 x these here; int64 edge ids peeled
+    # twice per digit take 4.7 x
+    finished = tr.next_state.nbytes + tr.label.nbytes
+    assert peak < 3.6 * finished
 
 
 def test_the_analysis_caches_the_edge_weights_only_in_its_tables():
-    # the loop weights live in `_pred_paths` and `_node_succs`, not beside them
+    # the loop weights live in `_loop_tables` and `_node_succs`, not beside them
     for path in SPECS:
         code = load_code(path)
         tr = build_trellis(code)
         analyze_code(code, trellis=tr)
         assert "_loop_weight" not in vars(tr), path.stem
-        assert "_pred_paths" in vars(tr) and "_node_succs" in vars(tr), path.stem
+        assert "_loop_tables" in vars(tr) and "_node_succs" in vars(tr), path.stem
+
+
+def held_bytes(table):
+    """The bytes an array holds: one row of a table that repeats it."""
+    return table[0].nbytes if table.ndim and table.strides[0] == 0 else table.nbytes
+
+
+def cached_arrays(tr):
+    """name: array, for every array a trellis caches, alone or in a tuple."""
+    out = {}
+    for name, value in vars(tr).items():
+        for i, table in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(table, np.ndarray):
+                out[name if not isinstance(value, tuple) else f"{name}[{i}]"] = table
+    return out
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_an_analyzed_trellis_caches_no_more_bytes_an_edge_than_before(path):
+    code = load_code(path)
+    tr = build_trellis(code)
+    analyze_code(code, trellis=tr)
+    edges = tr.num_sections * tr.num_states * tr.num_inputs
+    tables = cached_arrays(tr)
+    # the edge arrays, pred and the graph questions' own results are as
+    # before; the rest replaces the float loop DP's `_pred_paths` (an intp
+    # from_state in pred's rows and a float64 weight an edge), an int64
+    # `weight`, and `_node_succs` (an intp successor and a float64 weight)
+    kept = {"next_state", "label", "pred", "_zero_cycle_core", "_least_mean_cycle[2]"}
+    assert kept < tables.keys()
+    before = (8 + 8 + 8 + 8) * edges + held_bytes(tr.pred)
+    now = sum(held_bytes(table) for name, table in tables.items() if name not in kept)
+    assert now <= before, {name: held_bytes(table) / edges for name, table in tables.items()}
+    assert tr.weight.dtype == np.uint8 and tr._loop_tables[0].dtype == np.int32
 
 
 def test_active_burst_distance_keeps_no_survivors():

@@ -2,13 +2,15 @@
 algorithms, kept as test oracles for the array paths in `skewconv.trellis`.
 
 `build_trellis` is the per-edge construction loop over scalar field
-arithmetic, and `loop_dp` the per-edge loop relaxation over the edges read
-one at a time through `Trellis.edge` (`sections`).  The graph algorithms
-run on `graph`, per-node adjacency lists of the period-unrolled state graph:
-Tarjan's strong components (`sccs`), Dijkstra's forward and return costs,
-the zero-output-weight cycles and the catastrophic cycle they hold (found by
-an input-weight seed and a BFS), and `slope`, Karp's recurrence over the full
-(m + 1) x m table of each strong component (`karp_table`).  `karp_two_pass`
+arithmetic, `loop_dp` the per-edge loop relaxation over the edges read one
+at a time through `Trellis.edge` (`sections`), and `acs` the float argmin
+add-compare-select step that the packed-key kernel replaced.  The graph
+algorithms run on `graph`, per-node adjacency lists of the period-unrolled
+state graph: Tarjan's strong components (`sccs`), Dijkstra's forward and
+return costs, the zero-output-weight cycles and the catastrophic cycle they
+hold (found by an input-weight seed and a BFS), and `slope`, Karp's
+recurrence over the full (m + 1) x m table of each strong component
+(`karp_table`).  `karp_two_pass`
 is Karp's recurrence in two O(m) passes over the array predecessor table,
 from a virtual source.  `free_distance` and `active_burst_distance` put
 `loop_dp` and these together, tracing the witness from `loop_dp`'s own
@@ -127,6 +129,21 @@ def loop_dp(tr, steps):
             parents.append(npar)
             dist = ndist
             yield start, step + 1, dist, parents
+
+
+def acs(dist, src, branch):
+    """The float add-compare-select step `skewconv.trellis.acs` replaced,
+    kept as its oracle: over a batch of rows b of dist[b, st] (inf where
+    unreached), edge j into state st of row b leaves state src[st, j] of the
+    row, or entry src[b, st, j] of dist.flat, at cost branch[b, st, j] (inf:
+    it may not be taken).  Returns the new dist and best[b, st], the j
+    kept: the first minimum, so the lowest j of equal candidates, 0 if all
+    are inf."""
+    cand = dist[:, src] if src.ndim == 2 else dist.take(src)
+    cand += branch
+    best = cand.argmin(axis=-1)
+    starts = np.arange(0, cand.size, cand.shape[-1]).reshape(best.shape)
+    return cand.take(starts + best), best
 
 
 def active_burst_distance(tr, ell):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -82,18 +82,7 @@ class SimReport:
     fer: float
 
     def to_dict(self):
-        return {
-            "eps": self.eps,
-            "trials": self.trials,
-            "frame_len": self.frame_len,
-            "seed": self.seed,
-            "info_symbols": self.info_symbols,
-            "symbol_errors_in": self.symbol_errors_in,
-            "symbol_errors_out": self.symbol_errors_out,
-            "frame_errors": self.frame_errors,
-            "ber": self.ber,
-            "fer": self.fer,
-        }
+        return asdict(self)
 
 
 def _trial_rng(seed, trial):

@@ -43,6 +43,21 @@ validation of a generator with rank(G_0) < k eliminates; a larger window is
 refused before it is built."""
 
 
+def _symbol(field, c, t=None):
+    """The integer of symbol c over field: c's value if it is a FieldElement
+    of the field, else int(c) if it lies in [0, q); t is the block it is read
+    from, None for a scalar."""
+    if isinstance(c, FieldElement):
+        if c.field is not field and c.field != field:
+            raise ValueError("mixed-field operands")
+        return c.value
+    v = int(c)
+    if not 0 <= v < field.size:
+        where = "scalar" if t is None else f"block {t}: symbol"
+        raise ValueError(f"{where} {v} outside [0, {field.size})")
+    return v
+
+
 class Sequence:
     """Causal sequence of fixed-width blocks of field elements, time 0, 1, ...
 
@@ -59,17 +74,7 @@ class Sequence:
         for t, block in enumerate(blocks):
             if isinstance(block, (FieldElement, int)):
                 block = (block,)
-            vals = []
-            for c in block:
-                if isinstance(c, FieldElement):
-                    if c.field is not field and c.field != field:
-                        raise ValueError("mixed-field operands")
-                    vals.append(c.value)
-                else:
-                    v = int(c)
-                    if not 0 <= v < size:
-                        raise ValueError(f"block {t}: symbol {v} outside [0, {size})")
-                    vals.append(v)
+            vals = [c if type(c) is int and 0 <= c < size else _symbol(field, c, t) for c in block]
             if width is None:
                 width = len(vals)
             if len(vals) != width:
@@ -120,6 +125,8 @@ class Sequence:
         if len(self) != len(other) or self.width != other.width:
             raise ValueError("shape mismatch")
         f = self.field
+        if other.field is not f and other.field != f:
+            raise ValueError("mixed-field operands")
         return Sequence(
             f,
             [
@@ -132,7 +139,7 @@ class Sequence:
     def scale(self, c):
         """Left scalar multiple c * sequence."""
         f = self.field
-        cv = c.value if isinstance(c, FieldElement) else int(c)
+        cv = _symbol(f, c)
         return Sequence(
             f,
             [[f.mul_int(cv, a) for a in block] for block in self._values],

@@ -49,10 +49,9 @@ def _is_int_array(value, depth):
 
 
 def _as_int(value, name):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CodeSpecError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, numbers.Integral):
+        raise CodeSpecError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _field_from_dict(doc):
@@ -85,7 +84,7 @@ def code_from_dict(doc):
     if not _is_int_array(table, 3) or len(table) != k or any(len(row) != n for row in table):
         raise CodeSpecError(f"G must be a {k} x {n} array of coefficient arrays")
     side = doc.get("module_side", "left")
-    if side not in _CODE_CLASSES:
+    if not isinstance(side, str) or side not in _CODE_CLASSES:
         raise CodeSpecError(f"module_side must be 'left' or 'right', got {side!r}")
     try:
         generator = SkewPolyMatrix.from_ints(field, table)

@@ -12,16 +12,16 @@ comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`
 and `frobenius` are the same operations over integer arrays; they and the
 trellis builder run on the O(q) read-only numpy tables `log_table`,
 `antilog_table` and `frobenius_table`.  Each costs O(1) numpy calls: `sum`
-of a stacked array is one reduction along its first axis (one XOR reduce
-for p = 2; for odd p one gather into digit bit fields, integer sums and one
-pack), `mul` is one gather of a product table padded with zeros, at a sum
-of two logs whose log of 0 is a sentinel past the antilogs, and odd-p
-`add` one gather of the same table at a Zech-log sum padded the same way.
+is one reduction along an array's first axis (one XOR reduce for p = 2; for
+odd p one gather into digit bit fields, integer sums and one pack), `mul`
+is one gather of a product table padded with zeros, at a sum of two logs
+whose log of 0 is a sentinel past the antilogs, and odd-p `add` one gather
+of the same table at a Zech-log sum padded the same way.
 `frobenius` by powers that are all 0 mod the automorphism order is a copy.
 """
 
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -328,38 +328,24 @@ class FiniteField:
         return self._product_table[la + self._sum_zech[self._sum_logs[b] - la]]
 
     def sum(self, terms):
-        """The element-wise sum of integer arrays: of an ndarray's entries
-        along axis 0, or of the arrays an iterable yields (broadcast).
+        """The element-wise sum of an integer array's entries along axis 0.
 
-        For p = 2 it is XOR, in the terms' dtype: one `bitwise_xor.reduce`
-        of an ndarray.  For odd p each term's base-p digits go one to a bit
-        field of an int64 (`_spread`), so that adding terms is integer
-        addition, and the digits are reduced mod p and packed back to
-        elements (`_pack`) at the end.  An ndarray is spread by one gather
-        and summed by one integer sum; past `_room` terms, the most a bit
-        field holds, it is summed `_room` terms at a time and the group sums
-        are packed, spread and summed the same way.  An iterable is summed
-        as it is drawn, so that its terms are never stacked.
+        For p = 2 it is XOR, in the terms' dtype: one `bitwise_xor.reduce`.
+        For odd p each term's base-p digits go one to a bit field of an
+        int64 (`_spread`, one gather), so that adding terms is one integer
+        sum, and the digits are reduced mod p and packed back to elements
+        (`_pack`) at the end.  Past `_room` terms, the most a bit field
+        holds, it is summed `_room` terms at a time and the group sums are
+        packed, spread and summed the same way.
         """
-        if isinstance(terms, np.ndarray):
-            if self.p == 2:
-                return np.bitwise_xor.reduce(terms, axis=0)
-            spread, width = self._spread
-            total = spread[terms]
-            while len(total) > self._room:
-                groups = np.add.reduceat(total, np.arange(0, len(total), self._room), axis=0)
-                total = spread[self._pack(groups, width)]
-            return self._pack(total.sum(axis=0), width)
         if self.p == 2:
-            return reduce(np.bitwise_xor, map(_as_ints, terms))
+            return np.bitwise_xor.reduce(terms, axis=0)
         spread, width = self._spread
-        total, count = 0, 0
-        for a in terms:
-            if count == self._room:
-                total, count = spread[self._pack(total, width)], 1
-            total = total + spread[a]
-            count += 1
-        return self._pack(total, width)
+        total = spread[terms]
+        while len(total) > self._room:
+            groups = np.add.reduceat(total, np.arange(0, len(total), self._room), axis=0)
+            total = spread[self._pack(groups, width)]
+        return self._pack(total.sum(axis=0), width)
 
     @cached_property
     def _spread(self):

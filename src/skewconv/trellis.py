@@ -8,14 +8,16 @@ states are packed little-endian by row then delay slot as base-Q digits.
 A trellis is its two edge arrays, `next_state` and `label`, with one column
 per edge from_state * q^k + input of each section; `weight` and the
 predecessor table `pred` are derived from them on first use, and `edge()`
-reads one edge as a `TrellisEdge`.  `build_trellis` fills the arrays for
-every edge at once, one pass per base-q digit of the edge ids (the input
-symbols and the register slots), each digit peeled off the int32 ids by one
-divmod: a digit's products with the delay coefficients are one gather from a
-table made through the field's log/antilog tables, the terms are added
-digit-wise mod p (XOR for p = 2), and the register twist is one gather
-through the Frobenius table.  The shift is the same at every phase, so
-`next_state` is one row behind a read-only view over the sections, and
+reads one edge as a `TrellisEdge`.  In controller canonical form an edge's
+label and next state are a part of its from-state plus a part of its input,
+so `build_trellis` makes the parts of the q^nu states and of the q^k inputs,
+one pass per register slot or input symbol, each digit peeled off the int32
+ids by one divmod: a digit's products with the delay coefficients are one
+gather from a table made through the field's log/antilog tables, added by
+`FiniteField.add`, and the register twist is one gather through the
+Frobenius table.  Every edge is then one broadcast add of the two parts, one
+`FiniteField.add` per output symbol.  The shift is the same at every phase,
+so `next_state` is one row behind a read-only view over the sections, and
 `pred` one argsort of it.  A trellis over EDGE_BUDGET edges (sections x
 states x inputs) raises ValueError before any array is allocated, as does a
 DOT export over the same number of edges.
@@ -720,43 +722,51 @@ def build_trellis(code):
     regs = code.row_degrees
     nu = sum(regs)
     phases = code.phase_coefficients
-    _check_edge_budget(len(phases), q, nu, k)
-    # Edge e = from_state * q^k + input: its base-q digits are the k input
-    # symbols, then the nu register slots by row and delay.  Digit j is the
-    # (row, delay) term of the label, and moves to `place` in the next state
-    # (0: shifted out), through theta if the code's registers twist.
-    starts = [sum(regs[:row]) for row in range(k)]
-    terms = [(row, 0, q**start if reg else 0) for row, (start, reg) in enumerate(zip(starts, regs))]
-    terms += [
-        (row, delay, q ** (start + delay) if delay < reg else 0)
-        for row, (start, reg) in enumerate(zip(starts, regs))
-        for delay in range(1, reg + 1)
-    ]
-    # products[s, a, i, row] = a * (row of the phase-s delay-i table)
+    sections = len(phases)
+    _check_edge_budget(sections, q, nu, k)
+    # products[s, delay, row, j, a] = a * entry (row, j) of the phase-s delay table
     symbol = np.min_scalar_type(q - 1)
-    products = field.mul(np.arange(q)[:, None, None, None], np.array(phases)[:, None])
-    products = products.astype(symbol)
-    # the digits of the edge ids are peeled off one per pass; int32 where the
-    # ids fit, as they do within the edge budget
-    num_edges = q ** (k + nu)
-    rest = np.arange(num_edges, dtype=np.int32 if num_edges <= 2**31 else np.intp)
-    next_state = np.zeros(num_edges, dtype=np.intp)
+    products = field.mul(np.array(phases)[..., None], np.arange(q)).astype(symbol)
 
-    def label_terms():
-        """The label's terms, drawn one at a time by `field.sum`; each pass
-        also adds its digit's share of the next state."""
-        nonlocal rest, next_state
-        for row, delay, place in terms:
+    def parts(digits):
+        """(label, state)[..., id] for the ids whose base-q digits, least
+        significant first, are the (row, delay, place) `digits`: the sum of
+        their label terms, label[s, j, id], and of their next-state shares,
+        each digit at `place` (0: shifted out), through theta if the code's
+        registers twist.  The ids are int32, as they fit within the edge
+        budget."""
+        rest = np.arange(q ** len(digits), dtype=np.int32)
+        label = np.zeros((sections, n, len(rest)), dtype=symbol)
+        state = np.zeros(len(rest), dtype=np.intp)
+        for row, delay, place in digits:
             rest, digit = np.divmod(rest, q)
+            label = field.add(label, products[:, delay, row].take(digit, axis=-1))
             if place:
-                next_state += place * (
-                    field.frobenius_table[digit] if code.register_twist else digit
-                )
-            yield np.take(products[:, :, delay, row], digit, axis=1)
+                state += place * (field.frobenius_table[digit] if code.register_twist else digit)
+        return label, state
 
-    label = field.sum(label_terms()).astype(symbol, copy=False)
+    # Edge e = from_state * q^k + input: the input's digits are the k input
+    # symbols, each entering slot 1 of its row's register; the state's are
+    # the nu register slots by row and delay, each moving one slot on.
+    starts = [sum(regs[:row]) for row in range(k)]
+    fresh, entering = parts(
+        [(row, 0, q**start if reg else 0) for row, (start, reg) in enumerate(zip(starts, regs))]
+    )
+    held, shifted = parts(
+        [
+            (row, delay, q ** (start + delay) if delay < reg else 0)
+            for row, (start, reg) in enumerate(zip(starts, regs))
+            for delay in range(1, reg + 1)
+        ]
+    )
+    # one add per output symbol: one add over all n, n innermost, is slower
+    label = np.empty((sections, q**nu, q**k, n), dtype=symbol)
+    for j in range(n):
+        label[..., j] = field.add(held[:, j, :, None], fresh[:, j, None])
+    label = label.reshape(sections, -1, n)
     # the shift is the same at every phase: one row, read-only, for all
-    next_state = np.broadcast_to(next_state, (len(phases), num_edges))
+    next_state = (shifted[:, None] + entering).ravel()
+    next_state = np.broadcast_to(next_state, (sections, next_state.size))
     return Trellis(field, k, n, regs, next_state, label)
 
 

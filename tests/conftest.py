@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from skewconv import FiniteField, SkewConvCode, SkewPolyMatrix
@@ -37,3 +39,14 @@ def example_code(f4):
 @pytest.fixture(scope="session")
 def example_code_id(f4_id):
     return make_code(f4_id, EXAMPLE_TABLE)
+
+
+def with_leaf(doc, path, text):
+    """The JSON text of doc with the leaf at `path`, a tuple of keys and
+    indices, replaced by the JSON `text`."""
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = "@LEAF@"
+    return json.dumps(doc).replace('"@LEAF@"', text)

@@ -11,7 +11,7 @@ import pytest
 import skewconv
 from skewconv.cli import main
 
-from conftest import A, A2
+from conftest import A, A2, with_leaf
 
 EXAMPLE_DOC = {
     "field": {"p": 2, "n": 2, "modulus": [1, 1, 1], "theta_r": 1},
@@ -389,3 +389,50 @@ def test_a_rank_check_over_budget_exits_at_once(capsys, tmp_path):
         rc, out, err = run_cli(capsys, "analyze", str(path))
     assert rc == 1 and out == ""
     assert err.count("\n") == 1 and "budget" in err and "rank(G_0) < k" in err
+
+
+# -- every leaf of a spec replaced by a value of another JSON type ---------------
+
+
+def leaf_paths(node, path=()):
+    """The paths to the leaves of a JSON document, in document order."""
+    if isinstance(node, dict):
+        return [leaf for key, value in node.items() for leaf in leaf_paths(value, (*path, key))]
+    if isinstance(node, list):
+        return [leaf for i, value in enumerate(node) for leaf in leaf_paths(value, (*path, i))]
+    return [path]
+
+
+LEAF_VALUES = ["null", "true", '"2"', "2.5", "Infinity", "[]", "{}"]
+
+
+@pytest.mark.parametrize("text", LEAF_VALUES)
+@pytest.mark.parametrize(
+    "path", leaf_paths(EXAMPLE_DOC), ids=lambda path: ".".join(map(str, path))
+)
+def test_a_spec_leaf_of_any_json_type_exits_in_one_line(capsys, tmp_path, path, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(with_leaf(EXAMPLE_DOC, path, text))
+    for command in ("analyze", "dual"):
+        with time_limit(10):
+            rc, out, err = run_cli(capsys, command, str(spec))
+        assert rc in (0, 1, 2), command
+        assert err.count("\n") <= 1 and "Traceback" not in err, command
+        assert (out == "") == (rc != 0), command
+
+
+def test_the_leaf_sweep_covers_valid_and_refused_specs(capsys, tmp_path):
+    spec = tmp_path / "spec.json"
+    cases = {
+        (("field", "modulus"), "null"): 0,
+        (("field", "theta_r"), "true"): 0,
+        (("field", "p"), "Infinity"): 1,
+        (("n",), "Infinity"): 1,
+        (("module_side",), "[]"): 1,
+        (("module_side",), "{}"): 1,
+    }
+    assert len(leaf_paths(EXAMPLE_DOC)) == 13
+    for (path, text), want in cases.items():
+        spec.write_text(with_leaf(EXAMPLE_DOC, path, text))
+        rc, _, err = run_cli(capsys, "analyze", str(spec))
+        assert rc == want, (path, text, err)

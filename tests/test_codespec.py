@@ -13,7 +13,7 @@ from skewconv import (
     parse_sequence,
 )
 
-from conftest import A, A2
+from conftest import A, A2, with_leaf
 
 EXAMPLE_DOC = {
     "field": {"p": 2, "n": 2, "modulus": [1, 1, 1], "theta_r": 1},
@@ -104,3 +104,20 @@ def test_codespec_schema_validates_round_trip():
 def test_type_errors_raise_spec_error(patch):
     with pytest.raises(CodeSpecError):
         loads_code(json.dumps(dict(EXAMPLE_DOC, **patch)))
+
+
+INT_PATHS = [("field", "p"), ("field", "n"), ("field", "theta_r"), ("k",), ("n",)]
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "1e400", "NaN", "2.9", "2.0", '"2"'])
+@pytest.mark.parametrize("path", INT_PATHS, ids="-".join)
+def test_a_non_integer_number_is_refused_in_one_line(path, text):
+    with pytest.raises(CodeSpecError, match="must be an integer") as err:
+        loads_code(with_leaf(EXAMPLE_DOC, path, text))
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("text", ['["left"]', '{"side": "left"}', "1", "null", "true"])
+def test_a_module_side_that_is_not_a_string_is_refused(text):
+    with pytest.raises(CodeSpecError, match="module_side must be 'left' or 'right', got"):
+        loads_code(with_leaf(EXAMPLE_DOC, ("module_side",), text))

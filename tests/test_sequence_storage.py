@@ -2,7 +2,7 @@
 
 import pytest
 
-from skewconv import FieldElement, Sequence
+from skewconv import FieldElement, FiniteField, Sequence
 
 from conftest import A, A2
 
@@ -57,6 +57,27 @@ def test_validation_errors_are_unchanged(f4, f8):
     seq = Sequence(f4, [[1]])
     with pytest.raises(AttributeError, match="immutable"):
         seq.width = 2
+
+
+def test_scale_checks_its_scalar_as_a_symbol(f4, f8):
+    seq = Sequence(f4, [[1, A], [0, A2]])
+    for c in (-1, 4, 7):
+        with pytest.raises(ValueError, match=rf"scalar {c} outside \[0, 4\)"):
+            seq.scale(c)
+    for c in (f8(1), f8(7)):
+        with pytest.raises(ValueError, match="mixed-field operands"):
+            seq.scale(c)
+    assert seq.scale(f4(A)) == seq.scale(A) == A * seq
+    assert seq.scale(A).to_ints() == [(A, A2), (0, 1)]
+
+
+def test_adding_sequences_over_two_fields_raises(f4, f8):
+    gf9 = FiniteField(3, 2, [2, 2, 1], theta_r=1)
+    for left, right in ((gf9, f4), (f4, gf9), (f4, f8)):
+        with pytest.raises(ValueError, match="mixed-field operands"):
+            Sequence(left, [[1, 2]]) + Sequence(right, [[1, 3]])
+    same = FiniteField(2, 2, [1, 1, 1], theta_r=1)  # equal to f4, another object
+    assert (Sequence(f4, [[1, A]]) + Sequence(same, [[1, 1]])).to_ints() == [(0, A2)]
 
 
 def test_equality_and_hash_are_unchanged(f4, f8):

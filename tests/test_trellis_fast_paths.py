@@ -768,10 +768,26 @@ def test_build_memory_is_a_small_multiple_of_the_edge_arrays():
     finally:
         tracemalloc.stop()
     assert tr.next_state.size == 2**19
-    # the build makes no weights: 3.2 x these here; int64 edge ids peeled
-    # twice per digit take 4.7 x
+    # the build makes no weights: 1.5 x these here; a pass over the edge ids
+    # per label term took 3.2 x, and int64 edge ids peeled twice per digit 4.7 x
     finished = tr.next_state.nbytes + tr.label.nbytes
     assert peak < 3.6 * finished
+
+
+def test_an_odd_p_build_stays_a_small_multiple_of_the_edge_arrays():
+    # GF(9), memory 4, period 2: 9^4 states x 9 inputs x 2 sections.  Summing
+    # every label term per edge as int64 digit fields took 12 x these.
+    code = SkewConvCode(SkewPolyMatrix.from_ints(GF9, [[[1, 3, 0, 0, 1], [3, 1, 0, 0, 4]]]))
+    build_trellis(code)  # the field's tables, made once
+    tracemalloc.start()
+    try:
+        tr = build_trellis(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tr.next_state.shape == (2, 9**5)
+    finished = tr.next_state[0].nbytes + tr.label.nbytes  # one row held for all sections
+    assert peak < 5 * finished
 
 
 def test_the_analysis_caches_the_edge_weights_only_in_its_tables():

@@ -44,14 +44,15 @@ far plus its cheapest return to the zero state, cached in keys as
 `_return_keys`, a bound that never falls) is strictly above the lightest
 loop found: no longer loop can then tie it, so the result is the full
 scan's.  The graph questions run on the successor table of the
-period-unrolled state graph, those edges removed: the slope by Howard's
-policy iteration, accepted only with the potential of an integer
+period-unrolled state graph, those edges led to a sink node: the slope by
+Howard's policy iteration, accepted only with the potential of an integer
 Bellman-Ford that certifies it (Cochet-Terrasson, Cohen, Gaubert,
 McGettrick and Quadrat, IFAC 1998; Karp's recurrence is its test oracle),
 costs to the zero-state nodes and to the zero-weight core by the same
-`_bellman_ford` in floats, and the core by peeling.
+`_bellman_ford` in int64, and the core by peeling.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,7 +106,7 @@ class PathStep(NamedTuple):
 
 @dataclass
 class FreeDistanceResult:
-    value: float
+    value: int | float  # an int, or math.inf if the scan finds no codeword
     stabilized: bool
     achieved_by: str  # "loop" or "zero_output_tail"
     loop_length: int | None
@@ -124,6 +125,13 @@ class CatastrophicityResult(NamedTuple):
 class UnitMemoryBounds(NamedTuple):
     d_free_bound: int | None
     slope_bound: int
+
+
+def _check_id(kind, value, count):
+    """value, if it is a `kind` id in 0..count - 1; else ValueError."""
+    if not 0 <= value < count:
+        raise ValueError(f"{kind} {value} is out of range 0..{count - 1}")
+    return value
 
 
 def unpack_digits(value, base, count):
@@ -162,26 +170,22 @@ class Trellis:
     # -- packing helpers --
 
     def input_block(self, idx):
-        return tuple(unpack_digits(idx, self.q, self.k))
+        return tuple(unpack_digits(_check_id("input", idx, self.num_inputs), self.q, self.k))
 
     def state_registers(self, state):
         """Register contents as a tuple per row, delay slot 1 first."""
-        slots = unpack_digits(state, self.q, self.external_degree)
-        out = []
-        for length in self.register_lengths:
-            out.append(tuple(slots[:length]))
-            slots = slots[length:]
-        return tuple(out)
+        state = _check_id("state", state, self.num_states)
+        slots = iter(unpack_digits(state, self.q, self.external_degree))
+        return tuple(tuple(itertools.islice(slots, length)) for length in self.register_lengths)
 
     def state_name(self, state):
         regs = [v for row in self.state_registers(state) for v in row]
-        if not regs:
-            return "0"
-        return ",".join(self.field.element_name(v) for v in regs)
+        return ",".join(self.field.element_name(v) for v in regs) or "0"
 
     def edge(self, section, from_state, input_idx):
         s = section % self.num_sections
-        e = from_state * self.num_inputs + input_idx
+        e = _check_id("state", from_state, self.num_states) * self.num_inputs
+        e += _check_id("input", input_idx, self.num_inputs)
         return TrellisEdge(
             int(self.next_state[s, e]), tuple(self.label[s, e].tolist()), int(self.weight[s, e])
         )
@@ -236,35 +240,32 @@ class Trellis:
         ((s + 1) mod num_sections, st) to a zero-state node; `_unreached`
         where there is no way back.  Rows as the loop DP's."""
         sections, states = self.num_sections, self.num_states
-        to_zero = np.arange(sections * states) % states == 0
-        cost = self._costs_to(to_zero).reshape(sections, states)
-        cost = cost[(np.arange(sections) + 1) % sections]
-        ret = np.full(cost.shape, _unreached(self.num_inputs), dtype=np.int64)
-        back = cost < np.inf
-        ret[back] = cost[back].astype(np.int64) * self.num_inputs
-        return ret
+        cost = self._costs_to(np.arange(sections * states) % states == 0).reshape(sections, states)
+        return cost[(np.arange(sections) + 1) % sections] * self.num_inputs
 
     # -- the period-unrolled state graph: node phase * num_states + state --
 
     @cached_property
     def _node_succs(self):
         """(to, w)[i, node]: input i leads from node to node to[i, node] by an
-        edge of weight w[i, node], a float, inf on the removed edges.
-        Contiguous copies: the relaxations gather whole rows."""
+        edge of weight w[i, node], a view of `weight`; a removed edge leads to
+        the sink, node sections x states, which no edge leaves.  `to` is a
+        contiguous copy: the relaxations gather whole rows."""
         after = ((np.arange(self.num_sections) + 1) % self.num_sections * self.num_states)[:, None]
-        to = (after + self.next_state).reshape(-1, self.num_inputs)
+        to = (after + self.next_state).reshape(-1, self.num_inputs).T.copy()
+        w = self.weight.reshape(to.shape[::-1]).T
         # the removed edges: weight 0 from the zero state back to it
-        w = self.weight.astype(float)
-        from_zero = w[:, : self.num_inputs]
-        from_zero[(self.next_state[:, : self.num_inputs] == 0) & (from_zero == 0)] = np.inf
-        return np.ascontiguousarray(to.T), np.ascontiguousarray(w.reshape(to.shape).T)
+        from_zero, zero_w = to[:, :: self.num_states], w[:, :: self.num_states]
+        from_zero[(from_zero % self.num_states == 0) & (zero_w == 0)] = to.shape[1]
+        return to, w
 
     def _costs_to(self, targets):
         """`_bellman_ford` along `_node_succs` from cost 0 at the nodes of
         the mask `targets`: the cheapest weight from each node to one of
-        them.  The weights are nonnegative integers, so it settles within
-        `nodes` rounds."""
-        return _bellman_ford(*self._node_succs, np.where(targets, 0.0, np.inf))
+        them, or U / num_inputs (`_unreached`) if none, as from the sink.
+        The weights are nonnegative, so it settles within `nodes` rounds."""
+        far = _unreached(self.num_inputs) // self.num_inputs
+        return _bellman_ford(*self._node_succs, np.append(np.where(targets, 0, far), far))
 
     @cached_property
     def _zero_cycle_core(self):
@@ -397,8 +398,7 @@ class Trellis:
         core = self._zero_cycle_core
         tail_min = math.inf
         if core.any():
-            tail = self._costs_to(core)[:: self.num_states].min()
-            tail_min = int(tail) if tail < np.inf else math.inf
+            tail_min = _number(self._costs_to(core)[:: self.num_states].min() * inputs, inputs)
 
         value = min(best, tail_min)
         stabilized = frontier_bound >= value
@@ -454,7 +454,7 @@ class Trellis:
         zero-weight edge into the core until a node repeats; the closed part
         is returned.
         """
-        core = self._zero_cycle_core
+        core = np.append(self._zero_cycle_core, False)  # the sink is on no cycle
         if not core.any():
             return None
         to, w = self._node_succs
@@ -537,13 +537,13 @@ def _number(key, inputs):
 
 
 def _peel(to, edge_mask):
-    """Mask of the nodes left when the graph of the edges v -> to[i, v] with
-    edge_mask[i, v] is peeled of every node with no in-edge or no out-edge
-    among the nodes left, until none goes: the nodes on cycles and on paths
-    between them."""
+    """Mask of the m = to.shape[1] nodes left when the graph of the edges v
+    -> to[i, v] with edge_mask[i, v] is peeled of every node with no in-edge
+    or no out-edge among the nodes left, until none goes: the nodes on
+    cycles and on paths between them.  The sink, node m, goes first."""
     idx, u = np.nonzero(edge_mask)
     v = to[idx, u]
-    live = np.ones(to.shape[1], dtype=bool)
+    live = np.ones(to.shape[1] + 1, dtype=bool)
     while True:
         inner = live[u] & live[v]
         u, v = u[inner], v[inner]
@@ -551,7 +551,7 @@ def _peel(to, edge_mask):
         leaves[u] = enters[v] = True
         kept = live & leaves & enters
         if (kept == live).all():
-            return live
+            return live[:-1]
         live = kept
 
 
@@ -563,8 +563,8 @@ class _MeanCycle(NamedTuple):
 
 def _least_mean_cycle(to, w):
     """The least mean cycle of the graph in which input i leads from node v
-    to node to[i, v] at integer weight w[i, v] (inf: no edge), by Howard's
-    policy iteration.
+    to node to[i, v] at integer weight w[i, v], or to the sink, node m =
+    to.shape[1], by an edge that is not there, by Howard's policy iteration.
 
     A policy keeps one out-edge per node.  Its evaluation (`_policy_cycles`)
     gives each node the cycle it reaches, whose mean a / b is kept in lowest
@@ -577,18 +577,18 @@ def _least_mean_cycle(to, w):
     node moves, the least mean S / L of the policy's cycles is accepted only
     once an integer Bellman-Ford on w * L - S settles (`_potential`): then
     no cycle has a lower mean, and the policy's cycle attains it.  Nodes on
-    no cycle nor between two are peeled first (`_peel`), and a graph peeled
-    empty has no cycle.
+    no cycle nor between two are peeled first (`_peel`), and an edge into
+    one or the sink is not there; a graph peeled empty has no cycle.
     """
-    nodes = np.flatnonzero(_peel(to, np.isfinite(w)))
+    nodes = np.flatnonzero(_peel(to, np.ones(to.shape, dtype=bool)))
     if not nodes.size:
         return _MeanCycle(math.inf, None, None)
-    renumber = np.full(w.shape[1], -1)
+    renumber = np.full(to.shape[1] + 1, -1)
     renumber[nodes] = np.arange(nodes.size)
     succ = renumber[to[:, nodes]]
-    present = (succ >= 0) & np.isfinite(w[:, nodes])
+    present = succ >= 0
     succ[~present] = 0
-    weight = np.where(present, w[:, nodes], 0).astype(np.int64)
+    weight = w[:, nodes].astype(np.int64)
     never = np.iinfo(np.int64).max
     cols = np.arange(nodes.size)
     policy = np.where(present, weight, never).argmin(axis=0)
@@ -675,15 +675,15 @@ def _bellman_ford(to, w, dist):
 def _potential(to, w, num, den):
     """Integer `_bellman_ford` on the weights w * den - num from 0 at every
     node: the fixpoint potential p, with p[v] <= w[i, v] * den - num +
-    p[to[i, v]] on every finite edge, or None if it does not settle within
-    `nodes` rounds, which happens iff some cycle has mean below num / den.
-    Missing edges lead to an extra node held at 0, which no potential
-    (all <= 0) can improve on."""
-    m = w.shape[1]
-    finite = np.isfinite(w)
-    reduced = np.where(finite, w, 0).astype(np.int64) * den - num
-    reduced[~finite] = 0
-    return _bellman_ford(np.where(finite, to, m), reduced, np.zeros(m + 1, dtype=np.int64))
+    p[to[i, v]] on every edge, or None if it does not settle within `nodes`
+    rounds, which happens iff some cycle has mean below num / den.  The
+    sink, which the missing edges lead to, is held at U = `_unreached(1)`:
+    a reduced weight plus U is at least 0, so no potential (all <= 0) is
+    tightened through it, and the sum stays below 2 U < 2^63."""
+    reduced = w.astype(np.int64) * den - num
+    far = _unreached(1)
+    assert int(np.abs(reduced).max()) <= far, f"a reduced weight reaches the sink's {far}"
+    return _bellman_ford(to, reduced, np.append(np.zeros(w.shape[1], dtype=np.int64), far))
 
 
 def _check_edge_budget(sections, q, nu, k):

@@ -86,14 +86,27 @@ def test_format_sequence(f4, example_code):
     assert format_sequence(example_code.encode([])) == ""
 
 
-def test_codespec_schema_validates_round_trip():
-    jsonschema = pytest.importorskip("jsonschema")
+def codespec_schema():
     import importlib.resources as res
 
-    schema = json.loads(
-        res.files("skewconv").joinpath("schemas/codespec.schema.json").read_text()
-    )
-    jsonschema.validate(code_to_dict(loads_code(json.dumps(EXAMPLE_DOC))), schema)
+    return json.loads(res.files("skewconv").joinpath("schemas/codespec.schema.json").read_text())
+
+
+def test_codespec_schema_validates_round_trip():
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(code_to_dict(loads_code(json.dumps(EXAMPLE_DOC))), codespec_schema())
+
+
+def test_the_schema_admits_an_integral_float_that_the_loader_refuses():
+    # draft 2020-12 counts 2.0 as an integer; the loader takes integer literals only
+    jsonschema = pytest.importorskip("jsonschema")
+    text = with_leaf(EXAMPLE_DOC, ("field", "p"), "2.0")
+    schema = codespec_schema()
+    jsonschema.validate(json.loads(text), schema)
+    assert "2.0" in schema["$comment"]
+    with pytest.raises(CodeSpecError, match="must be an integer") as err:
+        loads_code(text)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,32 @@ def test_zero_edge_every_section(example_trellis):
         assert e.to_state == 0 and e.label == (0, 0) and e.weight == 0
 
 
+@pytest.mark.parametrize(
+    "method,args",
+    [
+        ("edge", (0, -1, 0)),
+        ("edge", (0, 4, 0)),
+        ("edge", (0, 0, -1)),
+        ("edge", (0, 0, 4)),
+        ("input_block", (-1,)),
+        ("input_block", (4,)),
+        ("state_registers", (-1,)),
+        ("state_registers", (4,)),
+        ("state_name", (4,)),
+    ],
+)
+def test_a_state_or_input_id_out_of_range_is_refused(example_trellis, method, args):
+    # 4 states x 4 inputs: -1 read as state 3, and input 4 as the next state's input 0
+    with pytest.raises(ValueError, match=r"out of range 0\.\.3$") as err:
+        getattr(example_trellis, method)(*args)
+    assert "\n" not in str(err.value)
+
+
+def test_the_section_of_an_edge_is_taken_mod_the_period(example_trellis):
+    tr = example_trellis
+    assert tr.edge(2, 1, 3) == tr.edge(0, 1, 3) and tr.edge(-1, 3, 1) == tr.edge(1, 3, 1)
+
+
 def test_paths_spell_encoder_outputs(example_code, example_trellis):
     tr = example_trellis
     for length in range(1, 5):

@@ -117,6 +117,10 @@ HAND_BUILT = [
     # and state 3 only out of it along zero-weight edges, and the zero state
     # reaches state 3 at weight 1 but state 1 only at weight 3
     gf2_trellis([[(0, 0), (3, 1)], [(3, 0), (1, 0)], [(1, 0), (2, 1)], [(2, 2), (0, 2)]]),
+    # a zero-weight cycle through the zero state, 0 -> 1 -> 2 -> 0 by inputs
+    # 1, 0, 0, beside the removed edge from state 0 by input 0: no code fixture
+    # has a zero-state node in its zero-weight core
+    gf2_trellis([[(0, 0), (1, 0)], [(2, 0), (3, 2)], [(0, 0), (1, 1)], [(2, 1), (3, 2)]]),
 ]
 
 
@@ -172,7 +176,7 @@ EARLY_STOP = [
     + HAND_BUILT
     + [tr for _, tr in PER_SECTION + EARLY_STOP],
     ids=[name for name, _ in GRAPH_CODES]
-    + ["hand-built-two-parts", "hand-built-zero-loop"]
+    + ["hand-built-two-parts", "hand-built-zero-loop", "hand-built-zero-state-core"]
     + [name for name, _ in PER_SECTION + EARLY_STOP],
 )
 def trellis(request):
@@ -528,14 +532,20 @@ def test_the_extra_codes_are_catastrophic():
 def test_zero_state_costs_match_dijkstra(trellis):
     tr = trellis
     adj = reference.graph(tr)
+    # a node that reaches no target costs U / inputs, not inf
+    far = trellis_module._unreached(tr.num_inputs) // tr.num_inputs
+
+    def costs(dist):
+        return [far if d == math.inf else d for d in dist]
+
     zero_states = np.zeros(len(adj), dtype=bool)
     zero_states[:: tr.num_states] = True
-    assert tr._costs_to(zero_states).tolist() == reference.return_costs(tr, adj)
+    assert tr._costs_to(zero_states).tolist() == costs(reference.return_costs(tr, adj))
     # the zero-output tail: the costs to the core at the zero-state nodes
     # are the forward costs from them into the core
     core = tr._zero_cycle_core
     to_core = reference.dijkstra(reference.reverse(adj), np.flatnonzero(core).tolist())
-    assert tr._costs_to(core).tolist() == to_core
+    assert tr._costs_to(core).tolist() == costs(to_core)
     forward = reference.forward_costs(tr, adj)
     assert min(to_core[:: tr.num_states]) == min(np.array(forward)[core], default=math.inf)
 
@@ -547,12 +557,25 @@ def test_zero_cycle_core_matches_reference(trellis):
 
 
 def test_hand_built_trellises():
-    two_parts, zero_loop = HAND_BUILT
+    two_parts, zero_loop, zero_state_core = HAND_BUILT
     assert two_parts.slope() == 1
     assert zero_loop.slope() == 0
     assert zero_loop._zero_cycle_core.tolist() == [False, True, False, False]
     fd = zero_loop.free_distance()
     assert (fd.value, fd.achieved_by, fd.loop_length) == (3, "loop", 2)
+    # the zero state's removed edge leads to the sink, which the witness
+    # must pass over for its input-1 edge into the core
+    core = zero_state_core._zero_cycle_core
+    assert core.tolist() == [True, True, True, False]
+    witness = zero_state_core.catastrophic_cycle()
+    assert [(step.from_state, step.input_block) for step in witness] == [
+        (0, (1,)),
+        (1, (0,)),
+        (2, (0,)),
+    ]
+    assert zero_state_core._costs_to(core).tolist()[:3] == [0, 0, 0]
+    fd = zero_state_core.free_distance()
+    assert (fd.value, fd.achieved_by, fd.loop_length, zero_state_core.slope()) == (0, "loop", 3, 0)
 
 
 def test_catastrophic_witness_is_a_zero_weight_cycle(trellis):
@@ -581,8 +604,14 @@ def test_catastrophic_witness_is_a_zero_weight_cycle(trellis):
 
 def node_preds(to, w):
     """(src, w)[j, node]: the predecessor table of the successor table (to,
-    w), each node's in-edges in (source, input) order."""
+    w), each node's in-edges in (source, input) order.  The edges into the
+    sink, node m, make up at weight inf the in-edges the nodes lack."""
     inputs, nodes = to.shape
+    missing = to == nodes
+    lacking = inputs - np.bincount(to[~missing], minlength=nodes)
+    to = to.copy()
+    to[missing] = np.repeat(np.arange(nodes), lacking)
+    w = np.where(missing, np.inf, w)
     order = np.argsort(to.T.ravel(), kind="stable")
     return order.reshape(nodes, inputs).T // inputs, w.T.ravel()[order].reshape(nodes, inputs).T
 
@@ -604,16 +633,16 @@ def check_least_mean_cycle(to, w, found):
     cycle = found.cycle
     total = 0
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        steps = [w[i, u] for i in range(len(to)) if to[i, u] == v and w[i, u] < math.inf]
+        steps = [w[i, u] for i in range(len(to)) if to[i, u] == v]
         assert steps, (u, v)
         total += int(min(steps))
     assert type(found.value) is Fraction
     assert found.value == Fraction(total, len(cycle))
     potential = found.potential
     assert potential.dtype == np.int64 and (potential <= 0).all()
-    finite = np.isfinite(w)
-    reduced = np.where(finite, w, 0).astype(np.int64) * len(cycle) - total
-    assert (potential <= np.where(finite, reduced + potential[to], 0)).all()
+    present = to < to.shape[1]
+    reduced = w.astype(np.int64) * len(cycle) - total
+    assert (potential <= np.where(present, reduced + np.append(potential, 0)[to], 0)).all()
 
 
 def test_slope_cycle_and_potential_certify_it(trellis):
@@ -648,16 +677,16 @@ def test_the_suite_analysis_never_builds_predecessors_unless_catastrophic():
 
 
 def adjacency(to, w):
-    """Adjacency lists of a successor table, weights as Python ints."""
+    """Adjacency lists of a successor table, weights as Python ints; the
+    edges into the sink, node m, are not there."""
     return [
-        [(int(to[i, u]), int(w[i, u]), i) for i in range(len(to)) if w[i, u] < math.inf]
+        [(int(to[i, u]), int(w[i, u]), i) for i in range(len(to)) if to[i, u] < to.shape[1]]
         for u in range(to.shape[1])
     ]
 
 
 def least_mean_cycle(to, w):
-    to = np.array(to, dtype=np.intp)
-    w = np.array(w, dtype=float)
+    to, w = reference.sink_form(to, w)
     found = trellis_module._least_mean_cycle(to, w)
     check_least_mean_cycle(to, w, found)
     return found.value
@@ -709,7 +738,7 @@ CASES = {
 @pytest.mark.parametrize("case", CASES, ids=list(CASES))
 def test_least_mean_cycle_cases(case):
     to, w, want = CASES[case]
-    assert reference.karp_table(adjacency(np.array(to), np.array(w, dtype=float))) == want
+    assert reference.karp_table(adjacency(*reference.sink_form(to, w))) == want
     got = least_mean_cycle(to, w)
     assert type(got) is type(want)
     assert got == want
@@ -739,7 +768,7 @@ def successor_tables(draw):
 def test_least_mean_cycle_matches_karp_on_random_graphs(graph):
     to, w = graph
     got = least_mean_cycle(to, w)
-    want = reference.karp_table(adjacency(to, w))
+    want = reference.karp_table(adjacency(*reference.sink_form(to, w)))
     assert type(got) is type(want)
     assert got == want
 
@@ -832,6 +861,21 @@ def test_an_analyzed_trellis_caches_no_more_bytes_an_edge_than_before(path):
     now = sum(held_bytes(table) for name, table in tables.items() if name not in kept)
     assert now <= before, {name: held_bytes(table) / edges for name, table in tables.items()}
     assert tr.weight.dtype == np.uint8 and tr._loop_tables[0].dtype == np.int32
+
+
+@pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+def test_an_analyzed_trellis_caches_no_float_array(path):
+    # the removed edges lead to a sink node, not to an inf weight, and the
+    # graph's weights are `weight` itself: 8 + 1 bytes an edge
+    code = load_code(path)
+    tr = build_trellis(code)
+    analyze_code(code, trellis=tr)
+    tables = cached_arrays(tr)
+    assert not {name for name, table in tables.items() if table.dtype.kind == "f"}
+    to, w = tr._node_succs
+    edges = tr.num_sections * tr.num_states * tr.num_inputs
+    assert to.dtype == np.intp and np.shares_memory(w, tr.weight)
+    assert held_bytes(to) + held_bytes(w) <= 9 * edges
 
 
 def test_active_burst_distance_keeps_no_survivors():

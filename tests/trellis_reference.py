@@ -14,7 +14,8 @@ recurrence over the full (m + 1) x m table of each strong component
 is Karp's recurrence in two O(m) passes over the array predecessor table,
 from a virtual source.  `free_distance` and `active_burst_distance` put
 `loop_dp` and these together, tracing the witness from `loop_dp`'s own
-parents.
+parents.  `sink_form` turns a successor table written with inf on its
+missing edges into the trellis's own, the missing edges led to a sink node.
 """
 
 import heapq
@@ -243,6 +244,15 @@ def karp_two_pass(src, weight):
         den[larger] = m - k
     v = int(np.where(reached, best, np.inf).argmin())
     return Fraction(int(num[v]), int(den[v]))
+
+
+def sink_form(to, w):
+    """A successor table (to, w)[i, v] written with math.inf on its missing
+    edges, in the form `skewconv.trellis` keeps: each missing edge leads to
+    the sink, node m = to.shape[1], at weight 0, and the weights are int64."""
+    to, w = np.asarray(to, dtype=np.intp), np.asarray(w, dtype=float)
+    missing = np.isinf(w)
+    return np.where(missing, to.shape[1], to), np.where(missing, 0, w).astype(np.int64)
 
 
 # -- the period-unrolled state graph as adjacency lists ----------------------

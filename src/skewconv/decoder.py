@@ -9,11 +9,11 @@ viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when
 eps < (Q-1)/Q): one `trellis.acs` step a section over every frame, on
 packed integer keys, then one `Trellis.traceback`; viterbi() is the same
-decoder on one frame.  bcjr() runs the exact forward-backward recursion, one
-edge at a time over the same edge arrays read as Python lists, and returns
-per-time posteriors of the information blocks.  Both walk the trellis
-phase-aware: time t uses section t mod num_sections, so periodic
-time-varying codes decode correctly.
+decoder on one frame.  bcjr() returns per-time posteriors of the
+information blocks: its branch likelihoods are one gather over every edge
+and block, its forward-backward recursion runs one edge at a time.  Both
+walk the trellis phase-aware: time t uses section t mod num_sections, so
+periodic time-varying codes decode correctly.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -192,8 +192,9 @@ def bcjr(trellis, received, channel, terminated=False):
     Probability domain with per-step renormalization; posteriors is an
     (info_len, q^k) array whose row t is the distribution over the q^k
     input-block indices at time t (uniform prior).  Hard decisions are the
-    per-time argmax.  The recursion reads the trellis edge arrays as Python
-    lists, made once per call.  A word of more blocks x states x inputs than
+    per-time argmax.  The branch terms are one array step; the recursion
+    walks them one edge at a time, along `next_state` read as Python lists,
+    made once per call.  A word of more blocks x states x inputs than
     `trellis.EDGE_BUDGET` raises ValueError before any work.
     """
     q = trellis.q
@@ -212,24 +213,22 @@ def bcjr(trellis, received, channel, terminated=False):
     # one trellis section a block: refused where a DOT export of as many
     # sections would be
     _check_edge_budget(total, q, trellis.external_degree, trellis.k)
-    num_states, num_inputs = trellis.num_states, trellis.num_inputs
-    # next_state[s][st][idx], labels[s][st][idx]: the edge arrays as lists
+    num_states, num_inputs, n = trellis.num_states, trellis.num_inputs, trellis.n
+    # next_state[s][st][idx]: the edge array as lists
     shape = (trellis.num_sections, num_states, num_inputs)
     next_state = trellis.next_state.reshape(shape).tolist()
-    labels = trellis.label.reshape(*shape, trellis.n).tolist()
 
-    # gammas[t][st][idx] = P(input idx) * P(received_t | label)
-    gammas = []
-    for t, rblock in enumerate(blocks):
-        label = labels[t % trellis.num_sections]
-        inputs = 1 if t >= total - tail else num_inputs
-        prior = 1.0 if inputs == 1 else 1.0 / num_inputs
-        g = np.zeros((num_states, num_inputs))
-        for st in range(num_states):
-            edges = label[st]
-            for idx in range(inputs):
-                g[st, idx] = prior * channel.block_likelihood(edges[idx], rblock)
-        gammas.append(g)
+    # gammas[t, st, idx] = prior x like[m] (multiplied, as edge by edge), m the
+    # label's mismatches (row m of np.tri has m); the tail keeps input 0, prior 1
+    labels = trellis.label.reshape(*shape, n)
+    word = np.array(blocks, dtype=labels.dtype).reshape(total, 1, 1, n)
+    section = np.arange(total) % trellis.num_sections
+    no_mismatch = np.zeros((), dtype=np.min_scalar_type(n))
+    mismatches = sum((labels[section, ..., i] != word[..., i] for i in range(n)), no_mismatch)
+    like = np.array([channel.block_likelihood([0] * n, b) for b in np.tri(n + 1, n, -1, int)])
+    gammas = (like * (1.0 / num_inputs))[mismatches]
+    gammas[total - tail :, :, 0] = like[mismatches[total - tail :, :, 0]]
+    gammas[total - tail :, :, 1:] = 0.0
 
     alpha = np.zeros((total + 1, num_states))
     alpha[0, 0] = 1.0
@@ -280,5 +279,5 @@ def bcjr(trellis, received, channel, terminated=False):
         if t < info_len:
             posteriors[t] = post / post.sum()
 
-    hard = [trellis.input_block(int(post.argmax())) for post in posteriors]
-    return DecodeResult(Sequence(trellis.field, hard, width=trellis.k), None, posteriors)
+    hard = (posteriors.argmax(axis=1)[:, None] // q ** np.arange(trellis.k) % q).tolist()
+    return DecodeResult(Sequence._trusted(trellis.field, hard, trellis.k), None, posteriors)

@@ -114,6 +114,8 @@ class FreeDistanceResult:
     burst: list  # burst[ell - 1]: lightest ell-loop weight, ell = 1..lmax
 
     def __int__(self):
+        if self.value == math.inf:
+            raise ValueError("no codeword found: the free distance is not an integer")
         return int(self.value)
 
 
@@ -128,7 +130,10 @@ class UnitMemoryBounds(NamedTuple):
 
 
 def _check_id(kind, value, count):
-    """value, if it is a `kind` id in 0..count - 1; else ValueError."""
+    """value, if it is a `kind` id: an integer, a numpy one too, in
+    0..count - 1; else ValueError."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{kind} {value!r} is not an integer")
     if not 0 <= value < count:
         raise ValueError(f"{kind} {value} is out of range 0..{count - 1}")
     return value

@@ -1,20 +1,24 @@
 """Scalar reference implementations of the decoders' fast paths and of the
 channel, kept as test oracles for `skewconv.decoder.viterbi_batch`,
-`QSChannel.transmit` and `skewconv.run_simulation`.
+`skewconv.bcjr`, `QSChannel.transmit` and `skewconv.run_simulation`.
 
 `viterbi` is the per-edge add-compare-select loop over the trellis edges,
-read one at a time through `Trellis.edge`; `transmit` sends one symbol at a
-time; and `run_simulation` encodes each frame with the per-symbol reference
+read one at a time through `Trellis.edge`; `bcjr` computes every branch term
+by its own `block_likelihood` call; `transmit` sends one symbol at a time;
+and `run_simulation` encodes each frame with the per-symbol reference
 encoder, sends it with `transmit` and decodes it with `viterbi`.
 """
 
 import math
+
+import numpy as np
 
 import code_reference
 from skewconv import DecodeResult, Sequence, SimReport, build_trellis
 from skewconv.analysis import _trial_rng
 from skewconv.code import coerce_sequence
 from skewconv.decoder import QSChannel
+from skewconv.trellis import _check_edge_budget
 from trellis_reference import sections
 
 
@@ -118,3 +122,95 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
         ber=sym_out / info_symbols,
         fer=frame_errs / trials,
     )
+
+
+def bcjr(trellis, received, channel, terminated=False):
+    """BCJR one edge at a time: each branch term is a `block_likelihood`
+    call, and the recursion reads the edge arrays as Python lists.  The same
+    checks, in the same order and with the same messages, as `bcjr`."""
+    q = trellis.q
+    if channel.q != q:
+        raise ValueError("channel alphabet does not match the trellis field")
+    max_eps = (q - 1) / q
+    if not 0.0 < channel.eps < max_eps:
+        raise ValueError(f"eps must lie in (0, {max_eps}) for APP decoding")
+
+    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
+    total = len(blocks)
+    tail = trellis.memory if terminated else 0
+    if total <= tail and terminated:
+        raise ValueError(f"received length {total} too short for a terminated frame")
+
+    # one trellis section a block: refused where a DOT export of as many
+    # sections would be
+    _check_edge_budget(total, q, trellis.external_degree, trellis.k)
+    num_states, num_inputs = trellis.num_states, trellis.num_inputs
+    # next_state[s][st][idx], labels[s][st][idx]: the edge arrays as lists
+    shape = (trellis.num_sections, num_states, num_inputs)
+    next_state = trellis.next_state.reshape(shape).tolist()
+    labels = trellis.label.reshape(*shape, trellis.n).tolist()
+
+    # gammas[t][st][idx] = P(input idx) * P(received_t | label)
+    gammas = []
+    for t, rblock in enumerate(blocks):
+        label = labels[t % trellis.num_sections]
+        inputs = 1 if t >= total - tail else num_inputs
+        prior = 1.0 if inputs == 1 else 1.0 / num_inputs
+        g = np.zeros((num_states, num_inputs))
+        for st in range(num_states):
+            edges = label[st]
+            for idx in range(inputs):
+                g[st, idx] = prior * channel.block_likelihood(edges[idx], rblock)
+        gammas.append(g)
+
+    alpha = np.zeros((total + 1, num_states))
+    alpha[0, 0] = 1.0
+    for t in range(total):
+        to = next_state[t % trellis.num_sections]
+        g = gammas[t]
+        for st in range(num_states):
+            av = alpha[t, st]
+            if av == 0.0:
+                continue
+            edges = to[st]
+            for idx in range(num_inputs):
+                w = g[st, idx]
+                if w:
+                    alpha[t + 1, edges[idx]] += av * w
+        norm = alpha[t + 1].sum()
+        if norm == 0.0:
+            raise ValueError(f"received block {t} has zero likelihood under the trellis")
+        alpha[t + 1] /= norm
+
+    # the backward pass also sums the posteriors, alpha[t] x gamma x beta[t + 1]
+    beta = np.zeros((total + 1, num_states))
+    if terminated:
+        beta[total, 0] = 1.0
+    else:
+        beta[total, :] = 1.0 / num_states
+    info_len = total - tail
+    posteriors = np.empty((info_len, num_inputs))
+    for t in range(total - 1, -1, -1):
+        to = next_state[t % trellis.num_sections]
+        g = gammas[t]
+        post = np.zeros(num_inputs)
+        for st in range(num_states):
+            edges = to[st]
+            av = alpha[t, st]
+            acc = 0.0
+            for idx in range(num_inputs):
+                w = g[st, idx]
+                if w:
+                    b = beta[t + 1, edges[idx]]
+                    acc += w * b
+                    post[idx] += av * w * b
+            beta[t, st] = acc
+        norm = beta[t].sum()
+        if norm == 0.0:
+            raise ValueError(f"received block {t} has zero likelihood under the trellis")
+        beta[t] /= norm
+        if t < info_len:
+            posteriors[t] = post / post.sum()
+
+    hard = [trellis.input_block(int(post.argmax())) for post in posteriors]
+    return DecodeResult(Sequence(trellis.field, hard, width=trellis.k), None, posteriors)

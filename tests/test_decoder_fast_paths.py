@@ -1,8 +1,13 @@
 """The array Viterbi kernel and the batched simulation against their scalar
-references, the survivor budget, and the compact BCJR posteriors."""
+references, the survivor budget, and the array BCJR branch terms against the
+per-edge BCJR: the same posteriors, decisions and refusals, in narrow
+memory."""
 
+import math
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +22,11 @@ from skewconv import (
     analysis,
     bcjr,
     build_trellis,
+    load_code,
     run_simulation,
     viterbi,
 )
+from skewconv import trellis as trellis_module
 from skewconv.decoder import SURVIVOR_BUDGET, viterbi_batch
 
 from conftest import A, EXAMPLE_TABLE
@@ -272,9 +279,10 @@ TAIL_CODES = [
     (GF8, [[[3], [5], [6]], [[7, 1], [3, 7], [5, 7]]]),
     (GF4, [[[2, 2, 0], [2, 3, 3], [1, 1, 0]], [[2], [3], [2]]]),
 ]
+TAIL_IDS = ["gf8-64-inputs", "gf4-memory2"]
 
 
-@pytest.mark.parametrize("field,table", TAIL_CODES, ids=["gf8-64-inputs", "gf4-memory2"])
+@pytest.mark.parametrize("field,table", TAIL_CODES, ids=TAIL_IDS)
 def test_a_terminated_tail_takes_only_zero_inputs(field, table):
     # the tail's other inputs are keyed U exactly, neither cut to the narrow
     # keys' dtype nor past U, where a sum with an unreached row would wrap;
@@ -291,3 +299,103 @@ def test_a_terminated_tail_takes_only_zero_inputs(field, table):
             want = reference.viterbi(tr, word.tolist(), terminated=True)
             assert [tuple(block) for block in est.tolist()] == want.info_est.to_ints()
             assert metric == want.metric
+
+
+def bcjr_cases():
+    """The differential cases of the array BCJR: every code above and both
+    tail codes, with their trellises."""
+    cases = {name: (code, TRELLISES[name]) for name, code in CODES}
+    for name, (field, table) in zip(TAIL_IDS, TAIL_CODES):
+        code = SkewTrellisCode(SkewPolyMatrix.from_ints(field, table))
+        cases[name] = code, build_trellis(code)
+    return cases
+
+
+BCJR_CASES = bcjr_cases()
+
+
+def outcome(decode, tr, received, channel, terminated):
+    """A decoder's result, or the message of the ValueError it raises."""
+    try:
+        return decode(tr, received, channel, terminated=terminated)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("name", list(BCJR_CASES))
+def test_bcjr_matches_the_per_edge_oracle(name):
+    # 2 x 3 x 3 calls a code, 324 in all: posteriors np.array_equal to the
+    # oracle's, so every branch term is the oracle's float to the bit
+    code, tr = BCJR_CASES[name]
+    rng = random.Random(1212)
+    empty = bcjr(tr, [], QSChannel(tr.q, 0.3))
+    assert empty.posteriors.shape == (0, tr.num_inputs)
+    assert empty.info_est == reference.bcjr(tr, [], QSChannel(tr.q, 0.3)).info_est
+    for terminated in (False, True):
+        lengths = range(tr.memory + 1 if terminated else 1, 13)
+        for eps in (1e-6, 0.3, math.nextafter((tr.q - 1) / tr.q, 0)):
+            channel = QSChannel(tr.q, eps)
+            for length in rng.sample(lengths, 3):
+                if length % 2:
+                    received = random_words(tr, rng, [length], count=1)[0]
+                else:
+                    tail = tr.memory if terminated else 0
+                    u = [[rng.randrange(tr.q) for _ in range(code.k)] for _ in range(length - tail)]
+                    sent = code.encode(u, terminate=terminated)
+                    received = channel.transmit(sent, rng)
+                got = bcjr(tr, received, channel, terminated=terminated)
+                want = reference.bcjr(tr, received, channel, terminated=terminated)
+                assert np.array_equal(got.posteriors, want.posteriors)
+                assert got.info_est == want.info_est
+                assert got.info_est.width == code.k and got.metric is want.metric is None
+
+
+@pytest.mark.parametrize("name", list(BCJR_CASES))
+def test_bcjr_refuses_as_the_oracle_does(name, monkeypatch):
+    _, tr = BCJR_CASES[name]
+    q, n = tr.q, tr.n
+    rng = random.Random(1313)
+    word = random_words(tr, rng, [tr.memory + 6], count=1)[0]
+    refusals = [
+        (word, QSChannel(q, 0.0), True, "^eps must lie in"),
+        (word, QSChannel(q, (q - 1) / q), False, "^eps must lie in"),
+        (word, QSChannel(q + 1, 0.1), False, "^channel alphabet"),
+        # at the least eps an edge off the word has likelihood 0
+        (word, QSChannel(q, math.ulp(0.0)), False, "has zero likelihood under the trellis$"),
+        ([[0] * n] * tr.memory, QSChannel(q, 0.1), True, "too short for a terminated frame$"),
+    ]
+    for received, channel, terminated, match in refusals:
+        got = outcome(bcjr, tr, received, channel, terminated)
+        assert got == outcome(reference.bcjr, tr, received, channel, terminated)
+        assert isinstance(got, str) and re.search(match, got)
+    monkeypatch.setattr(trellis_module, "EDGE_BUDGET", len(word) * tr.num_states * tr.num_inputs - 1)
+    got = outcome(bcjr, tr, word, QSChannel(q, 0.1), False)
+    assert got == outcome(reference.bcjr, tr, word, QSChannel(q, 0.1), False)
+    assert isinstance(got, str) and "trellis edges" in got
+
+
+def test_bcjr_keeps_its_branch_counts_narrow():
+    # 128 blocks of the benchmark's GF(16) memory-2 code: a terminated
+    # codeword with its last block changed, decoded at the least eps, so
+    # only the codeword's own edges carry likelihood; the forward pass follows
+    # that one path and stops at block 127 with the branch terms, their
+    # counts and alpha all held, and no recursion runs edge by edge under the
+    # trace.  An intp mismatch count would add 8 bytes an edge, as much again
+    # as the float64 branch terms.
+    suite = Path(__file__).resolve().parents[1] / "perfbench" / "suite"
+    code = load_code(suite / "gf16_m2.json")
+    tr = build_trellis(code)
+    rng = random.Random(1414)
+    u = [[rng.randrange(tr.q)] for _ in range(128 - tr.memory)]
+    word = code.encode(u, terminate=True).to_ints()
+    word[-1] = ((word[-1][0] + 1) % tr.q, *word[-1][1:])
+    gamma_bytes = len(word) * tr.num_states * tr.num_inputs * 8
+    channel = QSChannel(tr.q, math.ulp(0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^received block 127 has zero likelihood"):
+            bcjr(tr, word, channel, terminated=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * gamma_bytes

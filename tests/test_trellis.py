@@ -3,6 +3,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skewconv import FiniteField, is_catastrophic, unit_memory_bounds
@@ -70,6 +71,31 @@ def test_a_state_or_input_id_out_of_range_is_refused(example_trellis, method, ar
     with pytest.raises(ValueError, match=r"out of range 0\.\.3$") as err:
         getattr(example_trellis, method)(*args)
     assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "method,args,bad",
+    [
+        ("edge", (0, 1.0, 0), "state 1.0"),
+        ("edge", (0, 0, 1.5), "input 1.5"),
+        ("input_block", (2.5,), "input 2.5"),
+        ("input_block", ("1",), "input '1'"),
+        ("state_registers", (1.0,), "state 1.0"),
+        ("state_name", (2.0,), "state 2.0"),
+    ],
+)
+def test_a_state_or_input_id_that_is_no_integer_is_refused(example_trellis, method, args, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} is not an integer$"):
+        getattr(example_trellis, method)(*args)
+    with pytest.raises(ValueError, match="is not an integer$"):
+        getattr(example_trellis, method)(*(np.float64(v) for v in args))
+
+
+def test_numpy_integer_ids_are_ids(example_trellis):
+    tr = example_trellis
+    assert tr.edge(np.int64(1), np.uint8(2), np.int32(3)) == tr.edge(1, 2, 3)
+    assert tr.input_block(np.int16(3)) == tr.input_block(3) == (3,)
+    assert tr.state_registers(np.uint64(2)) == tr.state_registers(2)
 
 
 def test_the_section_of_an_edge_is_taken_mod_the_period(example_trellis):
@@ -140,6 +166,14 @@ def test_free_distance_of_example(example_trellis):
     assert fd.value == 4
     assert fd.stabilized
     assert fd.achieved_by == "loop"
+
+
+def test_a_free_distance_with_no_codeword_is_no_integer(example_trellis):
+    fd = example_trellis.free_distance(ell_max=1)
+    assert fd.value == math.inf
+    with pytest.raises(ValueError, match="^no codeword found: the free distance is not an integer$"):
+        int(fd)
+    assert int(example_trellis.free_distance()) == 4
 
 
 def test_free_distance_identity_twist(id_trellis):

@@ -16,6 +16,7 @@ right-module (trellis) encoding twists the stored inputs instead:
     v_t = sum_i theta^i(u_{t-i}) * G_i.
 """
 
+import operator
 import random
 from functools import cached_property
 
@@ -61,9 +62,12 @@ def _symbol(field, c, t=None):
 class Sequence:
     """Causal sequence of fixed-width blocks of field elements, time 0, 1, ...
 
-    The blocks are held as tuples of plain integers; indexing and iteration
-    box one block at a time into `FieldElement`s, and the integer views
-    (`to_ints`, `flat_values`, `weight`), equality and hashing never box.
+    The blocks are held as one read-only (blocks, width) integer array in
+    the narrowest unsigned dtype that holds q - 1, and `np.asarray(seq)` is
+    that array, not a copy.  Indexing and iteration box one block at a time
+    into `FieldElement`s; the integer views (`to_ints`, `flat_values`,
+    `weight`), `+`, `scale`, equality and hashing never box, and `+` and
+    `scale` are the field's array `add` and `mul`.
     """
 
     __slots__ = ("field", "_values", "width")
@@ -79,22 +83,27 @@ class Sequence:
                 width = len(vals)
             if len(vals) != width:
                 raise ValueError(f"block {t} has length {len(vals)}, expected {width}")
-            norm.append(tuple(vals))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_values", tuple(norm))
-        object.__setattr__(self, "width", width)
+            norm.append(vals)
+        self._hold(field, norm, width)
 
     @classmethod
     def _trusted(cls, field, values, width):
-        """A sequence over blocks of in-range integers, taken unchecked."""
+        """A sequence over in-range integer blocks, an array or lists, copied unchecked."""
         seq = object.__new__(cls)
-        object.__setattr__(seq, "field", field)
-        object.__setattr__(seq, "_values", tuple(map(tuple, values)))
-        object.__setattr__(seq, "width", width)
+        seq._hold(field, values, width)
         return seq
+
+    def _hold(self, field, values, width):
+        values = np.array(values, dtype=np.min_scalar_type(field.size - 1))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_values", _read_only(values.reshape(len(values), width or 0)))
+        object.__setattr__(self, "width", width)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self._values, dtype=dtype, copy=copy)
 
     def _box(self, block):
         return tuple(FieldElement(self.field, v) for v in block)
@@ -103,21 +112,21 @@ class Sequence:
         return len(self._values)
 
     def __iter__(self):
-        return map(self._box, self._values)
+        return map(self._box, self._values.tolist())
 
     def __getitem__(self, t):
         if isinstance(t, slice):
-            return tuple(map(self._box, self._values[t]))
-        return self._box(self._values[t])
+            return tuple(map(self._box, self._values[t].tolist()))
+        return self._box(self._values[operator.index(t)].tolist())
 
     def to_ints(self):
-        return list(self._values)
+        return list(map(tuple, self._values.tolist()))
 
     def flat_values(self):
-        return [v for block in self._values for v in block]
+        return self._values.ravel().tolist()
 
     def weight(self):
-        return sum(1 for block in self._values for v in block if v)
+        return int(np.count_nonzero(self._values))
 
     def __add__(self, other):
         if not isinstance(other, Sequence):
@@ -127,24 +136,12 @@ class Sequence:
         f = self.field
         if other.field is not f and other.field != f:
             raise ValueError("mixed-field operands")
-        return Sequence(
-            f,
-            [
-                [f.add_int(a, b) for a, b in zip(x, y)]
-                for x, y in zip(self._values, other._values)
-            ],
-            width=self.width,
-        )
+        return Sequence._trusted(f, f.add(self._values, other._values), self.width)
 
     def scale(self, c):
         """Left scalar multiple c * sequence."""
         f = self.field
-        cv = _symbol(f, c)
-        return Sequence(
-            f,
-            [[f.mul_int(cv, a) for a in block] for block in self._values],
-            width=self.width,
-        )
+        return Sequence._trusted(f, f.mul(_symbol(f, c), self._values), self.width)
 
     def __rmul__(self, c):
         if isinstance(c, (FieldElement, int)):
@@ -154,7 +151,10 @@ class Sequence:
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self._values == other._values
+        # two words of no blocks are equal whatever their widths
+        return self.field == other.field and (
+            len(self) == len(other) == 0 or np.array_equal(self._values, other._values)
+        )
 
     def __hash__(self):
         return hash(tuple(self.flat_values()))
@@ -162,7 +162,7 @@ class Sequence:
     def __repr__(self):
         return "Sequence[" + ", ".join(
             "(" + " ".join(self.field.element_name(v) for v in b) + ")"
-            for b in self._values
+            for b in self._values.tolist()
         ) + "]"
 
 
@@ -315,8 +315,8 @@ class SkewConvCode:
         terminate appends `memory` zero blocks so the path returns to the
         zero state."""
         u = self.coerce_sequence(u, self.k)
-        frame = np.array(u.to_ints(), dtype=np.intp).reshape(1, len(u), self.k)
-        return Sequence._trusted(self.field, self.encode_batch(frame, terminate)[0].tolist(), self.n)
+        frame = np.asarray(u).reshape(1, len(u), self.k)
+        return Sequence._trusted(self.field, self.encode_batch(frame, terminate)[0], self.n)
 
     def encode_batch(self, u, terminate=False):
         """Encode a batch of equal-length information sequences at once.

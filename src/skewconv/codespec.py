@@ -17,6 +17,8 @@ block per line.
 import json
 import numbers
 
+import numpy as np
+
 from .code import Sequence, SkewConvCode, SkewTrellisCode
 from .field import FiniteField
 from .skewpoly import SkewPolyMatrix
@@ -128,35 +130,28 @@ def dumps_code(code):
 
 def parse_sequence(field, text, width, what="block"):
     """One time block per non-empty line, `width` integers each; errors carry
-    1-based line numbers."""
-    blocks = []
+    1-based line numbers.  The symbols are checked here, once, and held as
+    one array."""
+    symbols = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        parts = line.split()
+        if not parts:
             continue
-        parts = stripped.split()
         if len(parts) != width:
             raise CodeSpecError(
                 f"line {lineno}: expected {width} symbols per {what}, got {len(parts)}"
             )
         try:
-            symbols = [int(p) for p in parts]
+            block = [int(p) for p in parts]
         except ValueError:
             raise CodeSpecError(f"line {lineno}: symbols must be integers") from None
-        for s in symbols:
-            if not 0 <= s < field.size:
-                raise CodeSpecError(
-                    f"line {lineno}: symbol {s} outside [0, {field.size})"
-                )
-        blocks.append(symbols)
-    return Sequence(field, blocks, width=width)
+        bad = [s for s in block if not 0 <= s < field.size]
+        if bad:
+            raise CodeSpecError(f"line {lineno}: symbol {bad[0]} outside [0, {field.size})")
+        symbols += block
+    return Sequence._trusted(field, np.reshape(symbols, (-1, width)), width)
 
 
 def format_sequence(seq, pretty=False):
-    lines = []
-    for block in seq.to_ints():
-        if pretty:
-            lines.append(" ".join(seq.field.element_name(v) for v in block))
-        else:
-            lines.append(" ".join(map(str, block)))
-    return "\n".join(lines) + ("\n" if lines else "")
+    name = seq.field.element_name if pretty else str
+    return "".join(" ".join(map(name, block)) + "\n" for block in np.asarray(seq).tolist())

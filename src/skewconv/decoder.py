@@ -59,8 +59,11 @@ class QSChannel:
         return self.eps / (self.q - 1)
 
     def block_likelihood(self, sent_block, received_block):
+        lengths = len(sent_block), len(received_block)
+        if lengths[0] != lengths[1]:
+            raise ValueError("blocks of unequal length %d and %d" % lengths)
         mismatches = sum(1 for a, b in zip(sent_block, received_block) if a != b)
-        hits = len(sent_block) - mismatches
+        hits = lengths[0] - mismatches
         return (1.0 - self.eps) ** hits * (self.eps / (self.q - 1)) ** mismatches
 
     def draw_errors(self, rng, count):
@@ -87,12 +90,10 @@ class QSChannel:
     def transmit(self, seq, rng):
         """One pass of a sequence over the channel: `draw_errors` for its
         symbols in block order, then `apply_errors`."""
-        sent = np.array(seq.to_ints(), dtype=np.intp)
+        sent = np.asarray(seq)
         errors, offsets = self.draw_errors(rng, sent.size)
-        received = self.apply_errors(
-            sent, np.reshape(errors, sent.shape), np.reshape(offsets, sent.shape)
-        )
-        return Sequence._trusted(seq.field, received.tolist(), seq.width)
+        received = self.apply_errors(sent.ravel(), errors, offsets).reshape(sent.shape)
+        return Sequence._trusted(seq.field, received, seq.width)
 
 
 @dataclass
@@ -180,10 +181,10 @@ def viterbi_batch(trellis, received, terminated=False):
 def viterbi(trellis, received, terminated=False):
     """ML sequence decoding of one frame by minimum Hamming distance:
     `viterbi_batch` on a batch of one, with its tie-break and its budget."""
-    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
-    frame = np.array(blocks, dtype=np.intp).reshape(1, len(blocks), trellis.n)
+    word = coerce_sequence(trellis.field, received, trellis.n)
+    frame = np.asarray(word).reshape(1, len(word), trellis.n)
     info, metrics = viterbi_batch(trellis, frame, terminated)
-    return DecodeResult(Sequence._trusted(trellis.field, info[0].tolist(), trellis.k), metrics[0])
+    return DecodeResult(Sequence._trusted(trellis.field, info[0], trellis.k), metrics[0])
 
 
 def bcjr(trellis, received, channel, terminated=False):
@@ -204,8 +205,8 @@ def bcjr(trellis, received, channel, terminated=False):
     if not 0.0 < channel.eps < max_eps:
         raise ValueError(f"eps must lie in (0, {max_eps}) for APP decoding")
 
-    blocks = coerce_sequence(trellis.field, received, trellis.n).to_ints()
-    total = len(blocks)
+    word = coerce_sequence(trellis.field, received, trellis.n)
+    total = len(word)
     tail = trellis.memory if terminated else 0
     if total <= tail and terminated:
         raise ValueError(f"received length {total} too short for a terminated frame")
@@ -221,7 +222,7 @@ def bcjr(trellis, received, channel, terminated=False):
     # gammas[t, st, idx] = prior x like[m] (multiplied, as edge by edge), m the
     # label's mismatches (row m of np.tri has m); the tail keeps input 0, prior 1
     labels = trellis.label.reshape(*shape, n)
-    word = np.array(blocks, dtype=labels.dtype).reshape(total, 1, 1, n)
+    word = np.asarray(word).reshape(total, 1, 1, n)
     section = np.arange(total) % trellis.num_sections
     no_mismatch = np.zeros((), dtype=np.min_scalar_type(n))
     mismatches = sum((labels[section, ..., i] != word[..., i] for i in range(n)), no_mismatch)
@@ -279,5 +280,5 @@ def bcjr(trellis, received, channel, terminated=False):
         if t < info_len:
             posteriors[t] = post / post.sum()
 
-    hard = (posteriors.argmax(axis=1)[:, None] // q ** np.arange(trellis.k) % q).tolist()
+    hard = posteriors.argmax(axis=1)[:, None] // q ** np.arange(trellis.k) % q
     return DecodeResult(Sequence._trusted(trellis.field, hard, trellis.k), None, posteriors)

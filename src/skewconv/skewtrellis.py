@@ -121,7 +121,7 @@ def _homogeneity_witness(code, witness_len):
                 return (
                     a,
                     [tuple(block) for block in u[i].tolist()],
-                    Sequence._trusted(field, lhs[i].tolist(), n),
-                    Sequence._trusted(field, rhs[i].tolist(), n),
+                    Sequence._trusted(field, lhs[i], n),
+                    Sequence._trusted(field, rhs[i], n),
                 )
     return None

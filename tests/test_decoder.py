@@ -233,6 +233,15 @@ def test_channel_validation():
         QSChannel(1, 0.1)
 
 
+def test_block_likelihood_refuses_blocks_of_unequal_length():
+    ch = QSChannel(4, 0.1)
+    with pytest.raises(ValueError, match="blocks of unequal length 3 and 1"):
+        ch.block_likelihood([0, 0, 0], [1])
+    with pytest.raises(ValueError, match="blocks of unequal length 0 and 2"):
+        ch.block_likelihood([], [1, 1])
+    assert ch.block_likelihood([0, 0, 0], [1, 0, 0]) == pytest.approx(0.9**2 * 0.1 / 3)
+
+
 def test_channel_transmit_statistics(f4):
     ch = QSChannel(4, 0.25)
     rng = random.Random(28)

@@ -1,5 +1,9 @@
-"""Sequence holds plain integers and boxes to FieldElement only on access."""
+"""Sequence holds one read-only integer array and boxes to FieldElement only
+on access."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from skewconv import FieldElement, FiniteField, Sequence
@@ -85,8 +89,8 @@ def test_equality_and_hash_are_unchanged(f4, f8):
     assert s1 == Sequence(f4, [[1, A], [0, 0]])
     assert s1 != Sequence(f4, [[1, A], [0, 1]])
     assert s1 != Sequence(f4, [[1, A]])
-    # equality compares the integer blocks, as it always has
-    assert Sequence(f4, [[1]]) == Sequence(f8, [[1]])
+    # equality compares the fields and the integer blocks
+    assert Sequence(f4, [[1]]) != Sequence(f8, [[1]])
     assert hash(s1) == hash((1, A, 0, 0))
     assert len({s1, Sequence(f4, [[1, A], [0, 0]])}) == 1
     assert (s1 == [(1, A), (0, 0)]) is False
@@ -119,3 +123,93 @@ def test_encoder_output_is_a_plain_sequence(example_code):
     assert all(type(block) is tuple for block in v.to_ints())
     assert all(type(x) is int for x in v.flat_values())
     assert repr(v) == repr(again)
+
+
+# -- the blocks as one read-only integer array ----------------------------------
+
+
+@pytest.mark.parametrize("p, n, dtype", [(2, 2, np.uint8), (2, 4, np.uint8), (2, 9, np.uint16)])
+def test_blocks_are_held_in_the_narrowest_unsigned_dtype(p, n, dtype):
+    field = FiniteField(p, n)
+    seq = Sequence(field, [[0, field.size - 1], [1, 2]])
+    assert np.asarray(seq).dtype == dtype
+    assert np.asarray(seq).shape == (2, 2)
+    assert seq.to_ints() == [(0, field.size - 1), (1, 2)]
+    assert (seq + seq).to_ints() == [(0, 0), (0, 0)]
+    assert np.asarray(seq.scale(1)).dtype == dtype
+
+
+def test_the_array_view_shares_memory_and_is_read_only(f4):
+    seq = Sequence(f4, [[1, A], [0, A2]])
+    view = np.asarray(seq)
+    assert np.shares_memory(view, seq._values) and np.asarray(seq) is view
+    assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        view[0, 0] = 0
+    assert seq.to_ints() == [(1, A), (0, A2)]
+    assert np.asarray(seq, dtype=np.intp).tolist() == [[1, A], [0, A2]]
+
+
+def test_trusted_copies_what_it_is_given(f4):
+    values = np.array([[1, A]], dtype=np.uint8)
+    seq = Sequence._trusted(f4, values, 2)
+    values[0, 0] = 0
+    assert values.flags.writeable and seq.to_ints() == [(1, A)]
+
+
+def test_a_long_word_holds_at_most_two_bytes_a_symbol():
+    gf16 = FiniteField(2, 4)
+    blocks = [[t % 16, (7 * t) % 16] for t in range(60_000)]
+    tracemalloc.start()
+    try:
+        seq = Sequence(gf16, blocks)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 60_000
+    assert held <= 2 * 2 * 60_000 + 4096
+
+
+@pytest.mark.parametrize("p, n, modulus", [(2, 2, None), (3, 2, [2, 2, 1])])
+def test_add_scale_and_weight_make_no_scalar_field_call(p, n, modulus, monkeypatch):
+    field = FiniteField(p, n, modulus)
+    seq = Sequence(field, [[t % field.size, (t * 5 + 1) % field.size] for t in range(40)])
+    calls = []
+    for name in ("add_int", "mul_int"):
+        op = getattr(FiniteField, name)
+        monkeypatch.setattr(
+            FiniteField, name, lambda self, *a, op=op, name=name: calls.append(name) or op(self, *a)
+        )
+    total = seq + seq.scale(2)
+    weight = seq.weight()
+    assert calls == []
+    monkeypatch.undo()
+    assert total.to_ints() == [
+        tuple(field.add_int(a, field.mul_int(2, a)) for a in block) for block in seq.to_ints()
+    ]
+    assert weight == sum(1 for v in seq.flat_values() if v)
+
+
+def test_empty_words_and_an_unset_width(f4):
+    empty = Sequence(f4, [])
+    assert empty.width is None and len(empty) == 0 and empty.to_ints() == []
+    assert np.asarray(empty).shape == (0, 0)
+    assert empty.weight() == 0 and empty.flat_values() == [] and list(empty) == []
+    assert empty == Sequence(f4, [], width=2) and hash(empty) == hash(())
+    assert (empty + empty) == empty and empty.scale(A) == empty
+    assert repr(empty) == "Sequence[]"
+    wide = Sequence(f4, [], width=2)
+    assert np.asarray(wide).shape == (0, 2)
+    seq = Sequence(f4, [[1, A, A2]])
+    assert seq.width == 3 and np.asarray(seq).shape == (1, 3)
+
+
+def test_indexing_takes_integers_and_slices_only(f4):
+    seq = Sequence(f4, [[1, A], [A2, 0]])
+    assert seq[True] == seq[np.int64(1)] == seq[-1] == (f4(A2), f4(0))
+    assert seq[::-1] == (seq[1], seq[0]) and seq[5:] == ()
+    for index in ([0, 1], (0, 1), 1.0, np.array([0])):
+        with pytest.raises(TypeError):
+            seq[index]
+    with pytest.raises(IndexError):
+        seq[2]

@@ -5,6 +5,11 @@ polynomial-basis coordinates, little-endian: in GF(4) built on x^2+x+1 the
 class of x is the integer 2.  Multiplication and inversion run on log/antilog
 tables built at construction; the automorphism is theta(a) = a^(p^r).
 
+The tables come from one GF(p)-linear map: multiplying by a fixed c is an
+n x n matrix mult(c) over GF(p), row j the digits of c x^j, and mult(c)^e =
+mult(c^e) (Lidl and Niederreiter, *Finite Fields*, ch. 2).  See
+`FiniteField._build_tables`.
+
 Addition is digit-wise addition mod p, XOR for p = 2.  For odd p the scalar
 `add_int` runs on Zech logarithms instead of digits: with a = g^i and
 b = g^j, a + b = g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some
@@ -21,6 +26,7 @@ of the same table at a Zech-log sum padded the same way.
 """
 
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +35,10 @@ __all__ = ["FiniteField", "FieldElement", "DEFAULT_BINARY_MODULI"]
 
 # max table size kept small enough for full log/antilog lookup
 _MAX_FIELD_SIZE = 2**20
+
+# digit rows per matmul in the table build; _BLOCK n^2 < 2^18 keeps OpenBLAS
+# on one thread, as a threaded product can stall 0.1 s on a busy 2-core host
+_BLOCK = 256
 
 # Default irreducible moduli over GF(2) for degrees 2..16, little-endian
 # coefficient lists.  All are primitive; degree 1 defaults to x for any p.
@@ -52,14 +62,7 @@ DEFAULT_BINARY_MODULI = {
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _prime_factors(m):
@@ -76,6 +79,13 @@ def _prime_factors(m):
     return out
 
 
+def _integral(value, what):
+    # an int is Integral; testing it first skips the slower ABC check
+    if not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _as_ints(a):
     """a as an array: in its own dtype if it is one, else as intp."""
     return np.asarray(a, dtype=getattr(a, "dtype", np.intp))
@@ -86,46 +96,63 @@ def _read_only(array):
     return array
 
 
-# -- polynomial helpers over GF(p), little-endian coefficient lists ----------
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and any(a):
-        _poly_trim(a)
-        if len(a) - 1 < dm:
-            break
-        shift = len(a) - 1 - dm
-        factor = a[-1] * inv_lead % p
-        for i, mc in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * mc) % p
-        _poly_trim(a)
-    return a
-
-
 def _is_irreducible(modulus, p):
-    """Trial division by every monic polynomial of degree <= n/2."""
+    """Trial division of a monic modulus by each monic divisor of degree <= n/2."""
     n = len(modulus) - 1
-    if n < 1:
-        return False
     for deg in range(1, n // 2 + 1):
         for low in range(p**deg):
-            div = []
-            v = low
-            for _ in range(deg):
-                v, d = divmod(v, p)
-                div.append(d)
-            div.append(1)
-            if not any(_poly_mod(modulus, div, p)):
+            div = [low // p**i % p for i in range(deg)] + [1]
+            rest = list(modulus)
+            for top in range(n, deg - 1, -1):
+                factor = rest[top]
+                for i, d in enumerate(div):
+                    rest[top - deg + i] = (rest[top - deg + i] - factor * d) % p
+            if not any(rest[:deg]):
                 return False
     return True
+
+
+def _squares(digits, modulus, p, count):
+    """mult(c)^(2^k), k < max(count, 1), as float64, for c of these digits:
+    row j + 1 of mult(c) is row j times x, reduced by the monic modulus."""
+    rows = [digits]
+    while len(rows) < len(digits):
+        rows.append([(d - rows[-1][-1] * m) % p for d, m in zip([0] + rows[-1][:-1], modulus)])
+    out = [np.array(rows, dtype=float)]
+    while len(out) < count:
+        out.append(out[-1] @ out[-1] % p)
+    return out
+
+
+def _is_one(squares, e, p):
+    """c^e == 1, e >= 1, from squares[k] = mult(c)^(2^k)."""
+    bits = [k for k in range(e.bit_length()) if e >> k & 1]
+    row = squares[bits[0]][0]
+    for k in bits[1:]:
+        row = row @ squares[k] % p
+    return row.tolist() == [1] + [0] * (len(row) - 1)
+
+
+def _doubled_powers(squares, p, n, q1):
+    """g^0 .. g^(q1 - 1) as intp from squares[k] = mult(g)^(2^k): digit row
+    i of g^i, 2^k <= i < 2^(k + 1), is row i - 2^k times squares[k] mod p.
+    The last doubling keeps values only, so no q x n matrix is held."""
+    digits = np.zeros((1 << max(len(squares) - 1, 0), n), dtype=np.intp)
+    digits[0, 0] = 1
+    antilog = np.empty(q1, dtype=np.intp)
+    place = p ** np.arange(n)
+    for k, square in enumerate(squares):
+        low = 1 << k
+        for start in range(low, min(2 * low, q1), _BLOCK):
+            stop = min(start + _BLOCK, 2 * low, q1)
+            last = stop > len(digits)
+            rows = np.empty((stop - start, n), dtype=np.intp) if last else digits[start:stop]
+            np.matmul(digits[start - low : stop - low], square, out=rows, casting="unsafe")
+            rows %= p
+            if last:
+                np.matmul(rows, place, out=antilog[start:stop])
+    np.matmul(digits, place, out=antilog[: len(digits)])
+    return antilog
 
 
 class FiniteField:
@@ -136,6 +163,9 @@ class FiniteField:
     """
 
     def __init__(self, p, n, modulus=None, theta_r=0):
+        p = _integral(p, "characteristic")
+        n = _integral(n, "extension degree")
+        theta_r = _integral(theta_r, "theta_r")
         if n < 1:
             raise ValueError("extension degree must be >= 1")
         # the size cap comes before the primality test, whose trial division
@@ -154,7 +184,7 @@ class FiniteField:
                 modulus = DEFAULT_BINARY_MODULI[n]
             else:
                 raise ValueError(f"no default modulus for GF({p}^{n}); supply one")
-        modulus = [int(c) % p for c in modulus]
+        modulus = [_integral(c, "modulus coefficient") % p for c in modulus]
         if len(modulus) != n + 1 or modulus[-1] == 0:
             raise ValueError(f"modulus must have degree exactly {n}")
         if modulus[-1] != 1:
@@ -168,9 +198,6 @@ class FiniteField:
         self.modulus = tuple(modulus)
         self.theta_r = theta_r
         self.size = p**n
-
-        # full modulus as a bit mask, used by the carry-less GF(2^n) multiply
-        self._mod_full = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._build_tables()
 
     # -- integer <-> digit-vector encoding --
@@ -188,58 +215,28 @@ class FiniteField:
             value = value * self.p + d % self.p
         return value
 
-    # -- raw arithmetic used to bootstrap the tables --
-
-    def _mul_raw(self, a, b):
-        p, n = self.p, self.n
-        if p == 2:
-            top = 1 << n
-            mod_full = self._mod_full
-            result = 0
-            while b:
-                if b & 1:
-                    result ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod_full
-            return result
-        da = self.to_digits(a)
-        db = self.to_digits(b)
-        prod = [0] * (2 * n - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        prod = _poly_mod(prod, list(self.modulus), p)
-        prod += [0] * (n - len(prod))
-        return self.from_digits(prod[:n])
-
-    def _pow_raw(self, a, e):
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return result
-
     def _build_tables(self):
-        q1 = self.size - 1
-        factors = _prime_factors(q1) if q1 > 1 else []
-        gen = 1
-        for cand in range(2, self.size):
-            if all(self._pow_raw(cand, q1 // f) != 1 for f in factors):
-                gen = cand
+        """The generator g is the smallest integer c >= 2 with c^((q - 1) / f)
+        != 1 for every prime f | q - 1 (1 in GF(2)), each power row 0 of a
+        product of the squares mult(c)^(2^k).  The antilog table doubles
+        from g^0 = 1 with the same squares: the digit rows of the next L =
+        2^k powers are those of the first L times mult(g)^L, mod p.  The
+        matmuls are float64 and exact, as their sums, at most n (p - 1)^2,
+        stay below 2^53.  The other tables are read off the antilog table.
+        """
+        p, q1 = self.p, self.size - 1
+        assert self.n * (p - 1) ** 2 < 2**53
+        steps = (q1 - 1).bit_length()
+        factors = _prime_factors(q1)
+        for gen in range(2, self.size):
+            squares = _squares(self.to_digits(gen), self.modulus, p, steps)
+            if not any(_is_one(squares, q1 // f, p) for f in factors):
                 break
+        else:  # GF(2), whose only unit is 1
+            gen, squares = 1, []
+        antilog = _doubled_powers(squares, p, self.n, q1)
         self.generator = gen
-        # antilog_table[i] = g^i for 0 <= i < q - 1, one product by g per
-        # power; log_table[a] = i where g^i = a, and -1 at a = 0
-        antilog = [1]
-        while len(antilog) < q1:
-            antilog.append(self._mul_raw(antilog[-1], gen))
-        antilog = np.array(antilog, dtype=np.intp)
+        # log_table[a] = i where g^i = a, and -1 at a = 0
         log = np.full(self.size, -1, dtype=np.intp)
         log[antilog] = np.arange(q1)
         self.antilog_table = _read_only(antilog)
@@ -426,7 +423,7 @@ class FiniteField:
 
     def fixed_subfield(self):
         """Values fixed by theta, i.e. the subfield GF(p^gcd(r, n))."""
-        return [a for a in range(self.size) if self.frobenius_int(a) == a]
+        return np.flatnonzero(self.frobenius_table == np.arange(self.size)).tolist()
 
     # -- element construction and formatting --
 
@@ -452,6 +449,8 @@ class FiniteField:
 
     def element_name(self, value, symbol="a"):
         """Power-of-generator rendering: 0, 1, a, a^2, ..."""
+        if not 0 <= value < self.size:
+            raise ValueError(f"value {value} outside [0, {self.size})")
         if value == 0:
             return "0"
         e = self._log[value]

@@ -1,16 +1,35 @@
+import contextlib
 import functools
+import itertools
 import math
 import random
+import re
 import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import field_reference
 from skewconv import FiniteField
-from skewconv.field import DEFAULT_BINARY_MODULI
+from skewconv.field import DEFAULT_BINARY_MODULI, _is_irreducible
 
 from conftest import A, A2
+
+
+@contextlib.contextmanager
+def deadline(seconds, message):
+    """Raise TimeoutError(message) if the block runs past `seconds`."""
+    def hung(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def naive_mul(field, a, b):
@@ -137,17 +156,56 @@ def test_constructor_validation():
 
 def test_huge_prime_hits_the_size_cap_at_once():
     # trial division of this p would not finish; the cap must be checked first
-    def hung(signum, frame):
-        raise TimeoutError("FiniteField did not reject a huge prime in time")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
+    with deadline(5, "FiniteField did not reject a huge prime in time"):
         with pytest.raises(ValueError, match="cap"):
             FiniteField(1000000000000000003, 1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((2, 2, [1, 1, 1.5]), {}, "modulus coefficient must be an integer, got 1.5"),
+        ((2, 2, "111"), {}, "modulus coefficient must be an integer, got '1'"),
+        ((2, 2), {"theta_r": 0.5}, "theta_r must be an integer, got 0.5"),
+        ((2.0, 2), {}, "characteristic must be an integer, got 2.0"),
+        ((2, 2.0), {}, "extension degree must be an integer, got 2.0"),
+    ],
+    ids=["modulus-float", "modulus-str", "theta_r", "p", "n"],
+)
+def test_non_integral_arguments_are_refused(args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        FiniteField(*args, **kwargs)
+    assert "\n" not in str(info.value)
+
+
+def test_numpy_integer_arguments_are_accepted():
+    f = FiniteField(np.int64(2), np.int64(2), np.array([1, 1, 1]), theta_r=np.int64(1))
+    assert f == FiniteField(2, 2, [1, 1, 1], theta_r=1)
+    assert all(type(v) is int for v in (f.p, f.n, f.theta_r, f.size, *f.modulus))
+
+
+def test_a_modulus_is_irreducible_when_no_two_monic_factors_make_it():
+    # the reducible monic polynomials of degree n are the products of two
+    # monic ones of degrees 1 .. n - 1
+    def monic(p, deg):
+        return [list(low) + [1] for low in itertools.product(range(p), repeat=deg)]
+
+    def times(a, b, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        for n in range(1, top + 1):
+            reducible = {
+                tuple(times(a, b, p))
+                for d in range(1, n)
+                for a in monic(p, d)
+                for b in monic(p, n - d)
+            }
+            for m in monic(p, n):
+                assert _is_irreducible(m, p) == (tuple(m) not in reducible), (p, m)
 
 
 def test_mixed_field_operands(f4, f8):
@@ -185,8 +243,28 @@ def test_fixed_subfield(f4, f4_id, f8):
     assert len(f16.fixed_subfield()) == 4  # GF(4) inside GF(16)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [FiniteField(2, 4, theta_r=r) for r in range(4)]
+    + [FiniteField(3, 4, [2, 0, 0, 1, 1], theta_r=r) for r in range(4)]
+    + [FiniteField(5, 2, [2, 1, 1], theta_r=1), FiniteField(7, 1)],
+    ids=repr,
+)
+def test_fixed_subfield_is_the_per_element_scan(f):
+    got = f.fixed_subfield()
+    assert got == [a for a in range(f.size) if f.frobenius_int(a) == a]
+    assert all(type(a) is int for a in got)
+    assert len(got) == f.p ** math.gcd(f.n, f.theta_r)
+
+
 def test_element_names(f4):
     assert [f4.element_name(v) for v in range(4)] == ["0", "1", "a", "a^2"]
+
+
+@pytest.mark.parametrize("value", [-1, 4, 100])
+def test_element_name_refuses_a_value_outside_the_field(f4, value):
+    with pytest.raises(ValueError, match=re.escape(f"value {value} outside [0, 4)")):
+        f4.element_name(value)
 
 
 def test_random_field_identities(f8):
@@ -264,20 +342,23 @@ def test_sum_of_many_arrays_reduces_its_digit_sums():
 
 # -- the one-call sum and the padded product table ----------------------------
 
-# fields whose digit fields hold few terms (GF(3^8) 63, GF(3^10) 31) and
-# large binary ones
+# fields whose digit fields hold few terms (GF(3^8) 63, GF(3^10) 31), large
+# binary ones, and two of the largest odd ones under the size cap
 BIG_FIELDS = {
     "gf3^8": (3, 8, [1, 0, 0, 0, 0, 1, 1, 0, 1]),
     "gf3^10": (3, 10, [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1]),
     "gf2^16": (2, 16, None),
     "gf2^20": (2, 20, [1] + [0] * 16 + [1, 0, 0, 1]),
+    "gf3^12": (3, 12, [2, 0, 1] + [0] * 9 + [1]),  # x^12 + x^2 + 2
+    "gf7^7": (7, 7, [6, 6, 0, 0, 0, 0, 0, 1]),  # x^7 - x - 1
 }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)  # one at a time: GF(7^7) alone holds 182 MiB
 def big_field(name):
     p, n, modulus = BIG_FIELDS[name]
-    return FiniteField(p, n, modulus, theta_r=1)
+    with deadline(5, f"building {name} took over 5 s"):
+        return FiniteField(p, n, modulus, theta_r=1)
 
 
 @pytest.mark.parametrize("name", BIG_FIELDS)
@@ -287,6 +368,10 @@ def test_big_field_tables_are_consistent(name):
     assert np.array_equal(np.sort(f.antilog_table), np.arange(1, f.size))
     assert np.array_equal(f.log_table[f.antilog_table], np.arange(q1))
     assert f.log_table[0] == -1
+    # the generator is the smallest primitive candidate: no c in [2, g) is
+    # a power of g prime to q - 1
+    assert f.log_table[f.generator] == 1
+    assert (np.gcd(f.log_table[2 : f.generator], q1) > 1).all()
     assert f._antilog == f.antilog_table.tolist() and f._log == f.log_table.tolist()
     # g^i by naive square-and-multiply at a few exponents
     for i in random.Random(name).sample(range(q1), 20):
@@ -434,3 +519,35 @@ def test_frobenius_by_a_multiple_of_the_order_is_a_copy(f, monkeypatch):
     monkeypatch.undo()
     for i, before in want.items():
         assert np.array_equal(f.frobenius(a, i), before)
+
+
+# -- the tables against the scalar builder -----------------------------------
+
+# binary fields of degree 1 to 16, ternary of degree 1 to 9, GF(5^k) for
+# k <= 4 and k = 6, GF(7^k) for k <= 3 and k = 5, GF(11^2), GF(13^2),
+# GF(31^2) and GF(1021), on the first one or two moduli of each
+ORACLE_FIELDS = [
+    (p, n, modulus)
+    for p, n, count in [(2, n, 2) for n in range(1, 15)]
+    + [(2, 15, 1), (2, 16, 1)]
+    + [(3, n, 2) for n in range(1, 10)]
+    + [(5, n, 2) for n in (1, 2, 3, 4, 6)]
+    + [(7, n, 2) for n in (1, 2, 3, 5)]
+    + [(11, 2, 2), (13, 2, 2), (31, 2, 2), (1021, 1, 1)]
+    for modulus in field_reference.moduli(p, n, count)
+]
+
+
+def test_the_oracle_fields_are_72():
+    assert len(ORACLE_FIELDS) == 72
+
+
+@pytest.mark.parametrize("p,n,modulus", ORACLE_FIELDS, ids=lambda v: str(v).replace(" ", ""))
+def test_tables_match_the_scalar_builder(p, n, modulus):
+    f = FiniteField(p, n, modulus, theta_r=n - 1)
+    generator, antilog, log, zech, frobenius = field_reference.tables(f)
+    assert f.generator == generator
+    assert np.array_equal(f.antilog_table, antilog) and f.antilog_table.dtype == np.intp
+    assert np.array_equal(f.log_table, log) and f.log_table.dtype == np.intp
+    assert np.array_equal(getattr(f, "_zech", []), zech)
+    assert np.array_equal(f.frobenius_table, frobenius)

@@ -6,6 +6,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .code import _block_words, _randbelow_words
+
 # re-exported: `skewconv.analysis.viterbi` stays importable
 from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
 from .trellis import (
@@ -25,6 +27,18 @@ __all__ = ["analyze_code", "SimReport", "run_simulation"]
 # inputs fits one, an int64 in the tail) and a byte an edge and output
 # symbol for the label compares.
 BATCH_EDGES = 1 << 16
+
+# Generator words (trials x words a trial) one parse of the simulation draws
+# reads at most, unless one trial alone needs more: its temporaries, about
+# 50 bytes a word, stay within about 3.5 MiB however many trials a batch has.
+PARSE_WORDS = 1 << 16
+
+# random.Random.seed(key) for an int key, less the argument checks around it:
+# the Mersenne Twister's own seed
+_reseed = random.Random.__base__.seed
+
+# The gathered elements one numpy call's own cost is counted as by `_walk`.
+_CALL_ELEMENTS = 512
 
 
 def analyze_code(code, lmax=None, trellis=None):
@@ -85,9 +99,154 @@ class SimReport:
         return asdict(self)
 
 
-def _trial_rng(seed, trial):
-    # stable derivation so trials are order-independent and reproducible
-    return random.Random((seed & 0xFFFFFFFF) * 0x9E3779B1 + trial)
+def _trial_rng(seed, trial, rng=None):
+    """The generator of one simulation trial: seeded by a stable derivation
+    of (seed, trial), so trials are order-independent and reproducible.  A
+    new random.Random, or rng re-seeded, which gives the same stream."""
+    key = (seed & 0xFFFFFFFF) * 0x9E3779B1 + trial
+    if rng is None:
+        return random.Random(key)
+    _reseed(rng, key)
+    return rng
+
+
+def _trial_words(seed, trials, width, rng):
+    """The first `width` 32-bit words of each listed trial's generator, a
+    (trials, width) uint32 array: one getrandbits(32 width) block a trial,
+    whose little-endian 32-bit words are the generator's next words in
+    order; rng is re-seeded for each trial."""
+    size = 4 * width
+    blocks = b"".join(
+        [_trial_rng(seed, t, rng).getrandbits(8 * size).to_bytes(size, "little") for t in trials]
+    )
+    return np.frombuffer(blocks, dtype="<u4").reshape(len(trials), width)
+
+
+def _read_draws(words, q, info_count, symbols, threshold):
+    """Read each row of words as one trial's draws, in the order CPython's
+    Mersenne Twister makes them from its words: info_count randrange(q),
+    then for each of `symbols` channel symbols one random() < eps and, on an
+    error, one randrange(q - 1).  randrange(b) takes the first word whose
+    top b.bit_length() bits are below b (`_randbelow_words`); random() is
+    ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53 on the next two words w1, w2,
+    so it is below eps exactly where that integer is below threshold =
+    ceil(eps * 2**53).
+
+    Returns info (rows, info_count), errors and offsets (rows, symbols), and
+    short (rows,), where a row's words ran out before its draws did; the
+    draws of a short row are not read.  info_count must be positive.
+
+    Each row's positions are its words, then `end` and `past`.  `step`
+    maps the position where a channel symbol starts to where the next one
+    does: two words on, or one past its offset's word on an error; `end`
+    where the words end there and `past` where they run out first.  The
+    symbols' starts are the walk of `step` (`_walk`) from the first word
+    after the info symbols.
+    """
+    rows, width = words.shape
+    stride = width + 2
+    flat = words.ravel()
+    row_of = np.arange(0, rows * width, width)
+    # word w of the flat words is position w + 2 row of the flat positions
+    past = np.arange(width + 1, rows * stride, stride)
+    # the info symbols: each row's first info_count kept words; `kept` ends
+    # in a word past every row
+    _, below = _randbelow_words(words, q)
+    kept = np.append(np.flatnonzero(below), rows * width)
+    at = kept.take(np.searchsorted(kept, row_of)[:, None] + np.arange(info_count), mode="clip")
+    info = _randbelow_words(flat.take(at, mode="clip"), q)[0].astype(np.intp)
+    at = at[:, -1]
+    start = np.where(at < row_of + width, at + 2 * np.arange(rows) + 1, past)
+    # the channel errors: the words p where random() on words p, p + 1 is
+    # below eps, among those whose top 27 bits are at most threshold's
+    high, low = divmod(threshold, 1 << 26)
+    error = np.flatnonzero(words < (high + 1) << 5)
+    top = flat[error] >> 5
+    error = error[(top < high) | ((top == high) & (flat.take(error + 1, mode="clip") >> 6 < low))]
+    # an error's offset: the first word from p + 2 on that randrange(q - 1)
+    # keeps, if it is in p's row
+    offset, below = _randbelow_words(flat, q - 1)
+    kept = np.append(np.flatnonzero(below), rows * width)
+    after = kept.take(np.searchsorted(kept, error + 2), mode="clip")
+    end = error - error % width + width
+    row = error // width
+    # the errors as positions
+    error += 2 * row
+    step = np.arange(2, rows * stride + 2)
+    step[error] = np.where(after < end, after + 2 * row + 1, past[row])
+    step.reshape(rows, stride)[:, width:] = past[:, None]
+    error_at = np.zeros(rows * stride, dtype=bool)
+    error_at[error] = True
+    offset_at = np.zeros(rows * stride, dtype=offset.dtype)
+    offset_at[error] = offset.take(after, mode="clip")
+    at = _walk(step, start, symbols, stride)
+    short = step[at[:, -1]] == past
+    return info, error_at[at], offset_at[at], short
+
+
+def _walk(step, start, count, stride):
+    """The first `count` positions of the walk of `step` from each row's
+    start, as a (rows, count) array.
+
+    Walked one gather a step, each of the `count` steps costs one numpy call
+    over the rows.  With j compositions of step with itself, each over every
+    row's `stride` positions, the walk takes one gather of step^(2^j) every
+    2^j steps and fills the steps in between in 2^j gathers; j is chosen by
+    counting a numpy call as _CALL_ELEMENTS gathered elements.
+    """
+    rows = len(start)
+
+    def cost(j):
+        return j * rows * stride + ((count >> j) + 1) * (rows + _CALL_ELEMENTS) + (
+            _CALL_ELEMENTS << j
+        )
+
+    j = min(range(count.bit_length()), key=cost)
+    jump = step
+    for _ in range(j):
+        jump = jump[jump]
+    # at[i, r] holds the rows' positions after i 2^j + r steps
+    at = np.empty((-(-count >> j), 1 << j, rows), dtype=step.dtype)
+    at[0, 0] = start
+    for i in range(1, len(at)):
+        at[i, 0] = jump[at[i - 1, 0]]
+    for r in range(1, 1 << j):
+        at[:, r] = step[at[:, r - 1]]
+    return at.reshape(-1, rows)[:count].T
+
+
+def _draw_trials(seed, first, count, q, info_count, symbols, eps):
+    """The draws of trials first .. first + count - 1 of a simulation, as
+    arrays: on each trial's generator `_trial_rng(seed, trial)`, info[i] is
+    [randrange(q) for _ in range(info_count)] and errors[i], offsets[i] are
+    what `QSChannel(q, eps).draw_errors` then gives for `symbols` symbols.
+
+    Each trial's words are one block of 5/4 of the words its draws need on
+    average and spares (`_block_words`), read by `_read_draws` a chunk of at
+    most PARSE_WORDS words at a time; a trial whose words run out is read
+    again from a block twice as long, drawn afresh from its own generator.
+    """
+    mean = info_count * (1 << q.bit_length()) / q + symbols * (
+        2 + eps * (1 << (q - 1).bit_length()) / (q - 1)
+    )
+    width = _block_words(mean)
+    chunk = max(1, PARSE_WORDS // width)
+    threshold = math.ceil(eps * 2.0**53)
+    rng = random.Random()
+    out = (
+        np.empty((count, info_count), dtype=np.intp),
+        np.empty((count, symbols), dtype=bool),
+        np.empty((count, symbols), dtype=np.uint32),
+    )
+    for lo in range(0, count, chunk):
+        rows, size = np.arange(lo, min(lo + chunk, count)), width
+        while rows.size:
+            words = _trial_words(seed, [first + r for r in rows.tolist()], size, rng)
+            *draws, short = _read_draws(words, q, info_count, symbols, threshold)
+            for whole, part in zip(out, draws):
+                whole[rows[~short]] = part[~short]
+            rows, size = rows[short], 2 * size
+    return out
 
 
 def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
@@ -97,10 +256,14 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     Each trial draws its information symbols and then its channel errors
     from its own seeded generator, so the counts do not depend on how trials
     are grouped.  The trials run in batches of at most
-    BATCH_EDGES / (states x inputs) frames, within the survivor budget: a
-    batch is encoded by one `encode_batch` call, corrupted by one
-    `QSChannel.apply_errors` and decoded by one `viterbi_batch` call, so
-    memory does not grow with the number of trials.
+    BATCH_EDGES / (states x inputs) frames, within the survivor budget.  A
+    batch's draws are read off its trials' generator words (`_draw_trials`):
+    each trial's generator is re-seeded and gives one getrandbits block,
+    and numpy parses the batch's words the way randrange(q), random() and
+    randrange(q - 1) consume them, so the draws are those of a per-trial
+    loop of those calls.  The batch is then encoded by one `encode_batch`
+    call, corrupted by one `QSChannel.apply_errors` and decoded by one
+    `viterbi_batch` call, so memory does not grow with the number of trials.
     """
     q = code.field.size
     max_eps = (q - 1) / q
@@ -125,21 +288,13 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     frame_errs = 0
     for first in range(0, trials, batch):
         count = min(batch, trials - first)
-        # the draws of the batch's trials, flat in trial order
-        info, errors, offsets = [], [], []
-        for trial in range(first, first + count):
-            rng = _trial_rng(seed, trial)
-            randrange = rng.randrange
-            info.extend([randrange(q) for _ in range(frame_len * code.k)])
-            errs, offs = channel.draw_errors(rng, blocks * code.n)
-            errors.extend(errs)
-            offsets.extend(offs)
-        info = np.array(info, dtype=np.intp).reshape(count, frame_len, code.k)
+        info, errors, offsets = _draw_trials(
+            seed, first, count, q, frame_len * code.k, blocks * code.n, channel.eps
+        )
+        info = info.reshape(count, frame_len, code.k)
         sent = code.encode_batch(info, terminate=True)
         received = channel.apply_errors(
-            sent,
-            np.array(errors).reshape(sent.shape),
-            np.array(offsets, dtype=np.intp).reshape(sent.shape),
+            sent, errors.reshape(sent.shape), offsets.reshape(sent.shape)
         )
         est, _ = viterbi_batch(tr, received, terminated=True)
         wrong = est != info

@@ -33,7 +33,7 @@ ENCODE_CHUNK = 1 << 16
 `encode_batch` forms at once: a longer input is encoded in time chunks that
 overlap by `memory` input blocks."""
 
-# words `_draw_symbols` makes beyond 5/4 of those its symbols need on average
+# words a block of draws holds beyond 5/4 of those it needs on average
 _DRAW_SPARE = 32
 # the methods randrange(q) goes through, which an instance may override
 _DRAW_METHODS = {"randrange", "_randbelow", "getrandbits"}
@@ -74,7 +74,9 @@ class Sequence:
 
     def __init__(self, field, blocks, width=None):
         size = field.size
-        norm = []
+        # the checked symbols of every block, flat in block order
+        flat = []
+        count = 0
         for t, block in enumerate(blocks):
             if isinstance(block, (FieldElement, int)):
                 block = (block,)
@@ -83,20 +85,21 @@ class Sequence:
                 width = len(vals)
             if len(vals) != width:
                 raise ValueError(f"block {t} has length {len(vals)}, expected {width}")
-            norm.append(vals)
-        self._hold(field, norm, width)
+            flat += vals
+            count = t + 1
+        self._hold(field, flat, width, count)
 
     @classmethod
     def _trusted(cls, field, values, width):
         """A sequence over in-range integer blocks, an array or lists, copied unchecked."""
         seq = object.__new__(cls)
-        seq._hold(field, values, width)
+        seq._hold(field, values, width, len(values))
         return seq
 
-    def _hold(self, field, values, width):
+    def _hold(self, field, values, width, blocks):
         values = np.array(values, dtype=np.min_scalar_type(field.size - 1))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_values", _read_only(values.reshape(len(values), width or 0)))
+        object.__setattr__(self, "_values", _read_only(values.reshape(blocks, width or 0)))
         object.__setattr__(self, "width", width)
 
     def __setattr__(self, name, value):
@@ -201,35 +204,47 @@ def _draws_by_words(rng):
     )
 
 
+def _randbelow_words(words, bound):
+    """randrange(bound)'s reading of an array of a generator's 32-bit words:
+    the top bound.bit_length() bits of each word, and where they are below
+    bound.  randrange(bound) returns those bits of the first word where they
+    are, passing over the words before it."""
+    top = words >> (32 - bound.bit_length())
+    return top, top < bound
+
+
+def _block_words(mean):
+    """The words of one getrandbits block for draws that need `mean` words
+    on average: 5/4 of them and _DRAW_SPARE spares."""
+    return int(mean * 5 / 4) + _DRAW_SPARE
+
+
 def _draw_symbols(rng, q, count, state):
     """count draws of rng.randrange(q) as an intp array, rng left where they
     leave it; state is rng.getstate() before the draws.
 
-    randrange(q) keeps the top q.bit_length() bits of the generator's next
-    32-bit word if they are below q, and takes the next word otherwise.  So
-    for a generator that draws that way (`_draws_by_words`) the words are
-    made in blocks of getrandbits(32 m), whose little-endian 32-bit words
-    are the m next words in order, and the generator is then set back to
-    state and advanced by the words used.  Any other generator draws symbol
-    by symbol.
+    For a generator that draws randrange on its 32-bit words
+    (`_draws_by_words`) the words are made in blocks of getrandbits(32 m),
+    whose little-endian 32-bit words are the m next words in order, read by
+    `_randbelow_words`, and the generator is then set back to state and
+    advanced by the words used.  Any other generator draws symbol by symbol.
     """
     bits = q.bit_length()
     if bits > 32 or not _draws_by_words(rng):
         return np.array([rng.randrange(q) for _ in range(count)], dtype=np.intp)
     if not count:
         return np.zeros(0, dtype=np.intp)
-    words, kept = None, ()
+    words, kept = np.zeros(0, dtype="<u4"), ()
     while len(kept) < count:
-        # 5/4 of the words the missing symbols need on average, and spares
-        m = (count - len(kept)) * 5 * (1 << bits) // (4 * q) + _DRAW_SPARE
+        m = _block_words((count - len(kept)) * (1 << bits) / q)
         block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-        block = np.frombuffer(block, dtype="<u4") >> (32 - bits)
-        words = block if words is None else np.concatenate((words, block))
-        kept = np.flatnonzero(words < q)
+        words = np.concatenate((words, np.frombuffer(block, dtype="<u4")))
+        top, below = _randbelow_words(words, q)
+        kept = np.flatnonzero(below)
     kept = kept[:count]
     rng.setstate(state)
     rng.getrandbits(32 * (int(kept[-1]) + 1))
-    return words[kept].astype(np.intp)
+    return top[kept].astype(np.intp)
 
 
 class SkewConvCode:

@@ -46,12 +46,13 @@ def _is_int_array(value, depth):
     if not isinstance(value, (list, tuple)):
         return False
     if depth == 1:
-        return all(isinstance(v, numbers.Integral) for v in value)
+        return all(isinstance(v, (int, numbers.Integral)) for v in value)
     return all(_is_int_array(v, depth - 1) for v in value)
 
 
 def _as_int(value, name):
-    if not isinstance(value, numbers.Integral):
+    # an int is Integral; testing it first skips the slower ABC check
+    if not isinstance(value, (int, numbers.Integral)):
         raise CodeSpecError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -3,7 +3,9 @@
 QSChannel draws a word's errors from a generator (`draw_errors`), one
 random() a symbol and one offset on an error, whatever the symbols sent,
 and applies them as one array step (`apply_errors`); `transmit` does both
-on one sequence, and `run_simulation` applies a whole batch's draws at once.
+on one sequence.  `run_simulation` makes the same draws for a whole batch
+by parsing its trials' Mersenne Twister words with numpy rather than by
+calling `draw_errors`, and applies them at once.
 
 viterbi_batch() returns the maximum-likelihood information sequences of a
 batch of frames under Hamming metric (ML for the q-ary symmetric channel when

@@ -483,6 +483,8 @@ class FieldElement:
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
+        if type(value) is not int:
+            value = _integral(value, "field element value")
         if not 0 <= value < field.size:
             raise ValueError(f"value {value} outside [0, {field.size})")
         object.__setattr__(self, "field", field)

@@ -184,6 +184,34 @@ def test_numpy_integer_arguments_are_accepted():
     assert all(type(v) is int for v in (f.p, f.n, f.theta_r, f.size, *f.modulus))
 
 
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (1.5, "field element value must be an integer, got 1.5"),
+        (2.0, "field element value must be an integer, got 2.0"),
+        ("1", "field element value must be an integer, got '1'"),
+        (None, "field element value must be an integer, got None"),
+        (4, "value 4 outside [0, 4)"),
+        (np.int64(-1), "value -1 outside [0, 4)"),
+        (np.uint8(3), 3),
+        (np.int64(2), 2),
+        (True, 1),
+    ],
+    ids=["float", "integral-float", "str", "none", "int-range", "numpy-range", "uint8", "int64", "bool"],
+)
+def test_a_field_element_holds_an_int_or_refuses_the_value(value, want):
+    f = FiniteField(2, 2, [1, 1, 1], theta_r=1)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(want)) as info:
+            f(value)
+        assert "\n" not in str(info.value)
+        return
+    e = f(value)
+    assert type(e.value) is int and e.value == want
+    assert e * e == f(f.mul_int(want, want)) and f.element_name(e.value) == f.element_name(want)
+    assert repr(e) == repr(f(want))
+
+
 def test_a_modulus_is_irreducible_when_no_two_monic_factors_make_it():
     # the reducible monic polynomials of degree n are the products of two
     # monic ones of degrees 1 .. n - 1

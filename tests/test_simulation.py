@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import decoder_reference as reference
-from skewconv import QSChannel, Sequence, SkewConvCode, analysis, load_code, run_simulation
+from skewconv import (
+    QSChannel,
+    Sequence,
+    SkewConvCode,
+    analysis,
+    build_trellis,
+    load_code,
+    run_simulation,
+)
 
 from test_decoder_fast_paths import CODES, TRELLISES
 
@@ -25,6 +33,17 @@ def test_reports_equal_the_frame_at_a_time_loop(name, eps, monkeypatch):
     # four frames a batch: the last batch holds three
     monkeypatch.setattr(analysis, "BATCH_EDGES", 4 * tr.num_states * tr.num_inputs)
     assert run_simulation(code, eps, 11, 3, seed=77, trellis=tr) == want
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1])
+@pytest.mark.parametrize("spec", sorted(p.stem for p in SUITE.glob("*.json") if p.stem != "expected"))
+def test_reports_equal_the_frame_at_a_time_loop_on_the_suite_specs(spec, seed):
+    code = load_code(SUITE / f"{spec}.json")
+    tr = build_trellis(code)
+    eps = 0.6 * (code.field.size - 1) / code.field.size
+    for trials, frame_len in ((7, 1), (3, 8)):
+        want = reference.run_simulation(code, eps, trials, frame_len, seed=seed, trellis=tr)
+        assert run_simulation(code, eps, trials, frame_len, seed=seed, trellis=tr) == want
 
 
 def test_the_committed_benchmark_counts_are_reproduced():

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import _block_words, _randbelow_words
+from .code import _block_words, _randbelow_words, _words
 
 # re-exported: `skewconv.analysis.viterbi` stays importable
 from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
@@ -32,13 +32,6 @@ BATCH_EDGES = 1 << 16
 # reads at most, unless one trial alone needs more: its temporaries, about
 # 50 bytes a word, stay within about 3.5 MiB however many trials a batch has.
 PARSE_WORDS = 1 << 16
-
-# random.Random.seed(key) for an int key, less the argument checks around it:
-# the Mersenne Twister's own seed
-_reseed = random.Random.__base__.seed
-
-# The gathered elements one numpy call's own cost is counted as by `_walk`.
-_CALL_ELEMENTS = 512
 
 
 def analyze_code(code, lmax=None, trellis=None):
@@ -99,27 +92,28 @@ class SimReport:
         return asdict(self)
 
 
-def _trial_rng(seed, trial, rng=None):
-    """The generator of one simulation trial: seeded by a stable derivation
-    of (seed, trial), so trials are order-independent and reproducible.  A
-    new random.Random, or rng re-seeded, which gives the same stream."""
-    key = (seed & 0xFFFFFFFF) * 0x9E3779B1 + trial
-    if rng is None:
-        return random.Random(key)
-    _reseed(rng, key)
-    return rng
+def _trial_key(seed, trial):
+    # stable derivation so trials are order-independent and reproducible
+    return (seed & 0xFFFFFFFF) * 0x9E3779B1 + trial
 
 
-def _trial_words(seed, trials, width, rng):
-    """The first `width` 32-bit words of each listed trial's generator, a
-    (trials, width) uint32 array: one getrandbits(32 width) block a trial,
-    whose little-endian 32-bit words are the generator's next words in
-    order; rng is re-seeded for each trial."""
-    size = 4 * width
-    blocks = b"".join(
-        [_trial_rng(seed, t, rng).getrandbits(8 * size).to_bytes(size, "little") for t in trials]
-    )
-    return np.frombuffer(blocks, dtype="<u4").reshape(len(trials), width)
+def _trial_rng(seed, trial):
+    """The generator of one simulation trial."""
+    return random.Random(_trial_key(seed, trial))
+
+
+def _trial_words(seed, trials, width):
+    """The first `width` 32-bit words of each listed trial's generator
+    (`_trial_rng`), a (trials, width) uint32 array.  One generator is seeded
+    again for each trial in turn, which gives the same words as a new one."""
+    rng = random.Random()
+
+    def seeded():
+        for t in trials:
+            rng.seed(_trial_key(seed, t))
+            yield rng
+
+    return _words(seeded(), width)
 
 
 def _read_draws(words, q, info_count, symbols, threshold):
@@ -134,14 +128,15 @@ def _read_draws(words, q, info_count, symbols, threshold):
 
     Returns info (rows, info_count), errors and offsets (rows, symbols), and
     short (rows,), where a row's words ran out before its draws did; the
-    draws of a short row are not read.  info_count must be positive.
+    draws of a short row are not read.  info_count and symbols must be
+    positive.
 
     Each row's positions are its words, then `end` and `past`.  `step`
     maps the position where a channel symbol starts to where the next one
     does: two words on, or one past its offset's word on an error; `end`
     where the words end there and `past` where they run out first.  The
-    symbols' starts are the walk of `step` (`_walk`) from the first word
-    after the info symbols.
+    symbols' starts are the walk of `step` from the first word after the
+    info symbols, one gather a symbol.
     """
     rows, width = words.shape
     stride = width + 2
@@ -179,40 +174,13 @@ def _read_draws(words, q, info_count, symbols, threshold):
     error_at[error] = True
     offset_at = np.zeros(rows * stride, dtype=offset.dtype)
     offset_at[error] = offset.take(after, mode="clip")
-    at = _walk(step, start, symbols, stride)
+    at = np.empty((symbols, rows), dtype=step.dtype)
+    at[0] = start
+    for i in range(1, symbols):
+        at[i] = step[at[i - 1]]
+    at = at.T
     short = step[at[:, -1]] == past
     return info, error_at[at], offset_at[at], short
-
-
-def _walk(step, start, count, stride):
-    """The first `count` positions of the walk of `step` from each row's
-    start, as a (rows, count) array.
-
-    Walked one gather a step, each of the `count` steps costs one numpy call
-    over the rows.  With j compositions of step with itself, each over every
-    row's `stride` positions, the walk takes one gather of step^(2^j) every
-    2^j steps and fills the steps in between in 2^j gathers; j is chosen by
-    counting a numpy call as _CALL_ELEMENTS gathered elements.
-    """
-    rows = len(start)
-
-    def cost(j):
-        return j * rows * stride + ((count >> j) + 1) * (rows + _CALL_ELEMENTS) + (
-            _CALL_ELEMENTS << j
-        )
-
-    j = min(range(count.bit_length()), key=cost)
-    jump = step
-    for _ in range(j):
-        jump = jump[jump]
-    # at[i, r] holds the rows' positions after i 2^j + r steps
-    at = np.empty((-(-count >> j), 1 << j, rows), dtype=step.dtype)
-    at[0, 0] = start
-    for i in range(1, len(at)):
-        at[i, 0] = jump[at[i - 1, 0]]
-    for r in range(1, 1 << j):
-        at[:, r] = step[at[:, r - 1]]
-    return at.reshape(-1, rows)[:count].T
 
 
 def _draw_trials(seed, first, count, q, info_count, symbols, eps):
@@ -232,7 +200,6 @@ def _draw_trials(seed, first, count, q, info_count, symbols, eps):
     width = _block_words(mean)
     chunk = max(1, PARSE_WORDS // width)
     threshold = math.ceil(eps * 2.0**53)
-    rng = random.Random()
     out = (
         np.empty((count, info_count), dtype=np.intp),
         np.empty((count, symbols), dtype=bool),
@@ -241,7 +208,7 @@ def _draw_trials(seed, first, count, q, info_count, symbols, eps):
     for lo in range(0, count, chunk):
         rows, size = np.arange(lo, min(lo + chunk, count)), width
         while rows.size:
-            words = _trial_words(seed, [first + r for r in rows.tolist()], size, rng)
+            words = _trial_words(seed, [first + r for r in rows.tolist()], size)
             *draws, short = _read_draws(words, q, info_count, symbols, threshold)
             for whole, part in zip(out, draws):
                 whole[rows[~short]] = part[~short]
@@ -258,10 +225,10 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     are grouped.  The trials run in batches of at most
     BATCH_EDGES / (states x inputs) frames, within the survivor budget.  A
     batch's draws are read off its trials' generator words (`_draw_trials`):
-    each trial's generator is re-seeded and gives one getrandbits block,
-    and numpy parses the batch's words the way randrange(q), random() and
-    randrange(q - 1) consume them, so the draws are those of a per-trial
-    loop of those calls.  The batch is then encoded by one `encode_batch`
+    each trial's generator gives one getrandbits block, and numpy parses the
+    batch's words the way randrange(q), random() and randrange(q - 1)
+    consume them, so the draws are those of a per-trial loop of those
+    calls.  The batch is then encoded by one `encode_batch`
     call, corrupted by one `QSChannel.apply_errors` and decoded by one
     `viterbi_batch` call, so memory does not grow with the number of trials.
     """

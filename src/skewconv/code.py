@@ -204,6 +204,14 @@ def _draws_by_words(rng):
     )
 
 
+def _words(generators, m):
+    """The next m 32-bit words of each generator in turn, as a
+    (generators, m) uint32 array: one getrandbits(32 m) block a generator,
+    whose little-endian 32-bit words are its m next words in order."""
+    blocks = [rng.getrandbits(32 * m).to_bytes(4 * m, "little") for rng in generators]
+    return np.frombuffer(b"".join(blocks), dtype="<u4").reshape(-1, m)
+
+
 def _randbelow_words(words, bound):
     """randrange(bound)'s reading of an array of a generator's 32-bit words:
     the top bound.bit_length() bits of each word, and where they are below
@@ -224,8 +232,7 @@ def _draw_symbols(rng, q, count, state):
     leave it; state is rng.getstate() before the draws.
 
     For a generator that draws randrange on its 32-bit words
-    (`_draws_by_words`) the words are made in blocks of getrandbits(32 m),
-    whose little-endian 32-bit words are the m next words in order, read by
+    (`_draws_by_words`) the words are made in blocks (`_words`), read by
     `_randbelow_words`, and the generator is then set back to state and
     advanced by the words used.  Any other generator draws symbol by symbol.
     """
@@ -237,8 +244,7 @@ def _draw_symbols(rng, q, count, state):
     words, kept = np.zeros(0, dtype="<u4"), ()
     while len(kept) < count:
         m = _block_words((count - len(kept)) * (1 << bits) / q)
-        block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-        words = np.concatenate((words, np.frombuffer(block, dtype="<u4")))
+        words = np.concatenate((words, _words([rng], m)[0]))
         top, below = _randbelow_words(words, q)
         kept = np.flatnonzero(below)
     kept = kept[:count]

@@ -13,7 +13,7 @@ import pytest
 
 from skewconv import QSChannel, analysis, code as code_module, syndrome_former, verify_duality
 from skewconv.analysis import _draw_trials, _trial_rng
-from skewconv.code import SkewConvCode, _draw_symbols
+from skewconv.code import SkewConvCode, _draw_symbols, _words
 
 import code_reference as reference
 
@@ -143,6 +143,8 @@ def test_getrandbits_of_32_m_bits_is_the_next_m_words_little_endian(m):
     block = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
     assert np.frombuffer(block, dtype="<u4").tolist() == next_words(twin, m)
     assert rng.getstate() == twin.getstate()
+    assert _words([rng, rng], m).tolist() == [next_words(twin, m), next_words(twin, m)]
+    assert rng.getstate() == twin.getstate()
 
 
 @pytest.mark.parametrize(
@@ -165,13 +167,6 @@ def test_random_is_53_bits_of_two_words():
         w1, w2 = next_words(twin, 2)
         assert rng.random() == ((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53
     assert rng.getstate() == twin.getstate()
-
-
-def test_a_reseeded_generator_is_a_new_one():
-    rng = random.Random(1)
-    for seed, trial in ((0, 0), (2**32 - 1, 7), (12345, 2**20)):
-        assert _trial_rng(seed, trial, rng) is rng
-        assert rng.getstate() == _trial_rng(seed, trial).getstate()
 
 
 # The batch draws of run_simulation against each trial's own loop.
@@ -250,8 +245,7 @@ def test_batch_draws_read_in_chunks_of_trials(monkeypatch):
 
 
 @pytest.mark.parametrize("symbols", [1, 2, 3, 5, 64, 1000, 4097])
-def test_batch_draws_of_long_frames_walk_in_strides(symbols):
-    # few trials of many symbols walk the symbols in strides of 2^j
+def test_batch_draws_of_long_frames(symbols):
     for count in (1, 3):
         check_trials(2, 0, count, 4, 1, symbols, 0.3)
 
@@ -287,7 +281,7 @@ def test_batch_draws_at_the_edge_of_random_below_eps(q, monkeypatch):
     gen = np.random.default_rng(q)
     count, info_count, symbols, width = 30, 3, 12, 400
 
-    def words(seed, trials, size, rng):
+    def words(seed, trials, size):
         assert size <= width
         return table[trials, :size]
 

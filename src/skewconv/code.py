@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import FieldElement, _read_only
+from .field import FieldElement, _read_only, _symbol
 from .linalg import f_rank, f_window
 from .skewpoly import SkewPolyMatrix
 
@@ -42,21 +42,6 @@ RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
 validation of a generator with rank(G_0) < k eliminates; a larger window is
 refused before it is built."""
-
-
-def _symbol(field, c, t=None):
-    """The integer of symbol c over field: c's value if it is a FieldElement
-    of the field, else int(c) if it lies in [0, q); t is the block it is read
-    from, None for a scalar."""
-    if isinstance(c, FieldElement):
-        if c.field is not field and c.field != field:
-            raise ValueError("mixed-field operands")
-        return c.value
-    v = int(c)
-    if not 0 <= v < field.size:
-        where = "scalar" if t is None else f"block {t}: symbol"
-        raise ValueError(f"{where} {v} outside [0, {field.size})")
-    return v
 
 
 class Sequence:
@@ -80,7 +65,7 @@ class Sequence:
         for t, block in enumerate(blocks):
             if isinstance(block, (FieldElement, int)):
                 block = (block,)
-            vals = [c if type(c) is int and 0 <= c < size else _symbol(field, c, t) for c in block]
+            vals = [c if type(c) is int and 0 <= c < size else _symbol(field, c, "symbol", t) for c in block]
             if width is None:
                 width = len(vals)
             if len(vals) != width:
@@ -144,7 +129,7 @@ class Sequence:
     def scale(self, c):
         """Left scalar multiple c * sequence."""
         f = self.field
-        return Sequence._trusted(f, f.mul(_symbol(f, c), self._values), self.width)
+        return Sequence._trusted(f, f.mul(_symbol(f, c, "scalar"), self._values), self.width)
 
     def __rmul__(self, c):
         if isinstance(c, (FieldElement, int)):
@@ -282,9 +267,7 @@ class SkewConvCode:
         self.row_degrees = generator.row_degrees()
         self.external_degree = sum(self.row_degrees)
         # G_0 .. G_mu as one read-only integer array, indexed [i, row, col]
-        self.coefficients = _read_only(
-            np.array([generator.coefficient_values(i) for i in range(self.memory + 1)], dtype=np.intp)
-        )
+        self.coefficients = generator.coefficients
         # twisted[j, i] = theta^j(G_i) over one order of theta; the least j
         # that fixes G(D), a divisor of the order, is the twist period
         order = self.field.automorphism_order
@@ -417,15 +400,12 @@ class SkewConvCode:
 
     # -- scalar (semi-infinite) generator windows -------------------------
 
-    def scalar_generator(self, t_rows, form="standard"):
+    def scalar_generator(self, t_rows):
         """First t_rows block rows of the scalar generator matrix, the window
         `f_window(G, t_rows)`: block row t carries theta^t(G_i) at block
-        column t+i.  The "tilde" form puts theta^(t+i)(G~_i), G_i =
-        theta^i(G~_i), there: the same entry, so both forms give one window."""
+        column t+i."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
-        if form not in ("standard", "tilde"):
-            raise ValueError(f"unknown form {form!r}")
         return f_window(self.field, self.coefficients, t_rows)
 
     # -- regrouping into an equivalent fixed code -------------------------
@@ -441,7 +421,7 @@ class SkewConvCode:
         window = f_window(self.field, self.coefficients, tau)
         window = np.pad(window, ((0, 0), (0, width - window.shape[1])))
         big = window.reshape(tau * self.k, -1, tau * self.n).transpose(1, 0, 2)
-        return SkewPolyMatrix.from_coefficients(self.field, big.tolist())
+        return SkewPolyMatrix.from_coefficients(self.field, big)
 
     def __repr__(self):
         return (

@@ -23,8 +23,8 @@ keeps the first n - k basis rows whose x_0 = h_0 are independent, brings
 H_0 to reduced echelon form by one elimination of those rows x, and
 returns h_j = theta^j(x_j).
 
-G(D) H^T(D) = 0 is decided on the windows too: block column s of
-f_window(G, 1) f_window(H^T, mu + 1) is sum_i G_i theta^i(H_(s-i))^T.
+G(D) H^T(D) = 0 is decided by the one skew product, `linalg.f_polymul`,
+itself a product of two windows.
 """
 
 import random
@@ -32,8 +32,7 @@ import random
 import numpy as np
 
 from .code import _draw_symbols, _redraw
-from .field import _read_only
-from .linalg import f_matmul, f_nullspace, f_rank, f_rref, f_window
+from .linalg import f_matmul, f_nullspace, f_polymul, f_rank, f_rref, f_window
 from .skewpoly import SkewPolyMatrix
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
@@ -50,8 +49,8 @@ class SyndromeFormerNotFound(Exception):
 
 class SyndromeFormer:
     """Parity-check data of the dual code: H(D) with G(D) H^T(D) = 0, held
-    once, as the read-only array `coefficients` of H_0 .. H_dual_memory
-    indexed [i, row, col]."""
+    once, as the SkewPolyMatrix `check`, whose read-only array
+    `coefficients` of H_0 .. H_dual_memory is indexed [i, row, col]."""
 
     def __init__(self, code, check, validate=True):
         """check is H(D) as a SkewPolyMatrix.  With validate,
@@ -65,45 +64,33 @@ class SyndromeFormer:
             )
         if check.field != code.field:
             raise ValueError("mixed-field operands")
-        values = [check.coefficient_values(i) for i in range(int(max(check.degree, 0)) + 1)]
-        self._hold(code, np.array(values, dtype=np.intp), validate)
-
-    @classmethod
-    def _from_coefficients(cls, code, coefficients, validate=True):
-        """The former of the (n - k) x n H(D) given by its coefficient array
-        [i, row, col] over the code's field, whose last entry is nonzero."""
-        sf = cls.__new__(cls)
-        sf._hold(code, coefficients, validate)
-        return sf
-
-    def _hold(self, code, coefficients, validate):
         self.code = code
         self.field = code.field
-        self.coefficients = _read_only(coefficients)
-        self.dual_memory = len(coefficients) - 1
+        self.check = check
+        self.dual_memory = int(max(check.degree, 0))
         if validate:
             if not _annihilates(self.field, code.coefficients, self.coefficients):
                 raise ValueError("G(D) H^T(D) != 0")
-            if f_rank(self.field, self.coefficients[0]) != code.n - code.k:
+            if f_rank(self.field, self.coefficient_values(0)) != code.n - code.k:
                 raise ValueError("rank(H_0) < n - k")
 
     @property
-    def check(self):
-        """H(D) as a SkewPolyMatrix, made from `coefficients` on each use."""
-        return SkewPolyMatrix.from_coefficients(self.field, self.coefficients.tolist())
+    def coefficients(self):
+        return self.check.coefficients
 
     def coefficient_values(self, i):
         """H_i as nested integer lists, zero outside 0 .. dual_memory."""
-        if not 0 <= i <= self.dual_memory:
-            return np.zeros_like(self.coefficients[0]).tolist()
-        return self.coefficients[i].tolist()
+        return self.check.coefficient_values(i)
 
     def ht_window(self, t_rows):
         """Window of the semi-infinite transposed check matrix: block row t
         carries theta^t(H_i^T) at block column t + i."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
-        return f_window(self.field, self.coefficients.transpose(0, 2, 1), t_rows)
+        # a zero check holds no terms; its window is that of one zero term
+        h = self.coefficients.transpose(0, 2, 1)
+        h = np.pad(h, ((0, self.dual_memory + 1 - len(h)), (0, 0), (0, 0)))
+        return f_window(self.field, h, t_rows)
 
     def h_window(self, t_cols):
         """Window of the parity check matrix in column-stationary layout:
@@ -117,9 +104,8 @@ class SyndromeFormer:
 
 def _annihilates(field, g, h):
     """G(D) H^T(D) = 0, for G and H given as coefficient arrays
-    [i, row, col]: block row 0 of the window product is zero."""
-    ht = f_window(field, h.transpose(0, 2, 1), len(g))
-    return not f_matmul(field, f_window(field, g, 1), ht).any()
+    [i, row, col]."""
+    return not f_polymul(field, g, h.transpose(0, 2, 1)).any()
 
 
 def _system(code, mu_perp):
@@ -166,7 +152,7 @@ def syndrome_former(code, mu_perp_max=None):
         # h_j = theta^j(x_j), as the coefficient array [j, row, col]; the
         # last is nonzero, or the rows would solve for a smaller mu_perp
         h = field.frobenius(x.transpose(1, 0, 2), np.arange(mu_perp + 1)[:, None, None])
-        return SyndromeFormer._from_coefficients(code, h)
+        return SyndromeFormer(code, SkewPolyMatrix._trusted(field, h))
     raise SyndromeFormerNotFound(code, mu_perp_max)
 
 

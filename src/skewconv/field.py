@@ -86,6 +86,21 @@ def _integral(value, what):
     return int(value)
 
 
+def _symbol(field, c, what="value", t=None):
+    """The integer of symbol c over field: c's value if it is a FieldElement
+    of the field, else c as an integer in [0, q).  A non-integral c, a float
+    or a string, is refused; `what` names c in the messages, after its
+    block t if one is given."""
+    if isinstance(c, FieldElement):
+        if c.field is not field and c.field != field:
+            raise ValueError("mixed-field operands")
+        return c.value
+    if isinstance(c, (int, numbers.Integral)) and 0 <= (v := int(c)) < field.size:
+        return v
+    where = what if t is None else f"block {t}: {what}"
+    raise ValueError(f"{where} {_integral(c, where)} outside [0, {field.size})")
+
+
 def _as_ints(a):
     """a as an array: in its own dtype if it is one, else as intp."""
     return np.asarray(a, dtype=getattr(a, "dtype", np.intp))

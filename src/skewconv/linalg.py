@@ -1,11 +1,12 @@
 """Exact linear algebra over a FiniteField on integer-encoded matrices:
 one Gauss-Jordan elimination (`f_rref`), the rank, nullspace and matrix
-product built on the field's array operations, and `f_window`, the one
-builder of the banded scalar windows of a skew polynomial matrix."""
+product built on the field's array operations, `f_window`, the one
+builder of the banded scalar windows of a skew polynomial matrix, and
+`f_polymul`, the one skew polynomial matrix product, on two windows."""
 
 import numpy as np
 
-__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul", "f_window"]
+__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul", "f_window", "f_polymul"]
 
 # the most products `f_matmul` forms at once, beyond one row's
 _MATMUL_TERMS = 1 << 16
@@ -97,3 +98,14 @@ def f_window(field, coefficients, blocks, twist=1, delay_twist=0):
     powers = (twist * t + delay_twist * i)[..., None, None]
     out[t, :, t + i, :] = field.frobenius(coefficients, powers)
     return out.reshape(blocks * rows, -1)
+
+
+def f_polymul(field, a, b):
+    """The product A(D) B(D) of two polynomial matrices given as integer
+    arrays [i, row, col], as the array [s, row, col] of C_s = sum_i A_i
+    theta^i(B_(s-i)): f_window(A, 1) holds A_i at block column i, and block
+    row i of f_window(B, len(A)) holds theta^i(B_j) at block column i + j."""
+    if not len(a) or not len(b):
+        return np.zeros((0, a.shape[1], b.shape[2]), dtype=np.int64)
+    window = f_matmul(field, f_window(field, a, 1), f_window(field, b, len(a)))
+    return window.reshape(a.shape[1], -1, b.shape[2]).transpose(1, 0, 2)

@@ -2,45 +2,60 @@
 
 Multiplication follows the twisted rule D*a = theta(a)*D, so
 (x D^i)(y D^j) = x * theta^i(y) * D^(i+j); addition is coefficientwise.
+
+Both types hold their coefficients as one read-only integer array, ascending
+in D, with trailing zero terms stripped, so that equal values hold equal
+arrays.  Every product is `linalg.f_polymul`, a polynomial being its 1 x 1
+matrix, and sums are the field's array `add`.
 """
 
-from .field import FieldElement
+import numpy as np
+
+from .field import FieldElement, _read_only, _symbol
+from .linalg import f_polymul
 
 __all__ = ["SkewPoly", "SkewPolyMatrix"]
 
 NEG_INF = float("-inf")
 
 
-def _as_value(field, c):
-    if isinstance(c, FieldElement):
-        if c.field is not field and c.field != field:
-            raise ValueError("mixed-field operands")
-        return c.value
-    return int(c)
+def _strip(values):
+    """values, an integer array [i, ...], as read-only intp with its trailing
+    zero terms stripped: itself if it has none."""
+    values = np.asarray(values, dtype=np.intp)
+    nonzero = np.flatnonzero(values.any(axis=tuple(range(1, values.ndim))))
+    end = nonzero[-1] + 1 if len(nonzero) else 0
+    return _read_only(values if end == len(values) else values[:end])
+
+
+def _stack(cells):
+    """The rows of cells, 1-D sequences of coefficient integers, as one
+    integer array [i, row, col], each cell zero-padded."""
+    terms = max(len(cell) for row in cells for cell in row)
+    values = np.zeros((terms, len(cells), len(cells[0])), dtype=np.intp)
+    for r, row in enumerate(cells):
+        for c, cell in enumerate(row):
+            values[: len(cell), r, c] = cell
+    return values
 
 
 class SkewPoly:
     """Coefficient vector ascending in D, trailing zeros stripped.
 
-    The coefficients are held as a tuple of plain integers; `coeffs` and
-    `coefficient` box them into `FieldElement`s on access, and the
-    arithmetic, the integer view `coefficient_values`, equality and hashing
-    never box.
+    `coeffs` and `coefficient` box the coefficients into `FieldElement`s on
+    access; the arithmetic, the integer view `coefficient_values`, equality
+    and hashing never box.
     """
 
     __slots__ = ("field", "_values")
 
     def __init__(self, field, coeffs=()):
-        values = [_as_value(field, c) for c in coeffs]
-        for v in values:
-            if not 0 <= v < field.size:
-                raise ValueError(f"value {v} outside [0, {field.size})")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_values", _strip(values))
+        object.__setattr__(self, "_values", _strip([_symbol(field, c) for c in coeffs]))
 
     @classmethod
     def _trusted(cls, field, values):
-        """The polynomial of a list of in-range integers, taken unchecked."""
+        """The polynomial of an array of in-range integers, taken unchecked."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "field", field)
         object.__setattr__(poly, "_values", _strip(values))
@@ -63,113 +78,82 @@ class SkewPoly:
 
     @property
     def coeffs(self):
-        return tuple(FieldElement(self.field, v) for v in self._values)
+        return tuple(FieldElement(self.field, v) for v in self._values.tolist())
 
     @property
     def degree(self):
-        return len(self._values) - 1 if self._values else NEG_INF
+        return len(self._values) - 1 if len(self._values) else NEG_INF
 
     @property
     def is_zero(self):
-        return not self._values
+        return not len(self._values)
 
     def coefficient(self, i):
-        return FieldElement(self.field, self._value(i))
-
-    def _value(self, i):
-        return self._values[i] if 0 <= i < len(self._values) else 0
+        value = int(self._values[i]) if 0 <= i < len(self._values) else 0
+        return FieldElement(self.field, value)
 
     def coefficient_values(self):
-        return list(self._values)
+        return self._values.tolist()
 
     def _coerce(self, other):
+        """other as a polynomial: itself if it is one, else the constant of
+        the symbol it is."""
         if isinstance(other, SkewPoly):
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed-field operands")
             return other
-        if isinstance(other, (FieldElement, int)):
-            return SkewPoly(self.field, (_as_value(self.field, other),))
-        return None
+        return SkewPoly(self.field, (other,))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        f = self.field
-        a, b = self._values, other._values
+        a, b = self._values, self._coerce(other)._values
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add_int(out[i], c)
-        return SkewPoly._trusted(f, out)
+        out = np.array(a)  # the longer, with the shorter added to its low terms
+        out[: len(b)] = self.field.add(out[: len(b)], b)
+        return SkewPoly._trusted(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return SkewPoly._trusted(f, [f.neg_int(c) for c in self._values])
+        return SkewPoly._trusted(f, f.mul(self._values, f.p - 1))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return SkewPoly.zero(f)
-        out = [0] * (len(self._values) + len(other._values) - 1)
-        for i, x in enumerate(self._values):
-            if x == 0:
-                continue
-            for j, y in enumerate(other._values):
-                if y == 0:
-                    continue
-                term = f.mul_int(x, f.frobenius_int(y, i))
-                out[i + j] = f.add_int(out[i + j], term)
-        return SkewPoly._trusted(f, out)
+        product = f_polymul(self.field, self._values[:, None, None], other._values[:, None, None])
+        return SkewPoly._trusted(self.field, product[:, 0, 0])
 
     def __rmul__(self, other):
         # scalar * poly: a constant commutes past nothing, so build it as a poly
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
+        return self._coerce(other) * self
 
     def right_divmod(self, divisor):
         """Quotient and remainder with the divisor acting on the right:
-        self = quot * divisor + rem, deg rem < deg divisor."""
+        self = quot * divisor + rem, deg rem < deg divisor.
+
+        Quotient term e, from the top, is c = rem_(e + deg divisor) *
+        theta^e(lead^-1), and rem takes c * -theta^e(divisor) at e: one
+        array step each, on the twists of the divisor and of its lead's
+        one inverse made for every e at once."""
         divisor = self._coerce(divisor)
-        if divisor is None or divisor.is_zero:
+        if divisor.is_zero:
             raise ZeroDivisionError("right division by the zero polynomial")
-        f = self.field
-        dd = len(divisor._values) - 1
-        lead = divisor._values[-1]
-        rem = list(self._values)
-        quot = [0] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            e = len(rem) - 1 - dd
-            if e < 0:
-                break
-            # solve c * theta^e(lead) = rem_lead
-            c = f.mul_int(rem[-1], f.inv_int(f.frobenius_int(lead, e)))
-            quot[e] = f.add_int(quot[e], c)
-            for j, y in enumerate(divisor._values):
-                term = f.mul_int(c, f.frobenius_int(y, e))
-                rem[e + j] = f.sub_int(rem[e + j], term)
+        f, d = self.field, divisor._values
+        dd = len(d) - 1
+        rem = np.array(self._values)
+        quot = np.zeros(max(len(rem) - dd, 0), dtype=np.intp)
+        e = np.arange(len(quot))
+        inverses = f.frobenius(f.inv_int(int(d[-1])), e)
+        negated = f.mul(f.frobenius(d, e[:, None]), f.p - 1)
+        for e in reversed(range(len(quot))):
+            quot[e] = f.mul(rem[e + dd], inverses[e])
+            rem[e : e + dd + 1] = f.add(rem[e : e + dd + 1], f.mul(quot[e], negated[e]))
         return SkewPoly._trusted(f, quot), SkewPoly._trusted(f, rem)
 
     def __eq__(self, other):
@@ -177,16 +161,16 @@ class SkewPoly:
             other = self._coerce(other)
         if not isinstance(other, SkewPoly):
             return NotImplemented
-        return self.field == other.field and self._values == other._values
+        return self.field == other.field and np.array_equal(self._values, other._values)
 
     def __hash__(self):
-        return hash((self.field, self._values))
+        return hash((self.field, self._values.tobytes()))
 
     def __repr__(self):
         if self.is_zero:
             return "0"
         terms = []
-        for i, c in enumerate(self._values):
+        for i, c in enumerate(self._values.tolist()):
             if c == 0:
                 continue
             name = self.field.element_name(c)
@@ -198,18 +182,12 @@ class SkewPoly:
         return " + ".join(terms)
 
 
-def _strip(values):
-    """The values as a tuple, trailing zeros stripped."""
-    end = len(values)
-    while end and values[end - 1] == 0:
-        end -= 1
-    return tuple(values[:end])
-
-
 class SkewPolyMatrix:
-    """Rectangular matrix of skew polynomials sharing one field."""
+    """Rectangular matrix of skew polynomials sharing one field, held as the
+    read-only integer array `coefficients[i, row, col]` of its coefficient
+    matrices C_0 .. C_degree; `entries` boxes it into `SkewPoly`s on access."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "coefficients")
 
     def __init__(self, entries):
         if not entries or not entries[0]:
@@ -224,10 +202,18 @@ class SkewPolyMatrix:
                     raise ValueError("entries must be SkewPoly")
                 if e.field != field:
                     raise ValueError("mixed-field operands")
+        values = _stack([[e._values for e in row] for row in entries])
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in entries))
+        object.__setattr__(self, "coefficients", _strip(values))
+
+    @classmethod
+    def _trusted(cls, field, coefficients):
+        """The matrix of an integer array [i, row, col] of in-range integers,
+        taken unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "coefficients", _strip(coefficients))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("SkewPolyMatrix is immutable")
@@ -236,54 +222,70 @@ class SkewPolyMatrix:
     def from_ints(cls, field, table):
         """Build from a nested list: table[i][j] is the ascending-D coefficient
         list (integers) of entry (i, j)."""
-        return cls([[SkewPoly(field, cell) for cell in row] for row in table])
+        if not table or not table[0]:
+            raise ValueError("matrix must be non-empty")
+        if any(len(row) != len(table[0]) for row in table):
+            raise ValueError("ragged matrix")
+        cells = [[[_symbol(field, c) for c in cell] for cell in row] for row in table]
+        return cls._trusted(field, _stack(cells))
 
     @classmethod
     def from_coefficients(cls, field, coeff_mats):
-        """Build from per-power coefficient matrices over the field."""
-        if not coeff_mats:
-            raise ValueError("need at least one coefficient matrix")
-        k = len(coeff_mats[0])
-        n = len(coeff_mats[0][0])
-        table = [[[m[i][j] for m in coeff_mats] for j in range(n)] for i in range(k)]
-        return cls.from_ints(field, table)
+        """Build from per-power coefficient matrices over the field, an array
+        or nested lists indexed [i][row][col], copied."""
+        values = np.array(coeff_mats)
+        if values.ndim != 3 or not values.size:
+            raise ValueError("need one or more non-empty coefficient matrices [i][row][col]")
+        if values.dtype.kind not in "biu" or values.min() < 0 or values.max() >= field.size:
+            # every symbol read by the one coercion, which refuses the first bad one
+            values = np.reshape([_symbol(field, c) for c in values.ravel().tolist()], values.shape)
+        return cls._trusted(field, values)
+
+    @property
+    def rows(self):
+        return self.coefficients.shape[1]
+
+    @property
+    def cols(self):
+        return self.coefficients.shape[2]
+
+    @property
+    def entries(self):
+        """The entries as rows of `SkewPoly`s, made on each access."""
+        cells = self.coefficients.transpose(1, 2, 0)
+        return tuple(tuple(SkewPoly._trusted(self.field, cell) for cell in row) for row in cells)
 
     @property
     def degree(self):
-        return max(e.degree for row in self.entries for e in row)
+        return len(self.coefficients) - 1 if len(self.coefficients) else NEG_INF
 
     def coefficient_values(self, i):
         """Coefficient matrix of D^i as nested integer lists."""
-        return [[e._value(i) for e in row] for row in self.entries]
+        if not 0 <= i < len(self.coefficients):
+            return np.zeros(self.coefficients.shape[1:], dtype=np.intp).tolist()
+        return self.coefficients[i].tolist()
 
     def row_degrees(self):
-        return [max(int(max(e.degree, 0)) if not e.is_zero else 0 for e in row) for row in self.entries]
+        powers = np.arange(len(self.coefficients))[:, None]
+        return np.max(self.coefficients.any(axis=2) * powers, axis=0, initial=0).tolist()
 
     def transpose(self):
-        return SkewPolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return SkewPolyMatrix._trusted(self.field, self.coefficients.transpose(0, 2, 1))
 
     def __matmul__(self, other):
         if not isinstance(other, SkewPolyMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        zero = SkewPoly.zero(self.field)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for m in range(self.cols):
-                    acc = acc + self.entries[i][m] * other.entries[m][j]
-                row.append(acc)
-            out.append(row)
-        return SkewPolyMatrix(out)
+        if other.field != self.field:
+            raise ValueError("mixed-field operands")
+        return SkewPolyMatrix._trusted(
+            self.field, f_polymul(self.field, self.coefficients, other.coefficients)
+        )
 
     @property
     def is_zero(self):
-        return all(e.is_zero for row in self.entries for e in row)
+        return not len(self.coefficients)
 
     def to_ints(self):
         return [[e.coefficient_values() for e in row] for row in self.entries]
@@ -291,10 +293,10 @@ class SkewPolyMatrix:
     def __eq__(self, other):
         if not isinstance(other, SkewPolyMatrix):
             return NotImplemented
-        return self.field == other.field and self.entries == other.entries
+        return self.field == other.field and np.array_equal(self.coefficients, other.coefficients)
 
     def __hash__(self):
-        return hash((self.field, self.entries))
+        return hash((self.field, self.coefficients.shape, self.coefficients.tobytes()))
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.entries)

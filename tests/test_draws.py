@@ -110,8 +110,8 @@ def test_the_random_module_is_drawn_symbol_by_symbol(example_code, fails, monkey
         # a perturbed generator window fails the orthogonality phase
         scalar_generator = SkewConvCode.scalar_generator
 
-        def perturbed(self, t_rows, form="standard"):
-            window = scalar_generator(self, t_rows, form)
+        def perturbed(self, t_rows):
+            window = scalar_generator(self, t_rows)
             window[-1, -1] = (window[-1, -1] + 1) % self.field.size
             return window
 

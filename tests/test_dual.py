@@ -400,10 +400,11 @@ def test_the_system_twists_g_once_to_the_same_matrix():
 
 
 def test_the_former_holds_h_once_as_a_read_only_array(example_code, example_sf):
-    assert set(vars(example_sf)) == {"code", "field", "coefficients", "dual_memory"}
+    assert set(vars(example_sf)) == {"code", "field", "check", "dual_memory"}
     assert not example_sf.coefficients.flags.writeable
+    assert example_sf.coefficients is example_sf.check.coefficients
     check = example_sf.check
-    assert check is not example_sf.check and check == example_sf.check
+    assert check is example_sf.check and check.entries == example_sf.check.entries
     again = SyndromeFormer(example_code, check)
     assert np.array_equal(again.coefficients, example_sf.coefficients)
     assert again.dual_memory == example_sf.dual_memory and again.check == check
@@ -419,6 +420,24 @@ def test_check_window_matches_the_entrywise_fill(f4):
         sf = syndrome_former(make_code(field, table))
         for t in (1, 2, 7):
             assert np.array_equal(sf.ht_window(t), ref.ht_window(sf, t))
+
+
+def test_a_zero_check_has_the_window_of_one_zero_term(example_code, f4):
+    # the zero matrix holds no coefficient terms; its former still has dual
+    # memory 0, and the windows and draws of one zero term H_0
+    zero = SkewPolyMatrix.from_ints(f4, [[[0], [0]]])
+    sf = SyndromeFormer(example_code, zero, validate=False)
+    assert sf.coefficients.shape == (0, 1, 2) and sf.dual_memory == 0
+    for t in (1, 3):
+        assert np.array_equal(sf.ht_window(t), ref.ht_window(sf, t))
+    rng = random.Random(4)
+    assert verify_duality(example_code, sf, rng=rng)
+    expected = random.Random(4)
+    # 20 words of 7 information symbols, then 20 pairs of 7 and 8 symbols:
+    # the window of H^T over 8 blocks has 8 block columns of one check row
+    for _ in range(20 * 7 + 20 * (7 + 8)):
+        expected.randrange(4)
+    assert rng.getstate() == expected.getstate()
 
 
 def suite_duals():

@@ -243,8 +243,8 @@ def test_verify_duality_orthogonality_failures_match(monkeypatch):
     # zero syndrome, but some random pairs are no longer orthogonal
     scalar_generator = SkewConvCode.scalar_generator
 
-    def perturbed(self, t_rows, form="standard"):
-        window = scalar_generator(self, t_rows, form)
+    def perturbed(self, t_rows):
+        window = scalar_generator(self, t_rows)
         window[-1, -1] = (window[-1, -1] + 1) % self.field.size
         return window
 
@@ -308,8 +308,8 @@ def test_a_check_failing_in_either_phase_leaves_the_generator_as_the_per_word_ch
     if phase == 2:
         scalar_generator = SkewConvCode.scalar_generator
 
-        def perturbed(self, t_rows, form="standard"):
-            window = scalar_generator(self, t_rows, form)
+        def perturbed(self, t_rows):
+            window = scalar_generator(self, t_rows)
             window[-1, -1] = (window[-1, -1] + 1) % self.field.size
             return window
 

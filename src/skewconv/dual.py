@@ -87,9 +87,9 @@ class SyndromeFormer:
         carries theta^t(H_i^T) at block column t + i."""
         if t_rows < 1:
             raise ValueError("t_rows must be >= 1")
-        # a zero check holds no terms; its window is that of one zero term
         h = self.coefficients.transpose(0, 2, 1)
-        h = np.pad(h, ((0, self.dual_memory + 1 - len(h)), (0, 0), (0, 0)))
+        if not len(h):  # a zero check holds no terms; its window is that of one zero term
+            h = np.zeros((1, *h.shape[1:]), dtype=np.intp)
         return f_window(self.field, h, t_rows)
 
     def h_window(self, t_cols):

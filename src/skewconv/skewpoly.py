@@ -23,8 +23,9 @@ def _strip(values):
     """values, an integer array [i, ...], as read-only intp with its trailing
     zero terms stripped: itself if it has none."""
     values = np.asarray(values, dtype=np.intp)
-    nonzero = np.flatnonzero(values.any(axis=tuple(range(1, values.ndim))))
-    end = nonzero[-1] + 1 if len(nonzero) else 0
+    end = len(values)
+    while end and not values[end - 1].any():
+        end -= 1
     return _read_only(values if end == len(values) else values[:end])
 
 

@@ -149,9 +149,9 @@ class SkewPoly:
         dd = len(d) - 1
         rem = np.array(self._values)
         quot = np.zeros(max(len(rem) - dd, 0), dtype=np.intp)
-        e = np.arange(len(quot))
-        inverses = f.frobenius(f.inv_int(int(d[-1])), e)
-        negated = f.mul(f.frobenius(d, e[:, None]), f.p - 1)
+        powers = np.arange(len(quot))
+        inverses = f.frobenius(f.inv_int(int(d[-1])), powers)
+        negated = f.mul(f.frobenius(d, powers[:, None]), f.p - 1)
         for e in reversed(range(len(quot))):
             quot[e] = f.mul(rem[e + dd], inverses[e])
             rem[e : e + dd + 1] = f.add(rem[e : e + dd + 1], f.mul(quot[e], negated[e]))

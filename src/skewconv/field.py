@@ -10,19 +10,22 @@ n x n matrix mult(c) over GF(p), row j the digits of c x^j, and mult(c)^e =
 mult(c^e) (Lidl and Niederreiter, *Finite Fields*, ch. 2).  See
 `FiniteField._build_tables`.
 
-Addition is digit-wise addition mod p, XOR for p = 2.  For odd p the scalar
-`add_int` runs on Zech logarithms instead of digits: with a = g^i and
-b = g^j, a + b = g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some
-comments on Zech's logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`
-and `frobenius` are the same operations over integer arrays; they and the
-trellis builder run on the O(q) read-only numpy tables `log_table`,
-`antilog_table` and `frobenius_table`.  Each costs O(1) numpy calls: `sum`
-is one reduction along an array's first axis (one XOR reduce for p = 2; for
+A field holds one set of tables, the O(q) read-only numpy arrays
+`log_table`, `antilog_table` and `frobenius_table` and the padded product
+and sum tables read off them, and every operation reads those.  Addition
+is digit-wise addition mod p, XOR for p = 2.  For odd p `add` runs on Zech
+logarithms instead of digits: with a = g^i and b = g^j, a + b =
+g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`, `inv` and
+`frobenius` work over integer arrays, each in O(1) numpy calls: `sum` is
+one reduction along an array's first axis (one XOR reduce for p = 2; for
 odd p one gather into digit bit fields, integer sums and one pack), `mul`
 is one gather of a product table padded with zeros, at a sum of two logs
 whose log of 0 is a sentinel past the antilogs, and odd-p `add` one gather
-of the same table at a Zech-log sum padded the same way.
-`frobenius` by powers that are all 0 mod the automorphism order is a copy.
+of the same table at a Zech-log sum padded the same way.  `frobenius` by
+powers that are all 0 mod the automorphism order is a copy.  The scalar
+`add_int`, `mul_int` and `frobenius_int`, on which `FieldElement`'s `+`,
+`*` and `frobenius` run, index the same arrays.
 """
 
 import math
@@ -256,8 +259,6 @@ class FiniteField:
         log[antilog] = np.arange(q1)
         self.antilog_table = _read_only(antilog)
         self.log_table = _read_only(log)
-        self._antilog = antilog.tolist()
-        self._log = log.tolist()
         # the product tables: _product_logs is log_table with the sentinel
         # 2(q - 1) at 0, and _product_table is the antilog table twice over,
         # so that a sum of two logs needs no reduction mod q - 1, then zeros
@@ -271,7 +272,6 @@ class FiniteField:
             # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
             low = self.antilog_table % self.p
             zech = self.log_table[self.antilog_table - low + (low + 1) % self.p]
-            self._zech = zech.tolist()
             self._sum_logs, self._sum_zech = self._zech_tables(zech)
 
     def _zech_tables(self, zech):
@@ -302,31 +302,6 @@ class FiniteField:
         table = self.antilog_table[self.log_table * self.p**self.theta_r % (self.size - 1)]
         table[0] = 0
         return _read_only(table)
-
-    # -- integer-level field operations --
-
-    def add_int(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log, q1 = self._log, self.size - 1
-        la = log[a]
-        z = self._zech[(log[b] - la) % q1]
-        return 0 if z < 0 else self._antilog[(la + z) % q1]
-
-    def neg_int(self, a):
-        if self.p == 2 or a == 0:
-            return a
-        q1 = self.size - 1
-        return self._antilog[(self._log[a] + q1 // 2) % q1]  # -1 = g^((q - 1) / 2)
-
-    def sub_int(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return self.add_int(a, self.neg_int(b))
 
     # -- element-wise operations over integer arrays --
 
@@ -390,37 +365,30 @@ class FiniteField:
         logs = self._product_logs
         return self._product_table[logs[a] + logs[b]]
 
+    def inv(self, a):
+        """a^-1 element-wise over an integer array of nonzero elements, as
+        intp: g^(-log a)."""
+        return self.antilog_table[-self.log_table[a] % (self.size - 1)]
+
+    # -- scalar operations: `add`, `mul` and `frobenius` of one element pair,
+    # each table read with `item`, which gives a Python int --
+
+    def add_int(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        la = self._product_logs.item(a)
+        return self._product_table.item(la + self._sum_zech.item(self._sum_logs.item(b) - la))
+
     def mul_int(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        q1 = self.size - 1
-        return self._antilog[(self._log[a] + self._log[b]) % q1]
-
-    def inv_int(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero in the field")
-        q1 = self.size - 1
-        return self._antilog[-self._log[a] % q1]
-
-    def pow_int(self, a, e):
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("division by zero in the field")
-            return 0
-        q1 = self.size - 1
-        return self._antilog[self._log[a] * e % q1]
+        logs = self._product_logs
+        return self._product_table.item(logs.item(a) + logs.item(b))
 
     def frobenius_int(self, a, i=1):
         """theta^i(a) where theta(a) = a^(p^r); any integer i is accepted."""
-        if a == 0:
-            return 0
-        j = (self.theta_r * i) % self.n
-        if j == 0:
+        j = self.theta_r * i % self.n
+        if a == 0 or j == 0:
             return a
-        q1 = self.size - 1
-        return self._antilog[self._log[a] * (self.p**j) % q1]
+        return self.antilog_table.item(self.log_table.item(a) * self.p**j % (self.size - 1))
 
     def frobenius(self, a, i=1):
         """theta^i(a) element-wise over an integer array, as intp; i is an
@@ -464,11 +432,13 @@ class FiniteField:
 
     def element_name(self, value, symbol="a"):
         """Power-of-generator rendering: 0, 1, a, a^2, ..."""
+        if type(value) is not int:
+            value = _integral(value, "value")
         if not 0 <= value < self.size:
             raise ValueError(f"value {value} outside [0, {self.size})")
         if value == 0:
             return "0"
-        e = self._log[value]
+        e = self.log_table.item(value)
         if e == 0:
             return "1"
         if e == 1:
@@ -493,7 +463,8 @@ class FiniteField:
 
 
 class FieldElement:
-    """Immutable value in a FiniteField; compares equal to plain ints by value."""
+    """Immutable value in a FiniteField; equal to the plain int of its value,
+    and hashed as that int."""
 
     __slots__ = ("field", "value")
 
@@ -525,10 +496,11 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(self.field, self.field.sub_int(self.value, other.value))
+        f = self.field
+        return FieldElement(f, f.add_int(self.value, f.mul_int(other.value, f.p - 1)))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg_int(self.value))
+        return FieldElement(self.field, self.field.mul_int(self.value, self.field.p - 1))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -540,19 +512,28 @@ class FieldElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return FieldElement(
-            self.field, self.field.mul_int(self.value, self.field.inv_int(other.value))
-        )
+        f, b = self.field, other.value
+        if b == 0:
+            raise ZeroDivisionError("division by zero in the field")
+        inverse = f.antilog_table.item(-f.log_table.item(b) % (f.size - 1))
+        return FieldElement(f, f.mul_int(self.value, inverse))
 
     def __pow__(self, e):
         if not isinstance(e, int):
             return NotImplemented
-        return FieldElement(self.field, self.field.pow_int(self.value, e))
+        f, a = self.field, self.value
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("division by zero in the field")
+            return FieldElement(f, int(e == 0))
+        return FieldElement(f, f.antilog_table.item(f.log_table.item(a) * e % (f.size - 1)))
 
     def inverse(self):
-        return FieldElement(self.field, self.field.inv_int(self.value))
+        return self**-1
 
     def frobenius(self, i=1):
+        if type(i) is not int:
+            i = _integral(i, "Frobenius power")
         return FieldElement(self.field, self.field.frobenius_int(self.value, i))
 
     def __eq__(self, other):
@@ -564,7 +545,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0

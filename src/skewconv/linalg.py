@@ -37,7 +37,7 @@ def f_rref(field, mat):
         i = r + int((m[r:, c] != 0).argmax())
         if i != r:
             m[[r, i]] = m[[i, r]]
-        neg_row = field.mul(m[r, c:], field.neg_int(field.inv_int(int(m[r, c]))))
+        neg_row = field.mul(m[r, c:], field.mul(field.inv(m[r, c]), minus_one))
         m[r, c] = minus_one
         hit = np.flatnonzero(m[:, c])
         coef = m[hit, c, None]
@@ -103,9 +103,21 @@ def f_window(field, coefficients, blocks, twist=1, delay_twist=0):
 def f_polymul(field, a, b):
     """The product A(D) B(D) of two polynomial matrices given as integer
     arrays [i, row, col], as the array [s, row, col] of C_s = sum_i A_i
-    theta^i(B_(s-i)): f_window(A, 1) holds A_i at block column i, and block
-    row i of f_window(B, len(A)) holds theta^i(B_j) at block column i + j."""
+    theta^i(B_(s-i)).  A's terms go in bands of k, so that a band's window
+    of B holds about _MATMUL_TERMS entries, as `f_matmul` bands its rows.
+    The band from term t times B is f_window(A_(t..t+k-1), 1), which holds
+    A_(t+i) at block column i, times f_window(theta^t(B), k), whose block
+    row i holds theta^(t+i)(B_j) at block column i + j; it is added into C
+    from term t on."""
+    rows, cols = a.shape[1], b.shape[2]
     if not len(a) or not len(b):
-        return np.zeros((0, a.shape[1], b.shape[2]), dtype=np.int64)
-    window = f_matmul(field, f_window(field, a, 1), f_window(field, b, len(a)))
-    return window.reshape(a.shape[1], -1, b.shape[2]).transpose(1, 0, 2)
+        return np.zeros((0, rows, cols), dtype=np.int64)
+    out = np.zeros((len(a) + len(b) - 1, rows, cols), dtype=np.int64)
+    band = max(1, _MATMUL_TERMS // max(b.size, 1))
+    for t in range(0, len(a), band):
+        part = a[t : t + band]
+        window = f_window(field, field.frobenius(b, t), len(part))
+        product = f_matmul(field, f_window(field, part, 1), window)
+        terms = product.reshape(rows, -1, cols).transpose(1, 0, 2)
+        out[t : t + len(terms)] = field.add(out[t : t + len(terms)], terms)
+    return out

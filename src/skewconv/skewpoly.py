@@ -150,7 +150,7 @@ class SkewPoly:
         rem = np.array(self._values)
         quot = np.zeros(max(len(rem) - dd, 0), dtype=np.intp)
         powers = np.arange(len(quot))
-        inverses = f.frobenius(f.inv_int(int(d[-1])), powers)
+        inverses = f.frobenius(f.inv(d[-1]), powers)
         negated = f.mul(f.frobenius(d, powers[:, None]), f.p - 1)
         for e in reversed(range(len(quot))):
             quot[e] = f.mul(rem[e + dd], inverses[e])

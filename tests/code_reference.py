@@ -20,6 +20,7 @@ import random
 
 import numpy as np
 
+import field_reference
 from skewconv import Sequence
 from skewconv.dual import SyndromeFormer
 from skewconv.linalg import f_window
@@ -264,13 +265,13 @@ def f_rref(field, mat):
         if pivot is None:
             continue
         m[[r, pivot]] = m[[pivot, r]]
-        inv = field.inv_int(int(m[r, c]))
+        inv = field_reference.inv(field, int(m[r, c]))
         m[r] = [field.mul_int(int(v), inv) for v in m[r]]
         for i in range(rows):
             if i != r and m[i, c] != 0:
                 factor = int(m[i, c])
                 m[i] = [
-                    field.sub_int(int(v), field.mul_int(factor, int(w)))
+                    field_reference.sub(field, int(v), field.mul_int(factor, int(w)))
                     for v, w in zip(m[i], m[r])
                 ]
         pivots.append(c)
@@ -384,10 +385,10 @@ def normalize_rows(field, rows):
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = _right_scale(field, rows[r], field.inv_int(rows[r][0][col]))
+        rows[r] = _right_scale(field, rows[r], field_reference.inv(field, rows[r][0][col]))
         for i in range(len(rows)):
             if i != r and rows[i][0][col]:
-                scaled = _right_scale(field, rows[r], field.neg_int(rows[i][0][col]))
+                scaled = _right_scale(field, rows[r], field_reference.neg(field, rows[i][0][col]))
                 rows[i] = [
                     [field.add_int(x, y) for x, y in zip(ca, cb)] for ca, cb in zip(rows[i], scaled)
                 ]

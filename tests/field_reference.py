@@ -8,6 +8,12 @@ generator per power.  A product is a carry-less multiply of bit masks for
 p = 2 and a schoolbook digit product reduced by long division for odd p.
 The log, Zech and Frobenius tables are then read off the antilog table one
 element at a time.
+
+It also keeps the scalar arithmetic that the field itself no longer has,
+without any table: negation and subtraction digit by digit, the inverse as
+a^(q - 2) and powers, negative ones included, by square-and-multiply.
+These are the oracle for `FieldElement` and for the loop references
+`skewpoly_reference` and `code_reference`.
 """
 
 from skewconv.field import _is_irreducible, _prime_factors
@@ -51,6 +57,25 @@ def pow_raw(field, a, e):
         a = mul_raw(field, a, a)
         e >>= 1
     return result
+
+
+def neg(field, a):
+    return field.from_digits([-x for x in field.to_digits(a)])
+
+
+def sub(field, a, b):
+    return field.from_digits([x - y for x, y in zip(field.to_digits(a), field.to_digits(b))])
+
+
+def inv(field, a):
+    if a == 0:
+        raise ZeroDivisionError("division by zero in the field")
+    return pow_raw(field, a, field.size - 2)
+
+
+def power(field, a, e):
+    """a^e for any integer e: a negative e powers the inverse."""
+    return pow_raw(field, a, e) if e >= 0 else pow_raw(field, inv(field, a), -e)
 
 
 def tables(field):

@@ -3,8 +3,11 @@ scalar operations: the oracle for the array arithmetic of `SkewPoly` and
 `SkewPolyMatrix`.
 
 A polynomial is its list of coefficient integers ascending in D, trailing
-zeros stripped; a matrix is a list of rows of such lists.
+zeros stripped; a matrix is a list of rows of such lists.  Negation,
+subtraction and the inverse come from the table-free `field_reference`.
 """
+
+import field_reference
 
 
 def strip(values):
@@ -24,7 +27,7 @@ def add(f, a, b):
 
 
 def neg(f, a):
-    return [f.neg_int(c) for c in a]
+    return [field_reference.neg(f, c) for c in a]
 
 
 def sub(f, a, b):
@@ -62,11 +65,11 @@ def right_divmod(f, a, d):
         if e < 0:
             break
         # solve c * theta^e(lead) = rem_lead
-        c = f.mul_int(rem[-1], f.inv_int(f.frobenius_int(lead, e)))
+        c = f.mul_int(rem[-1], field_reference.inv(f, f.frobenius_int(lead, e)))
         quot[e] = f.add_int(quot[e], c)
         for j, y in enumerate(d):
             term = f.mul_int(c, f.frobenius_int(y, e))
-            rem[e + j] = f.sub_int(rem[e + j], term)
+            rem[e + j] = field_reference.sub(f, rem[e + j], term)
     return strip(quot), strip(rem)
 
 

@@ -5,13 +5,14 @@ import math
 import random
 import re
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import field_reference
-from skewconv import FiniteField
+from skewconv import FieldElement, FiniteField
 from skewconv.field import DEFAULT_BINARY_MODULI, _is_irreducible
 
 from conftest import A, A2
@@ -59,19 +60,20 @@ def test_f4_products(f4):
 
 
 def test_f4_inverses(f4):
-    assert f4.inv_int(A) == A2
-    assert f4.inv_int(1) == 1
+    assert f4(A).inverse() == A2
+    assert f4(1).inverse() == 1
+    assert f4.inv(np.array([A, 1, A2])).tolist() == [A2, 1, A]
 
 
 def test_inverse_brute_force_scan(f8):
     for a in range(1, 8):
         scan = [b for b in range(1, 8) if f8.mul_int(a, b) == 1]
-        assert scan == [f8.inv_int(a)]
+        assert scan == [f8(a).inverse()] == [f8.inv(a)]
 
 
 def test_division_by_zero(f4):
     with pytest.raises(ZeroDivisionError):
-        f4.inv_int(0)
+        f4(0).inverse()
     with pytest.raises(ZeroDivisionError):
         f4(1) / f4(0)
 
@@ -322,11 +324,11 @@ ODD_FIELDS = [
 def test_zech_addition_matches_digits_all_pairs(p, n, modulus):
     f = FiniteField(p, n, modulus)
     for a in range(f.size):
-        assert f.add_int(a, f.neg_int(a)) == 0
-        assert f.neg_int(a) == f.from_digits([-x for x in f.to_digits(a)])
+        neg = field_reference.neg(f, a)
+        assert f.add_int(a, neg) == 0 and -f(a) == neg
         for b in range(f.size):
             assert f.add_int(a, b) == digit_add(f, a, b)
-            assert f.sub_int(a, b) == digit_add(f, a, f.neg_int(b))
+            assert f(a) - f(b) == digit_add(f, a, field_reference.neg(f, b))
 
 
 SMALL_FIELDS = [
@@ -382,11 +384,21 @@ BIG_FIELDS = {
 }
 
 
-@functools.lru_cache(maxsize=1)  # one at a time: GF(7^7) alone holds 182 MiB
+# bytes held per element right after construction, by tracemalloc
+HELD = {}
+
+
+@functools.lru_cache(maxsize=1)  # one at a time: GF(7^7) alone holds 88 MiB
 def big_field(name):
     p, n, modulus = BIG_FIELDS[name]
-    with deadline(5, f"building {name} took over 5 s"):
-        return FiniteField(p, n, modulus, theta_r=1)
+    tracemalloc.start()
+    try:
+        with deadline(5, f"building {name} took over 5 s"):
+            f = FiniteField(p, n, modulus, theta_r=1)
+        HELD[name] = tracemalloc.get_traced_memory()[0] / f.size
+    finally:
+        tracemalloc.stop()
+    return f
 
 
 @pytest.mark.parametrize("name", BIG_FIELDS)
@@ -400,7 +412,10 @@ def test_big_field_tables_are_consistent(name):
     # a power of g prime to q - 1
     assert f.log_table[f.generator] == 1
     assert (np.gcd(f.log_table[2 : f.generator], q1) > 1).all()
-    assert f._antilog == f.antilog_table.tolist() and f._log == f.log_table.tolist()
+    # one table set, all arrays: 7 words an element for p = 2, 14 for odd p
+    # (the sum tables), and a little slack
+    assert not any(isinstance(v, list) for v in vars(f).values())
+    assert HELD[name] <= (64 if f.p == 2 else 120), HELD[name]
     # g^i by naive square-and-multiply at a few exponents
     for i in random.Random(name).sample(range(q1), 20):
         x, base, e = 1, f.generator, i
@@ -515,7 +530,7 @@ def test_odd_add_is_add_int_on_all_pairs(p, n, modulus):
     # narrow dtypes, broadcasting and scalars
     column = np.arange(f.size, dtype=np.uint8 if f.size <= 256 else np.uint16)
     assert np.array_equal(f.add(column[:, None], column), got.reshape(f.size, f.size))
-    for x, y in ((0, 0), (0, 1), (1, 0), (1, f.neg_int(1)), (f.size - 1, f.size - 2)):
+    for x, y in ((0, 0), (0, 1), (1, 0), (1, field_reference.neg(f, 1)), (f.size - 1, f.size - 2)):
         assert f.add(x, y) == f.add_int(x, y)
     assert np.array_equal(f.add(column, 0), column) and np.array_equal(f.add(0, column), column)
 
@@ -577,5 +592,107 @@ def test_tables_match_the_scalar_builder(p, n, modulus):
     assert f.generator == generator
     assert np.array_equal(f.antilog_table, antilog) and f.antilog_table.dtype == np.intp
     assert np.array_equal(f.log_table, log) and f.log_table.dtype == np.intp
-    assert np.array_equal(getattr(f, "_zech", []), zech)
+    # zech[m] = log(1 + g^m), read off the arrays
+    assert np.array_equal(f.log_table[f.add(f.antilog_table, 1)] if p != 2 else [], zech)
     assert np.array_equal(f.frobenius_table, frobenius)
+
+
+# -- FieldElement against the table-free oracle ------------------------------
+
+ELEMENT_FIELDS = {
+    "gf4": FiniteField(2, 2, [1, 1, 1], theta_r=1),
+    "gf8_theta2": FiniteField(2, 3, [1, 1, 0, 1], theta_r=2),
+    "gf9": FiniteField(3, 2, [2, 2, 1], theta_r=1),
+    "gf16": FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=1),
+    "gf25": FiniteField(5, 2, [2, 1, 1], theta_r=1),
+}
+EXPONENTS = (-5, -1, 0, 1, 2, 7)
+
+
+def is_element(x, f, want):
+    return type(x) is FieldElement and x.field is f and type(x.value) is int and x.value == want
+
+
+def check_unary(f, a):
+    """-a, a^-1, a^e and theta^i(a) of FieldElement against the oracle."""
+    x = f(a)
+    assert is_element(-x, f, field_reference.neg(f, a))
+    if a:
+        assert is_element(x.inverse(), f, field_reference.inv(f, a))
+    for e in EXPONENTS if a else (0, 1, 7):
+        assert is_element(x**e, f, field_reference.power(f, a, e)), e
+    for i in (-1, 0, 1, 2, f.n + 1):
+        want = field_reference.pow_raw(f, a, f.p ** (f.theta_r * i % f.n))
+        assert is_element(x.frobenius(i), f, want), i
+
+
+def check_binary(f, a, b):
+    """a + b, a - b, a * b and a / b of FieldElement against the oracle."""
+    x, y = f(a), f(b)
+    assert is_element(x + y, f, digit_add(f, a, b))
+    assert is_element(x - y, f, field_reference.sub(f, a, b))
+    assert is_element(x * y, f, field_reference.mul_raw(f, a, b))
+    if b:
+        assert is_element(x / y, f, field_reference.mul_raw(f, a, field_reference.inv(f, b)))
+
+
+@pytest.mark.parametrize("name", ELEMENT_FIELDS)
+def test_field_elements_match_the_oracle_on_all_pairs(name):
+    f = ELEMENT_FIELDS[name]
+    for a in range(f.size):
+        check_unary(f, a)
+        for b in range(f.size):
+            check_binary(f, a, b)
+
+
+@pytest.mark.parametrize("name", BIG_FIELDS)
+def test_field_elements_match_the_oracle_on_sampled_pairs(name):
+    f = big_field(name)
+    rng = random.Random(name)
+    values = [0, 1, f.p - 1, f.generator, f.size - 1] + rng.sample(range(f.size), 20)
+    for a in values:
+        check_unary(f, a)
+    for a, b in zip(values, values[1:] + values[:1]):
+        check_binary(f, a, b)
+        check_binary(f, b, a)
+
+
+@pytest.mark.parametrize("name", ELEMENT_FIELDS)
+def test_division_by_zero_keeps_its_message(name):
+    f = ELEMENT_FIELDS[name]
+    for make in (lambda: f(1) / f(0), lambda: f(0) / f(0), lambda: f(0).inverse(), lambda: f(0) ** -2):
+        with pytest.raises(ZeroDivisionError, match=r"^division by zero in the field$"):
+            make()
+    assert f(0) ** 0 == 1 and f(0) ** 3 == 0
+
+
+def test_a_field_element_hashes_as_the_int_it_equals(f4, f8):
+    assert f4(3) == 3 and hash(f4(3)) == hash(3)
+    assert 3 in {f4(3)} and f4(3) in {3}
+    assert {f4(3): 0}[3] == 0 and {3: 0}[f4(3)] == 0
+    assert len({f4(0), f4(1), 0, 1}) == 2
+    with pytest.raises(ValueError, match="mixed-field"):
+        f4(1) == f8(1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: f.element_name(2.0), "value must be an integer, got 2.0"),
+        (lambda f: f.element_name("2"), "value must be an integer, got '2'"),
+        (lambda f: f(2).frobenius(1.5), "Frobenius power must be an integer, got 1.5"),
+        (lambda f: f(2).frobenius("1"), "Frobenius power must be an integer, got '1'"),
+    ],
+    ids=["name-float", "name-str", "frobenius-float", "frobenius-str"],
+)
+def test_non_integral_values_are_refused_with_one_line(f4, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        call(f4)
+    assert "\n" not in str(info.value)
+
+
+def test_numpy_integers_and_bools_name_and_twist_as_ints(f4):
+    assert f4.element_name(np.int64(2)) == f4.element_name(np.uint8(2)) == "a"
+    assert f4.element_name(True) == "1" and f4.element_name(np.int64(0)) == "0"
+    assert f4(A).frobenius(np.int64(1)) == f4(A).frobenius(True) == A2
+    assert f4(A).frobenius(np.uint8(2)) == f4(A).frobenius(False) == A

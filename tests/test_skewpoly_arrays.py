@@ -1,15 +1,17 @@
 """The array arithmetic of `SkewPoly` and `SkewPolyMatrix` against the loop
 oracle in `skewpoly_reference`, with exact equality, over GF(4), GF(8) with
 theta = Frob^2, GF(9), GF(16) and GF(25); canonical arrays and hashing; a
-guard that the arithmetic calls no scalar field operation but the one
-inverse of right division; and the one coercion of symbols."""
+guard that the arithmetic calls no scalar field operation and one array
+inverse, that of right division; a long product's memory; and the one
+coercion of symbols."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from skewconv import FieldElement, FiniteField, Sequence, SkewPoly, SkewPolyMatrix
+from skewconv import FieldElement, FiniteField, Sequence, SkewPoly, SkewPolyMatrix, linalg
 from skewconv.dual import _annihilates
 
 import skewpoly_reference as ref
@@ -21,7 +23,7 @@ FIELDS = {
     "gf16": FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=1),
     "gf25": FiniteField(5, 2, [2, 1, 1], theta_r=1),
 }
-SCALAR_OPS = ("add_int", "neg_int", "sub_int", "mul_int", "pow_int", "frobenius_int")
+SCALAR_OPS = ("add_int", "mul_int", "frobenius_int")
 
 
 def rand_values(rng, field, max_len):
@@ -85,6 +87,39 @@ def test_matrix_product_and_transpose_match_the_loop_oracle(name):
             assert product == SkewPolyMatrix([[a * b]])
 
 
+@pytest.mark.parametrize("name", FIELDS)
+def test_banded_products_match_the_loop_oracle(name, monkeypatch):
+    # a window of 8 entries puts one or two of A's terms in a band
+    monkeypatch.setattr(linalg, "_MATMUL_TERMS", 8)
+    field = FIELDS[name]
+    rng = random.Random(200 + field.size)
+    for _ in range(30):
+        k, n, c = (rng.randrange(1, 3) for _ in range(3))
+        g = SkewPolyMatrix.from_ints(field, rand_table(rng, field, k, n, 6))
+        h = SkewPolyMatrix.from_ints(field, rand_table(rng, field, n, c, 4))
+        assert (g @ h).to_ints() == ref.matmul(field, g.to_ints(), h.to_ints())
+        a, b = SkewPoly(field, rand_values(rng, field, 9)), SkewPoly(field, rand_values(rng, field, 5))
+        x, y = a.coefficient_values(), b.coefficient_values()
+        assert (a * b).coefficient_values() == ref.mul(field, x, y)
+
+
+def test_a_long_product_matches_the_loop_oracle_in_bounded_memory():
+    # one window of B over all of A's terms held 46 MiB at degree 1000
+    f = FIELDS["gf16"]
+    rng = random.Random(1000)
+    x, y = ([rng.randrange(1, f.size) for _ in range(1001)] for _ in range(2))
+    a, b = SkewPoly(f, x), SkewPoly(f, y)
+    tracemalloc.start()
+    try:
+        product = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert product.degree == 2000
+    assert product.coefficient_values() == ref.mul(f, x, y)
+
+
 def test_equal_values_hold_equal_arrays_and_hash_alike():
     f = FIELDS["gf9"]
     pairs = [
@@ -130,8 +165,8 @@ def test_the_arithmetic_runs_on_array_ops_and_one_inverse_a_division(monkeypatch
     for op in SCALAR_OPS:
         monkeypatch.setattr(FiniteField, op, refuse)
     inverses = []
-    inv_int = FiniteField.inv_int
-    monkeypatch.setattr(FiniteField, "inv_int", lambda self, x: inverses.append(x) or inv_int(self, x))
+    inv = FiniteField.inv
+    monkeypatch.setattr(FiniteField, "inv", lambda self, x: inverses.append(x) or inv(self, x))
     a + b, a - b, -a, a * b, 3 * a, a * f(2), a - 1, SkewPoly(f, [4, 0]) == 4
     g @ h.transpose(), g.transpose() @ h, g.transpose().transpose() == g
     q, r = a.right_divmod(b)

@@ -188,6 +188,7 @@ def _draw_trials(seed, first, count, q, info_count, symbols, eps):
     arrays: on each trial's generator `_trial_rng(seed, trial)`, info[i] is
     [randrange(q) for _ in range(info_count)] and errors[i], offsets[i] are
     what `QSChannel(q, eps).draw_errors` then gives for `symbols` symbols.
+    info and offsets are in the narrowest unsigned dtype that holds q - 1.
 
     Each trial's words are one block of 5/4 of the words its draws need on
     average and spares (`_block_words`), read by `_read_draws` a chunk of at
@@ -200,10 +201,11 @@ def _draw_trials(seed, first, count, q, info_count, symbols, eps):
     width = _block_words(mean)
     chunk = max(1, PARSE_WORDS // width)
     threshold = math.ceil(eps * 2.0**53)
+    symbol = np.min_scalar_type(q - 1)
     out = (
-        np.empty((count, info_count), dtype=np.intp),
+        np.empty((count, info_count), dtype=symbol),
         np.empty((count, symbols), dtype=bool),
-        np.empty((count, symbols), dtype=np.uint32),
+        np.empty((count, symbols), dtype=symbol),
     )
     for lo in range(0, count, chunk):
         rows, size = np.arange(lo, min(lo + chunk, count)), width
@@ -231,6 +233,8 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     calls.  The batch is then encoded by one `encode_batch`
     call, corrupted by one `QSChannel.apply_errors` and decoded by one
     `viterbi_batch` call, so memory does not grow with the number of trials.
+    The batch's information, sent and received symbols and error offsets
+    are held in the narrowest unsigned dtype that holds q - 1.
     """
     q = code.field.size
     max_eps = (q - 1) / q

@@ -326,8 +326,9 @@ class SkewConvCode:
         """Encode a batch of equal-length information sequences at once.
 
         u is an integer array of shape (frames, blocks, k); the result is an
-        integer array of shape (frames, blocks + tail, n), tail = `memory`
-        if terminate else 0.  Block t of a frame is
+        array of shape (frames, blocks + tail, n), tail = `memory` if
+        terminate else 0, in the narrowest unsigned dtype that holds q - 1,
+        the dtype in which the input is read.  Block t of a frame is
 
             v_t = sum_i theta^(i * register_twist)(u_{t-i}) * C_i,
 
@@ -350,10 +351,11 @@ class SkewConvCode:
                 raise ValueError("information symbols must be integers")
             if not 0 <= u.min() <= u.max() < q:
                 raise ValueError(f"information symbols outside [0, {q})")
-        u = u.astype(np.intp, copy=False)
+        symbol = np.min_scalar_type(q - 1)
+        u = u.astype(symbol, copy=False)
         frames, blocks, _ = u.shape
         total = blocks + (mu if terminate else 0)
-        out = np.empty((frames, total, n), dtype=np.intp)
+        out = np.empty((frames, total, n), dtype=symbol)
         coeff_logs, powers = self._encoder_logs
         step = max(1, ENCODE_CHUNK // max(1, frames * (mu + 1) * k * n))
         for start in range(0, total, step):

@@ -13,10 +13,21 @@ and applying theta^-s to the equation gives
 
     sum_i theta^-s(G_i) x_(s-i)^T = 0,
 
-which is linear over the whole field: one k(mu + mu_perp + 1) x
-n(mu_perp + 1) system per dual memory, solved by `linalg.f_nullspace`: the
-transposed window f_window(G^T, mu_perp + 1, twist=-1, delay_twist=-1),
-whose block row j holds theta^-(i+j)(G_i)^T at block column s = i + j.
+which is linear over the whole field: a k(mu + mu_perp + 1) x
+n(mu_perp + 1) system S(mu_perp), the transposed window
+f_window(G^T, mu_perp + 1, twist=-1, delay_twist=-1), whose block row j
+holds theta^-(i+j)(G_i)^T at block column s = i + j.
+
+One Gauss-Jordan elimination serves every dual memory up to the largest
+one M eliminated.  The unknown x_j enters only the equations s <= j + mu,
+so the first n(m + 1) columns of S(M) are S(m) above zero rows.  The
+reduced echelon form of a matrix is unique and its left blocks are in
+reduced echelon form, so the first n(m + 1) columns of rref(S(M)) are
+rref(S(m)) above zero rows, and the nullspace of S(m) is read off them
+(`linalg.f_rref_nullspace`).  M starts at ceil(k mu / (n - k)) and, when
+the search passes it, doubles its unknown blocks, within the cap and the
+entry budget `code.RANK_WINDOW_BUDGET`.
+
 A right scalar multiple h(D) c has x_j c as its unknowns, so right scalar
 row operations on H are plain row operations on the rows x.  The solver
 keeps the first n - k basis rows whose x_0 = h_0 are independent, brings
@@ -27,12 +38,13 @@ G(D) H^T(D) = 0 is decided by the one skew product, `linalg.f_polymul`,
 itself a product of two windows.
 """
 
+import bisect
 import random
 
 import numpy as np
 
-from .code import _draw_symbols, _redraw
-from .linalg import f_matmul, f_nullspace, f_polymul, f_rank, f_rref, f_window
+from .code import RANK_WINDOW_BUDGET, _draw_symbols, _redraw
+from .linalg import f_matmul, f_polymul, f_rank, f_rref, f_rref_nullspace, f_window
 from .skewpoly import SkewPolyMatrix
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
@@ -117,10 +129,31 @@ def _system(code, mu_perp):
     return f_window(code.field, gt, mu_perp + 1, twist=-1, delay_twist=-1).T
 
 
-def _solutions(code, mu_perp):
-    """Basis, in free-column order, of the x of length n (mu_perp + 1) with
-    `_system(code, mu_perp)` x^T = 0."""
-    return f_nullspace(code.field, _system(code, mu_perp))
+def _system_entries(code, mu_perp):
+    """The entries, rows x columns, of `_system(code, mu_perp)`."""
+    return code.k * (code.memory + mu_perp + 1) * code.n * (mu_perp + 1)
+
+
+def _eliminated_memory(code, untried, eliminated, mu_perp_max):
+    """The dual memory whose system the search eliminates next, when it
+    reaches dual memory `untried` past the last one eliminated: first
+    ceil(k mu / (n - k)), then twice the unknown blocks of the last, at least
+    `untried` and at most the cap, cut to the largest within
+    RANK_WINDOW_BUDGET entries.  ValueError if `untried`'s own system is
+    over the budget."""
+    entries = _system_entries(code, untried)
+    if entries > RANK_WINDOW_BUDGET:
+        raise ValueError(
+            f"the syndrome former's system for dual memory {untried} has {entries} entries, "
+            f"over the budget of {RANK_WINDOW_BUDGET}"
+        )
+    if eliminated < 0:
+        target = -(-code.k * code.memory // (code.n - code.k))
+    else:
+        target = 2 * eliminated + 1
+    within = range(untried, max(untried, min(target, mu_perp_max)) + 1)
+    fits = bisect.bisect_right(within, RANK_WINDOW_BUDGET, key=lambda m: _system_entries(code, m))
+    return within[fits - 1]
 
 
 def syndrome_former(code, mu_perp_max=None):
@@ -128,7 +161,8 @@ def syndrome_former(code, mu_perp_max=None):
 
     Raises SyndromeFormerNotFound if no H(D) with rank(H_0) = n - k exists up
     to the dual-memory cap (default n * memory), and ValueError if the cap is
-    negative.
+    negative or if the search reaches a dual memory whose system has more
+    than RANK_WINDOW_BUDGET entries.
     """
     code.require_left_module("the syndrome former")
     if mu_perp_max is not None and mu_perp_max < 0:
@@ -139,8 +173,15 @@ def syndrome_former(code, mu_perp_max=None):
     need = n - code.k
     if need == 0:
         raise ValueError("rate-1 code has no dual syndrome former with rank n - k > 0")
+    eliminated = -1
     for mu_perp in range(mu_perp_max + 1):
-        x = _solutions(code, mu_perp)
+        if mu_perp > eliminated:
+            eliminated = _eliminated_memory(code, mu_perp, eliminated, mu_perp_max)
+            rref, pivots = f_rref(field, _system(code, eliminated))
+        cols = n * (mu_perp + 1)
+        if cols - bisect.bisect_left(pivots, cols) < need:
+            continue  # fewer solutions than rows of H
+        x = f_rref_nullspace(field, rref, pivots, cols)
         # the first solutions whose x_0 = h_0 rows are independent: the
         # pivot columns of those rows side by side
         chosen = f_rref(field, x[:, :n].T)[1][:need]

@@ -464,7 +464,8 @@ class FiniteField:
 
 class FieldElement:
     """Immutable value in a FiniteField; equal to the plain int of its value,
-    and hashed as that int."""
+    and hashed as that int.  Elements of two different fields compare
+    unequal; arithmetic between them raises ValueError."""
 
     __slots__ = ("field", "value")
 
@@ -540,8 +541,9 @@ class FieldElement:
         if isinstance(other, int):
             return self.value == other
         if isinstance(other, FieldElement):
-            self._coerce(other)
-            return self.value == other.value
+            if other.field is self.field or other.field == self.field:
+                return self.value == other.value
+        # another field's element compares unequal, so the two can share a set
         return NotImplemented
 
     def __hash__(self):

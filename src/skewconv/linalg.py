@@ -1,12 +1,23 @@
 """Exact linear algebra over a FiniteField on integer-encoded matrices:
-one Gauss-Jordan elimination (`f_rref`), the rank, nullspace and matrix
-product built on the field's array operations, `f_window`, the one
+one Gauss-Jordan elimination (`f_rref`), the rank, the nullspace of a
+matrix or of a left block of it read off its rref, and the matrix product,
+built on the field's array operations, `f_window`, the one
 builder of the banded scalar windows of a skew polynomial matrix, and
 `f_polymul`, the one skew polynomial matrix product, on two windows."""
 
+import bisect
+
 import numpy as np
 
-__all__ = ["f_rref", "f_rank", "f_nullspace", "f_matmul", "f_window", "f_polymul"]
+__all__ = [
+    "f_rref",
+    "f_rank",
+    "f_nullspace",
+    "f_rref_nullspace",
+    "f_matmul",
+    "f_window",
+    "f_polymul",
+]
 
 # the most products `f_matmul` forms at once, beyond one row's
 _MATMUL_TERMS = 1 << 16
@@ -15,34 +26,45 @@ _MATMUL_TERMS = 1 << 16
 def f_rref(field, mat):
     """Reduced row echelon form over the field.  Returns (rref, pivot_cols).
 
-    Gauss-Jordan as array steps, one pivot at a time: the next pivot is the
-    first nonzero of the leftmost column that is nonzero below the rows
-    already reduced.  Its row is scaled to -1 at the pivot, and each row
-    with a nonzero in the pivot column gets that entry times the scaled row
-    added, all at once through `field.mul` and `field.add`; the pivot row
-    itself is first cleared to the entry -1, so it ends scaled to 1.
-    Columns left of the pivot are already reduced and are not touched.
+    Gauss-Jordan as array steps, one pivot at a time.  Rows r on, the rows
+    not yet reduced, are zero left of column c, one past the last pivot, so
+    the open block is m[r:, c:]; the next pivot is its first nonzero in
+    column order, found by one search of the block transposed.  Only the
+    pivot row's columns from c on are swapped into row r.  The row is
+    scaled to -1 at the pivot, and the rows from the pivot column's first
+    nonzero to its last get their entry there times the scaled row added,
+    as one slice through `field.mul` and `field.add` (a row with a zero
+    there gets zero added); the pivot row itself is first cleared to the
+    entry -1, so it ends scaled to 1.  Columns left of the pivot are already
+    reduced and are not touched.
     """
     m = np.array(mat, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    rows, cols = m.shape
     minus_one = field.p - 1  # -1 lies in the prime subfield
+    log_minus_one, order = field.log_table.item(minus_one), field.size - 1
     pivots = []
     c = 0
-    for r in range(m.shape[0]):
-        open_cols = m[r:, c:].any(axis=0)
-        if not open_cols.any():
+    for r in range(rows):
+        if c == cols:
             break
-        c += int(open_cols.argmax())
-        i = r + int((m[r:, c] != 0).argmax())
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        neg_row = field.mul(m[r, c:], field.mul(field.inv(m[r, c]), minus_one))
+        open_nz = m[r:, c:].T != 0
+        skip, i = divmod(int(open_nz.argmax()), rows - r)
+        if not open_nz[skip, i]:
+            break
+        c += skip
+        if i:
+            m[[r, r + i], c:] = m[[r + i, r], c:]
+        # -1 / pivot = g^(log(-1) - log(pivot))
+        pivot_log = field.log_table.item(m.item(r, c))
+        neg_row = field.mul(m[r, c:], field.antilog_table.item((log_minus_one - pivot_log) % order))
         m[r, c] = minus_one
-        hit = np.flatnonzero(m[:, c])
-        coef = m[hit, c, None]
+        hit = m[:, c].nonzero()[0]
+        band = m[hit[0] : hit[-1] + 1, c:]
+        added = field.mul(band[:, :1], neg_row)
         m[r, c:] = 0
-        m[hit, c:] = field.add(m[hit, c:], field.mul(coef, neg_row))
+        band[:] = field.add(band, added)
         pivots.append(c)
         c += 1
     return m, pivots
@@ -54,14 +76,24 @@ def f_rank(field, mat):
 
 def f_nullspace(field, mat):
     """Basis of the right nullspace of a 2-D matrix over the field, one row
-    per free column of its reduced echelon form, in column order: the row of
-    free column c is 1 at c, 0 at the other free columns, and minus the
-    rref's column c at the pivot columns."""
+    per free column of its reduced echelon form, in column order
+    (`f_rref_nullspace`)."""
     rref, pivots = f_rref(field, mat)
-    free = np.ones(rref.shape[1], dtype=bool)
+    return f_rref_nullspace(field, rref, pivots, rref.shape[1])
+
+
+def f_rref_nullspace(field, rref, pivots, cols):
+    """Basis of the right nullspace of the first `cols` columns of a matrix,
+    read off the matrix's reduced echelon form `rref` and its `pivots`: the
+    rref's first `cols` columns are the reduced echelon form of that left
+    block, whose pivots are those below cols.  One row per free column c
+    below cols, in column order: 1 at c, 0 at the other free columns, and
+    minus the rref's column c at the pivot columns."""
+    pivots = pivots[: bisect.bisect_left(pivots, cols)]
+    free = np.ones(cols, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
-    basis = np.zeros((len(free), rref.shape[1]), dtype=np.int64)
+    basis = np.zeros((len(free), cols), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = field.mul(rref[: len(pivots), free].T, field.p - 1)
     return basis

@@ -6,12 +6,22 @@ check of their linearity.
 single section) and plugs directly into viterbi()/bcjr().
 """
 
+import bisect
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode, _redraw
+from .code import (
+    ENCODE_CHUNK,
+    Sequence,
+    SkewTrellisCode,
+    _block_words,
+    _draws_by_words,
+    _randbelow_words,
+    _redraw,
+    _words,
+)
 from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
@@ -47,12 +57,13 @@ def _first_failure(code, rng, scales, max_len):
     """The index of the first pair that fails encode(c u1 + u2) =
     c encode(u1) + encode(u2), one pair per scale c, or None.
 
-    Each pair draws a length in [1, max_len], then u1's symbols and u2's.
-    All pairs are drawn first and checked at once, zero-padded to max_len
-    blocks: a padded terminated codeword is the unpadded one followed by zero
-    blocks.  On a failure the generator is set back to its state before the
-    draws and the pairs up to the first failing one are drawn again, so it
-    is left where a check that stops there leaves it.
+    Each pair draws a length in [1, max_len], then u1's symbols and u2's
+    (`_draw_pairs`).  All pairs are drawn first and checked at once,
+    zero-padded to max_len blocks: a padded terminated codeword is the
+    unpadded one followed by zero blocks.  On a failure the generator is set
+    back to its state before the draws and the pairs up to the first failing
+    one are drawn again, so it is left where a check that stops there leaves
+    it.
     """
     field = code.field
     q, k = field.size, code.k
@@ -62,12 +73,9 @@ def _first_failure(code, rng, scales, max_len):
         return [rng.randrange(q) for _ in range(2 * length * k)]
 
     start = rng.getstate()
-    drawn = [pair() for _ in scales]
-    pairs = np.zeros((2, len(scales), max_len * k), dtype=np.intp)
-    for row, symbols in enumerate(drawn):
-        half = len(symbols) // 2
-        pairs[:, row, :half] = symbols[:half], symbols[half:]
-    u1, u2 = pairs.reshape(2, len(scales), max_len, k)
+    u1, u2 = _draw_pairs(rng, pair, q, k, max_len, len(scales), start).reshape(
+        2, len(scales), max_len, k
+    )
     c = np.array(scales, dtype=np.intp)[:, None, None]
     lhs = code.encode_batch(field.add(field.mul(c, u1), u2), terminate=True)
     rhs = field.add(
@@ -79,6 +87,66 @@ def _first_failure(code, rng, scales, max_len):
     first = int(failed.argmax())
     _redraw(rng, start, pair, first + 1)
     return first
+
+
+def _draw_pairs(rng, pair, q, k, max_len, count, state):
+    """count draws of pair(), randrange(1, max_len + 1) blocks of k symbols
+    randrange(q) for u1 and as many for u2, as a (2, count, max_len * k)
+    intp array, zero past each draw's blocks; rng is left where the draws
+    leave it, and state is rng.getstate() before them.
+
+    For a generator that draws randrange on its 32-bit words
+    (`code._draws_by_words`) the words are one getrandbits block (`_words`,
+    grown by further blocks while it falls short), read by
+    `_randbelow_words` for both bounds at once and walked pair by pair: a
+    pair's length is the first word from its start that randrange(max_len)
+    keeps, and its symbols the next 2 length k words that randrange(q)
+    keeps.  The generator is then set back to state and advanced by the
+    words used.  Any other generator draws pair by pair.
+    """
+    pairs = np.zeros((2, count, max_len * k), dtype=np.intp)
+    if not 0 < max_len < 1 << 32 or q.bit_length() > 32 or not _draws_by_words(rng):
+        for row in range(count):
+            symbols = pair()
+            half = len(symbols) // 2
+            pairs[:, row, :half] = symbols[:half], symbols[half:]
+        return pairs
+    mean = count * (
+        (1 << max_len.bit_length()) / max_len + (max_len + 1) * k * (1 << q.bit_length()) / q
+    )
+    words = np.zeros(0, dtype="<u4")
+    while True:
+        words = np.concatenate((words, _words([rng], _block_words(mean))[0]))
+        lengths, length_kept = _randbelow_words(words, max_len)
+        symbols, symbol_kept = _randbelow_words(words, q)
+        length_at = np.flatnonzero(length_kept).tolist()
+        symbol_at = np.flatnonzero(symbol_kept)
+        kept = symbol_at.tolist()
+        # each pair's first symbol, as an index of `kept`, and u1's symbols
+        firsts, halves, end = [], [], 0
+        for _ in range(count):
+            i = bisect.bisect_left(length_at, end)
+            if i == len(length_at):
+                break
+            at = length_at[i]
+            half = (lengths.item(at) + 1) * k
+            first = bisect.bisect_left(kept, at + 1)
+            if first + 2 * half > len(kept):
+                break
+            firsts.append(first)
+            halves.append(half)
+            end = kept[first + 2 * half - 1] + 1
+        else:
+            break
+    rng.setstate(state)
+    rng.getrandbits(32 * end)
+    cols = np.arange(max_len * k)
+    half = np.array(halves, dtype=np.intp)[:, None]
+    used = cols < half
+    first = np.array(firsts, dtype=np.intp)[:, None]
+    for part, offset in zip(pairs, (first, first + half)):
+        part[used] = symbols[symbol_at[(offset + cols)[used]]]
+    return pairs
 
 
 def _homogeneity_witness(code, witness_len):

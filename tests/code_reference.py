@@ -9,7 +9,8 @@ windows, `linalg.f_rref`, `linalg.f_nullspace`, `linalg.f_matmul`,
 Each is the per-symbol (or per-word) loop the library ran before its array
 form: `encode` walks every time, delay, row and output symbol; the windows
 and tables twist one entry at a time; `f_rref` and `nullspace_mod_p` reduce
-one row at a time; `syndrome_former` solves G(D) h^T(D) = 0 over the prime
+one row at a time, and `f_rref_by_rows` too, a row operation at a time
+through the field's array operations; `syndrome_former` solves G(D) h^T(D) = 0 over the prime
 subfield, in the base-p digits of the unknowns; the duality and linearity
 checks encode one word at a time and stop at the first that fails, so the
 generator is left where that word's draws leave it.
@@ -274,6 +275,30 @@ def f_rref(field, mat):
                     field_reference.sub(field, int(v), field.mul_int(factor, int(w)))
                     for v, w in zip(m[i], m[r])
                 ]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def f_rref_by_rows(field, mat):
+    """`f_rref`'s elimination with each row operation one call of the
+    field's array `mul` and `add` on a whole row: fast enough for the large
+    matrices, and checked against `f_rref` on the small ones."""
+    m = np.array(mat, dtype=np.int64)
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i, c] != 0), None)
+        if pivot is None:
+            continue
+        m[[r, pivot]] = m[[pivot, r]]
+        m[r] = field.mul(m[r], field_reference.inv(field, int(m[r, c])))
+        for i in range(rows):
+            if i != r and m[i, c] != 0:
+                m[i] = field.add(m[i], field.mul(m[r], field_reference.neg(field, int(m[i, c]))))
         pivots.append(c)
         r += 1
         if r == rows:

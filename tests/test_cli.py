@@ -167,6 +167,21 @@ def test_dual_rejects_negative_cap(capsys, code_file):
     assert err.count("\n") == 1 and "mu_perp_max must be >= 0" in err
 
 
+def test_dual_refuses_a_search_over_the_budget(capsys, code_file, tmp_path):
+    # memory 300: no former up to dual memory 240, and the system of dual
+    # memory 241 is over the 2^18-entry budget
+    g = [1] + [0] * 299
+    path = tmp_path / "m300.json"
+    path.write_text(json.dumps(dict(EXAMPLE_DOC, G=[[g + [1], g + [A]]])))
+    rc, out, err = run_cli(capsys, "dual", str(path), "--mu-perp-max", "1000000")
+    assert rc == 1 and out == ""
+    assert err.count("\n") == 1
+    assert "dual memory 241 has 262328 entries, over the budget of 262144" in err
+    # a huge cap on a code of dual memory 1 is searched no further
+    rc, out, _ = run_cli(capsys, "dual", code_file, "--mu-perp-max", "1000000000")
+    assert rc == 0 and json.loads(out)["mu_perp"] == 1
+
+
 def test_dual_accepts_code_flag(capsys, code_file):
     rc_pos, out_pos, _ = run_cli(capsys, "dual", code_file)
     rc_flag, out_flag, _ = run_cli(capsys, "dual", "--code", code_file)

@@ -1,8 +1,8 @@
-"""The bulk symbol draws of `verify_duality` against a loop of
-`randrange`: the same symbols and the generator left in the same state; the
-simulation's batch draws against each trial's `randrange` and
-`QSChannel.draw_errors`; and the interpreter's reading of the Mersenne
-Twister's 32-bit words that both parse."""
+"""The bulk symbol draws of `verify_duality` and the pair draws of the
+linearity check against a loop of `randrange`: the same symbols and the
+generator left in the same state; the simulation's batch draws against
+each trial's `randrange` and `QSChannel.draw_errors`; and the interpreter's
+reading of the Mersenne Twister's 32-bit words that they parse."""
 
 import math
 import random
@@ -11,9 +11,18 @@ import sys
 import numpy as np
 import pytest
 
-from skewconv import QSChannel, analysis, code as code_module, syndrome_former, verify_duality
+from skewconv import (
+    QSChannel,
+    SkewPolyMatrix,
+    SkewTrellisCode,
+    analysis,
+    code as code_module,
+    syndrome_former,
+    verify_duality,
+)
 from skewconv.analysis import _draw_trials, _trial_rng
 from skewconv.code import SkewConvCode, _draw_symbols, _words
+from skewconv.skewtrellis import _draw_pairs, _first_failure
 
 import code_reference as reference
 
@@ -128,6 +137,70 @@ def test_the_random_module_is_drawn_symbol_by_symbol(example_code, fails, monkey
         random.setstate(saved)
 
 
+# The pair draws of the linearity check against the loop of randrange.
+
+
+def check_pairs(rng, q, k, max_len, counts):
+    for count in counts:
+        state = rng.getstate()
+        twin = type(rng)()
+        twin.setstate(state)
+
+        def pair():
+            length = rng.randrange(1, max_len + 1)
+            return [rng.randrange(q) for _ in range(2 * length * k)]
+
+        got = _draw_pairs(rng, pair, q, k, max_len, count, state)
+        assert got.dtype == np.intp and got.shape == (2, count, max_len * k)
+        for row in range(count):
+            length = twin.randrange(1, max_len + 1)
+            u1, u2 = ([twin.randrange(q) for _ in range(length * k)] for _ in range(2))
+            pad = [0] * ((max_len - length) * k)
+            assert got[:, row].tolist() == [u1 + pad, u2 + pad], (q, k, max_len, count, row)
+        assert rng.getstate() == twin.getstate(), (q, k, max_len, count)
+        assert rng.random() == twin.random(), (q, k, max_len, count)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 256, 2**16 + 1])
+def test_pair_draws_are_the_randrange_loop(q):
+    rng = random.Random(q)
+    for k in (1, 2, 3):
+        for max_len in (1, 2, 3, 5, 8):
+            check_pairs(rng, q, k, max_len, [0, 1, 2, 61])
+
+
+@pytest.mark.parametrize("q", [2, 9, 256])
+def test_pair_draws_that_need_more_words_than_the_first_block(q, monkeypatch):
+    monkeypatch.setattr(code_module, "_DRAW_SPARE", 0)
+    rng = random.Random(-q)
+    for max_len in (1, 3, 7):
+        check_pairs(rng, q, 2, max_len, range(1, 30))
+
+
+@pytest.mark.parametrize("cls", [Squared, Reversed], ids=lambda c: c.__name__)
+def test_pair_draws_of_a_generator_that_draws_otherwise(cls):
+    check_pairs(cls(3), 9, 2, 3, [0, 1, 40])
+
+
+def test_a_passing_linearity_check_makes_no_randrange_call(f4):
+    code = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, [[[1, 2], [2, 3]]]))
+    rng, ref_rng = random.Random(8), random.Random(8)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is random.Random.randrange.__code__:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        got = _first_failure(code, rng, [1] * 50, 3)
+    finally:
+        sys.setprofile(None)
+    assert got is reference.first_failure(code, ref_rng, [1] * 50, 3) is None
+    assert calls == []
+    assert rng.getstate() == ref_rng.getstate()
+
+
 # The interpreter's draws that `_draw_symbols` and `analysis._read_draws`
 # read off the generator's words.  If an interpreter changes any of them,
 # these fail by name rather than the committed simulation counts moving.
@@ -188,7 +261,7 @@ def check_trials(seed, first, count, q, info_count, symbols, eps):
     got = _draw_trials(seed, first, count, q, info_count, symbols, eps)
     want = trial_loop(seed, first, count, q, info_count, symbols, eps)
     assert [a.shape for a in got] == [(count, info_count), (count, symbols), (count, symbols)]
-    assert got[0].dtype == np.intp and got[1].dtype == bool
+    assert got[0].dtype == got[2].dtype == np.min_scalar_type(q - 1) and got[1].dtype == bool
     for name, g, w in zip(("info", "errors", "offsets"), got, want):
         assert g.tolist() == w, (name, q, eps, info_count, symbols)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from skewconv import (
     FiniteField,
@@ -16,10 +17,11 @@ from skewconv import (
     syndrome_former,
     verify_duality,
 )
+from skewconv import dual as dual_module
 from skewconv.cli import main
 from skewconv.codespec import load_code
-from skewconv.dual import _annihilates, _system
-from skewconv.linalg import f_matmul, f_rank
+from skewconv.dual import _annihilates, _system, _system_entries
+from skewconv.linalg import f_matmul, f_rank, f_rref
 
 import code_reference as ref
 from conftest import A, A2, EXAMPLE_TABLE, make_code
@@ -458,3 +460,200 @@ def test_reproduces_the_committed_suite_syndrome_formers(name, capsys):
 def test_every_left_module_suite_code_has_a_committed_dual():
     left = {p.stem for p in SUITE.glob("*.json") if p.stem != "expected" and load_code(p).module_side == "left"}
     assert left == set(suite_duals())
+
+
+# -- one elimination for every dual memory ---------------------------------------
+
+FOUR_FIELDS = {
+    "gf4": FiniteField(2, 2, [1, 1, 1], theta_r=1),
+    "gf8": FiniteField(2, 3, [1, 1, 0, 1], theta_r=1),
+    "gf9": FiniteField(3, 2, [2, 2, 1], theta_r=1),
+    "gf16": FiniteField(2, 4, theta_r=1),
+}
+
+
+def random_code(rng, field, shifted):
+    """A random code of k = 1 or 2 < n <= 4 and memory up to 2, its first
+    row times D if shifted; None if the table is refused."""
+    n = rng.randrange(2, 5)
+    k = rng.randrange(1, min(2, n - 1) + 1)
+    mu = rng.randrange(0, 3)
+    table = [[[rng.randrange(field.size) for _ in range(rng.randrange(1, mu + 2))] for _ in range(n)] for _ in range(k)]
+    if shifted:
+        table[0] = [[0] + cell for cell in table[0]]
+    try:
+        return make_code(field, table)
+    except ValueError:
+        return None
+
+
+def start_memory(code):
+    return -(-code.k * code.memory // (code.n - code.k))
+
+
+@pytest.fixture()
+def systems_built(monkeypatch):
+    """The dual memories whose systems `syndrome_former` builds, in order."""
+    built = []
+    system = dual_module._system
+
+    def counted(code, mu_perp):
+        built.append(mu_perp)
+        return system(code, mu_perp)
+
+    monkeypatch.setattr(dual_module, "_system", counted)
+    return built
+
+
+def check_every_cap(code, top):
+    """syndrome_former at each cap 0 .. top is the digit-system solver's."""
+    want = ref.syndrome_former(code, top)
+    for cap in range(top + 1):
+        if want is None or want[0] > cap:
+            with pytest.raises(SyndromeFormerNotFound):
+                syndrome_former(code, cap)
+        else:
+            sf = syndrome_former(code, cap)
+            assert (sf.dual_memory, sf.check.to_ints()) == want, cap
+    return want
+
+
+def test_a_smaller_dual_memory_s_system_is_a_left_block_of_a_larger_one():
+    rng = random.Random(25)
+    checked = 0
+    for trial in range(40):
+        field = list(FOUR_FIELDS.values())[trial % 4]
+        code = random_code(rng, field, trial % 3 == 0)
+        if code is None:
+            continue
+        top = rng.randrange(0, 5)
+        big = _system(code, top)
+        rref, pivots = f_rref(field, big)
+        for m in range(top + 1):
+            small, cols = _system(code, m), code.n * (m + 1)
+            assert np.array_equal(big[: len(small), :cols], small) and not big[len(small) :, :cols].any()
+            # so rref(S(top))'s left block is rref(S(m)) above zero rows
+            small_rref, small_pivots = f_rref(field, small)
+            assert np.array_equal(rref[: len(small), :cols], small_rref)
+            assert not rref[len(small) :, :cols].any()
+            assert [p for p in pivots if p < cols] == small_pivots
+        checked += 1
+    assert checked >= 30
+
+
+@st.composite
+def generators(draw):
+    """A field of FOUR_FIELDS and a random code table over it: k = 1 or 2 <
+    n <= 4, memory up to 2, the first row times D or not."""
+    field = FOUR_FIELDS[draw(st.sampled_from(sorted(FOUR_FIELDS)))]
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(k + 1, 4))
+    mu = draw(st.integers(0, 2))
+    symbol = st.integers(0, field.size - 1)
+    table = [[draw(st.lists(symbol, min_size=1, max_size=mu + 1)) for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):
+        table[0] = [[0] + cell for cell in table[0]]
+    return field, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(generators())
+def test_matches_the_digit_system_solver_at_every_cap(generator):
+    field, table = generator
+    try:
+        code = make_code(field, table)
+    except ValueError:
+        assume(False)
+    check_every_cap(code, code.n * max(code.memory, 1) + 2)
+
+
+def test_the_eliminated_dual_memory_doubles_while_the_search_runs_past_it(systems_built):
+    # codes whose dual memory is past the start ceil(k mu / (n - k)): each
+    # elimination but the last falls short of it
+    rng = random.Random(3)
+    grown = 0
+    for trial in range(400):
+        code = random_code(rng, list(FOUR_FIELDS.values())[trial % 4], trial % 3 == 0)
+        if code is None:
+            continue
+        cap = code.n * max(code.memory, 1)
+        systems_built.clear()
+        try:
+            found = syndrome_former(code).dual_memory
+        except SyndromeFormerNotFound:
+            found = None
+        built = list(systems_built)
+        assert built[0] == min(start_memory(code), cap)
+        assert all(b == min(2 * a + 1, cap) for a, b in zip(built, built[1:]))
+        if found is not None:
+            assert built[-1] >= found and all(b < found for b in built[:-1])
+        if len(built) > 1:
+            check_every_cap(code, cap + 2)
+            grown += 1
+        if grown == 4:
+            break
+    assert grown == 4
+
+
+@pytest.mark.parametrize("name", sorted(suite_duals()))
+def test_a_suite_code_takes_one_elimination(name, systems_built):
+    code = load_code(SUITE / f"{name}.json")
+    sf = syndrome_former(code)
+    assert systems_built == [start_memory(code)] and sf.dual_memory <= start_memory(code)
+
+
+def test_a_huge_cap_searches_only_as_far_as_the_dual_memory(example_code, example_sf, f4, systems_built):
+    sf = syndrome_former(example_code, mu_perp_max=10**9)
+    assert sf.check == example_sf.check and systems_built == [1]
+    # memory 300 and G = (g, g), so H = (1, 1): the start 300 is cut to 240,
+    # the largest dual memory whose system is within the budget
+    g = [1] + [0] * 299 + [1]
+    code = make_code(f4, [[g, g]])
+    systems_built.clear()
+    sf = syndrome_former(code, mu_perp_max=10**9)
+    assert sf.dual_memory == 0 and sf.check.to_ints() == [[[1], [1]]]
+    assert systems_built == [240]
+    assert _system_entries(code, 240) <= dual_module.RANK_WINDOW_BUDGET < _system_entries(code, 241)
+
+
+def test_the_search_refuses_a_system_over_the_budget(f4, systems_built):
+    # memory 300, G = (1 + D^300, 1 + a D^300): no former up to dual memory
+    # 240, and dual memory 241's system has 2 x 542 x 242 entries
+    code = make_code(f4, [[[1] + [0] * 299 + [1], [1] + [0] * 299 + [A]]])
+    message = "the syndrome former's system for dual memory 241 has 262328 entries, over the budget of 262144"
+    with pytest.raises(ValueError) as info:
+        syndrome_former(code)
+    assert str(info.value) == message and systems_built == [240]
+    with pytest.raises(SyndromeFormerNotFound):
+        syndrome_former(code, mu_perp_max=240)
+
+
+def test_a_budget_cuts_the_growth_but_not_the_former(monkeypatch, systems_built):
+    # the codes of the growth test, under a budget of their own former's
+    # system: the same former, its system the last built; one entry less
+    # and the search refuses at the former's dual memory
+    rng = random.Random(3)
+    budget = dual_module.RANK_WINDOW_BUDGET
+    cut = 0
+    for trial in range(400):
+        code = random_code(rng, list(FOUR_FIELDS.values())[trial % 4], trial % 3 == 0)
+        if code is None:
+            continue
+        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", budget)
+        try:
+            want = syndrome_former(code)
+        except SyndromeFormerNotFound:
+            continue
+        if want.dual_memory <= start_memory(code):
+            continue
+        entries = _system_entries(code, want.dual_memory)
+        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", entries)
+        systems_built.clear()
+        sf = syndrome_former(code, mu_perp_max=10**6)
+        assert sf.check == want.check and systems_built[-1] == want.dual_memory
+        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", entries - 1)
+        message = f"dual memory {want.dual_memory} has {entries} entries, over the budget of {entries - 1}$"
+        with pytest.raises(ValueError, match=message):
+            syndrome_former(code, mu_perp_max=10**6)
+        cut += 1
+    assert cut >= 4

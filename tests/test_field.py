@@ -671,8 +671,13 @@ def test_a_field_element_hashes_as_the_int_it_equals(f4, f8):
     assert 3 in {f4(3)} and f4(3) in {3}
     assert {f4(3): 0}[3] == 0 and {3: 0}[f4(3)] == 0
     assert len({f4(0), f4(1), 0, 1}) == 2
+    # elements of two fields are unequal, so they can share a set or dict
+    assert f4(1) != f8(1) and not f4(1) == f8(1)
+    assert len({f4(1), f8(1)}) == 2 and {f4(1): 0, f8(1): 1}[f8(1)] == 1
+    same = FiniteField(2, 2, [1, 1, 1], theta_r=1)  # equal to f4, another object
+    assert f4(A) == same(A) and hash(f4(A)) == hash(same(A))
     with pytest.raises(ValueError, match="mixed-field"):
-        f4(1) == f8(1)
+        f4(1) * f8(1)
 
 
 @pytest.mark.parametrize(

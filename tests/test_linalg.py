@@ -2,14 +2,18 @@
 row-at-a-time oracles in `code_reference`."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skewconv import FiniteField
-from skewconv.linalg import f_matmul, f_nullspace, f_rank, f_rref
+from skewconv.codespec import load_code
+from skewconv.linalg import f_matmul, f_nullspace, f_rank, f_rref, f_rref_nullspace
 
 import code_reference as ref
+
+SUITE = Path(__file__).resolve().parents[1] / "perfbench" / "suite"
 
 FIELDS = {
     "gf2": FiniteField(2, 1),
@@ -92,3 +96,49 @@ def test_nullspace_is_a_basis_of_the_kernel(name):
         assert len(basis) == mat.shape[1] - f_rank(field, mat)
         assert not f_matmul(field, mat, basis.T).any()
         assert f_rank(field, basis) == len(basis)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_the_row_operation_oracle_is_the_entrywise_one(name):
+    field = FIELDS[name]
+    for mat in matrices(field, seed=3):
+        got, pivots = ref.f_rref_by_rows(field, mat)
+        want, want_pivots = ref.f_rref(field, mat)
+        assert np.array_equal(got, want) and pivots == want_pivots
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SUITE.glob("*.json") if p.stem != "expected"))
+def test_rref_matches_the_oracle_on_the_suite_windows(name):
+    code = load_code(SUITE / f"{name}.json")
+    window = code.scalar_generator(60)
+    got, pivots = f_rref(code.field, window)
+    want, want_pivots = ref.f_rref_by_rows(code.field, window)
+    assert np.array_equal(got, want) and pivots == want_pivots
+
+
+@pytest.mark.parametrize("name, rows, cols", [("gf16-a2", 120, 240), ("gf9", 120, 240), ("gf9", 300, 600)])
+def test_rref_matches_the_oracle_on_large_dense_matrices(name, rows, cols):
+    field = FIELDS[name]
+    gen = np.random.default_rng(rows + field.size)
+    dense = gen.integers(0, field.size, (rows, cols))
+    # one column in ten zero, and the last quarter of the rows combinations
+    # of the others: pivots skip columns, and rows end zero
+    deficient = dense.copy()
+    deficient[:, gen.choice(cols, cols // 10, replace=False)] = 0
+    kept = rows - rows // 4
+    deficient[kept:] = f_matmul(field, gen.integers(0, field.size, (rows - kept, kept)), deficient[:kept])
+    for mat in (dense, deficient):
+        got, pivots = f_rref(field, mat)
+        want, want_pivots = ref.f_rref_by_rows(field, mat)
+        assert np.array_equal(got, want) and pivots == want_pivots
+    assert len(pivots) == kept and pivots[-1] >= kept
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_the_nullspace_of_a_left_block_is_read_off_the_rref(name):
+    field = FIELDS[name]
+    for mat in matrices(field, seed=11):
+        rref, pivots = f_rref(field, mat)
+        for cols in range(mat.shape[1] + 1):
+            got = f_rref_nullspace(field, rref, pivots, cols)
+            assert np.array_equal(got, f_nullspace(field, mat[:, :cols])), cols

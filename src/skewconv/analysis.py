@@ -6,8 +6,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .code import _block_words, _randbelow_words, _words
-
 # re-exported: `skewconv.analysis.viterbi` stays importable
 from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
 from .trellis import (
@@ -32,6 +30,9 @@ BATCH_EDGES = 1 << 16
 # reads at most, unless one trial alone needs more: its temporaries, about
 # 50 bytes a word, stay within about 3.5 MiB however many trials a batch has.
 PARSE_WORDS = 1 << 16
+
+# words a trial's block holds beyond 5/4 of those its draws need on average
+_DRAW_SPARE = 32
 
 
 def analyze_code(code, lmax=None, trellis=None):
@@ -100,6 +101,29 @@ def _trial_key(seed, trial):
 def _trial_rng(seed, trial):
     """The generator of one simulation trial."""
     return random.Random(_trial_key(seed, trial))
+
+
+def _words(generators, m):
+    """The next m 32-bit words of each generator in turn, as a
+    (generators, m) uint32 array: one getrandbits(32 m) block a generator,
+    whose little-endian 32-bit words are its m next words in order."""
+    blocks = [rng.getrandbits(32 * m).to_bytes(4 * m, "little") for rng in generators]
+    return np.frombuffer(b"".join(blocks), dtype="<u4").reshape(-1, m)
+
+
+def _randbelow_words(words, bound):
+    """randrange(bound)'s reading of an array of a generator's 32-bit words:
+    the top bound.bit_length() bits of each word, and where they are below
+    bound.  randrange(bound) returns those bits of the first word where they
+    are, passing over the words before it."""
+    top = words >> (32 - bound.bit_length())
+    return top, top < bound
+
+
+def _block_words(mean):
+    """The words of one getrandbits block for draws that need `mean` words
+    on average: 5/4 of them and _DRAW_SPARE spares."""
+    return int(mean * 5 / 4) + _DRAW_SPARE
 
 
 def _trial_words(seed, trials, width):

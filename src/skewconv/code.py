@@ -17,7 +17,6 @@ right-module (trellis) encoding twists the stored inputs instead:
 """
 
 import operator
-import random
 from functools import cached_property
 
 import numpy as np
@@ -32,11 +31,6 @@ ENCODE_CHUNK = 1 << 16
 """About the most products (frames x blocks x (memory + 1) x k x n) that
 `encode_batch` forms at once: a longer input is encoded in time chunks that
 overlap by `memory` input blocks."""
-
-# words a block of draws holds beyond 5/4 of those it needs on average
-_DRAW_SPARE = 32
-# the methods randrange(q) goes through, which an instance may override
-_DRAW_METHODS = {"randrange", "_randbelow", "getrandbits"}
 
 RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
@@ -166,76 +160,14 @@ def coerce_sequence(field, u, width):
     return Sequence(field, u, width=width)
 
 
-def _redraw(rng, state, draw, count):
-    """Set rng to state and make `count` draws again: the generator as left
-    by a check that stops after the count-th."""
-    rng.setstate(state)
-    for _ in range(count):
-        draw()
-
-
-def _draws_by_words(rng):
-    """Whether rng is a random.Random whose randrange is random.Random's own
-    rejection draw on the Mersenne Twister's 32-bit words: neither its class
-    nor the instance overrides it or the words (a subclass that overrides
-    random() draws without them)."""
-    if not isinstance(rng, random.Random) or vars(rng).keys() & _DRAW_METHODS:
-        return False
-    cls = type(rng)
-    return (
-        cls.randrange is random.Random.randrange
-        and cls._randbelow is random.Random._randbelow_with_getrandbits
-        and cls.getrandbits is random.Random.getrandbits
-    )
-
-
-def _words(generators, m):
-    """The next m 32-bit words of each generator in turn, as a
-    (generators, m) uint32 array: one getrandbits(32 m) block a generator,
-    whose little-endian 32-bit words are its m next words in order."""
-    blocks = [rng.getrandbits(32 * m).to_bytes(4 * m, "little") for rng in generators]
-    return np.frombuffer(b"".join(blocks), dtype="<u4").reshape(-1, m)
-
-
-def _randbelow_words(words, bound):
-    """randrange(bound)'s reading of an array of a generator's 32-bit words:
-    the top bound.bit_length() bits of each word, and where they are below
-    bound.  randrange(bound) returns those bits of the first word where they
-    are, passing over the words before it."""
-    top = words >> (32 - bound.bit_length())
-    return top, top < bound
-
-
-def _block_words(mean):
-    """The words of one getrandbits block for draws that need `mean` words
-    on average: 5/4 of them and _DRAW_SPARE spares."""
-    return int(mean * 5 / 4) + _DRAW_SPARE
-
-
-def _draw_symbols(rng, q, count, state):
-    """count draws of rng.randrange(q) as an intp array, rng left where they
-    leave it; state is rng.getstate() before the draws.
-
-    For a generator that draws randrange on its 32-bit words
-    (`_draws_by_words`) the words are made in blocks (`_words`), read by
-    `_randbelow_words`, and the generator is then set back to state and
-    advanced by the words used.  Any other generator draws symbol by symbol.
-    """
-    bits = q.bit_length()
-    if bits > 32 or not _draws_by_words(rng):
-        return np.array([rng.randrange(q) for _ in range(count)], dtype=np.intp)
-    if not count:
-        return np.zeros(0, dtype=np.intp)
-    words, kept = np.zeros(0, dtype="<u4"), ()
-    while len(kept) < count:
-        m = _block_words((count - len(kept)) * (1 << bits) / q)
-        words = np.concatenate((words, _words([rng], m)[0]))
-        top, below = _randbelow_words(words, q)
-        kept = np.flatnonzero(below)
-    kept = kept[:count]
-    rng.setstate(state)
-    rng.getrandbits(32 * (int(kept[-1]) + 1))
-    return top[kept].astype(np.intp)
+def _check_count(name, value, least=0):
+    """Refuse a count that is not an integer >= least, in one line."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class SkewConvCode:

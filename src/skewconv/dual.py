@@ -35,15 +35,18 @@ H_0 to reduced echelon form by one elimination of those rows x, and
 returns h_j = theta^j(x_j).
 
 G(D) H^T(D) = 0 is decided by the one skew product, `linalg.f_polymul`,
-itself a product of two windows.
+itself a product of two windows.  `verify_duality` decides it first and
+then checks random codewords of both windows, each phase's symbols one
+block of rng.randbytes words.
 """
 
 import bisect
+import math
 import random
 
 import numpy as np
 
-from .code import RANK_WINDOW_BUDGET, _draw_symbols, _redraw
+from .code import RANK_WINDOW_BUDGET, _check_count
 from .linalg import f_matmul, f_polymul, f_rank, f_rref, f_rref_nullspace, f_window
 from .skewpoly import SkewPolyMatrix
 
@@ -203,14 +206,13 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     dual-window codewords are orthogonal to random codewords under the plain
     scalar product.
 
-    The product is decided on the coefficient windows by the check that
-    `SyndromeFormer` validates with.  Each random phase saves the generator's
-    state once, draws all its words as one block of symbols
-    (`code._draw_symbols`: the symbols and the final state of a loop of
-    randrange(q)) and checks them at once; on a failure the generator is set
-    back to the saved state and the words up to the first bad one are drawn
-    again, so it is left where a check that stops there leaves it.
+    The product is decided first, on the coefficient windows, by the check
+    that `SyndromeFormer` validates with.  Each random phase then draws all
+    its symbols as one block, a word of rng.randbytes mod q a symbol
+    (`_symbols`), and checks them at once; the generator is left after the
+    block, whether or not the phase fails.
     """
+    _check_count("num_words", num_words)
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field
@@ -222,37 +224,25 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     info_len = max(length - code.memory, 1)
     total = info_len + code.memory
 
-    def word():
-        return [rng.randrange(q) for _ in range(code.k * info_len)]
-
     # every word is encoded at once and checked by one syndrome product
-    start = rng.getstate()
-    info = _draw_symbols(rng, q, num_words * code.k * info_len, start)
-    info = info.reshape(num_words, info_len, code.k)
+    info = _symbols(rng, q, (num_words, info_len, code.k))
     codewords = code.encode_batch(info, terminate=True).reshape(num_words, total * code.n)
     ht = sf.ht_window(total)
-    bad = f_matmul(field, codewords, ht).any(axis=1)
-    if bad.any():
-        _redraw(rng, start, word, int(bad.argmax()) + 1)
+    if f_matmul(field, codewords, ht).any():
         return False
 
-    # the random codewords of both windows, drawn pairwise and checked at
-    # once: every pair must be orthogonal
+    # random codewords of both windows, a pair a row, checked at once: every
+    # pair must be orthogonal
     hw = ht.T  # the same as sf.h_window(total)
     gw = code.scalar_generator(info_len)
     rows = len(gw)
-
-    def pair():
-        u = [rng.randrange(q) for _ in range(rows)]
-        return u, [rng.randrange(q) for _ in range(len(hw))]
-
-    start = rng.getstate()
-    pairs = _draw_symbols(rng, q, num_words * (rows + len(hw)), start)
-    pairs = pairs.reshape(num_words, rows + len(hw))
+    pairs = _symbols(rng, q, (num_words, rows + len(hw)))
     v = f_matmul(field, pairs[:, :rows], gw)
     vperp = f_matmul(field, pairs[:, rows:], hw)
-    bad = field.sum(field.mul(v, vperp).T) != 0
-    if bad.any():
-        _redraw(rng, start, pair, int(bad.argmax()) + 1)
-        return False
-    return True
+    return not field.sum(field.mul(v, vperp).T).any()
+
+
+def _symbols(rng, q, shape):
+    """An array of random symbols below q: one block of rng.randbytes, its
+    little-endian 32-bit words mod q."""
+    return np.frombuffer(rng.randbytes(4 * math.prod(shape)), "<u4").reshape(shape) % q

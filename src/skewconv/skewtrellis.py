@@ -4,24 +4,18 @@ check of their linearity.
 `SkewTrellisCode` is defined in `code`.  Its trellis comes from
 `trellis.build_trellis` as for a left-module code; it is time-invariant (a
 single section) and plugs directly into viterbi()/bcjr().
+
+`linearity_report` tests additivity and fixed-subfield homogeneity on random
+pairs of inputs, each test's pairs read off one rng.randbytes block, and
+searches every short input for a full-field homogeneity witness.
 """
 
-import bisect
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .code import (
-    ENCODE_CHUNK,
-    Sequence,
-    SkewTrellisCode,
-    _block_words,
-    _draws_by_words,
-    _randbelow_words,
-    _redraw,
-    _words,
-)
+from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode, _check_count
 from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
@@ -41,6 +35,9 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
     """Checks additivity and fixed-subfield homogeneity on random inputs and,
     when theta != id, searches exhaustively for a full-field homogeneity
     violation on short inputs."""
+    _check_count("pairs", pairs)
+    _check_count("max_len", max_len, 1)
+    _check_count("witness_len", witness_len)
     rng = rng or random.Random(0)
     field = code.field
     additive_ok = _first_failure(code, rng, [1] * pairs, max_len) is None
@@ -57,96 +54,28 @@ def _first_failure(code, rng, scales, max_len):
     """The index of the first pair that fails encode(c u1 + u2) =
     c encode(u1) + encode(u2), one pair per scale c, or None.
 
-    Each pair draws a length in [1, max_len], then u1's symbols and u2's
-    (`_draw_pairs`).  All pairs are drawn first and checked at once,
-    zero-padded to max_len blocks: a padded terminated codeword is the
-    unpadded one followed by zero blocks.  On a failure the generator is set
-    back to its state before the draws and the pairs up to the first failing
-    one are drawn again, so it is left where a check that stops there leaves
-    it.
+    The pairs are one block of rng.randbytes, read as little-endian 32-bit
+    words, 1 + 2 max_len k of them a pair: a length in [1, max_len], the
+    first word mod max_len plus 1, then max_len blocks of k symbols for u1
+    and as many for u2, a word mod q a symbol, zero past the length.  All
+    pairs are checked at once: a zero-padded terminated codeword is the
+    unpadded one followed by zero blocks.  The generator is left after the
+    block, whether or not a pair fails.
     """
     field = code.field
-    q, k = field.size, code.k
-
-    def pair():
-        length = rng.randrange(1, max_len + 1)
-        return [rng.randrange(q) for _ in range(2 * length * k)]
-
-    start = rng.getstate()
-    u1, u2 = _draw_pairs(rng, pair, q, k, max_len, len(scales), start).reshape(
-        2, len(scales), max_len, k
-    )
+    q, k, count = field.size, code.k, len(scales)
+    width = 1 + 2 * max_len * k
+    words = np.frombuffer(rng.randbytes(4 * count * width), "<u4").reshape(count, width)
+    past = np.arange(max_len) > words[:, :1] % max_len
+    symbols = words[:, 1:].reshape(count, 2, max_len, k) % q
+    u1, u2 = np.where(past[:, None, :, None], 0, symbols).swapaxes(0, 1)
     c = np.array(scales, dtype=np.intp)[:, None, None]
     lhs = code.encode_batch(field.add(field.mul(c, u1), u2), terminate=True)
     rhs = field.add(
         field.mul(c, code.encode_batch(u1, terminate=True)), code.encode_batch(u2, terminate=True)
     )
     failed = (lhs != rhs).any(axis=(1, 2))
-    if not failed.any():
-        return None
-    first = int(failed.argmax())
-    _redraw(rng, start, pair, first + 1)
-    return first
-
-
-def _draw_pairs(rng, pair, q, k, max_len, count, state):
-    """count draws of pair(), randrange(1, max_len + 1) blocks of k symbols
-    randrange(q) for u1 and as many for u2, as a (2, count, max_len * k)
-    intp array, zero past each draw's blocks; rng is left where the draws
-    leave it, and state is rng.getstate() before them.
-
-    For a generator that draws randrange on its 32-bit words
-    (`code._draws_by_words`) the words are one getrandbits block (`_words`,
-    grown by further blocks while it falls short), read by
-    `_randbelow_words` for both bounds at once and walked pair by pair: a
-    pair's length is the first word from its start that randrange(max_len)
-    keeps, and its symbols the next 2 length k words that randrange(q)
-    keeps.  The generator is then set back to state and advanced by the
-    words used.  Any other generator draws pair by pair.
-    """
-    pairs = np.zeros((2, count, max_len * k), dtype=np.intp)
-    if not 0 < max_len < 1 << 32 or q.bit_length() > 32 or not _draws_by_words(rng):
-        for row in range(count):
-            symbols = pair()
-            half = len(symbols) // 2
-            pairs[:, row, :half] = symbols[:half], symbols[half:]
-        return pairs
-    mean = count * (
-        (1 << max_len.bit_length()) / max_len + (max_len + 1) * k * (1 << q.bit_length()) / q
-    )
-    words = np.zeros(0, dtype="<u4")
-    while True:
-        words = np.concatenate((words, _words([rng], _block_words(mean))[0]))
-        lengths, length_kept = _randbelow_words(words, max_len)
-        symbols, symbol_kept = _randbelow_words(words, q)
-        length_at = np.flatnonzero(length_kept).tolist()
-        symbol_at = np.flatnonzero(symbol_kept)
-        kept = symbol_at.tolist()
-        # each pair's first symbol, as an index of `kept`, and u1's symbols
-        firsts, halves, end = [], [], 0
-        for _ in range(count):
-            i = bisect.bisect_left(length_at, end)
-            if i == len(length_at):
-                break
-            at = length_at[i]
-            half = (lengths.item(at) + 1) * k
-            first = bisect.bisect_left(kept, at + 1)
-            if first + 2 * half > len(kept):
-                break
-            firsts.append(first)
-            halves.append(half)
-            end = kept[first + 2 * half - 1] + 1
-        else:
-            break
-    rng.setstate(state)
-    rng.getrandbits(32 * end)
-    cols = np.arange(max_len * k)
-    half = np.array(halves, dtype=np.intp)[:, None]
-    used = cols < half
-    first = np.array(firsts, dtype=np.intp)[:, None]
-    for part, offset in zip(pairs, (first, first + half)):
-        part[used] = symbols[symbol_at[(offset + cols)[used]]]
-    return pairs
+    return int(failed.argmax()) if failed.any() else None
 
 
 def _homogeneity_witness(code, witness_len):

@@ -12,8 +12,9 @@ and tables twist one entry at a time; `f_rref` and `nullspace_mod_p` reduce
 one row at a time, and `f_rref_by_rows` too, a row operation at a time
 through the field's array operations; `syndrome_former` solves G(D) h^T(D) = 0 over the prime
 subfield, in the base-p digits of the unknowns; the duality and linearity
-checks encode one word at a time and stop at the first that fails, so the
-generator is left where that word's draws leave it.
+checks read each random phase's words one getrandbits(32) at a time, then
+encode one word or pair at a time and stop at the first that fails, so the
+generator is left after the phase's words whatever the outcome.
 """
 
 import itertools
@@ -79,9 +80,16 @@ def f_matmul(field, a, b):
     return out
 
 
+def words(rng, m):
+    """m words of rng, one getrandbits(32) at a time: the little-endian
+    32-bit words of one rng.randbytes(4 m) block."""
+    return iter([rng.getrandbits(32) for _ in range(m)])
+
+
 def verify_duality(code, check, num_words=20, length=8, rng=None):
     """The duality check one word at a time, stopping at the first failure;
-    codewords come from `code.encode`."""
+    codewords come from `code.encode`.  Each random phase draws its words
+    first, so the generator ends after them however soon the phase stops."""
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field
@@ -89,21 +97,24 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
         return False
 
     rng = rng or random.Random(0)
+    q = field.size
     mu = code.memory
     info_len = max(length - mu, 1)
     total = info_len + mu
     ht = sf.ht_window(total)
+    symbols = words(rng, num_words * info_len * code.k)
     for _ in range(num_words):
-        u = [[rng.randrange(field.size) for _ in range(code.k)] for _ in range(info_len)]
+        u = [[next(symbols) % q for _ in range(code.k)] for _ in range(info_len)]
         v = code.encode(u, terminate=True).flat_values()
         if f_matmul(field, [v], ht).any():
             return False
 
     hw = sf.h_window(total)
     gw = code.scalar_generator(info_len)
+    symbols = words(rng, num_words * (gw.shape[0] + hw.shape[0]))
     for _ in range(num_words):
-        u = [rng.randrange(field.size) for _ in range(gw.shape[0])]
-        w = [rng.randrange(field.size) for _ in range(hw.shape[0])]
+        u = [next(symbols) % q for _ in range(gw.shape[0])]
+        w = [next(symbols) % q for _ in range(hw.shape[0])]
         v = f_matmul(field, [u], gw)
         vperp = f_matmul(field, [w], hw)
         if f_matmul(field, v, vperp.T).any():
@@ -112,44 +123,17 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
 
 
 def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
-    """The linearity checks one pair of inputs at a time, each stopping at
-    its first failure, and the witness sweep one input at a time; returns
-    (fixed_subfield, additive_ok, subfield_homogeneous, witness) with the
-    witness codewords from `code.encode`."""
+    """The linearity checks one pair of inputs at a time (`first_failure`)
+    and the witness sweep one input at a time; returns (fixed_subfield,
+    additive_ok, subfield_homogeneous, witness) with the witness codewords
+    from `code.encode`."""
     rng = rng or random.Random(0)
     field = code.field
-    q = field.size
-    k = code.k
-
-    def random_u():
-        length = rng.randrange(1, max_len + 1)
-        return [[rng.randrange(q) for _ in range(k)] for _ in range(length)]
-
-    additive_ok = True
-    for _ in range(pairs):
-        u1 = Sequence(field, random_u(), width=k)
-        u2 = Sequence(field, [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))], width=k)
-        lhs = code.encode(u1 + u2, terminate=True)
-        rhs = code.encode(u1, terminate=True) + code.encode(u2, terminate=True)
-        if lhs != rhs:
-            additive_ok = False
-            break
-
+    q, k = field.size, code.k
+    additive_ok = first_failure(code, rng, [1] * pairs, max_len) is None
     fixed = field.fixed_subfield()
-    subfield_homogeneous = True
-    for c in fixed:
-        for _ in range(pairs // 5 + 1):
-            u1 = random_u()
-            u2 = [[rng.randrange(q) for _ in range(k)] for _ in range(len(u1))]
-            useq = Sequence(field, u1, width=k)
-            u2seq = Sequence(field, u2, width=k)
-            lhs = code.encode(useq.scale(c) + u2seq, terminate=True)
-            rhs = code.encode(useq, terminate=True).scale(c) + code.encode(u2seq, terminate=True)
-            if lhs != rhs:
-                subfield_homogeneous = False
-                break
-        if not subfield_homogeneous:
-            break
+    scales = [c for c in fixed for _ in range(pairs // 5 + 1)]
+    subfield_homogeneous = first_failure(code, rng, scales, max_len) is None
 
     witness = None
     if field.automorphism_order > 1:
@@ -169,16 +153,21 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
 def first_failure(code, rng, scales, max_len):
     """`skewtrellis._first_failure` one pair at a time: the index of the
     first pair with encode(c u1 + u2) != c encode(u1) + encode(u2), one pair
-    per scale c, or None.  Each pair draws a length in [1, max_len], then
-    u1's symbols and u2's, block by block."""
+    per scale c, or None.  The words of every pair are drawn first; a pair
+    reads its length, the next word mod max_len plus 1, then max_len blocks
+    of k symbols for u1 and as many for u2, a word mod q a symbol, and keeps
+    the first `length` blocks of each."""
     field = code.field
     q, k = field.size, code.k
+    symbols = words(rng, len(scales) * (1 + 2 * max_len * k))
+
+    def blocks(length):
+        u = [[next(symbols) % q for _ in range(k)] for _ in range(max_len)]
+        return Sequence(field, u[:length], width=k)
+
     for i, c in enumerate(scales):
-        length = rng.randrange(1, max_len + 1)
-        symbols = [rng.randrange(q) for _ in range(2 * length * k)]
-        blocks = [symbols[t * k : (t + 1) * k] for t in range(2 * length)]
-        u1 = Sequence(field, blocks[:length], width=k)
-        u2 = Sequence(field, blocks[length:], width=k)
+        length = next(symbols) % max_len + 1
+        u1, u2 = blocks(length), blocks(length)
         lhs = code.encode(u1.scale(c) + u2, terminate=True)
         rhs = code.encode(u1, terminate=True).scale(c) + code.encode(u2, terminate=True)
         if lhs != rhs:

@@ -140,6 +140,28 @@ def test_verify_duality_accepts_and_rejects(example_code, example_sf, f4):
     assert not verify_duality(example_code, perturbed)
 
 
+@pytest.mark.parametrize(
+    "num_words, message",
+    [
+        (-1, "num_words must be an integer >= 0, got -1"),
+        (2.5, "num_words must be an integer >= 0, got 2.5"),
+    ],
+    ids=["negative", "fractional"],
+)
+def test_verify_duality_refuses_a_bad_word_count(example_code, example_sf, num_words, message):
+    with pytest.raises(ValueError) as info:
+        verify_duality(example_code, example_sf, num_words=num_words)
+    assert str(info.value) == message
+
+
+def test_verify_duality_with_no_random_words(example_code, example_sf):
+    # the product alone decides; both random phases draw an empty block
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert verify_duality(example_code, example_sf, num_words=0, rng=rng)
+    assert rng.getstate() == state
+
+
 def test_verify_duality_never_forms_the_product(example_code, example_sf, f4, monkeypatch):
     # G(D) H^T(D) = 0 is decided on the coefficient windows for every kind
     # of check, so no skew polynomial product is formed
@@ -435,10 +457,11 @@ def test_a_zero_check_has_the_window_of_one_zero_term(example_code, f4):
     rng = random.Random(4)
     assert verify_duality(example_code, sf, rng=rng)
     expected = random.Random(4)
-    # 20 words of 7 information symbols, then 20 pairs of 7 and 8 symbols:
-    # the window of H^T over 8 blocks has 8 block columns of one check row
-    for _ in range(20 * 7 + 20 * (7 + 8)):
-        expected.randrange(4)
+    # a block of 20 words of 7 information symbols, then one of 20 pairs of
+    # 7 and 8 symbols: the window of H^T over 8 blocks has 8 block columns
+    # of one check row; a symbol is a 32-bit word
+    expected.randbytes(4 * 20 * 7)
+    expected.randbytes(4 * 20 * (7 + 8))
     assert rng.getstate() == expected.getstate()
 
 

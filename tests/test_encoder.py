@@ -214,9 +214,21 @@ def non_additive(monkeypatch):
     monkeypatch.setattr(SkewConvCode, "encode_batch", cubed)
 
 
+def perturb_the_generator_window(monkeypatch):
+    """Change the last symbol of every scalar generator window."""
+    scalar_generator = SkewConvCode.scalar_generator
+
+    def perturbed(self, t_rows):
+        window = scalar_generator(self, t_rows)
+        window[-1, -1] = (window[-1, -1] + 1) % self.field.size
+        return window
+
+    monkeypatch.setattr(SkewConvCode, "scalar_generator", perturbed)
+
+
 def left_codes_with_duals():
     for name, code in CODES.items():
-        if code.module_side == "left" and code.k < code.n and code.field.size <= 16:
+        if code.module_side == "left" and code.k < code.n:
             yield name, code, syndrome_former(code)
 
 
@@ -239,16 +251,9 @@ def test_verify_duality_matches_the_per_word_check(patched, monkeypatch):
 
 
 def test_verify_duality_orthogonality_failures_match(monkeypatch):
-    # a generator window with one symbol changed: every codeword still has a
-    # zero syndrome, but some random pairs are no longer orthogonal
-    scalar_generator = SkewConvCode.scalar_generator
-
-    def perturbed(self, t_rows):
-        window = scalar_generator(self, t_rows)
-        window[-1, -1] = (window[-1, -1] + 1) % self.field.size
-        return window
-
-    monkeypatch.setattr(SkewConvCode, "scalar_generator", perturbed)
+    # every codeword still has a zero syndrome, but some random pairs are no
+    # longer orthogonal
+    perturb_the_generator_window(monkeypatch)
     results = []
     for name, code, sf in DUALS:
         rng, ref_rng = random.Random(1), random.Random(1)
@@ -259,14 +264,34 @@ def test_verify_duality_orthogonality_failures_match(monkeypatch):
     assert False in results
 
 
+@pytest.mark.parametrize("fails", [False, True], ids=["passing", "failing"])
+def test_the_random_module_serves_as_the_generator(fails, monkeypatch):
+    # the module's own generator draws its blocks by the module's randbytes
+    if fails:
+        # it fails the orthogonality phase
+        perturb_the_generator_window(monkeypatch)
+    code = CODES["worked"]
+    sf = syndrome_former(code)
+    saved = random.getstate()
+    try:
+        random.seed(11)
+        got = verify_duality(code, sf, rng=random)
+        state = random.getstate()
+        random.seed(11)
+        assert got is reference.verify_duality(code, sf, rng=random) is not fails
+        assert state == random.getstate()
+    finally:
+        random.setstate(saved)
+
+
 class CountingRandom(random.Random):
-    """A generator that counts the calls of its getstate."""
+    """A generator that counts the blocks drawn by its randbytes."""
 
-    getstates = 0
+    blocks = 0
 
-    def getstate(self):
-        self.getstates += 1
-        return super().getstate()
+    def randbytes(self, n):
+        self.blocks += 1
+        return super().randbytes(n)
 
 
 def perturbed_check(sf):
@@ -289,31 +314,23 @@ def test_a_failing_duality_check_leaves_the_generator_as_the_per_word_check(monk
         for seed, num_words in ((0, 20), (1, 20), (2, 1), (3, 3)):
             rng, ref_rng = CountingRandom(seed), random.Random(seed)
             got = verify_duality(code, sf, num_words=num_words, rng=rng)
-            getstates = rng.getstates
             assert got is reference.verify_duality(code, sf, num_words=num_words, rng=ref_rng)
             assert rng.getstate() == ref_rng.getstate(), name
-            # one saved state per random phase the check reached
-            assert getstates == (1 if got is False else 2), name
+            # one block of draws per random phase the check reached
+            assert rng.blocks == (1 if got is False else 2), name
             results.append(got)
     assert results.count(False) > len(DUALS)
 
 
 @pytest.mark.parametrize("phase", [1, 2], ids=["syndrome", "orthogonality"])
-@pytest.mark.parametrize("q", [2, 4, 9, 16])
+@pytest.mark.parametrize("q", [2, 4, 9, 16, 27])
 def test_a_check_failing_in_either_phase_leaves_the_generator_as_the_per_word_check(
     q, phase, monkeypatch
 ):
     # phase 1 sees the window of a perturbed H; phase 2 a perturbed
     # generator window, under which every codeword still has a zero syndrome
     if phase == 2:
-        scalar_generator = SkewConvCode.scalar_generator
-
-        def perturbed(self, t_rows):
-            window = scalar_generator(self, t_rows)
-            window[-1, -1] = (window[-1, -1] + 1) % self.field.size
-            return window
-
-        monkeypatch.setattr(SkewConvCode, "scalar_generator", perturbed)
+        perturb_the_generator_window(monkeypatch)
     failed_there = 0
     for name, code, sf in DUALS:
         if code.field.size != q:
@@ -325,7 +342,7 @@ def test_a_check_failing_in_either_phase_leaves_the_generator_as_the_per_word_ch
         for seed, num_words in ((0, 20), (1, 20), (2, 1), (3, 3), (4, 60)):
             rng, ref_rng = CountingRandom(seed), random.Random(seed)
             got = verify_duality(code, sf, num_words=num_words, rng=rng)
-            phases = rng.getstates
+            phases = rng.blocks
             assert got is reference.verify_duality(code, sf, num_words=num_words, rng=ref_rng)
             assert rng.getstate() == ref_rng.getstate(), name
             assert rng.random() == ref_rng.random(), name
@@ -347,11 +364,29 @@ def test_a_failing_linearity_check_leaves_the_generator_as_the_per_pair_check():
         for seed in range(6):
             rng, ref_rng = CountingRandom(seed), random.Random(seed)
             got = skewtrellis_module._first_failure(code, rng, scales, 3)
-            assert rng.getstates == 1, name
+            assert rng.blocks == 1, name
             assert got == reference.first_failure(code, ref_rng, scales, 3), name
             assert rng.getstate() == ref_rng.getstate(), name
             failures.add(got)
     assert None not in failures and len(failures) > 1
+
+
+@pytest.mark.parametrize("patched", [False, True], ids=["plain", "non-additive"])
+def test_the_pair_checks_match_the_per_pair_check_on_every_field(patched, monkeypatch):
+    # every code, GF(2) to GF(27), k = 1 and 2, both module sides; the
+    # scales of the additivity check and of the fixed-subfield check
+    if patched:
+        non_additive(monkeypatch)
+    outcomes = set()
+    for name, code in CODES.items():
+        for seed, scales, max_len in ((0, [1] * 12, 3), (7, code.field.fixed_subfield() * 3, 4)):
+            rng, ref_rng = CountingRandom(seed), random.Random(seed)
+            got = skewtrellis_module._first_failure(code, rng, scales, max_len)
+            assert rng.blocks == 1, name
+            assert got == reference.first_failure(code, ref_rng, scales, max_len), name
+            assert rng.getstate() == ref_rng.getstate(), name
+            outcomes.add(got is None)
+    assert outcomes == ({True, False} if patched else {True})
 
 
 def witness_ints(witness):

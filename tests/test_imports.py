@@ -1,8 +1,13 @@
 """The import layout of the package: every import sits at module level, the
-trellis module imports neither the decoder nor the analysis, and the
-decoder takes its kernel and budgets from the trellis module."""
+trellis module imports neither the decoder nor the analysis, the decoder
+takes its kernel and budgets from the trellis module, and the analysis and
+simulation never import `numpy.random`."""
 
 import ast
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -58,3 +63,49 @@ def test_the_decoder_uses_the_trellis_kernel_and_budgets():
     assert decoder.acs is trellis.acs
     assert decoder.SURVIVOR_BUDGET == trellis.SURVIVOR_BUDGET == 1 << 24
     assert decoder.check_survivor_budget is trellis.check_survivor_budget
+
+
+SUITE = PACKAGE.parents[1] / "perfbench" / "suite"
+
+# numpy imports numpy.random on first use only, and that import alone costs
+# a process about 5.5 MiB of resident memory
+NO_NUMPY_RANDOM = textwrap.dedent(
+    """
+    import sys
+    from pathlib import Path
+
+    from skewconv import (
+        analyze_code,
+        linearity_report,
+        load_code,
+        run_simulation,
+        syndrome_former,
+        verify_duality,
+    )
+
+    for path in sorted(Path(sys.argv[1]).glob("*.json")):
+        if path.stem == "expected":
+            continue
+        code = load_code(path)
+        analyze_code(code)
+        if code.module_side == "right":
+            assert linearity_report(code).additive_ok
+        else:
+            assert verify_duality(code, syndrome_former(code))
+        run_simulation(code, 0.05, 3, 2)
+    print(sorted(name for name in sys.modules if name.startswith("numpy.random")))
+    """
+)
+
+
+def test_the_suite_analysis_and_simulation_never_import_numpy_random():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, str(SUITE)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -1,17 +1,192 @@
-"""The simulation's batch draws against each trial's `randrange` and
-`QSChannel.draw_errors`, and the interpreter's reading of the Mersenne
-Twister's 32-bit words that they parse.  The analysis checks' draws, a
-block of `randbytes` words each, are tested against their per-word
-references in `test_encoder.py`."""
+"""The analysis checks' draws, a block of `randbytes` words each, read
+word by word: a symbol one word mod q, a pair's length one word mod max_len
+plus 1; the simulation's batch draws against each trial's `randrange` and
+`QSChannel.draw_errors`; and the interpreter's reading of the Mersenne
+Twister's 32-bit words that they parse.  The checks' results against their
+per-word references are tested in `test_encoder.py`."""
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from skewconv import QSChannel, analysis
+from skewconv import (
+    QSChannel,
+    SkewConvCode,
+    SkewPolyMatrix,
+    SkewTrellisCode,
+    analysis,
+    syndrome_former,
+    verify_duality,
+)
 from skewconv.analysis import _draw_trials, _trial_rng, _words
+from skewconv.dual import _symbols
+from skewconv.skewtrellis import _first_failure
+
+import code_reference as reference
+from test_encoder import CODES
+
+SIZES = [1, 2, 3, 4, 5, 9, 16, 27, 256, 2**16, 2**20]
+
+
+class Squared(random.Random):
+    """Overrides random(), which the checks' blocks never read."""
+
+    def random(self):
+        return super().random() ** 2
+
+
+class Reversed(random.Random):
+    """Overrides getrandbits, and so randbytes: the bits of each draw in
+    reverse order."""
+
+    def getrandbits(self, k):
+        return int(format(super().getrandbits(k), f"0{k}b")[::-1], 2) if k else 0
+
+
+def check_symbols(rng, q, shapes):
+    for shape in shapes:
+        twin = type(rng)()
+        twin.setstate(rng.getstate())
+        got = _symbols(rng, q, shape)
+        words = np.frombuffer(twin.randbytes(4 * math.prod(shape)), "<u4")
+        assert got.shape == shape, (q, shape)
+        assert got.ravel().tolist() == [int(w) % q for w in words], (q, shape)
+        assert rng.getstate() == twin.getstate(), (q, shape)
+        assert rng.random() == twin.random(), (q, shape)
+
+
+@pytest.mark.parametrize("q", SIZES)
+def test_bulk_draws_are_the_block_words_mod_q(q):
+    # on a plain generator the block's words are its next getrandbits(32)s
+    rng, twin = random.Random(q), random.Random(q)
+    for shape in ((0,), (1,), (7, 3), (20, 7, 2), (501,)):
+        got = _symbols(rng, q, shape)
+        assert got.shape == shape and (got < q).all()
+        assert got.ravel().tolist() == [w % q for w in next_words(twin, math.prod(shape))]
+        assert rng.getstate() == twin.getstate(), (q, shape)
+    check_symbols(rng, q, [(0, 4), (3, 5)])
+
+
+@pytest.mark.parametrize("cls", [Squared, Reversed], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("q", [2, 9, 256])
+def test_a_generator_that_draws_otherwise_keeps_its_own_stream(cls, q):
+    # the block is the instance's own randbytes, overridden or not
+    check_symbols(cls(7), q, [(0,), (1,), (2,), (50,), (301,), (20, 7, 2)])
+    plain, rng = random.Random(7), cls(7)
+    same = bool((_symbols(plain, 2**20, (40,)) == _symbols(rng, 2**20, (40,))).all())
+    assert same is (cls is Squared)
+
+
+def profiled_randrange_calls(check):
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is random.Random.randrange.__code__:
+            calls.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        got = check()
+    finally:
+        sys.setprofile(None)
+    return got, calls
+
+
+def test_a_plain_generator_makes_no_randrange_call(example_code):
+    sf = syndrome_former(example_code)
+    rng, ref_rng = random.Random(5), random.Random(5)
+    got, calls = profiled_randrange_calls(lambda: verify_duality(example_code, sf, rng=rng))
+    assert got is reference.verify_duality(example_code, sf, rng=ref_rng) is True
+    assert calls == []
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_a_passing_linearity_check_makes_no_randrange_call(f4):
+    code = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, [[[1, 2], [2, 3]]]))
+    rng, ref_rng = random.Random(8), random.Random(8)
+    got, calls = profiled_randrange_calls(lambda: _first_failure(code, rng, [1] * 50, 3))
+    assert got is reference.first_failure(code, ref_rng, [1] * 50, 3) is None
+    assert calls == []
+    assert rng.getstate() == ref_rng.getstate()
+
+
+# The pairs of the linearity check, seen as the inputs that it encodes.
+
+
+def encoded_pairs(code, rng, scales, max_len, monkeypatch):
+    """_first_failure's result and its two inputs u1 and u2: the second and
+    third arrays that it encodes."""
+    encode_batch = SkewConvCode.encode_batch
+    inputs = []
+
+    def recorded(self, u, terminate=False):
+        inputs.append(np.array(u))
+        return encode_batch(self, u, terminate=terminate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SkewConvCode, "encode_batch", recorded)
+        got = _first_failure(code, rng, scales, max_len)
+    assert len(inputs) == 3
+    return got, inputs[1], inputs[2]
+
+
+def read_pairs(rng, q, k, max_len, count):
+    """count pairs read one word at a time, and their lengths: a length,
+    the next word mod max_len plus 1, then max_len blocks of k symbols for
+    u1 and as many for u2, a word mod q a symbol, zero past the length."""
+    pairs, lengths = [], []
+    for _ in range(count):
+        length = rng.getrandbits(32) % max_len + 1
+        u1, u2 = (
+            [[rng.getrandbits(32) % q * (t < length) for _ in range(k)] for t in range(max_len)]
+            for _ in range(2)
+        )
+        pairs.append([u1, u2])
+        lengths.append(length)
+    return pairs, lengths
+
+
+PAIR_CODES = [name for name in CODES if name.startswith("gf") and name.endswith("-right")]
+PAIR_CODES = [name for name in PAIR_CODES if "memory0" not in name]
+
+
+def test_the_pair_codes_cover_the_fields():
+    codes = [CODES[name] for name in PAIR_CODES]
+    assert {code.field.size for code in codes} == {2, 4, 8, 9, 16, 27}
+    assert {code.k for code in codes} == {1, 2}
+
+
+@pytest.mark.parametrize("name", PAIR_CODES)
+def test_pair_draws_are_the_block_words(name, monkeypatch):
+    code = CODES[name]
+    q, k = code.field.size, code.k
+    rng, twin = random.Random(len(name)), random.Random(len(name))
+    for max_len, count in ((1, 1), (2, 5), (3, 61), (8, 17)):
+        scales = [1] * count
+        got, u1, u2 = encoded_pairs(code, rng, scales, max_len, monkeypatch)
+        assert got is None
+        assert u1.shape == u2.shape == (count, max_len, k)
+        want, lengths = read_pairs(twin, q, k, max_len, count)
+        assert [list(p) for p in zip(u1.tolist(), u2.tolist())] == want, (name, max_len)
+        assert rng.getstate() == twin.getstate(), (name, max_len)
+        if count == 61:
+            # every length from 1 to 3, so some pairs are padded
+            assert set(lengths) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("cls", [Squared, Reversed], ids=lambda c: c.__name__)
+def test_pair_draws_of_a_generator_that_draws_otherwise(cls, f4):
+    # the pairs' block is the instance's own randbytes
+    code = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, [[[1, 2], [2, 3]]]))
+    rng, twin = cls(3), cls(3)
+    assert _first_failure(code, rng, [1] * 40, 3) is None
+    twin.randbytes(4 * 40 * (1 + 2 * 3 * code.k))
+    assert rng.getstate() == twin.getstate()
+    assert rng.random() == twin.random()
+
 
 # The interpreter's draws that `analysis._read_draws` reads off the
 # generator's words, and the randbytes block of the analysis checks, whose

@@ -8,6 +8,7 @@ import numpy as np
 
 # re-exported: `skewconv.analysis.viterbi` stays importable
 from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
+from .field import _integral
 from .trellis import (
     SURVIVOR_BUDGET,
     build_trellis,
@@ -44,8 +45,7 @@ def analyze_code(code, lmax=None, trellis=None):
     tr = trellis if trellis is not None else build_trellis(code)
     if lmax is None:
         lmax = max(10, 2 * (tr.external_degree + 1) * tr.num_sections)
-    if lmax < 2:
-        raise ValueError("lmax must be >= 2")
+    lmax = _integral(lmax, "lmax", 2)
     fd = tr.free_distance(lmax=lmax)
     sl = tr.slope()
     cat = is_catastrophic(tr)
@@ -261,11 +261,13 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     are held in the narrowest unsigned dtype that holds q - 1.
     """
     q = code.field.size
+    channel = QSChannel(q, eps)
     max_eps = (q - 1) / q
-    if not 0.0 <= eps < max_eps:
+    if not channel.eps < max_eps:
         raise ValueError(f"eps must lie in [0, {max_eps}) for a {q}-ary channel")
-    if trials < 1 or frame_len < 1:
-        raise ValueError("trials and frame_len must be positive")
+    trials = _integral(trials, "trials", 1)
+    frame_len = _integral(frame_len, "frame_len", 1)
+    seed = _integral(seed, "seed")
     tr = trellis if trellis is not None else build_trellis(code)
     blocks = frame_len + code.memory
     check_survivor_budget(1, blocks, tr.num_states)
@@ -277,7 +279,6 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
             SURVIVOR_BUDGET // (blocks * tr.num_states),
         ),
     )
-    channel = QSChannel(q, eps)
     sym_in = 0
     sym_out = 0
     frame_errs = 0

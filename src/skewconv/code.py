@@ -21,9 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import FieldElement, _read_only, _symbol
+from .field import FieldElement, _integral, _read_only, _same_field, _symbol
 from .linalg import f_rank, f_window
 from .skewpoly import SkewPolyMatrix
+from .trellis import EDGE_BUDGET
 
 __all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "ENCODE_CHUNK", "RANK_WINDOW_BUDGET"]
 
@@ -116,8 +117,7 @@ class Sequence:
         if len(self) != len(other) or self.width != other.width:
             raise ValueError("shape mismatch")
         f = self.field
-        if other.field is not f and other.field != f:
-            raise ValueError("mixed-field operands")
+        _same_field(other.field, f)
         return Sequence._trusted(f, f.add(self._values, other._values), self.width)
 
     def scale(self, c):
@@ -154,20 +154,19 @@ def coerce_sequence(field, u, width):
     if isinstance(u, Sequence):
         if u.width not in (None, width):
             raise ValueError(f"blocks have length {u.width}, expected {width}")
-        if u.field != field:
-            raise ValueError("mixed-field operands")
+        _same_field(u.field, field)
         return u
     return Sequence(field, u, width=width)
 
 
-def _check_count(name, value, least=0):
-    """Refuse a count that is not an integer >= least, in one line."""
-    try:
-        ok = operator.index(value) >= least
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _capped_window(field, coefficients, t_rows):
+    """`f_window` of t_rows >= 1 block rows, refused over `EDGE_BUDGET` entries."""
+    t_rows = _integral(t_rows, "t_rows", 1)
+    terms, rows, cols = coefficients.shape
+    entries = t_rows * rows * (t_rows + terms - 1) * cols
+    if entries > EDGE_BUDGET:
+        raise ValueError(f"a window of {entries} entries is over the budget of {EDGE_BUDGET}")
+    return f_window(field, coefficients, t_rows)
 
 
 class SkewConvCode:
@@ -328,19 +327,17 @@ class SkewConvCode:
 
     def time_coefficient(self, t, i):
         """Encoder coefficient theta^(t-i)(G_i) at time t as an integer table."""
-        if not 0 <= i <= self.memory:
+        if not 0 <= _integral(i, "delay") <= self.memory:
             raise ValueError(f"delay {i} outside [0, {self.memory}]")
-        return [row[:] for row in self.phase_coefficients[t % self.period][i]]
+        return [row[:] for row in self.phase_coefficients[_integral(t, "t") % self.period][i]]
 
     # -- scalar (semi-infinite) generator windows -------------------------
 
     def scalar_generator(self, t_rows):
         """First t_rows block rows of the scalar generator matrix, the window
         `f_window(G, t_rows)`: block row t carries theta^t(G_i) at block
-        column t+i."""
-        if t_rows < 1:
-            raise ValueError("t_rows must be >= 1")
-        return f_window(self.field, self.coefficients, t_rows)
+        column t+i.  One over `trellis.EDGE_BUDGET` entries is refused."""
+        return _capped_window(self.field, self.coefficients, t_rows)
 
     # -- regrouping into an equivalent fixed code -------------------------
 

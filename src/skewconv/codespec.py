@@ -15,12 +15,11 @@ block per line.
 """
 
 import json
-import numbers
 
 import numpy as np
 
 from .code import Sequence, SkewConvCode, SkewTrellisCode
-from .field import FiniteField
+from .field import FiniteField, _integral
 from .skewpoly import SkewPolyMatrix
 
 __all__ = [
@@ -41,20 +40,12 @@ class CodeSpecError(ValueError):
     pass
 
 
-def _is_int_array(value, depth):
-    """True iff value is a list nested `depth` deep with integer leaves."""
+def _is_nested(value, depth):
+    """True iff value is a list nested `depth` deep.  Its leaves are checked
+    where they are read, by `FiniteField` and `SkewPolyMatrix.from_ints`."""
     if not isinstance(value, (list, tuple)):
         return False
-    if depth == 1:
-        return all(isinstance(v, (int, numbers.Integral)) for v in value)
-    return all(_is_int_array(v, depth - 1) for v in value)
-
-
-def _as_int(value, name):
-    # an int is Integral; testing it first skips the slower ABC check
-    if not isinstance(value, (int, numbers.Integral)):
-        raise CodeSpecError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return depth == 1 or all(_is_nested(v, depth - 1) for v in value)
 
 
 def _field_from_dict(doc):
@@ -63,14 +54,11 @@ def _field_from_dict(doc):
     for key in ("p", "n"):
         if key not in doc:
             raise CodeSpecError(f"field block is missing {key!r}")
-    p = _as_int(doc["p"], "field p")
-    n = _as_int(doc["n"], "field n")
     modulus = doc.get("modulus")
-    if modulus is not None and not _is_int_array(modulus, 1):
+    if modulus is not None and not _is_nested(modulus, 1):
         raise CodeSpecError("field modulus must be an array of integers")
-    theta_r = _as_int(doc.get("theta_r", 0), "field theta_r")
     try:
-        return FiniteField(p, n, modulus=modulus, theta_r=theta_r)
+        return FiniteField(doc["p"], doc["n"], modulus=modulus, theta_r=doc.get("theta_r", 0))
     except ValueError as exc:
         raise CodeSpecError(f"bad field block: {exc}") from None
 
@@ -82,16 +70,16 @@ def code_from_dict(doc):
         if key not in doc:
             raise CodeSpecError(f"code spec is missing {key!r}")
     field = _field_from_dict(doc["field"])
-    k, n = _as_int(doc["k"], "k"), _as_int(doc["n"], "n")
-    table = doc["G"]
-    if not _is_int_array(table, 3) or len(table) != k or any(len(row) != n for row in table):
-        raise CodeSpecError(f"G must be a {k} x {n} array of coefficient arrays")
-    side = doc.get("module_side", "left")
-    if not isinstance(side, str) or side not in _CODE_CLASSES:
-        raise CodeSpecError(f"module_side must be 'left' or 'right', got {side!r}")
+    # a CodeSpecError is a ValueError: the refusals below keep their message
     try:
-        generator = SkewPolyMatrix.from_ints(field, table)
-        return _CODE_CLASSES[side](generator)
+        k, n = _integral(doc["k"], "k"), _integral(doc["n"], "n")
+        table = doc["G"]
+        if not _is_nested(table, 3) or len(table) != k or any(len(row) != n for row in table):
+            raise CodeSpecError(f"G must be a {k} x {n} array of coefficient arrays")
+        side = doc.get("module_side", "left")
+        if not isinstance(side, str) or side not in _CODE_CLASSES:
+            raise CodeSpecError(f"module_side must be 'left' or 'right', got {side!r}")
+        return _CODE_CLASSES[side](SkewPolyMatrix.from_ints(field, table))
     except ValueError as exc:
         raise CodeSpecError(str(exc)) from None
 

@@ -18,11 +18,13 @@ walk the trellis phase-aware: time t uses section t mod num_sections, so
 periodic time-varying codes decode correctly.
 """
 
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .code import Sequence, coerce_sequence
+from .field import _integral
 from .trellis import (
     SURVIVOR_BUDGET,
     _check_edge_budget,
@@ -48,11 +50,11 @@ class QSChannel:
     is replaced by one of the other q - 1 symbols uniformly."""
 
     def __init__(self, q, eps):
-        if q < 2:
-            raise ValueError("channel alphabet needs q >= 2")
+        self.q = _integral(q, "q", 2)
+        if not isinstance(eps, numbers.Real):
+            raise ValueError(f"eps must be a real number, got {eps!r}")
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"eps={eps} outside [0, 1)")
-        self.q = q
         self.eps = float(eps)
 
     def transition_prob(self, sent, received):
@@ -73,6 +75,7 @@ class QSChannel:
         random() a symbol, an error where it is below eps, and then one
         randrange(q - 1) for the error's offset.  Returns (errors, offsets),
         two lists of `count` entries, offset 0 where no error."""
+        count = _integral(count, "count", 0)
         eps, others = self.eps, self.q - 1
         random, randrange = rng.random, rng.randrange
         errors, offsets = [False] * count, [0] * count
@@ -105,6 +108,15 @@ class DecodeResult:
     posteriors: np.ndarray | None = dc_field(default=None)
 
 
+def _tail(trellis, total, terminated):
+    """The tail blocks, `memory` if terminated, of a longer word of `total` blocks."""
+    if not terminated:
+        return 0
+    if total <= trellis.memory:
+        raise ValueError(f"received length {total} too short for a terminated frame")
+    return trellis.memory
+
+
 def viterbi_batch(trellis, received, terminated=False):
     """ML decoding of a batch of equal-length frames by minimum Hamming
     distance: Forney's add-compare-select, one section at a time over every
@@ -132,9 +144,7 @@ def viterbi_batch(trellis, received, terminated=False):
     if not np.issubdtype(received.dtype, np.integer):
         raise ValueError(f"received must be an integer array, not {received.dtype}")
     frames, total, _ = received.shape
-    tail = trellis.memory if terminated else 0
-    if total <= tail and terminated:
-        raise ValueError(f"received length {total} too short for a terminated frame")
+    tail = _tail(trellis, total, terminated)
     num_states, num_inputs = trellis.num_states, trellis.num_inputs
     check_survivor_budget(frames, total, num_states)
     if received.size and not 0 <= received.min() <= received.max() < trellis.q:
@@ -209,9 +219,7 @@ def bcjr(trellis, received, channel, terminated=False):
 
     word = coerce_sequence(trellis.field, received, trellis.n)
     total = len(word)
-    tail = trellis.memory if terminated else 0
-    if total <= tail and terminated:
-        raise ValueError(f"received length {total} too short for a terminated frame")
+    tail = _tail(trellis, total, terminated)
 
     # one trellis section a block: refused where a DOT export of as many
     # sections would be

@@ -46,7 +46,8 @@ import random
 
 import numpy as np
 
-from .code import RANK_WINDOW_BUDGET, _check_count
+from .code import RANK_WINDOW_BUDGET, _capped_window
+from .field import _integral, _same_field
 from .linalg import f_matmul, f_polymul, f_rank, f_rref, f_rref_nullspace, f_window
 from .skewpoly import SkewPolyMatrix
 
@@ -77,8 +78,7 @@ class SyndromeFormer:
                 f"check matrix must be {code.n - code.k} x {code.n}, "
                 f"got {check.rows} x {check.cols}"
             )
-        if check.field != code.field:
-            raise ValueError("mixed-field operands")
+        _same_field(check.field, code.field)
         self.code = code
         self.field = code.field
         self.check = check
@@ -99,13 +99,12 @@ class SyndromeFormer:
 
     def ht_window(self, t_rows):
         """Window of the semi-infinite transposed check matrix: block row t
-        carries theta^t(H_i^T) at block column t + i."""
-        if t_rows < 1:
-            raise ValueError("t_rows must be >= 1")
+        carries theta^t(H_i^T) at block column t + i.  One over
+        `trellis.EDGE_BUDGET` entries is refused."""
         h = self.coefficients.transpose(0, 2, 1)
         if not len(h):  # a zero check holds no terms; its window is that of one zero term
             h = np.zeros((1, *h.shape[1:]), dtype=np.intp)
-        return f_window(self.field, h, t_rows)
+        return _capped_window(self.field, h, t_rows)
 
     def h_window(self, t_cols):
         """Window of the parity check matrix in column-stationary layout:
@@ -168,10 +167,10 @@ def syndrome_former(code, mu_perp_max=None):
     than RANK_WINDOW_BUDGET entries.
     """
     code.require_left_module("the syndrome former")
-    if mu_perp_max is not None and mu_perp_max < 0:
-        raise ValueError(f"mu_perp_max must be >= 0, got {mu_perp_max}")
     if mu_perp_max is None:
         mu_perp_max = code.n * max(code.memory, 1)
+    elif _integral(mu_perp_max, "mu_perp_max") < 0:
+        raise ValueError(f"mu_perp_max must be >= 0, got {mu_perp_max}")
     field, n = code.field, code.n
     need = n - code.k
     if need == 0:
@@ -204,7 +203,8 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     """Three-way duality check: the polynomial product vanishes, random
     terminated codewords have zero syndrome on a finite window, and random
     dual-window codewords are orthogonal to random codewords under the plain
-    scalar product.
+    scalar product.  The codewords are `length` blocks long, terminated; a
+    length at or below the code's memory is raised to memory + 1 blocks.
 
     The product is decided first, on the coefficient windows, by the check
     that `SyndromeFormer` validates with.  Each random phase then draws all
@@ -212,7 +212,8 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     (`_symbols`), and checks them at once; the generator is left after the
     block, whether or not the phase fails.
     """
-    _check_count("num_words", num_words)
+    num_words = _integral(num_words, "num_words", 0)
+    length = _integral(length, "length")
     code.require_left_module("the duality check")
     sf = check if isinstance(check, SyndromeFormer) else SyndromeFormer(code, check, validate=False)
     field = code.field

@@ -82,11 +82,20 @@ def _prime_factors(m):
     return out
 
 
-def _integral(value, what):
+def _integral(value, what, least=None):
+    """value as an int, the library's one integer check: a value that is no
+    integer, or is below least if given, is refused in one line."""
     # an int is Integral; testing it first skips the slower ABC check
-    if not isinstance(value, (int, numbers.Integral)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, (int, numbers.Integral)) and (least is None or value >= least):
+        return int(value)
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+
+
+def _same_field(a, b):
+    """Refuse, in one line, operands over two different fields a and b."""
+    if a is not b and a != b:
+        raise ValueError("mixed-field operands")
 
 
 def _symbol(field, c, what="value", t=None):
@@ -95,8 +104,7 @@ def _symbol(field, c, what="value", t=None):
     or a string, is refused; `what` names c in the messages, after its
     block t if one is given."""
     if isinstance(c, FieldElement):
-        if c.field is not field and c.field != field:
-            raise ValueError("mixed-field operands")
+        _same_field(c.field, field)
         return c.value
     if isinstance(c, (int, numbers.Integral)) and 0 <= (v := int(c)) < field.size:
         return v
@@ -432,10 +440,7 @@ class FiniteField:
 
     def element_name(self, value, symbol="a"):
         """Power-of-generator rendering: 0, 1, a, a^2, ..."""
-        if type(value) is not int:
-            value = _integral(value, "value")
-        if not 0 <= value < self.size:
-            raise ValueError(f"value {value} outside [0, {self.size})")
+        value = _symbol(self, value)
         if value == 0:
             return "0"
         e = self.log_table.item(value)
@@ -483,8 +488,7 @@ class FieldElement:
     def _coerce(self, other):
         if not isinstance(other, FieldElement):
             return None
-        if self.field is not other.field and self.field != other.field:
-            raise ValueError("mixed-field operands")
+        _same_field(self.field, other.field)
         return other
 
     def __add__(self, other):

@@ -11,7 +11,7 @@ matrix, and sums are the field's array `add`.
 
 import numpy as np
 
-from .field import FieldElement, _read_only, _symbol
+from .field import FieldElement, _integral, _read_only, _same_field, _symbol
 from .linalg import f_polymul
 
 __all__ = ["SkewPoly", "SkewPolyMatrix"]
@@ -90,6 +90,7 @@ class SkewPoly:
         return not len(self._values)
 
     def coefficient(self, i):
+        i = _integral(i, "power")
         value = int(self._values[i]) if 0 <= i < len(self._values) else 0
         return FieldElement(self.field, value)
 
@@ -100,8 +101,7 @@ class SkewPoly:
         """other as a polynomial: itself if it is one, else the constant of
         the symbol it is."""
         if isinstance(other, SkewPoly):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed-field operands")
+            _same_field(other.field, self.field)
             return other
         return SkewPoly(self.field, (other,))
 
@@ -201,8 +201,7 @@ class SkewPolyMatrix:
             for e in row:
                 if not isinstance(e, SkewPoly):
                     raise ValueError("entries must be SkewPoly")
-                if e.field != field:
-                    raise ValueError("mixed-field operands")
+                _same_field(e.field, field)
         values = _stack([[e._values for e in row] for row in entries])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coefficients", _strip(values))
@@ -262,7 +261,7 @@ class SkewPolyMatrix:
 
     def coefficient_values(self, i):
         """Coefficient matrix of D^i as nested integer lists."""
-        if not 0 <= i < len(self.coefficients):
+        if not 0 <= _integral(i, "power") < len(self.coefficients):
             return np.zeros(self.coefficients.shape[1:], dtype=np.intp).tolist()
         return self.coefficients[i].tolist()
 
@@ -278,8 +277,7 @@ class SkewPolyMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        if other.field != self.field:
-            raise ValueError("mixed-field operands")
+        _same_field(other.field, self.field)
         return SkewPolyMatrix._trusted(
             self.field, f_polymul(self.field, self.coefficients, other.coefficients)
         )

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode, _check_count
+from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode
+from .field import _integral
 from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
@@ -35,9 +36,9 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
     """Checks additivity and fixed-subfield homogeneity on random inputs and,
     when theta != id, searches exhaustively for a full-field homogeneity
     violation on short inputs."""
-    _check_count("pairs", pairs)
-    _check_count("max_len", max_len, 1)
-    _check_count("witness_len", witness_len)
+    pairs = _integral(pairs, "pairs", 0)
+    max_len = _integral(max_len, "max_len", 1)
+    witness_len = _integral(witness_len, "witness_len", 0)
     rng = rng or random.Random(0)
     field = code.field
     additive_ok = _first_failure(code, rng, [1] * pairs, max_len) is None

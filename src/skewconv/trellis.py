@@ -61,6 +61,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .field import _integral
+
 __all__ = [
     "Trellis",
     "TrellisEdge",
@@ -188,9 +190,9 @@ class Trellis:
         return ",".join(self.field.element_name(v) for v in regs) or "0"
 
     def edge(self, section, from_state, input_idx):
-        s = section % self.num_sections
         e = _check_id("state", from_state, self.num_states) * self.num_inputs
         e += _check_id("input", input_idx, self.num_inputs)
+        s = _integral(section, "section") % self.num_sections
         return TrellisEdge(
             int(self.next_state[s, e]), tuple(self.label[s, e].tolist()), int(self.weight[s, e])
         )
@@ -352,8 +354,7 @@ class Trellis:
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
         math.inf if no ell-loop exists."""
-        if ell < 1:
-            raise ValueError("ell must be >= 1")
+        ell = _integral(ell, "ell", 1)
         zero, _, _ = self._loop_dp(ell, ell, trace=False)
         return _number(zero[:, ell].min(), self.num_inputs)
 
@@ -381,6 +382,7 @@ class Trellis:
         """
         if ell_max is None:
             ell_max = 8 * (self.external_degree + 1) * self.num_sections
+        ell_max, lmax = _integral(ell_max, "ell_max"), _integral(lmax, "lmax")
         if ell_max < 1 or lmax < 0:
             raise ValueError("ell_max must be >= 1 and lmax >= 0")
         steps = max(ell_max, lmax)
@@ -794,8 +796,7 @@ def unit_memory_bounds(code):
 def export_dot(trellis, sections):
     """Graphviz DOT text for the unrolled trellis with the given number of
     sections: (sections + 1) state columns, edges labeled by output blocks."""
-    if sections < 1:
-        raise ValueError("sections must be >= 1")
+    sections = _integral(sections, "sections", 1)
     _check_edge_budget(sections, trellis.q, trellis.external_degree, trellis.k)
     field = trellis.field
     lines = ["digraph trellis {", "  rankdir=LR;", "  node [shape=circle fontsize=10];"]

@@ -1,0 +1,222 @@
+"""The library's input contract: every count, size, length, seed and index
+of the public API is an integer checked by `field._integral`, the channel's
+eps a real number, and every mixed-field operation is refused by
+`field._same_field`; a bad argument raises one ValueError of one line, and
+never a TypeError, an IndexError or a numpy allocation."""
+
+import contextlib
+import math
+import random
+import signal
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skewconv import (
+    FiniteField,
+    QSChannel,
+    Sequence,
+    SkewPoly,
+    SkewPolyMatrix,
+    SyndromeFormer,
+    SyndromeFormerNotFound,
+    analyze_code,
+    build_trellis,
+    export_dot,
+    run_simulation,
+    syndrome_former,
+    verify_duality,
+)
+from skewconv.code import coerce_sequence
+from skewconv.trellis import EDGE_BUDGET
+
+from conftest import EXAMPLE_TABLE, make_code
+
+F4 = FiniteField(2, 2, [1, 1, 1], theta_r=1)
+F4_ID = FiniteField(2, 2, [1, 1, 1], theta_r=0)
+CODE = make_code(F4, EXAMPLE_TABLE)
+TRELLIS = build_trellis(CODE)
+SF = syndrome_former(CODE)
+POLY = SkewPoly(F4, [1, 2])
+CHANNEL = QSChannel(4, 0.1)
+
+# each public call with one argument left open, by what the argument is
+CALLS = {
+    "free_distance-ell_max": lambda x: TRELLIS.free_distance(ell_max=x),
+    "free_distance-lmax": lambda x: TRELLIS.free_distance(lmax=x),
+    "active_burst_distance-ell": lambda x: TRELLIS.active_burst_distance(x),
+    "edge-section": lambda x: TRELLIS.edge(x, 0, 0),
+    "export_dot-sections": lambda x: export_dot(TRELLIS, x),
+    "scalar_generator-t_rows": lambda x: CODE.scalar_generator(x),
+    "time_coefficient-t": lambda x: CODE.time_coefficient(x, 0),
+    "time_coefficient-delay": lambda x: CODE.time_coefficient(0, x),
+    "ht_window-t_rows": lambda x: SF.ht_window(x),
+    "h_window-t_cols": lambda x: SF.h_window(x),
+    "SkewPoly.coefficient": lambda x: POLY.coefficient(x),
+    "SkewPolyMatrix.coefficient_values": lambda x: CODE.generator.coefficient_values(x),
+    "SyndromeFormer.coefficient_values": lambda x: SF.coefficient_values(x),
+    "syndrome_former-mu_perp_max": lambda x: syndrome_former(CODE, mu_perp_max=x),
+    "verify_duality-length": lambda x: verify_duality(CODE, SF, length=x),
+    "analyze_code-lmax": lambda x: analyze_code(CODE, lmax=x, trellis=TRELLIS),
+    "run_simulation-eps": lambda x: run_simulation(CODE, x, 4, 4, trellis=TRELLIS),
+    "run_simulation-trials": lambda x: run_simulation(CODE, 0.1, x, 4, trellis=TRELLIS),
+    "run_simulation-frame_len": lambda x: run_simulation(CODE, 0.1, 4, x, trellis=TRELLIS),
+    "run_simulation-seed": lambda x: run_simulation(CODE, 0.1, 4, 4, seed=x, trellis=TRELLIS),
+    "QSChannel-q": lambda x: QSChannel(x, 0.1),
+    "QSChannel-eps": lambda x: QSChannel(4, x),
+    "draw_errors-count": lambda x: CHANNEL.draw_errors(random.Random(0), x),
+}
+
+
+@contextlib.contextmanager
+def deadline(seconds, message):
+    """Raise TimeoutError(message) if the block runs past `seconds`."""
+    def hung(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def refused_in_one_line(call, value):
+    """The message of the ValueError that call(value) raises; it must have
+    no newline."""
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message and "\n" not in message, message
+    return message
+
+
+# the calls whose argument defaults to None, which stays their default
+NONE_IS_DEFAULT = {"free_distance-ell_max", "syndrome_former-mu_perp_max", "analyze_code-lmax"}
+
+
+@pytest.mark.parametrize("value", [2.5, "3", None], ids=["float", "str", "None"])
+@pytest.mark.parametrize("name", CALLS)
+def test_a_non_integer_argument_is_refused_in_one_line(name, value):
+    if value is None and name in NONE_IS_DEFAULT:
+        CALLS[name](value)
+    else:
+        refused_in_one_line(CALLS[name], value)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_every_call_takes_a_valid_argument(name):
+    # the worked code has memory 1, and so does its dual
+    CALLS[name]({"time_coefficient-delay": 1}.get(name, 0.05 if name.endswith("-eps") else 2))
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("QSChannel-q", 4.5, "q must be an integer >= 2, got 4.5"),
+        ("QSChannel-q", 1, "q must be an integer >= 2, got 1"),
+        ("QSChannel-eps", "0.1", "eps must be a real number, got '0.1'"),
+        ("QSChannel-eps", None, "eps must be a real number, got None"),
+        ("run_simulation-eps", "0.1", "eps must be a real number, got '0.1'"),
+        ("run_simulation-trials", 2.5, "trials must be an integer >= 1, got 2.5"),
+        ("run_simulation-frame_len", 0, "frame_len must be an integer >= 1, got 0"),
+        ("run_simulation-seed", "3", "seed must be an integer, got '3'"),
+        ("edge-section", 2.5, "section must be an integer, got 2.5"),
+        ("free_distance-ell_max", 2.5, "ell_max must be an integer, got 2.5"),
+        ("syndrome_former-mu_perp_max", 2.5, "mu_perp_max must be an integer, got 2.5"),
+        ("verify_duality-length", 2.5, "length must be an integer, got 2.5"),
+        ("draw_errors-count", -1, "count must be an integer >= 0, got -1"),
+        ("analyze_code-lmax", 1, "lmax must be an integer >= 2, got 1"),
+        ("export_dot-sections", 0, "sections must be an integer >= 1, got 0"),
+        ("time_coefficient-delay", 2, "delay 2 outside [0, 1]"),
+    ],
+)
+def test_the_messages(name, value, message):
+    assert refused_in_one_line(CALLS[name], value) == message
+
+
+def test_the_run_simulation_bound_on_eps_follows_the_channel_check():
+    # in [0, 1) but not below (q - 1) / q: the simulation's own bound
+    message = refused_in_one_line(CALLS["run_simulation-eps"], 0.9)
+    assert message == "eps must lie in [0, 0.75) for a 4-ary channel"
+    assert refused_in_one_line(CALLS["run_simulation-eps"], 1.5) == "eps=1.5 outside [0, 1)"
+
+
+def test_the_edge_ids_are_checked_before_the_section():
+    with pytest.raises(ValueError, match="^state 2.5 is not an integer$"):
+        TRELLIS.edge(2.5, 2.5, 0)
+    with pytest.raises(ValueError, match=r"^input 9 is out of range 0\.\.3$"):
+        TRELLIS.edge(None, 0, 9)
+
+
+@pytest.mark.parametrize(
+    "call", [CODE.scalar_generator, SF.ht_window, SF.h_window], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("t_rows", [10**6, 1448])
+def test_a_window_over_the_edge_budget_is_refused_before_it_is_built(call, t_rows):
+    # the worked code's windows, and its dual's, hold t_rows x (t_rows + 1)
+    # x 2 entries: 1447 block rows stay within the budget, 1448 do not
+    assert 1447 * 1448 * 2 <= EDGE_BUDGET
+    entries = t_rows * (t_rows + 1) * 2
+    with deadline(5, "the refusal allocated the window"):
+        message = refused_in_one_line(call, t_rows)
+    assert message == f"a window of {entries} entries is over the budget of {EDGE_BUDGET}"
+
+
+@pytest.mark.parametrize("length", [0, -3, CODE.memory])
+def test_a_duality_length_at_or_below_the_memory_is_raised_to_memory_plus_one(length):
+    # the same draws as memory + 1 blocks: the generators end in one state
+    rng, want_rng = random.Random(4), random.Random(4)
+    assert verify_duality(CODE, SF, length=length, rng=rng)
+    assert verify_duality(CODE, SF, length=CODE.memory + 1, rng=want_rng)
+    assert rng.getstate() == want_rng.getstate()
+    assert rng.getstate() != random.Random(4).getstate()
+
+
+MIXED = {
+    "FieldElement": lambda: F4(1) + F4_ID(1),
+    "symbol": lambda: Sequence(F4, [[F4_ID(1)]]),
+    "Sequence.__add__": lambda: Sequence(F4, [[1]]) + Sequence(F4_ID, [[1]]),
+    "coerce_sequence": lambda: coerce_sequence(F4, Sequence(F4_ID, [[1, 0]]), 2),
+    "SyndromeFormer": lambda: SyndromeFormer(
+        CODE, SkewPolyMatrix.from_ints(F4_ID, [[[1], [1]]]), validate=False
+    ),
+    "SkewPoly": lambda: POLY + SkewPoly(F4_ID, [1]),
+    "SkewPolyMatrix": lambda: SkewPolyMatrix([[POLY, SkewPoly(F4_ID, [1])]]),
+    "SkewPolyMatrix.__matmul__": lambda: (
+        SkewPolyMatrix.from_ints(F4, [[[1]]]) @ SkewPolyMatrix.from_ints(F4_ID, [[[1]]])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_mixed_field_operands_are_refused(name):
+    with pytest.raises(ValueError, match="^mixed-field operands$"):
+        MIXED[name]()
+
+
+# the fuzzed arguments: small integers, floats with nan and the infinities,
+# short text, None and the bools
+ARGUMENTS = st.one_of(
+    st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+    st.none(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CALLS)), value=ARGUMENTS)
+def test_every_argument_works_or_is_refused_in_one_line(name, value):
+    with deadline(10, f"{name}({value!r}) did not finish"):
+        try:
+            CALLS[name](value)
+        except SyndromeFormerNotFound:
+            # the search's answer, not a refusal: no dual within the cap
+            assert name == "syndrome_former-mu_perp_max"
+        except ValueError as exc:
+            assert str(exc) and "\n" not in str(exc), str(exc)

@@ -1,37 +1,31 @@
 """Skew convolutional and skew trellis codes: validation, period, encoding,
 scalar generator windows, and regrouping into an equivalent fixed code.
 
-Encoding is one array kernel, `encode_batch`, over a batch of frames at
-once, in the log domain of the field's tables; `encode` is it on one frame.
-
 A code is given by a k x n polynomial generator matrix G(D) = G_0 + G_1 D +
-... + G_mu D^mu over F[D; theta].  The left-module (convolutional) encoding
-is the twisted convolution
+... + G_mu D^mu over F[D; theta].  The left-module (convolutional) code
+{u G} encodes by the twisted convolution
 
     v_t = sum_i u_{t-i} * theta^(t-i)(G_i),   u_t = 0 for t < 0,
 
-so the encoder coefficients are periodic in t with the code period.  The
-right-module (trellis) encoding twists the stored inputs instead:
+whose coefficients are periodic in t with the code period; the
+right-module (trellis) code {G u} twists the stored inputs instead,
 
-    v_t = sum_i theta^i(u_{t-i}) * G_i.
+    v_t = sum_i theta^i(u_{t-i}) * G_i,   block t of G^T u^T.
+
+Encoding is that module product, one `linalg.f_polymul` over a batch of
+frames (`encode_batch`); `encode` is it on one frame.
 """
 
 import operator
-from functools import cached_property
 
 import numpy as np
 
 from .field import FieldElement, _integral, _read_only, _same_field, _symbol
-from .linalg import f_rank, f_window
+from .linalg import f_polymul, f_rank, f_window
 from .skewpoly import SkewPolyMatrix
 from .trellis import EDGE_BUDGET
 
-__all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "ENCODE_CHUNK", "RANK_WINDOW_BUDGET"]
-
-ENCODE_CHUNK = 1 << 16
-"""About the most products (frames x blocks x (memory + 1) x k x n) that
-`encode_batch` forms at once: a longer input is encoded in time chunks that
-overlap by `memory` input blocks."""
+__all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "RANK_WINDOW_BUDGET"]
 
 RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
@@ -258,72 +252,31 @@ class SkewConvCode:
 
         u is an integer array of shape (frames, blocks, k); the result is an
         array of shape (frames, blocks + tail, n), tail = `memory` if
-        terminate else 0, in the narrowest unsigned dtype that holds q - 1,
-        the dtype in which the input is read.  Block t of a frame is
-
-            v_t = sum_i theta^(i * register_twist)(u_{t-i}) * C_i,
-
-        C_i the delay-i table of phase t mod period, u_t = 0 outside the
-        input.  Every product is taken in the log domain of the field's
-        tables: the twist multiplies an input's log by p^j, a product adds
-        two logs and takes one antilog, and the k x (memory + 1) terms of a
-        symbol are added by `FiniteField.sum`.  The blocks are encoded a
-        time chunk at a time, so that a chunk forms at most about
-        ENCODE_CHUNK products beyond one block of every frame.
+        terminate else 0, in the narrowest unsigned dtype that holds q - 1.
+        It is the module product, one `linalg.f_polymul`: u G for a
+        left-module code, u read as the polynomial matrix [t, frames, k],
+        and G^T u^T for a right-module code, u^T read as [t, k, frames],
+        since block t of that is sum_i theta^i(u_{t-i}) G_i.
         """
         u = np.asarray(u)
-        k, n, mu = self.k, self.n, self.memory
-        if u.ndim != 3 or u.shape[2] != k:
-            raise ValueError(f"u must have shape (frames, blocks, {k})")
-        field = self.field
-        q = field.size
+        if u.ndim != 3 or u.shape[2] != self.k:
+            raise ValueError(f"u must have shape (frames, blocks, {self.k})")
+        q = self.field.size
         if u.size:
             if u.dtype.kind not in "iu":
                 raise ValueError("information symbols must be integers")
             if not 0 <= u.min() <= u.max() < q:
                 raise ValueError(f"information symbols outside [0, {q})")
-        symbol = np.min_scalar_type(q - 1)
-        u = u.astype(symbol, copy=False)
         frames, blocks, _ = u.shape
-        total = blocks + (mu if terminate else 0)
-        out = np.empty((frames, total, n), dtype=symbol)
-        coeff_logs, powers = self._encoder_logs
-        step = max(1, ENCODE_CHUNK // max(1, frames * (mu + 1) * k * n))
-        for start in range(0, total, step):
-            stop = min(total, start + step)
-            # frames last, so that each array step runs along the batch:
-            # logs[c, row, f] is the log of u_{start - mu + c}, -1 for a zero
-            # symbol and for the blocks outside the input
-            logs = np.full((stop - start + mu, k, frames), -1, dtype=np.intp)
-            lo, hi = max(start - mu, 0), min(stop, blocks)
-            if lo < hi:
-                logs[lo - start + mu : hi - start + mu] = field.log_table[
-                    u[:, lo:hi].transpose(1, 2, 0)
-                ]
-            # span[c, i, row, 0, f]: the log of u_{start + c - i}
-            times = np.arange(start, stop)
-            span = logs[(times - start)[:, None] + (mu - np.arange(mu + 1))][:, :, :, None]
-            coeff = coeff_logs[times % self.period][..., None]
-            present = (span >= 0) & (coeff >= 0)
-            if powers is not None:
-                span = span * powers[:, None, None, None]
-            prod = field.antilog_table.take(span + coeff, mode="wrap")
-            terms = np.where(present, prod, 0).reshape(stop - start, (mu + 1) * k, n, frames)
-            out[:, start:stop] = field.sum(np.moveaxis(terms, 1, 0)).transpose(2, 0, 1)
-        return out
-
-    @cached_property
-    def _encoder_logs(self):
-        """(coeff_logs, powers): coeff_logs[s, i, row, j] is the log of the
-        phase-s delay-i table entry, -1 where it is zero; theta^(i *
-        register_twist) multiplies the log of a nonzero input by powers[i],
-        and powers is None where no delay twists."""
-        field = self.field
-        coeff_logs = _read_only(field.log_table[np.array(self.phase_coefficients, dtype=np.intp)])
-        shifts = [field.theta_r * i * self.register_twist % field.n for i in range(self.memory + 1)]
-        if not any(shifts):
-            return coeff_logs, None
-        return coeff_logs, _read_only(np.array([field.p**j for j in shifts], dtype=np.intp))
+        total = blocks + (self.memory if terminate else 0)
+        if not blocks:  # a product of no terms: the frames are their zero tails
+            return np.zeros((frames, total, self.n), np.min_scalar_type(q - 1))
+        g = self.coefficients
+        if self.module_side == "left":
+            v = f_polymul(self.field, u.transpose(1, 0, 2), g).transpose(1, 0, 2)
+        else:
+            v = f_polymul(self.field, g.transpose(0, 2, 1), u.transpose(1, 2, 0)).transpose(2, 0, 1)
+        return np.ascontiguousarray(v[:, :total])
 
     def time_coefficient(self, t, i):
         """Encoder coefficient theta^(t-i)(G_i) at time t as an integer table."""

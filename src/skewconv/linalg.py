@@ -1,15 +1,17 @@
-"""Exact linear algebra over a FiniteField on integer-encoded matrices:
-one Gauss-Jordan elimination (`f_rref`), the rank, the nullspace of a
-matrix or of a left block of it read off its rref, and the matrix product,
-built on the field's array operations, `f_window`, the one
-builder of the banded scalar windows of a skew polynomial matrix, and
-`f_polymul`, the one skew polynomial matrix product, on two windows."""
+"""Exact linear algebra over a FiniteField on integer-encoded matrices,
+built on the field's array operations: one Gauss-Jordan elimination
+(`f_rref`), the rank, the nullspace of a matrix or of a left block of it
+read off its rref, the matrix product, `f_window`, the one builder of the
+banded scalar windows of a skew polynomial matrix, and `f_polymul`, the one
+skew polynomial matrix product, which `@`, `*`, the duality check and every
+encode run on."""
 
 import bisect
 
 import numpy as np
 
 __all__ = [
+    "PRODUCT_TERMS",
     "f_rref",
     "f_rank",
     "f_nullspace",
@@ -19,8 +21,10 @@ __all__ = [
     "f_polymul",
 ]
 
-# the most products `f_matmul` forms at once, beyond one row's
-_MATMUL_TERMS = 1 << 16
+PRODUCT_TERMS = 1 << 16
+"""About the most field products `f_matmul` and `f_polymul` form at once,
+beyond one row's (of one output term, for `f_polymul`); the linearity
+witness sweep sizes its chunks of inputs by it too."""
 
 
 def f_rref(field, mat):
@@ -102,7 +106,7 @@ def f_rref_nullspace(field, rref, pivots, cols):
 def f_matmul(field, a, b):
     """Matrix product over the field as array steps: the products
     a[i, x] * b[x, j] of a band of rows at once, summed over x by
-    `FiniteField.sum`; a band holds at most about _MATMUL_TERMS products."""
+    `FiniteField.sum`; a band holds at most about PRODUCT_TERMS products."""
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
@@ -110,7 +114,7 @@ def f_matmul(field, a, b):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if not b.size:
         return out
-    band = max(1, _MATMUL_TERMS // b.size)
+    band = max(1, PRODUCT_TERMS // b.size)
     for start in range(0, len(a), band):
         terms = field.mul(a[start : start + band, :, None], b)
         out[start : start + band] = field.sum(np.moveaxis(terms, 1, 0))
@@ -135,21 +139,51 @@ def f_window(field, coefficients, blocks, twist=1, delay_twist=0):
 def f_polymul(field, a, b):
     """The product A(D) B(D) of two polynomial matrices given as integer
     arrays [i, row, col], as the array [s, row, col] of C_s = sum_i A_i
-    theta^i(B_(s-i)).  A's terms go in bands of k, so that a band's window
-    of B holds about _MATMUL_TERMS entries, as `f_matmul` bands its rows.
-    The band from term t times B is f_window(A_(t..t+k-1), 1), which holds
-    A_(t+i) at block column i, times f_window(theta^t(B), k), whose block
-    row i holds theta^(t+i)(B_j) at block column i + j; it is added into C
-    from term t on."""
-    rows, cols = a.shape[1], b.shape[2]
-    if not len(a) or not len(b):
-        return np.zeros((0, rows, cols), dtype=np.int64)
-    out = np.zeros((len(a) + len(b) - 1, rows, cols), dtype=np.int64)
-    band = max(1, _MATMUL_TERMS // max(b.size, 1))
-    for t in range(0, len(a), band):
-        part = a[t : t + band]
-        window = f_window(field, field.frobenius(b, t), len(part))
-        product = f_matmul(field, f_window(field, part, 1), window)
-        terms = product.reshape(rows, -1, cols).transpose(1, 0, 2)
-        out[t : t + len(terms)] = field.add(out[t : t + len(terms)], terms)
-    return out
+    theta^i(B_(s-i)), in the narrowest unsigned dtype that holds q - 1.
+
+    One gather-and-sum pass over the terms d of the shorter factor, a chunk
+    of about PRODUCT_TERMS products at a time (at least one output term's
+    for one row of A; A's rows go in bands when a term's are more), in the
+    log domain of `FiniteField.mul`'s tables, where 0 has the log
+    2(q - 1): the longer factor's logs are read at s - d, B's are twisted by
+    theta^i (i = d if A is the shorter, else s - d), each product is one
+    gather at a sum of two logs, and `FiniteField.sum` adds them over
+    (d, inner).  The larger of rows and cols runs along the innermost axis,
+    so that each step is one pass over a batch of frames (`encode_batch`).
+    """
+    (terms_a, rows, inner), (terms_b, _, cols) = a.shape, b.shape
+    total = terms_a + terms_b - 1 if terms_a and terms_b else 0
+    flip = rows > cols
+    symbol = np.min_scalar_type(field.size - 1)
+    out = np.zeros((total, cols, rows) if flip else (total, rows, cols), symbol)
+    view = out.transpose(0, 2, 1) if flip else out  # [s, row, col]
+    if out.size and inner:
+        log_of, antilog = field._product_logs, field._product_table
+        q1, order = field.size - 1, field.automorphism_order
+        powers = field.p ** (field.theta_r * np.arange(order) % field.n)
+        # every factor indexed [inner, term, row or col]
+        a, b = a.transpose(2, 0, 1), b.transpose(1, 0, 2)
+        short, long = (a, b) if terms_a <= terms_b else (b, a)
+        d = np.arange(short.shape[1])[:, None]
+        short_logs = log_of[short][:, :, None]
+        band = max(1, PRODUCT_TERMS // (len(d) * inner * cols))  # rows of A a pass
+        step = max(1, PRODUCT_TERMS // (len(d) * inner * min(band, rows) * cols))
+        for start in range(0, total, step):
+            stop = min(start + step, total)
+            s = np.arange(start, stop)
+            # window[:, w] holds the logs of the longer factor's term lo + w
+            lo = start - len(d) + 1
+            window = np.full((inner, len(s) + len(d) - 1, long.shape[2]), 2 * q1)
+            part = long[:, max(lo, 0) : stop]
+            window[:, max(-lo, 0) : max(-lo, 0) + part.shape[1]] = log_of[part]
+            read = window[:, s - d - lo]  # [inner, d, s, row or col]
+            la, lb = (short_logs, read) if short is a else (read, short_logs)
+            if order > 1:  # theta^i multiplies a nonzero log by p^(r i mod n)
+                i = (d if short is a else s - d)[..., None]
+                lb = np.where(lb < q1, lb * powers[i % order] % q1, lb)
+            for r in range(0, rows, band):
+                x, y = (lb, la[..., r : r + band]) if flip else (la[..., r : r + band], lb)
+                products = antilog[x[..., :, None] + y[..., None, :]]
+                summed = field.sum(products.reshape(-1, *products.shape[2:]))
+                view[start:stop, r : r + band] = summed.swapaxes(1, 2) if flip else summed
+    return view

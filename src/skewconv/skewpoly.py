@@ -6,7 +6,9 @@ Multiplication follows the twisted rule D*a = theta(a)*D, so
 Both types hold their coefficients as one read-only integer array, ascending
 in D, with trailing zero terms stripped, so that equal values hold equal
 arrays.  Every product is `linalg.f_polymul`, a polynomial being its 1 x 1
-matrix, and sums are the field's array `add`.
+matrix, the kernel that also encodes; it runs over the shorter factor's
+terms, so a long polynomial times a short one costs time and memory linear
+in the long one, in either order.  Sums are the field's array `add`.
 """
 
 import numpy as np
@@ -27,6 +29,21 @@ def _strip(values):
     while end and not values[end - 1].any():
         end -= 1
     return _read_only(values if end == len(values) else values[:end])
+
+
+def _grid(table, cell_type, cell_message):
+    """Refuse in one line a table that is not a non-empty list or tuple of
+    equal-length, non-empty rows, each a list or tuple of cells of
+    cell_type; nothing in a cell is read."""
+    rows = (list, tuple)
+    if not isinstance(table, rows) or not all(isinstance(row, rows) for row in table):
+        raise ValueError("matrix must be a list of rows")
+    if not table or not table[0]:
+        raise ValueError("matrix must be non-empty")
+    if any(len(row) != len(table[0]) for row in table):
+        raise ValueError("ragged matrix")
+    if not all(isinstance(cell, cell_type) for row in table for cell in row):
+        raise ValueError(cell_message)
 
 
 def _stack(cells):
@@ -191,16 +208,10 @@ class SkewPolyMatrix:
     __slots__ = ("field", "coefficients")
 
     def __init__(self, entries):
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be non-empty")
+        _grid(entries, SkewPoly, "entries must be SkewPoly")
         field = entries[0][0].field
-        cols = len(entries[0])
         for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
             for e in row:
-                if not isinstance(e, SkewPoly):
-                    raise ValueError("entries must be SkewPoly")
                 _same_field(e.field, field)
         values = _stack([[e._values for e in row] for row in entries])
         object.__setattr__(self, "field", field)
@@ -222,10 +233,7 @@ class SkewPolyMatrix:
     def from_ints(cls, field, table):
         """Build from a nested list: table[i][j] is the ascending-D coefficient
         list (integers) of entry (i, j)."""
-        if not table or not table[0]:
-            raise ValueError("matrix must be non-empty")
-        if any(len(row) != len(table[0]) for row in table):
-            raise ValueError("ragged matrix")
+        _grid(table, (list, tuple), "each entry must be a list of coefficients")
         cells = [[[_symbol(field, c) for c in cell] for cell in row] for row in table]
         return cls._trusted(field, _stack(cells))
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import ENCODE_CHUNK, Sequence, SkewTrellisCode
+from .code import Sequence, SkewTrellisCode
 from .field import _integral
+from .linalg import PRODUCT_TERMS
 from .trellis import build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
@@ -85,14 +86,14 @@ def _homogeneity_witness(code, witness_len):
     encode(a u) != a encode(u), as (a, u, encode(a u), a encode(u)); None if
     there is none.
 
-    The inputs are encoded in chunks of about ENCODE_CHUNK output symbols,
+    The inputs are encoded in chunks of about PRODUCT_TERMS output symbols,
     so memory does not grow with q^(k * witness_len); with one chunk they are
     encoded once for all scales.
     """
     field = code.field
     q, k, n = field.size, code.k, code.n
     words = q ** (k * witness_len)
-    chunk = max(1, ENCODE_CHUNK // ((witness_len + code.memory) * n))
+    chunk = max(1, PRODUCT_TERMS // ((witness_len + code.memory) * n))
 
     def inputs(start, stop):
         # the base-q digits of the word ids, least significant first: the

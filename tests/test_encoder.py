@@ -1,5 +1,6 @@
-"""The array encoder against the per-symbol reference encoder, its input
-checks, its time chunks and its memory; and the analysis checks built on it
+"""The array encoder against the per-symbol reference encoder and the
+module product of `SkewPolyMatrix`, its input checks, its time chunks and
+its memory; and the analysis checks built on it
 (`verify_duality`, `linearity_report`, `f_matmul`) against their per-word
 references, generator state included."""
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import code_reference as reference
 from skewconv import (
@@ -18,7 +20,7 @@ from skewconv import (
     SkewPolyMatrix,
     SkewTrellisCode,
     SyndromeFormer,
-    code as code_module,
+    linalg as linalg_module,
     linearity_report,
     skewtrellis as skewtrellis_module,
     load_code,
@@ -135,6 +137,46 @@ def test_encode_rejects_bad_inputs_with_the_sequence_messages():
         code.encode(Sequence(GF4_ID, [[1]]))
 
 
+@st.composite
+def codes_and_batches(draw):
+    """A code over GF(2) to GF(27), either module side, k = 1 or 2, memory
+    0 to 3, and a batch of 0 to 7 frames of 1 to 6 blocks."""
+    field = draw(st.sampled_from([GF2, GF4, GF4_ID, GF8, GF9, GF16, GF27]))
+    cls = draw(st.sampled_from([SkewConvCode, SkewTrellisCode]))
+    k, memory = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    n = draw(st.integers(k, 3))
+    symbols = st.integers(0, field.size - 1)
+    g = np.array(draw(st.lists(symbols, min_size=(memory + 1) * k * n, max_size=(memory + 1) * k * n)))
+    g = g.reshape(memory + 1, k, n)
+    g[memory, 0, 0] = draw(st.integers(1, field.size - 1))
+    frames, blocks = draw(st.sampled_from([0, 1, 2, 7])), draw(st.integers(1, 6))
+    u = np.array(draw(st.lists(symbols, min_size=frames * blocks * k, max_size=frames * blocks * k)))
+    code = cls(SkewPolyMatrix.from_coefficients(field, g), validate=False)
+    return code, u.reshape(frames, blocks, k).astype(np.intp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=codes_and_batches())
+def test_the_encoder_is_the_module_product(case):
+    # u G for a left-module code and G^T u^T for a right-module one, u the
+    # frames x k polynomial matrix of the batch
+    code, u = case
+    frames, blocks, _ = u.shape
+    v = code.encode_batch(u, terminate=True)
+    assert v.shape == (frames, blocks + code.memory, code.n)
+    assert np.array_equal(code.encode_batch(u), v[:, :blocks])
+    if not frames:
+        return
+    info = SkewPolyMatrix.from_coefficients(code.field, u.transpose(1, 0, 2))
+    if code.module_side == "left":
+        product = (info @ code.generator).coefficients
+    else:
+        product = (code.generator.transpose() @ info.transpose()).coefficients.transpose(0, 2, 1)
+    want = np.zeros((blocks + code.memory, frames, code.n), dtype=np.intp)
+    want[: len(product)] = product
+    assert np.array_equal(v, want.transpose(1, 0, 2))
+
+
 def test_encode_batch_validates_its_input():
     code = CODES["gf9-k2-left"]
     for bad in (np.zeros((2, 3), dtype=int), np.zeros((1, 3, 3), dtype=int)):
@@ -156,7 +198,7 @@ def test_time_chunks_overlap_by_the_memory(name, chunk, monkeypatch):
     rng = random.Random(4444)
     u = random_inputs(code, rng, 3, 11)
     want = code.encode_batch(u, terminate=True)
-    monkeypatch.setattr(code_module, "ENCODE_CHUNK", chunk)
+    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", chunk)
     assert np.array_equal(code.encode_batch(u, terminate=True), want)
     assert np.array_equal(code.encode_batch(u, terminate=False), want[:, :11])
     for frame, v in zip(u, want):
@@ -183,7 +225,7 @@ def test_memory_does_not_grow_with_the_field():
 
 def test_a_long_input_is_encoded_in_bounded_memory():
     code = CODES["gf9-k2-right"]
-    blocks = 8 * code_module.ENCODE_CHUNK
+    blocks = 8 * linalg_module.PRODUCT_TERMS
     u = np.broadcast_to(np.array([1, 2], dtype=np.intp), (1, blocks, 2))
     tracemalloc.start()
     try:
@@ -192,8 +234,8 @@ def test_a_long_input_is_encoded_in_bounded_memory():
     finally:
         tracemalloc.stop()
     # the output itself is blocks x 3 words; a chunk's temporaries are a few
-    # times ENCODE_CHUNK words
-    assert peak < v.nbytes + 64 * code_module.ENCODE_CHUNK
+    # times PRODUCT_TERMS words
+    assert peak < v.nbytes + 64 * linalg_module.PRODUCT_TERMS
     assert np.array_equal(v[0, 5 : 9], code.encode_batch(u[:, :9])[0, 5:9])
 
 
@@ -451,8 +493,8 @@ def test_the_witness_sweep_runs_in_chunks(monkeypatch):
     assert want[3] is not None
     # one word a chunk, the first the all-zero word; the encoder one block at
     # a time
-    monkeypatch.setattr(code_module, "ENCODE_CHUNK", 1)
-    monkeypatch.setattr(skewtrellis_module, "ENCODE_CHUNK", (2 + code.memory) * code.n)
+    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", 1)
+    monkeypatch.setattr(skewtrellis_module, "PRODUCT_TERMS", (2 + code.memory) * code.n)
     assert check_linearity_report(code, 4, pairs=2) == want
 
 
@@ -467,9 +509,7 @@ def test_f_matmul_matches_the_scalar_product(field, monkeypatch):
         want = reference.f_matmul(field, a, b)
         got = f_matmul(field, a, b)
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    import skewconv.linalg as linalg_module
-
-    monkeypatch.setattr(linalg_module, "_MATMUL_TERMS", 5)
+    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", 5)
     a = np.array([[rng.randrange(field.size) for _ in range(4)] for _ in range(6)])
     b = np.array([[rng.randrange(field.size) for _ in range(3)] for _ in range(4)])
     assert np.array_equal(f_matmul(field, a, b), reference.f_matmul(field, a, b))

@@ -175,6 +175,23 @@ def test_a_duality_length_at_or_below_the_memory_is_raised_to_memory_plus_one(le
     assert rng.getstate() != random.Random(4).getstate()
 
 
+@pytest.mark.parametrize(
+    "build, table, message",
+    [
+        (SkewPolyMatrix, [[1]], "entries must be SkewPoly"),
+        (SkewPolyMatrix, [1], "matrix must be a list of rows"),
+        (
+            lambda table: SkewPolyMatrix.from_ints(F4, table),
+            [[[1], 2]],
+            "each entry must be a list of coefficients",
+        ),
+    ],
+    ids=["entry-not-a-poly", "row-not-a-list", "from_ints-entry-not-a-list"],
+)
+def test_a_malformed_matrix_is_refused_before_an_entry_is_read(build, table, message):
+    assert refused_in_one_line(build, table) == message
+
+
 MIXED = {
     "FieldElement": lambda: F4(1) + F4_ID(1),
     "symbol": lambda: Sequence(F4, [[F4_ID(1)]]),

@@ -2,8 +2,8 @@
 oracle in `skewpoly_reference`, with exact equality, over GF(4), GF(8) with
 theta = Frob^2, GF(9), GF(16) and GF(25); canonical arrays and hashing; a
 guard that the arithmetic calls no scalar field operation and one array
-inverse, that of right division; a long product's memory; and the one
-coercion of symbols."""
+inverse, that of right division; the memory of long products, long by
+short in both orders and wide; and the one coercion of symbols."""
 
 import random
 import tracemalloc
@@ -89,8 +89,8 @@ def test_matrix_product_and_transpose_match_the_loop_oracle(name):
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_banded_products_match_the_loop_oracle(name, monkeypatch):
-    # a window of 8 entries puts one or two of A's terms in a band
-    monkeypatch.setattr(linalg, "_MATMUL_TERMS", 8)
+    # 8 products put one output term, or a few, in a chunk
+    monkeypatch.setattr(linalg, "PRODUCT_TERMS", 8)
     field = FIELDS[name]
     rng = random.Random(200 + field.size)
     for _ in range(30):
@@ -118,6 +118,52 @@ def test_a_long_product_matches_the_loop_oracle_in_bounded_memory():
     assert peak < 8 * 2**20, peak
     assert product.degree == 2000
     assert product.coefficient_values() == ref.mul(f, x, y)
+
+
+def traced_peak(compute):
+    """compute() and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = compute()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 40])
+def test_long_by_short_products_in_both_orders_stay_small(chunk, monkeypatch):
+    # a band of the long factor's terms times a window of the short one
+    # held 122 MiB for the 2000-term polynomial times a constant
+    if chunk is not None:
+        monkeypatch.setattr(linalg, "PRODUCT_TERMS", chunk)
+    f = FIELDS["gf4"]
+    rng = random.Random(2000)
+    x = [rng.randrange(1, f.size) for _ in range(2000)]
+    a, c = SkewPoly(f, x), SkewPoly(f, [2])
+    for product, want in ((lambda: a * c, ref.mul(f, x, [2])), (lambda: c * a, ref.mul(f, [2], x))):
+        got, peak = traced_peak(product)
+        assert peak < 2**20, peak
+        assert got.coefficient_values() == want
+    long_row, long_col = [[x, x[::-1]]], [[x[1:]], [x[:7]]]
+    tables = {
+        "1 x 2000": ([[[3], [1]]], long_col),
+        "2000 x 3": (long_row, [[[1, 0, 2]], [[0, 3, 3]]]),
+    }
+    for g_table, h_table in tables.values():
+        g, h = (SkewPolyMatrix.from_ints(f, t) for t in (g_table, h_table))
+        got, peak = traced_peak(lambda: g @ h)
+        assert peak < 2**20, peak
+        assert got.to_ints() == ref.matmul(f, g.to_ints(), h.to_ints())
+
+
+def test_a_wide_product_goes_in_bands_of_rows():
+    # one output term of this product is 150^3 products, 27 MiB of logs
+    f = FIELDS["gf9"]
+    rng = np.random.default_rng(150)
+    a, b = (rng.integers(0, f.size, (1, 150, 150)) for _ in range(2))
+    got, peak = traced_peak(lambda: linalg.f_polymul(f, a, b))
+    assert peak < 4 * 2**20, peak
+    assert np.array_equal(got[0], linalg.f_matmul(f, a[0], b[0]))
 
 
 def test_equal_values_hold_equal_arrays_and_hash_alike():

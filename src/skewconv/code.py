@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .field import FieldElement, _integral, _read_only, _same_field, _symbol
+from .field import FieldElement, _integral, _items, _read_only, _same_field, _symbol
 from .linalg import f_polymul, f_rank, f_window
 from .skewpoly import SkewPolyMatrix
 from .trellis import EDGE_BUDGET
@@ -51,10 +51,13 @@ class Sequence:
         # the checked symbols of every block, flat in block order
         flat = []
         count = 0
-        for t, block in enumerate(blocks):
-            if isinstance(block, (FieldElement, int)):
+        for t, block in enumerate(_items(blocks, "blocks")):
+            if isinstance(block, (FieldElement, int, np.integer)):
                 block = (block,)
-            vals = [c if type(c) is int and 0 <= c < size else _symbol(field, c, "symbol", t) for c in block]
+            vals = [
+                c if type(c) is int and 0 <= c < size else _symbol(field, c, "symbol", t)
+                for c in _items(block, f"block {t}")
+            ]
             if width is None:
                 width = len(vals)
             if len(vals) != width:

@@ -95,6 +95,10 @@ class QSChannel:
     def transmit(self, seq, rng):
         """One pass of a sequence over the channel: `draw_errors` for its
         symbols in block order, then `apply_errors`."""
+        if not isinstance(seq, Sequence):
+            raise ValueError(f"the channel transmits a Sequence, got {type(seq).__name__}")
+        if seq.field.size != self.q:
+            raise ValueError("channel alphabet does not match the sequence's field")
         sent = np.asarray(seq)
         errors, offsets = self.draw_errors(rng, sent.size)
         received = self.apply_errors(sent.ravel(), errors, offsets).reshape(sent.shape)
@@ -125,9 +129,10 @@ def viterbi_batch(trellis, received, terminated=False):
     received is an integer array of shape (frames, blocks, n); an array of
     any other dtype, float or bool, raises ValueError.  Returns
     (info, metrics): info[f] is the estimated information sequence of frame
-    f, an integer array of shape (blocks - tail, k), and metrics[f] its
-    Hamming distance to the received frame, a Python int.  Each step is one
-    `trellis.acs` over the frames on packed keys: it gathers the metric key
+    f, an array of shape (blocks - tail, k) in the narrowest unsigned dtype
+    that holds states x inputs, and metrics[f] its Hamming distance to the
+    received frame, a Python int.  Each step is one `trellis.acs` over the
+    frames on packed keys: it gathers the metric key
     of every edge entering a state through `trellis.pred`, adds the edge's
     key, its Hamming distance to the received block x num_inputs + its
     position j in `pred` order, and keeps the least, so of equal candidates
@@ -186,7 +191,8 @@ def viterbi_batch(trellis, received, terminated=False):
     if (final == unreached).any():
         raise ValueError("no terminated path reaches the zero state")
     inputs = trellis.traceback(survivors, state)[: total - tail].T % num_inputs
-    info = inputs[..., None] // trellis.q ** np.arange(trellis.k) % trellis.q
+    digits = trellis.q ** np.arange(trellis.k, dtype=inputs.dtype)
+    info = inputs[..., None] // digits % trellis.q
     return info, (final // num_inputs).tolist()
 
 

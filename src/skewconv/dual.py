@@ -237,9 +237,9 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     hw = ht.T  # the same as sf.h_window(total)
     gw = code.scalar_generator(info_len)
     rows = len(gw)
-    pairs = _symbols(rng, q, (num_words, rows + len(hw)))
-    v = f_matmul(field, pairs[:, :rows], gw)
-    vperp = f_matmul(field, pairs[:, rows:], hw)
+    inputs = _symbols(rng, q, (num_words, rows + len(hw)))
+    v = f_matmul(field, inputs[:, :rows], gw)
+    vperp = f_matmul(field, inputs[:, rows:], hw)
     return not field.sum(field.mul(v, vperp).T).any()
 
 

@@ -98,6 +98,14 @@ def _same_field(a, b):
         raise ValueError("mixed-field operands")
 
 
+def _items(value, what):
+    """An iterator over value, refused in one line if value is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(value).__name__}") from None
+
+
 def _symbol(field, c, what="value", t=None):
     """The integer of symbol c over field: c's value if it is a FieldElement
     of the field, else c as an integer in [0, q).  A non-integral c, a float

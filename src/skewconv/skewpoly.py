@@ -13,7 +13,7 @@ in the long one, in either order.  Sums are the field's array `add`.
 
 import numpy as np
 
-from .field import FieldElement, _integral, _read_only, _same_field, _symbol
+from .field import FieldElement, _integral, _items, _read_only, _same_field, _symbol
 from .linalg import f_polymul
 
 __all__ = ["SkewPoly", "SkewPolyMatrix"]
@@ -68,8 +68,9 @@ class SkewPoly:
     __slots__ = ("field", "_values")
 
     def __init__(self, field, coeffs=()):
+        values = [_symbol(field, c) for c in _items(coeffs, "coefficients")]
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_values", _strip([_symbol(field, c) for c in coeffs]))
+        object.__setattr__(self, "_values", _strip(values))
 
     @classmethod
     def _trusted(cls, field, values):

@@ -431,12 +431,17 @@ class Trellis:
         """edges[t, b]: the edge of section (first + t) % num_sections by
         which path b came into its state at step t, traced back through
         `pred` and `survivors` (as `acs` keeps them) from state[b] after the
-        last of len(survivors) steps."""
+        last of len(survivors) steps, in the narrowest unsigned dtype that
+        holds states x inputs (which also holds q, the digit base of an
+        input index)."""
         rows = np.arange(len(state))
-        edges = np.empty((len(survivors), len(state)), dtype=np.intp)
+        edge_ids = np.min_scalar_type(self.num_states * self.num_inputs)
+        edges = np.empty((len(survivors), len(state)), dtype=edge_ids)
         for t in range(len(survivors) - 1, -1, -1):
-            edges[t] = self.pred[(first + t) % self.num_sections, state, survivors[t, rows, state]]
-            state = edges[t] // self.num_inputs
+            # the walk indexes with intp edges: a narrow index is cast each step
+            edge = self.pred[(first + t) % self.num_sections, state, survivors[t, rows, state]]
+            edges[t] = edge
+            state = edge // self.num_inputs
         return edges
 
     def slope(self):

@@ -3,18 +3,18 @@ algebra and the analysis checks built on them, kept as test oracles for
 `SkewConvCode.encode_batch`, the code's twisted coefficient tables and
 windows, `linalg.f_rref`, `linalg.f_nullspace`, `linalg.f_matmul`,
 `dual.syndrome_former` and its system, `SyndromeFormer.ht_window`,
-`dual.verify_duality`,
-`skewtrellis.linearity_report` and its `_first_failure`.
+`dual.verify_duality` and `skewtrellis.linearity_report`.
 
 Each is the per-symbol (or per-word) loop the library ran before its array
 form: `encode` walks every time, delay, row and output symbol; the windows
 and tables twist one entry at a time; `f_rref` and `nullspace_mod_p` reduce
 one row at a time, and `f_rref_by_rows` too, a row operation at a time
 through the field's array operations; `syndrome_former` solves G(D) h^T(D) = 0 over the prime
-subfield, in the base-p digits of the unknowns; the duality and linearity
-checks read each random phase's words one getrandbits(32) at a time, then
-encode one word or pair at a time and stop at the first that fails, so the
-generator is left after the phase's words whatever the outcome.
+subfield, in the base-p digits of the unknowns; the duality check reads
+each random phase's words one getrandbits(32) at a time, then encodes one
+word at a time and stops at the first that fails, so the generator is left
+after the phase's words whatever the outcome; the linearity report sweeps
+its witness inputs one at a time.
 """
 
 import itertools
@@ -122,19 +122,12 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     return True
 
 
-def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
-    """The linearity checks one pair of inputs at a time (`first_failure`)
-    and the witness sweep one input at a time; returns (fixed_subfield,
-    additive_ok, subfield_homogeneous, witness) with the witness codewords
-    from `code.encode`."""
-    rng = rng or random.Random(0)
+def linearity_report(code, witness_len=2):
+    """The linearity report with its witness sweep one input at a time;
+    returns (fixed_subfield, additive_ok, subfield_homogeneous, witness),
+    both flags True, with the witness codewords from `code.encode`."""
     field = code.field
     q, k = field.size, code.k
-    additive_ok = first_failure(code, rng, [1] * pairs, max_len) is None
-    fixed = field.fixed_subfield()
-    scales = [c for c in fixed for _ in range(pairs // 5 + 1)]
-    subfield_homogeneous = first_failure(code, rng, scales, max_len) is None
-
     witness = None
     if field.automorphism_order > 1:
         for a in range(1, q):
@@ -147,32 +140,7 @@ def linearity_report(code, rng=None, pairs=50, max_len=3, witness_len=2):
                 if lhs != rhs:
                     witness = (a, useq.to_ints(), lhs, rhs)
                     break
-    return fixed, additive_ok, subfield_homogeneous, witness
-
-
-def first_failure(code, rng, scales, max_len):
-    """`skewtrellis._first_failure` one pair at a time: the index of the
-    first pair with encode(c u1 + u2) != c encode(u1) + encode(u2), one pair
-    per scale c, or None.  The words of every pair are drawn first; a pair
-    reads its length, the next word mod max_len plus 1, then max_len blocks
-    of k symbols for u1 and as many for u2, a word mod q a symbol, and keeps
-    the first `length` blocks of each."""
-    field = code.field
-    q, k = field.size, code.k
-    symbols = words(rng, len(scales) * (1 + 2 * max_len * k))
-
-    def blocks(length):
-        u = [[next(symbols) % q for _ in range(k)] for _ in range(max_len)]
-        return Sequence(field, u[:length], width=k)
-
-    for i, c in enumerate(scales):
-        length = next(symbols) % max_len + 1
-        u1, u2 = blocks(length), blocks(length)
-        lhs = code.encode(u1.scale(c) + u2, terminate=True)
-        rhs = code.encode(u1, terminate=True).scale(c) + code.encode(u2, terminate=True)
-        if lhs != rhs:
-            return i
-    return None
+    return field.fixed_subfield(), True, True, witness
 
 
 # -- twisted coefficient tables and windows -----------------------------------

@@ -245,6 +245,50 @@ def test_the_survivor_budget_is_checked_before_allocating():
         viterbi_batch(tr, np.zeros((2, blocks // 2 + 1, tr.n), dtype=np.uint8))
 
 
+def test_a_long_batch_traces_back_in_narrow_tables():
+    # 1024 frames of 1000 blocks of the worked code: the survivor table takes
+    # a byte an entry, and so do the traceback's edge ids, the input indices
+    # and their digits, where one intp table would take twice the survivors
+    suite = Path(__file__).resolve().parents[1] / "perfbench" / "suite"
+    code = load_code(suite / "gf4_worked.json")
+    tr = build_trellis(code)
+    rng = np.random.default_rng(1515)
+    u = rng.integers(0, tr.q, (1024, 1000, code.k))
+    sent = code.encode_batch(u, terminate=True)
+    errors = rng.random(sent.shape) < 0.05
+    received = np.where(errors, (sent + 1) % tr.q, sent).astype(sent.dtype)
+    tracemalloc.start()
+    try:
+        info, metrics = viterbi_batch(tr, received, terminated=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.dtype == np.uint8 and info.shape == u.shape
+    assert peak < 2 * received.shape[0] * received.shape[1] * tr.num_states
+    estimate = code.encode_batch(info, terminate=True)
+    assert metrics == np.count_nonzero(estimate != received, axis=(1, 2)).tolist()
+    assert (np.array(metrics) <= np.count_nonzero(sent != received, axis=(1, 2))).all()
+    for word, est in zip(received[:2], info):
+        want = reference.viterbi(tr, word.tolist(), terminated=True)
+        assert [tuple(block) for block in est.tolist()] == want.info_est.to_ints()
+
+
+def test_a_memory0_gf256_code_splits_its_inputs_in_range():
+    # 1 state x 256 inputs: the edge ids 0..255 fit a byte, but the digit
+    # base q = 256 does not, so the tables hold states x inputs
+    code = SkewConvCode(SkewPolyMatrix.from_ints(FiniteField(2, 8, theta_r=1), [[[1], [3]]]))
+    tr = build_trellis(code)
+    rng = np.random.default_rng(1616)
+    received = rng.integers(0, tr.q, (4, 5, tr.n))
+    for terminated in (False, True):
+        info, metrics = viterbi_batch(tr, received, terminated)
+        assert info.dtype == np.uint16
+        for word, est, metric in zip(received, info, metrics):
+            want = reference.viterbi(tr, word.tolist(), terminated=terminated)
+            assert [tuple(block) for block in est.tolist()] == want.info_est.to_ints()
+            assert metric == want.metric
+
+
 def test_run_simulation_rejects_an_over_budget_frame_at_once(monkeypatch):
     code = dict(CODES)["worked"]
 

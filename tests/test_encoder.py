@@ -1,9 +1,11 @@
 """The array encoder against the per-symbol reference encoder and the
 module product of `SkewPolyMatrix`, its input checks, its time chunks and
-its memory; and the analysis checks built on it
-(`verify_duality`, `linearity_report`, `f_matmul`) against their per-word
-references, generator state included."""
+its memory, and its linearity on random pairs; and the analysis checks built
+on it against their references: `verify_duality` and `f_matmul` per word,
+generator state included, and `linearity_report`'s witness sweep per input,
+the generator left untouched."""
 
+import json
 import random
 import tracemalloc
 from pathlib import Path
@@ -118,6 +120,7 @@ def test_encode_takes_elements_and_sequences(name):
     if code.k == 1:
         assert code.encode([f(b[0]) for b in blocks], terminate=True) == want
         assert code.encode([b[0] for b in blocks], terminate=True) == want
+        assert code.encode(np.array([b[0] for b in blocks]), terminate=True) == want
     empty = code.encode(Sequence(f, []), terminate=False)
     assert len(empty) == 0 and empty.width == code.n
     assert code.encode([], terminate=True).to_ints() == [(0,) * code.n] * code.memory
@@ -392,43 +395,78 @@ def test_a_check_failing_in_either_phase_leaves_the_generator_as_the_per_word_ch
     assert failed_there >= 2
 
 
-def test_a_failing_linearity_check_leaves_the_generator_as_the_per_pair_check():
-    # a right-module code with memory is linear over the fixed subfield
-    # only: a scale outside it fails at the first pair whose u1 has a
-    # symbol outside it
-    failures = set()
-    for name, code in CODES.items():
-        field = code.field
-        if code.module_side != "right" or field.automorphism_order == 1 or not code.memory:
-            continue
-        outside = [c for c in range(2, field.size) if c not in field.fixed_subfield()]
-        scales = [1, outside[0]] * 10
-        for seed in range(6):
-            rng, ref_rng = CountingRandom(seed), random.Random(seed)
-            got = skewtrellis_module._first_failure(code, rng, scales, 3)
-            assert rng.blocks == 1, name
-            assert got == reference.first_failure(code, ref_rng, scales, 3), name
-            assert rng.getstate() == ref_rng.getstate(), name
-            failures.add(got)
-    assert None not in failures and len(failures) > 1
+# -- the encoder's linearity on random pairs ----------------------------------
+
+
+def first_failure(code, rng, scales, max_len=3):
+    """The encoder's linearity test on random pairs: the index of the first
+    pair (u1, u2) with encode(c u1 + u2) != c encode(u1) + encode(u2), one
+    pair of 1 to max_len blocks for each scale c, or None."""
+    field, k = code.field, code.k
+
+    def word(length):
+        blocks = [[rng.randrange(field.size) for _ in range(k)] for _ in range(length)]
+        return Sequence(field, blocks, width=k)
+
+    for i, c in enumerate(scales):
+        length = rng.randrange(1, max_len + 1)
+        u1, u2 = word(length), word(length)
+        lhs = code.encode(u1.scale(c) + u2, terminate=True)
+        rhs = code.encode(u1, terminate=True).scale(c) + code.encode(u2, terminate=True)
+        if lhs != rhs:
+            return i
+    return None
 
 
 @pytest.mark.parametrize("patched", [False, True], ids=["plain", "non-additive"])
-def test_the_pair_checks_match_the_per_pair_check_on_every_field(patched, monkeypatch):
-    # every code, GF(2) to GF(27), k = 1 and 2, both module sides; the
-    # scales of the additivity check and of the fixed-subfield check
+def test_the_encoder_is_linear_over_the_fixed_subfield_on_random_pairs(patched, monkeypatch):
+    # every code, GF(2) to GF(27), k = 1 and 2, both module sides: additive,
+    # and homogeneous over the fixed subfield of theta, as `linearity_report`
+    # states without testing; a non-additive encoder fails both
     if patched:
         non_additive(monkeypatch)
     outcomes = set()
     for name, code in CODES.items():
-        for seed, scales, max_len in ((0, [1] * 12, 3), (7, code.field.fixed_subfield() * 3, 4)):
-            rng, ref_rng = CountingRandom(seed), random.Random(seed)
-            got = skewtrellis_module._first_failure(code, rng, scales, max_len)
-            assert rng.blocks == 1, name
-            assert got == reference.first_failure(code, ref_rng, scales, max_len), name
-            assert rng.getstate() == ref_rng.getstate(), name
-            outcomes.add(got is None)
-    assert outcomes == ({True, False} if patched else {True})
+        rng = random.Random(name)
+        additive = first_failure(code, rng, [1] * 12) is None
+        homogeneous = first_failure(code, rng, code.field.fixed_subfield() * 3, max_len=4) is None
+        outcomes.add((additive, homogeneous))
+    assert outcomes == ({(True, True), (False, False)} if patched else {(True, True)})
+
+
+def test_full_field_scales_fail_only_right_module_codes_with_memory():
+    # u G is linear over the whole field; G u with memory and theta != id
+    # only over the fixed subfield, so a scale outside it fails
+    failing = set()
+    for name, code in CODES.items():
+        field = code.field
+        scales = [c for c in range(2, field.size) if c not in field.fixed_subfield()] * 10
+        failed = first_failure(code, random.Random(name), scales) is not None
+        assert failed is (code.module_side == "right" and bool(code.memory) and bool(scales)), name
+        if failed:
+            failing.add(code.k)
+    assert failing == {1, 2}
+
+
+def test_only_homogeneity_fails_a_squared_encoder_on_random_pairs(monkeypatch):
+    # squaring is additive in characteristic 2 but not linear over GF(4),
+    # the fixed subfield of theta(a) = a^4 in GF(16)
+    encode_batch = SkewConvCode.encode_batch
+
+    def squared(self, u, terminate=False):
+        return self.field.mul(*[encode_batch(self, u, terminate)] * 2)
+
+    monkeypatch.setattr(SkewConvCode, "encode_batch", squared)
+    field = FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=2)
+    code = random_code(SkewTrellisCode, field, random.Random(6666), [1])
+    rng = random.Random(3)
+    fixed = field.fixed_subfield()
+    assert len(fixed) == 4
+    assert first_failure(code, rng, [1] * 50) is None
+    assert first_failure(code, rng, fixed * 11) is not None
+
+
+# -- the linearity report -----------------------------------------------------
 
 
 def witness_ints(witness):
@@ -445,57 +483,57 @@ def report_tuple(rep):
     return rep.fixed_subfield, rep.additive_ok, rep.subfield_homogeneous, witness_ints(rep.witness)
 
 
-def check_linearity_report(code, seed, **kwargs):
-    """The report and the generator after it are the per-pair reference's."""
-    rng, ref_rng = random.Random(seed), random.Random(seed)
+def check_linearity_report(code, **kwargs):
+    """The report is the per-input reference's, and its generator is left
+    as it was."""
+    rng = random.Random(5)
+    state = rng.getstate()
     got = report_tuple(linearity_report(code, rng=rng, **kwargs))
-    want = reference.linearity_report(code, rng=ref_rng, **kwargs)
+    want = reference.linearity_report(code, **kwargs)
     assert got == want[:3] + (witness_ints(want[3]),)
-    assert rng.getstate() == ref_rng.getstate()
+    assert rng.getstate() == state
     return got
 
 
 @pytest.mark.parametrize("patched", [False, True], ids=["plain", "non-additive"])
-def test_linearity_report_matches_the_per_pair_checks(patched, monkeypatch):
+def test_linearity_report_matches_the_per_input_sweep(patched, monkeypatch):
+    # the two flags are the algebra's, not a test of the encoder: under a
+    # non-additive encoder they stay True, and only the witness sweep sees it
     if patched:
         non_additive(monkeypatch)
     outcomes = set()
     for name, code in CODES.items():
         if code.field.size**code.k > 16:
             continue  # the reference sweeps q^(2k) words one at a time
-        for seed, kwargs in ((0, {}), (6, {"pairs": 7, "max_len": 5, "witness_len": 1})):
-            _, additive, homogeneous, witness = check_linearity_report(code, seed, **kwargs)
+        for kwargs in ({}, {"witness_len": 1}):
+            _, additive, homogeneous, witness = check_linearity_report(code, **kwargs)
             outcomes.add((additive, homogeneous, witness is None))
-    if patched:
-        assert {(False, False, True), (False, False, False)} <= outcomes
-    else:
-        assert outcomes == {(True, True, True), (True, True, False)}
+    assert outcomes == {(True, True, True), (True, True, False)}
 
 
-def test_linearity_report_when_only_homogeneity_fails(monkeypatch):
-    # squaring is additive in characteristic 2 but not linear over GF(4),
-    # the fixed subfield of theta(a) = a^4 in GF(16)
-    encode_batch = SkewConvCode.encode_batch
-
-    def squared(self, u, terminate=False):
-        return self.field.mul(*[encode_batch(self, u, terminate)] * 2)
-
-    monkeypatch.setattr(SkewConvCode, "encode_batch", squared)
-    field = FiniteField(2, 4, [1, 1, 0, 0, 1], theta_r=2)
-    code = random_code(SkewTrellisCode, field, random.Random(6666), [1])
-    fixed, additive, homogeneous, _ = check_linearity_report(code, 3)
-    assert len(fixed) == 4 and additive and not homogeneous
+def test_linearity_report_draws_nothing_and_gives_the_committed_report():
+    expected = json.loads((SUITE / "expected.json").read_text(encoding="utf-8"))["analyze"]
+    names = [name for name, entry in expected.items() if "linearity" in entry]
+    assert names
+    keys = ("fixed_subfield", "additive_ok", "subfield_homogeneous", "witness")
+    for name in names:
+        rng = random.Random(name)
+        state = rng.getstate()
+        got = report_tuple(linearity_report(CODES[name], rng=rng))
+        assert rng.getstate() == state
+        assert json.loads(json.dumps(got)) == [expected[name]["linearity"][key] for key in keys]
+        assert report_tuple(linearity_report(CODES[name], rng=object())) == got
 
 
 def test_the_witness_sweep_runs_in_chunks(monkeypatch):
     code = CODES["gf4-k2-right"]
-    want = check_linearity_report(code, 4, pairs=2)
+    want = check_linearity_report(code)
     assert want[3] is not None
     # one word a chunk, the first the all-zero word; the encoder one block at
     # a time
     monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", 1)
     monkeypatch.setattr(skewtrellis_module, "PRODUCT_TERMS", (2 + code.memory) * code.n)
-    assert check_linearity_report(code, 4, pairs=2) == want
+    assert check_linearity_report(code) == want
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, GF9, GF16, GF27], ids=lambda f: f"q{f.size}")

@@ -21,11 +21,13 @@ from skewconv import (
     SyndromeFormer,
     SyndromeFormerNotFound,
     analyze_code,
+    bcjr,
     build_trellis,
     export_dot,
     run_simulation,
     syndrome_former,
     verify_duality,
+    viterbi,
 )
 from skewconv.code import coerce_sequence
 from skewconv.trellis import EDGE_BUDGET
@@ -190,6 +192,41 @@ def test_a_duality_length_at_or_below_the_memory_is_raised_to_memory_plus_one(le
 )
 def test_a_malformed_matrix_is_refused_before_an_entry_is_read(build, table, message):
     assert refused_in_one_line(build, table) == message
+
+
+# the calls that read a sequence, by what the sequence is
+SEQUENCE_CALLS = {
+    "SkewPoly": (lambda x: SkewPoly(F4, x), "coefficients"),
+    "Sequence": (lambda x: Sequence(F4, x), "blocks"),
+    "encode": (lambda x: CODE.encode(x), "blocks"),
+    "viterbi": (lambda x: viterbi(TRELLIS, x), "blocks"),
+    "bcjr": (lambda x: bcjr(TRELLIS, x, CHANNEL), "blocks"),
+}
+
+
+@pytest.mark.parametrize("value", [5, None], ids=["int", "None"])
+@pytest.mark.parametrize("name", SEQUENCE_CALLS)
+def test_a_value_that_is_not_a_sequence_is_refused_in_one_line(name, value):
+    call, what = SEQUENCE_CALLS[name]
+    message = refused_in_one_line(call, value)
+    assert message == f"{what} must be a sequence, got {type(value).__name__}"
+
+
+def test_a_block_that_is_not_a_sequence_is_refused_in_one_line():
+    # an integer block is a block of one symbol
+    message = refused_in_one_line(lambda x: Sequence(F4, [[1], x]), None)
+    assert message == "block 1 must be a sequence, got NoneType"
+
+
+def test_the_channel_transmits_a_sequence_of_its_alphabet_only():
+    # refused before any draw
+    rng = random.Random(2)
+    state = rng.getstate()
+    message = refused_in_one_line(lambda x: CHANNEL.transmit(x, rng), [[1, 2]])
+    assert message == "the channel transmits a Sequence, got list"
+    message = refused_in_one_line(lambda x: QSChannel(16, 0.1).transmit(x, rng), CODE.encode([[1]]))
+    assert message == "channel alphabet does not match the sequence's field"
+    assert rng.getstate() == state
 
 
 MIXED = {

@@ -108,12 +108,10 @@ def test_linearity_report_example(right_code):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"max_len": 0}, "max_len must be an integer >= 1, got 0"),
-        ({"max_len": -1}, "max_len must be an integer >= 1, got -1"),
         ({"witness_len": -1}, "witness_len must be an integer >= 0, got -1"),
-        ({"pairs": -1}, "pairs must be an integer >= 0, got -1"),
+        ({"witness_len": 2.5}, "witness_len must be an integer >= 0, got 2.5"),
     ],
-    ids=["max_len-0", "max_len-negative", "witness_len-negative", "pairs-negative"],
+    ids=["witness_len-negative", "witness_len-float"],
 )
 def test_linearity_report_refuses_bad_counts(right_code, kwargs, message):
     with pytest.raises(ValueError) as info:
@@ -121,10 +119,9 @@ def test_linearity_report_refuses_bad_counts(right_code, kwargs, message):
     assert str(info.value) == message
 
 
-def test_linearity_report_with_no_pairs_and_no_witness_blocks(right_code):
-    # pairs 0 still draws pairs // 5 + 1 = 1 pair a fixed-subfield scale;
+def test_linearity_report_with_no_witness_blocks(right_code):
     # the only input of no blocks has no witness
-    rep = linearity_report(right_code, pairs=0, max_len=1, witness_len=0)
+    rep = linearity_report(right_code, witness_len=0)
     assert rep.additive_ok and rep.subfield_homogeneous and rep.witness is None
 
 

@@ -23,7 +23,7 @@ __all__ = ["main"]
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # one line, as every other refusal; the usage is what -h prints
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

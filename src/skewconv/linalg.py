@@ -23,8 +23,7 @@ __all__ = [
 
 PRODUCT_TERMS = 1 << 16
 """About the most field products `f_matmul` and `f_polymul` form at once,
-beyond one row's (of one output term, for `f_polymul`); the linearity
-witness sweep sizes its chunks of inputs by it too."""
+beyond one row's (of one output term, for `f_polymul`)."""
 
 
 def f_rref(field, mat):

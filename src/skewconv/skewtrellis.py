@@ -5,22 +5,19 @@ report of their linearity.
 `trellis.build_trellis` as for a left-module code; it is time-invariant (a
 single section) and plugs directly into viterbi()/bcjr().
 
-Encoding is the module product (`encode_batch` is one `linalg.f_polymul`),
-so every code's encoder is additive, and theta^i fixes every scalar of the
-fixed subfield of theta, so it is linear over that subfield too: the
-report states both.  What can fail is homogeneity over the full field, which
-makes a right-module code with theta != id nonlinear over F;
-`linearity_report` searches every short input for a witness of it.
+Every encoder is the module product, additive and linear over the fixed
+subfield of theta.  It is nonlinear over the full field iff the code is
+right-module and some row of G is nonzero at a delay i with theta^i != id.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .code import Sequence, SkewTrellisCode
 from .field import _integral
-from .linalg import PRODUCT_TERMS
-from .trellis import build_trellis
+from .trellis import EDGE_BUDGET, build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
 
@@ -36,60 +33,46 @@ class LinearityReport:
 
 
 def linearity_report(code, rng=None, witness_len=2):
-    """The fixed subfield of theta, additivity and homogeneity over it, both
-    True by construction, and, when theta != id, the first full-field
-    homogeneity witness on inputs of witness_len blocks (None if there is
-    none).  rng is accepted and never drawn from: the report is the same
-    for every generator, and leaves it as it was."""
+    """The fixed subfield of theta, additivity and homogeneity over it (True
+    by construction) and `_homogeneity_witness` on inputs of witness_len
+    blocks.  rng is never drawn from, so the generator is left as it was.  A
+    witness word over `trellis.EDGE_BUDGET` symbols is refused at once."""
     witness_len = _integral(witness_len, "witness_len", 0)
-    field = code.field
-    witness = None
-    if field.automorphism_order > 1:
-        witness = _homogeneity_witness(code, witness_len)
-    return LinearityReport(field.fixed_subfield(), True, True, witness)
+    symbols = (witness_len + code.memory) * code.n
+    if symbols > EDGE_BUDGET:
+        raise ValueError(f"a witness word of {symbols} symbols is over the budget of {EDGE_BUDGET}")
+    witness = _homogeneity_witness(code, witness_len)
+    return LinearityReport(code.field.fixed_subfield(), True, True, witness)
 
 
 def _homogeneity_witness(code, witness_len):
     """The first scale a = 1, 2, ... and input u of witness_len blocks, in
-    `itertools.product` order over the q^k input blocks, with
-    encode(a u) != a encode(u), as (a, u, encode(a u), a encode(u)); None if
-    there is none.
+    `itertools.product` order, with encode(a u) != a encode(u), as
+    (a, u, encode(a u), a encode(u)); None if there is none.
 
-    The inputs are encoded in chunks of about PRODUCT_TERMS output symbols,
-    so memory does not grow with q^(k * witness_len); with one chunk they are
-    encoded once for all scales.
+    A left-module code's u G is linear over the field.  For G^T u^T,
+    encode(a u) - a encode(u) = sum_i (theta^i(a) - a) theta^i(u_{t-i}) G_i
+    is additive in u, and a symbol in row r fails iff theta^i moves a at a
+    delay i where row r of G_i is nonzero.  So a is the least scale such a
+    theta^i moves, and u a 1 in the lowest such row r of the last block:
+    every earlier input touches only rows below r there.
     """
     field = code.field
-    q, k, n = field.size, code.k, code.n
-    words = q ** (k * witness_len)
-    chunk = max(1, PRODUCT_TERMS // ((witness_len + code.memory) * n))
-
-    def inputs(start, stop):
-        # the base-q digits of the word ids, least significant first: the
-        # symbols of the last block, then those of the one before, ...
-        ids = np.arange(start, stop)
-        u = np.empty((len(ids), witness_len, k), dtype=np.intp)
-        for block in range(witness_len - 1, -1, -1):
-            for row in range(k):
-                ids, u[:, block, row] = np.divmod(ids, q)
-        return u
-
-    plain = None
-    for a in range(1, q):
-        for start in range(0, words, chunk):
-            if plain is None or plain[0] != start:
-                u = inputs(start, min(start + chunk, words))
-                plain = start, u, code.encode_batch(u, terminate=True)
-            _, u, v = plain
-            lhs = code.encode_batch(field.mul(a, u), terminate=True)
-            rhs = field.mul(a, v)
-            failed = (lhs != rhs).any(axis=(1, 2))
-            if failed.any():
-                i = int(failed.argmax())
-                return (
-                    a,
-                    [tuple(block) for block in u[i].tolist()],
-                    Sequence._trusted(field, lhs[i], n),
-                    Sequence._trusted(field, rhs[i], n),
-                )
-    return None
+    if code.module_side == "left" or not witness_len:
+        return None
+    g = code.coefficients
+    delays = np.flatnonzero(g.any(axis=(1, 2)))
+    residues = np.unique(delays % field.automorphism_order)
+    # all theta^residue fix F, or a subfield of <= isqrt(q) elements that misses one of 1..isqrt(q)
+    scales = np.arange(1, math.isqrt(field.size) + 1)
+    moved = (field.frobenius(scales, residues[:, None]) != scales).any(axis=0)
+    if not moved.any():
+        return None
+    a = int(scales[moved.argmax()])
+    rows = g[delays[field.frobenius(a, delays) != a]].any(axis=(0, 2))
+    u = np.zeros((1, witness_len, code.k), dtype=np.intp)
+    u[0, -1, rows.argmax()] = 1
+    lhs = code.encode_batch(field.mul(a, u), terminate=True)[0]
+    rhs = field.mul(a, code.encode_batch(u, terminate=True)[0])
+    blocks = [tuple(block) for block in u[0].tolist()]
+    return a, blocks, Sequence._trusted(field, lhs, code.n), Sequence._trusted(field, rhs, code.n)

@@ -1,5 +1,7 @@
 import contextlib
+import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import skewconv
 from skewconv.cli import main
@@ -451,3 +454,61 @@ def test_the_leaf_sweep_covers_valid_and_refused_specs(capsys, tmp_path):
         spec.write_text(with_leaf(EXAMPLE_DOC, path, text))
         rc, _, err = run_cli(capsys, "analyze", str(spec))
         assert rc == want, (path, text, err)
+
+
+# -- fuzzing encode and decode -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def side_files(tmp_path_factory):
+    """The worked code as a left- and a right-module spec, and a file for
+    the sequence text."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    specs = []
+    for side in ("left", "right"):
+        path = folder / f"{side}.json"
+        path.write_text(json.dumps(dict(EXAMPLE_DOC, module_side=side)))
+        specs.append(str(path))
+    return specs, folder / "word.txt"
+
+
+# sequence text of symbols, separators and stray marks, or any short text
+SEQUENCE_TEXT = st.one_of(
+    st.text(alphabet="0123 \n\t-.a^x,#49e", max_size=30), st.text(max_size=20)
+)
+EPS_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.1, 0.0, 0.05, 0.75, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["encode", "decode"]),
+    side=st.integers(0, 1),
+    text=SEQUENCE_TEXT,
+    terminate=st.booleans(),
+    method=st.sampled_from([None, "viterbi", "bcjr"]),
+    eps=st.one_of(st.none(), EPS_VALUES),
+    joined=st.booleans(),
+)
+def test_encode_and_decode_exit_in_one_line_on_any_input(
+    side_files, command, side, text, terminate, method, eps, joined
+):
+    # "--eps -inf" reads -inf as a flag, "--eps=-inf" as the value
+    specs, word = side_files
+    word.write_text(text, encoding="utf-8")
+    argv = [command, specs[side], str(word)] + ["--terminate"] * terminate
+    if command == "decode":
+        argv += ["--method", method] if method else []
+        if eps is not None:
+            argv += [f"--eps={eps!r}"] if joined else ["--eps", repr(eps)]
+    out, err = io.StringIO(), io.StringIO()
+    with time_limit(10), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, text)
+    assert err.getvalue().count("\n") <= 1, (argv, text, err.getvalue())
+    assert (out.getvalue() == "" or rc == 0) and (err.getvalue() == "") == (rc == 0), (argv, text)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import code_reference as reference
 from skewconv import (
@@ -24,7 +24,6 @@ from skewconv import (
     SyndromeFormer,
     linalg as linalg_module,
     linearity_report,
-    skewtrellis as skewtrellis_module,
     load_code,
     syndrome_former,
     verify_duality,
@@ -495,12 +494,7 @@ def check_linearity_report(code, **kwargs):
     return got
 
 
-@pytest.mark.parametrize("patched", [False, True], ids=["plain", "non-additive"])
-def test_linearity_report_matches_the_per_input_sweep(patched, monkeypatch):
-    # the two flags are the algebra's, not a test of the encoder: under a
-    # non-additive encoder they stay True, and only the witness sweep sees it
-    if patched:
-        non_additive(monkeypatch)
+def test_linearity_report_matches_the_per_input_sweep():
     outcomes = set()
     for name, code in CODES.items():
         if code.field.size**code.k > 16:
@@ -509,6 +503,51 @@ def test_linearity_report_matches_the_per_input_sweep(patched, monkeypatch):
             _, additive, homogeneous, witness = check_linearity_report(code, **kwargs)
             outcomes.add((additive, homogeneous, witness is None))
     assert outcomes == {(True, True, True), (True, True, False)}
+
+
+# each field from GF(2) to GF(27) under every theta
+EVERY_THETA = [
+    FiniteField(f.p, f.n, f.modulus, theta_r=r)
+    for f in (GF2, GF4, GF8, GF9, GF16, GF27)
+    for r in range(f.n)
+]
+SWEEP_WORDS = 800  # the most (q - 1) q^(k witness_len) inputs the reference encodes
+
+
+@st.composite
+def swept_codes(draw):
+    """A code of either module side, k = 1 or 2, memory 0 to 2, and a
+    witness_len of 0 to 3 within SWEEP_WORDS inputs.  Half the codes have
+    coefficients only at delays = 0 mod the order of theta, so the
+    reference sweeps every input; in the others the first rows may have
+    too, so the witness row need not be row 0."""
+    field = draw(st.sampled_from(EVERY_THETA))
+    q, order = field.size, field.automorphism_order
+    k = draw(st.integers(1, 2))
+    memory = draw(st.integers(0, 2))
+    fixed_rows = k if draw(st.booleans()) else draw(st.integers(0, k - 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))  # uniform symbols, not mostly 0
+    table = [
+        [
+            [0 if r < fixed_rows and i % order else rng.randrange(q) for i in range(memory + 1)]
+            for _ in range(k + 1)
+        ]
+        for r in range(k)
+    ]
+    cls = draw(st.sampled_from([SkewConvCode, SkewTrellisCode]))
+    try:
+        code = cls(SkewPolyMatrix.from_ints(field, table))
+    except ValueError:
+        assume(False)  # a zero or rank-deficient generator is no code
+    longest = max(w for w in range(4) if (q - 1) * q ** (k * w) <= SWEEP_WORDS)
+    return code, longest - draw(st.integers(0, longest))  # the longest first
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=swept_codes())
+def test_linearity_report_matches_the_per_input_sweep_on_drawn_codes(case):
+    code, witness_len = case
+    check_linearity_report(code, witness_len=witness_len)
 
 
 def test_linearity_report_draws_nothing_and_gives_the_committed_report():
@@ -523,17 +562,6 @@ def test_linearity_report_draws_nothing_and_gives_the_committed_report():
         assert rng.getstate() == state
         assert json.loads(json.dumps(got)) == [expected[name]["linearity"][key] for key in keys]
         assert report_tuple(linearity_report(CODES[name], rng=object())) == got
-
-
-def test_the_witness_sweep_runs_in_chunks(monkeypatch):
-    code = CODES["gf4-k2-right"]
-    want = check_linearity_report(code)
-    assert want[3] is not None
-    # one word a chunk, the first the all-zero word; the encoder one block at
-    # a time
-    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", 1)
-    monkeypatch.setattr(skewtrellis_module, "PRODUCT_TERMS", (2 + code.memory) * code.n)
-    assert check_linearity_report(code) == want
 
 
 @pytest.mark.parametrize("field", [GF2, GF4, GF9, GF16, GF27], ids=lambda f: f"q{f.size}")

@@ -18,12 +18,14 @@ from skewconv import (
     Sequence,
     SkewPoly,
     SkewPolyMatrix,
+    SkewTrellisCode,
     SyndromeFormer,
     SyndromeFormerNotFound,
     analyze_code,
     bcjr,
     build_trellis,
     export_dot,
+    linearity_report,
     run_simulation,
     syndrome_former,
     verify_duality,
@@ -37,6 +39,7 @@ from conftest import EXAMPLE_TABLE, make_code
 F4 = FiniteField(2, 2, [1, 1, 1], theta_r=1)
 F4_ID = FiniteField(2, 2, [1, 1, 1], theta_r=0)
 CODE = make_code(F4, EXAMPLE_TABLE)
+RIGHT_CODE = SkewTrellisCode(CODE.generator)
 TRELLIS = build_trellis(CODE)
 SF = syndrome_former(CODE)
 POLY = SkewPoly(F4, [1, 2])
@@ -60,6 +63,7 @@ CALLS = {
     "syndrome_former-mu_perp_max": lambda x: syndrome_former(CODE, mu_perp_max=x),
     "verify_duality-length": lambda x: verify_duality(CODE, SF, length=x),
     "analyze_code-lmax": lambda x: analyze_code(CODE, lmax=x, trellis=TRELLIS),
+    "linearity_report-witness_len": lambda x: linearity_report(RIGHT_CODE, witness_len=x),
     "run_simulation-eps": lambda x: run_simulation(CODE, x, 4, 4, trellis=TRELLIS),
     "run_simulation-trials": lambda x: run_simulation(CODE, 0.1, x, 4, trellis=TRELLIS),
     "run_simulation-frame_len": lambda x: run_simulation(CODE, 0.1, 4, x, trellis=TRELLIS),
@@ -133,10 +137,16 @@ def test_every_call_takes_a_valid_argument(name):
         ("analyze_code-lmax", 1, "lmax must be an integer >= 2, got 1"),
         ("export_dot-sections", 0, "sections must be an integer >= 1, got 0"),
         ("time_coefficient-delay", 2, "delay 2 outside [0, 1]"),
+        (
+            "linearity_report-witness_len",
+            EDGE_BUDGET // 2,
+            f"a witness word of {EDGE_BUDGET + 2} symbols is over the budget of {EDGE_BUDGET}",
+        ),
     ],
 )
 def test_the_messages(name, value, message):
-    assert refused_in_one_line(CALLS[name], value) == message
+    with deadline(5, f"{name}({value!r}) was not refused before any work"):
+        assert refused_in_one_line(CALLS[name], value) == message
 
 
 def test_the_run_simulation_bound_on_eps_follows_the_channel_check():

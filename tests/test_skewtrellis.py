@@ -4,8 +4,10 @@ import random
 import pytest
 
 from skewconv import (
+    FiniteField,
     QSChannel,
     Sequence,
+    SkewConvCode,
     SkewPolyMatrix,
     SkewTrellisCode,
     bcjr,
@@ -15,6 +17,10 @@ from skewconv import (
 )
 
 from conftest import A, A2, EXAMPLE_TABLE
+from test_input_contract import deadline
+
+GF256 = FiniteField(2, 8, [1, 0, 1, 1, 1, 0, 0, 0, 1], theta_r=1)
+F4 = FiniteField(2, 2, [1, 1, 1], theta_r=1)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +154,56 @@ def test_homogeneity_over_fixed_subfield_exhaustive(right_code):
             lhs = right_code.encode_right(useq.scale(c), terminate=True)
             rhs = right_code.encode_right(useq, terminate=True).scale(c)
             assert lhs == rhs
+
+
+@pytest.fixture()
+def encodes(monkeypatch):
+    """The `encode_batch` calls made so far, as a one-item list."""
+    calls = [0]
+    encode_batch = SkewConvCode.encode_batch
+
+    def counted(self, u, terminate=False):
+        calls[0] += 1
+        return encode_batch(self, u, terminate)
+
+    monkeypatch.setattr(SkewConvCode, "encode_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "field, table, witness_len",
+    [(GF256, [[[1, 2], [3, 4]]], 2), (F4, EXAMPLE_TABLE, 12)],
+    ids=["gf256", "worked-witness_len-12"],
+)
+def test_a_left_module_code_has_no_witness_at_once(field, table, witness_len, encodes):
+    # u G is linear over the whole field: there is nothing to sweep for
+    code = SkewConvCode(SkewPolyMatrix.from_ints(field, table))
+    with deadline(2, "linearity_report swept the inputs"):
+        rep = linearity_report(code, witness_len=witness_len)
+    assert rep.witness is None and encodes[0] <= 2
+
+
+@pytest.mark.parametrize("cls", [SkewConvCode, SkewTrellisCode], ids=["left", "right"])
+def test_a_memory0_code_has_a_report_with_no_witness_blocks(f4, cls, encodes):
+    code = cls(SkewPolyMatrix.from_ints(f4, [[[1], [A]]]))
+    assert code.memory == 0
+    with deadline(2, "linearity_report did not finish"):
+        rep = linearity_report(code, witness_len=0)
+    assert (rep.fixed_subfield, rep.additive_ok, rep.subfield_homogeneous, rep.witness) == (
+        [0, 1], True, True, None
+    )
+    assert encodes[0] <= 2
+
+
+def test_the_right_witness_is_a_one_in_the_lowest_failing_row(f4, encodes):
+    # row 0 has only a delay-0 coefficient, which theta^0 = id never moves;
+    # row 1 fails at delay 1, so the witness is a 1 in row 1 of the last block
+    code = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, [[[1], [0], [A]], [[0], [1, 1], [1]]]))
+    rep = linearity_report(code, witness_len=3)
+    a, u, lhs, rhs = rep.witness
+    assert (a, u) == (A, [(0, 0), (0, 0), (0, 1)]) and encodes[0] == 2
+    assert lhs == code.encode(Sequence(code.field, u, width=2).scale(a), terminate=True)
+    assert rhs == code.encode(Sequence(code.field, u, width=2), terminate=True).scale(a)
 
 
 # -- trellis ------------------------------------------------------------------

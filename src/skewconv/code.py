@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .field import FieldElement, _integral, _items, _read_only, _same_field, _symbol
+from .field import FieldElement, _integral, _items, _read_only, _same_field, _symbol, _within
 from .linalg import f_polymul, f_rank, f_window
 from .skewpoly import SkewPolyMatrix
 from .trellis import EDGE_BUDGET
@@ -29,8 +29,9 @@ __all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "RANK_WINDOW_BUDGET"]
 
 RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
-validation of a generator with rank(G_0) < k eliminates; a larger window is
-refused before it is built."""
+validation of a generator with rank(G_0) < k eliminates, and of the syndrome
+former's system (`dual`); a larger one is refused by `field._within` before
+it is built."""
 
 
 class Sequence:
@@ -160,9 +161,7 @@ def _capped_window(field, coefficients, t_rows):
     """`f_window` of t_rows >= 1 block rows, refused over `EDGE_BUDGET` entries."""
     t_rows = _integral(t_rows, "t_rows", 1)
     terms, rows, cols = coefficients.shape
-    entries = t_rows * rows * (t_rows + terms - 1) * cols
-    if entries > EDGE_BUDGET:
-        raise ValueError(f"a window of {entries} entries is over the budget of {EDGE_BUDGET}")
+    _within(t_rows * rows * (t_rows + terms - 1) * cols, EDGE_BUDGET, "a window")
     return f_window(field, coefficients, t_rows)
 
 
@@ -224,11 +223,7 @@ class SkewConvCode:
             return
         t_rows = twist_period * (self.memory + 1)
         entries = t_rows * self.k * (t_rows + self.memory) * self.n
-        if entries > RANK_WINDOW_BUDGET:
-            raise ValueError(
-                f"rank(G_0) < k and the rank check's scalar window has {entries} entries, "
-                f"over the budget of {RANK_WINDOW_BUDGET}"
-            )
+        _within(entries, RANK_WINDOW_BUDGET, "rank(G_0) < k and the rank check's scalar window")
         window = self.scalar_generator(t_rows)
         if f_rank(self.field, window) != t_rows * self.k:
             raise ValueError("generator matrix is rank-deficient on its scalar window")

@@ -23,16 +23,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import trellis as _trellis
 from .code import Sequence, coerce_sequence
-from .field import _integral
-from .trellis import (
-    SURVIVOR_BUDGET,
-    _check_edge_budget,
-    _check_keys,
-    _rows,
-    acs,
-    check_survivor_budget,
-)
+from .field import _integral, _within
+from .trellis import SURVIVOR_BUDGET, _check_keys, _rows, acs, check_survivor_budget
 
 __all__ = [
     "QSChannel",
@@ -74,8 +68,10 @@ class QSChannel:
         """The channel's draws for `count` symbols from rng, in order: one
         random() a symbol, an error where it is below eps, and then one
         randrange(q - 1) for the error's offset.  Returns (errors, offsets),
-        two lists of `count` entries, offset 0 where no error."""
+        two lists of `count` entries, offset 0 where no error; a count over
+        `trellis.EDGE_BUDGET` is refused before they are built."""
         count = _integral(count, "count", 0)
+        _within(count, _trellis.EDGE_BUDGET, "a channel draw", "symbols")
         eps, others = self.eps, self.q - 1
         random, randrange = rng.random, rng.randrange
         errors, offsets = [False] * count, [0] * count
@@ -227,10 +223,10 @@ def bcjr(trellis, received, channel, terminated=False):
     total = len(word)
     tail = _tail(trellis, total, terminated)
 
-    # one trellis section a block: refused where a DOT export of as many
-    # sections would be
-    _check_edge_budget(total, q, trellis.external_degree, trellis.k)
     num_states, num_inputs, n = trellis.num_states, trellis.num_inputs, trellis.n
+    # one trellis section a block: as many edges as a DOT export of as many sections
+    what = f"a BCJR word of {total} blocks x {num_states} states x {num_inputs} inputs"
+    _within(total * num_states * num_inputs, _trellis.EDGE_BUDGET, what, "edges")
     # next_state[s][st][idx]: the edge array as lists
     shape = (trellis.num_sections, num_states, num_inputs)
     next_state = trellis.next_state.reshape(shape).tolist()

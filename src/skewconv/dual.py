@@ -47,9 +47,10 @@ import random
 import numpy as np
 
 from .code import RANK_WINDOW_BUDGET, _capped_window
-from .field import _integral, _same_field
+from .field import _integral, _same_field, _within
 from .linalg import f_matmul, f_polymul, f_rank, f_rref, f_rref_nullspace, f_window
 from .skewpoly import SkewPolyMatrix
+from .trellis import EDGE_BUDGET
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
 
@@ -143,12 +144,8 @@ def _eliminated_memory(code, untried, eliminated, mu_perp_max):
     `untried` and at most the cap, cut to the largest within
     RANK_WINDOW_BUDGET entries.  ValueError if `untried`'s own system is
     over the budget."""
-    entries = _system_entries(code, untried)
-    if entries > RANK_WINDOW_BUDGET:
-        raise ValueError(
-            f"the syndrome former's system for dual memory {untried} has {entries} entries, "
-            f"over the budget of {RANK_WINDOW_BUDGET}"
-        )
+    what = f"the syndrome former's system for dual memory {untried}"
+    _within(_system_entries(code, untried), RANK_WINDOW_BUDGET, what)
     if eliminated < 0:
         target = -(-code.k * code.memory // (code.n - code.k))
     else:
@@ -207,10 +204,12 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     length at or below the code's memory is raised to memory + 1 blocks.
 
     The product is decided first, on the coefficient windows, by the check
-    that `SyndromeFormer` validates with.  Each random phase then draws all
-    its symbols as one block, a word of rng.randbytes mod q a symbol
-    (`_symbols`), and checks them at once; the generator is left after the
-    block, whether or not the phase fails.
+    that `SyndromeFormer` validates with.  Then both windows are built and
+    the num_words x length x n codeword symbols counted against
+    `trellis.EDGE_BUDGET`, each refused over it before any draw.  Each
+    random phase then draws all its symbols as one block, a word of
+    rng.randbytes mod q a symbol (`_symbols`), and checks them at once; the
+    generator is left after the block, whether or not the phase fails.
     """
     num_words = _integral(num_words, "num_words", 0)
     length = _integral(length, "length")
@@ -224,18 +223,19 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     q = field.size
     info_len = max(length - code.memory, 1)
     total = info_len + code.memory
+    gw, ht = code.scalar_generator(info_len), sf.ht_window(total)
+    what = f"a duality check of {num_words} codeword(s) of {total} blocks x {code.n} symbols"
+    _within(num_words * total * code.n, EDGE_BUDGET, what, "symbols")
 
     # every word is encoded at once and checked by one syndrome product
     info = _symbols(rng, q, (num_words, info_len, code.k))
     codewords = code.encode_batch(info, terminate=True).reshape(num_words, total * code.n)
-    ht = sf.ht_window(total)
     if f_matmul(field, codewords, ht).any():
         return False
 
     # random codewords of both windows, a pair a row, checked at once: every
     # pair must be orthogonal
     hw = ht.T  # the same as sf.h_window(total)
-    gw = code.scalar_generator(info_len)
     rows = len(gw)
     inputs = _symbols(rng, q, (num_words, rows + len(hw)))
     v = f_matmul(field, inputs[:, :rows], gw)

@@ -92,6 +92,14 @@ def _integral(value, what, least=None):
     raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
 
 
+def _within(count, budget, what, unit="entries"):
+    """count, if it is at most budget: the library's one size check, made
+    before any work, so a job too large is refused in one line."""
+    if count > budget:
+        raise ValueError(f"{what} has {count} {unit}, over the budget of {budget}")
+    return count
+
+
 def _same_field(a, b):
     """Refuse, in one line, operands over two different fields a and b."""
     if a is not b and a != b:

@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import _integral
+from .field import _integral, _within
 
 __all__ = [
     "Trellis",
@@ -84,12 +84,14 @@ __all__ = [
 EDGE_BUDGET = 2**22
 """The most edges (sections x states x inputs) `build_trellis` builds and
 `export_dot` writes.  Within it the finished edge arrays take at most 64 MiB,
-plus 4 MiB per output symbol and byte of the label dtype."""
+plus 4 MiB per output symbol and byte of the label dtype.  Every job counted
+against it is refused by `field._within` before any work."""
 
 SURVIVOR_BUDGET = 1 << 24
 """The most survivor-table entries (frames x received blocks x states) one
-Viterbi call may hold: 16 MiB at one byte an entry, which serves up to 256
-inputs per state.  A larger call raises ValueError before allocating it."""
+Viterbi call, or (steps x states) one loop scan, may hold: 16 MiB at one
+byte an entry, which serves up to 256 inputs per state.  A larger job is
+refused by `field._within` before allocating it."""
 
 
 class TrellisEdge(NamedTuple):
@@ -142,7 +144,10 @@ def _check_id(kind, value, count):
 
 
 def unpack_digits(value, base, count):
-    """The `count` lowest base-`base` digits of value, least significant first."""
+    """The `count` lowest base-`base` digits of the integer value >= 0,
+    least significant first; a count over EDGE_BUDGET is refused."""
+    value, base = _integral(value, "value", 0), _integral(base, "base", 2)
+    count = _within(_integral(count, "count", 0), EDGE_BUDGET, "a digit list", "digits")
     out = []
     for _ in range(count):
         value, d = divmod(value, base)
@@ -302,9 +307,7 @@ class Trellis:
         into state st there by the edge pred[s, st, survivors[step - 1, s,
         st]].  Of equal candidates the lowest (state, input) wins: the first
         minimum in `pred` order.  Without trace no survivor is kept, and
-        survivors is None.  A scan that would keep more than SURVIVOR_BUDGET
-        survivor entries per row, steps x states, raises ValueError before
-        any work.
+        survivors is None.  The callers count the scan (`_check_loop_budget`).
 
         Given the return keys ret (`_return_keys`), the scan stops after the
         first step L with stop_from <= L < row_at at which the `_frontier`
@@ -312,7 +315,6 @@ class Trellis:
         holds lengths 0..L and row is the row at L.
         """
         sections, states, inputs = self.num_sections, self.num_states, self.num_inputs
-        self._check_loop_budget(steps)
         # a path's weight, and with its way back to the zero state a walk's
         unreached = _check_keys(inputs, (steps + sections * states) * self.n)
         src, keys = self._loop_tables
@@ -342,19 +344,16 @@ class Trellis:
         return np.take_along_axis(zero, at, axis=0), row, survivors
 
     def _check_loop_budget(self, steps):
-        """Raise ValueError if a loop scan of `steps` steps would keep more
-        than SURVIVOR_BUDGET survivor entries per row (section), steps x
-        states."""
-        if steps * self.num_states > SURVIVOR_BUDGET:
-            raise ValueError(
-                f"a loop scan of {steps} sections x {self.num_states} states exceeds the "
-                f"budget of {SURVIVOR_BUDGET} survivor entries"
-            )
+        """Refuse a loop scan of `steps` steps that would keep more than
+        SURVIVOR_BUDGET survivor entries per row (section), steps x states."""
+        what = f"a loop scan of {steps} steps x {self.num_states} states"
+        _within(steps * self.num_states, SURVIVOR_BUDGET, what, "survivor entries")
 
     def active_burst_distance(self, ell):
         """Minimum weight of ell-loops, minimized over all starting phases;
         math.inf if no ell-loop exists."""
         ell = _integral(ell, "ell", 1)
+        self._check_loop_budget(ell)
         zero, _, _ = self._loop_dp(ell, ell, trace=False)
         return _number(zero[:, ell].min(), self.num_inputs)
 
@@ -699,24 +698,17 @@ def _potential(to, w, num, den):
 
 
 def _check_edge_budget(sections, q, nu, k):
-    """Raise ValueError if sections x q^nu states x q^k inputs is over
-    EDGE_BUDGET; Python ints, so nothing is allocated for a huge trellis."""
-    if sections * q**nu * q**k > EDGE_BUDGET:
-        raise ValueError(
-            f"{sections} section(s) x {q}^{nu} states x {q}^{k} inputs exceed the "
-            f"budget of {EDGE_BUDGET} trellis edges"
-        )
+    """Refuse a trellis of sections x q^nu states x q^k inputs over
+    EDGE_BUDGET edges; Python ints, so nothing is allocated for a huge one."""
+    what = f"a trellis of {sections} section(s) x {q}^{nu} states x {q}^{k} inputs"
+    _within(sections * q**nu * q**k, EDGE_BUDGET, what, "edges")
 
 
 def check_survivor_budget(frames, blocks, num_states):
-    """Raise ValueError if a Viterbi call on `frames` frames of `blocks`
-    blocks would hold more than SURVIVOR_BUDGET survivor entries."""
-    entries = frames * blocks * num_states
-    if entries > SURVIVOR_BUDGET:
-        raise ValueError(
-            f"Viterbi on {frames} frame(s) of {blocks} blocks x {num_states} states needs "
-            f"{entries} survivor entries, over the budget of {SURVIVOR_BUDGET}"
-        )
+    """Refuse a Viterbi call on `frames` frames of `blocks` blocks that would
+    hold more than SURVIVOR_BUDGET survivor entries."""
+    what = f"Viterbi on {frames} frame(s) of {blocks} blocks x {num_states} states"
+    _within(frames * blocks * num_states, SURVIVOR_BUDGET, what, "survivor entries")
 
 
 def build_trellis(code):

@@ -15,10 +15,10 @@ import numpy as np
 
 import code_reference
 from skewconv import DecodeResult, Sequence, SimReport, build_trellis
+from skewconv import trellis as trellis_module
 from skewconv.analysis import _trial_rng
 from skewconv.code import coerce_sequence
 from skewconv.decoder import QSChannel
-from skewconv.trellis import _check_edge_budget
 from trellis_reference import sections
 
 
@@ -141,10 +141,14 @@ def bcjr(trellis, received, channel, terminated=False):
     if total <= tail and terminated:
         raise ValueError(f"received length {total} too short for a terminated frame")
 
-    # one trellis section a block: refused where a DOT export of as many
-    # sections would be
-    _check_edge_budget(total, q, trellis.external_degree, trellis.k)
+    # one trellis section a block: as many edges as a DOT export of as many sections
     num_states, num_inputs = trellis.num_states, trellis.num_inputs
+    edges, budget = total * num_states * num_inputs, trellis_module.EDGE_BUDGET
+    if edges > budget:
+        raise ValueError(
+            f"a BCJR word of {total} blocks x {num_states} states x {num_inputs} inputs "
+            f"has {edges} edges, over the budget of {budget}"
+        )
     # next_state[s][st][idx], labels[s][st][idx]: the edge arrays as lists
     shape = (trellis.num_sections, num_states, num_inputs)
     next_state = trellis.next_state.reshape(shape).tolist()

@@ -211,8 +211,11 @@ def test_bcjr_refuses_a_word_over_the_edge_budget(tr, example_code, monkeypatch)
     monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 48)
     assert bcjr(tr, v, channel, terminated=True).posteriors.shape == (2, 4)
     monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 47)
-    with pytest.raises(ValueError, match="budget of 47 trellis edges"):
+    with pytest.raises(ValueError) as err:
         bcjr(tr, v, channel, terminated=True)
+    assert str(err.value) == (
+        "a BCJR word of 3 blocks x 4 states x 4 inputs has 48 edges, over the budget of 47"
+    )
 
 
 # -- channel -------------------------------------------------------------------

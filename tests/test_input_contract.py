@@ -2,12 +2,16 @@
 of the public API is an integer checked by `field._integral`, the channel's
 eps a real number, and every mixed-field operation is refused by
 `field._same_field`; a bad argument raises one ValueError of one line, and
-never a TypeError, an IndexError or a numpy allocation."""
+never a TypeError, an IndexError or a numpy allocation.  A job over a size
+budget is refused the same way, before any work, by `field._within`."""
 
+import ast
 import contextlib
 import math
 import random
 import signal
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +20,7 @@ from skewconv import (
     FiniteField,
     QSChannel,
     Sequence,
+    SkewConvCode,
     SkewPoly,
     SkewPolyMatrix,
     SkewTrellisCode,
@@ -31,8 +36,9 @@ from skewconv import (
     verify_duality,
     viterbi,
 )
+from skewconv import code as code_module, dual as dual_module, trellis as trellis_module
 from skewconv.code import coerce_sequence
-from skewconv.trellis import EDGE_BUDGET
+from skewconv.trellis import EDGE_BUDGET, SURVIVOR_BUDGET, unpack_digits
 
 from conftest import EXAMPLE_TABLE, make_code
 
@@ -62,6 +68,7 @@ CALLS = {
     "SyndromeFormer.coefficient_values": lambda x: SF.coefficient_values(x),
     "syndrome_former-mu_perp_max": lambda x: syndrome_former(CODE, mu_perp_max=x),
     "verify_duality-length": lambda x: verify_duality(CODE, SF, length=x),
+    "verify_duality-num_words": lambda x: verify_duality(CODE, SF, num_words=x),
     "analyze_code-lmax": lambda x: analyze_code(CODE, lmax=x, trellis=TRELLIS),
     "linearity_report-witness_len": lambda x: linearity_report(RIGHT_CODE, witness_len=x),
     "run_simulation-eps": lambda x: run_simulation(CODE, x, 4, 4, trellis=TRELLIS),
@@ -71,7 +78,23 @@ CALLS = {
     "QSChannel-q": lambda x: QSChannel(x, 0.1),
     "QSChannel-eps": lambda x: QSChannel(4, x),
     "draw_errors-count": lambda x: CHANNEL.draw_errors(random.Random(0), x),
+    "unpack_digits-base": lambda x: unpack_digits(5, x, 3),
+    "unpack_digits-count": lambda x: unpack_digits(5, 2, x),
 }
+
+# the budgeted jobs that take no count, each with the budget it is counted
+# against cut small, where the real one is costly to reach
+JOBS = {
+    "build_trellis": (build_trellis, trellis_module, "EDGE_BUDGET", 31),
+    "bcjr": (lambda x: bcjr(TRELLIS, x, CHANNEL), trellis_module, "EDGE_BUDGET", 47),
+    "viterbi": (lambda x: viterbi(TRELLIS, x), trellis_module, "SURVIVOR_BUDGET", 11),
+    "SkewConvCode": (SkewConvCode, code_module, "RANK_WINDOW_BUDGET", 11),
+    "syndrome_former": (syndrome_former, dual_module, "RANK_WINDOW_BUDGET", 3),
+}
+# rank(G_0) = 0 < 1: the rank check's window of 2 block rows has 2 x 3 x 2 entries
+DEFICIENT = SkewPolyMatrix.from_ints(F4, [[[0, 1], [0, 1]]])
+# one past the loop scans and the DOT export the worked trellis, 4 states x 4 inputs, fits
+STEPS, SECTIONS = SURVIVOR_BUDGET // 4 + 1, EDGE_BUDGET // 16 + 1
 
 
 @contextlib.contextmanager
@@ -137,16 +160,129 @@ def test_every_call_takes_a_valid_argument(name):
         ("analyze_code-lmax", 1, "lmax must be an integer >= 2, got 1"),
         ("export_dot-sections", 0, "sections must be an integer >= 1, got 0"),
         ("time_coefficient-delay", 2, "delay 2 outside [0, 1]"),
+        ("unpack_digits-count", 2.5, "count must be an integer >= 0, got 2.5"),
+        ("unpack_digits-base", 0, "base must be an integer >= 2, got 0"),
+        # each budgeted job, just over its budget
         (
             "linearity_report-witness_len",
             EDGE_BUDGET // 2,
-            f"a witness word of {EDGE_BUDGET + 2} symbols is over the budget of {EDGE_BUDGET}",
+            f"a witness word has {EDGE_BUDGET + 2} symbols, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "build_trellis",
+            CODE,
+            "a trellis of 2 section(s) x 4^1 states x 4^1 inputs has 32 edges, over the budget "
+            "of 31",
+        ),
+        (
+            "export_dot-sections",
+            SECTIONS,
+            f"a trellis of {SECTIONS} section(s) x 4^1 states x 4^1 inputs has {16 * SECTIONS} "
+            f"edges, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "bcjr",
+            [[0, 0]] * 3,
+            "a BCJR word of 3 blocks x 4 states x 4 inputs has 48 edges, over the budget of 47",
+        ),
+        (
+            "viterbi",
+            [[0, 0]] * 3,
+            "Viterbi on 1 frame(s) of 3 blocks x 4 states has 12 survivor entries, over the "
+            "budget of 11",
+        ),
+        *(
+            (
+                name,
+                STEPS,
+                f"a loop scan of {STEPS} steps x 4 states has {4 * STEPS} survivor entries, over "
+                f"the budget of {SURVIVOR_BUDGET}",
+            )
+            for name in [
+                "free_distance-ell_max",
+                "free_distance-lmax",
+                "active_burst_distance-ell",
+                "analyze_code-lmax",
+            ]
+        ),
+        (
+            "scalar_generator-t_rows",
+            1448,
+            f"a window has {1448 * 1449 * 2} entries, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "verify_duality-length",
+            10**9,
+            f"a window has {(10**9 - 1) * 10**9 * 2} entries, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "verify_duality-num_words",
+            10**9,
+            "a duality check of 1000000000 codeword(s) of 8 blocks x 2 symbols has 16000000000 "
+            f"symbols, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "draw_errors-count",
+            10**9,
+            f"a channel draw has 1000000000 symbols, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "unpack_digits-count",
+            10**9,
+            f"a digit list has 1000000000 digits, over the budget of {EDGE_BUDGET}",
+        ),
+        (
+            "SkewConvCode",
+            DEFICIENT,
+            "rank(G_0) < k and the rank check's scalar window has 12 entries, over the budget "
+            "of 11",
+        ),
+        (
+            "syndrome_former",
+            CODE,
+            "the syndrome former's system for dual memory 0 has 4 entries, over the budget of 3",
         ),
     ],
 )
-def test_the_messages(name, value, message):
-    with deadline(5, f"{name}({value!r}) was not refused before any work"):
-        assert refused_in_one_line(CALLS[name], value) == message
+def test_the_messages(name, value, message, monkeypatch):
+    call = CALLS.get(name)
+    if call is None:
+        call, module, budget, small = JOBS[name]
+        monkeypatch.setattr(module, budget, small)
+    tracemalloc.start()
+    try:
+        with deadline(5, f"{name}({value!r}) was not refused before any work"):
+            got = refused_in_one_line(call, value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == message
+    assert peak < 1 << 20, f"{name}({value!r}) peaked at {peak} bytes"
+
+
+def budget_raises(path):
+    """(module, function) of each raise in the module at path whose text
+    names a budget."""
+    text = path.read_text()
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and "budget" in ast.get_source_segment(text, child):
+                found.append((path.stem, function))
+            visit(child, function)
+
+    visit(ast.parse(text), None)
+    return found
+
+
+def test_every_budget_refusal_is_raised_by_within():
+    modules = sorted(Path(code_module.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    assert [raised for path in modules for raised in budget_raises(path)] == [("field", "_within")]
 
 
 def test_the_run_simulation_bound_on_eps_follows_the_channel_check():
@@ -174,7 +310,7 @@ def test_a_window_over_the_edge_budget_is_refused_before_it_is_built(call, t_row
     entries = t_rows * (t_rows + 1) * 2
     with deadline(5, "the refusal allocated the window"):
         message = refused_in_one_line(call, t_rows)
-    assert message == f"a window of {entries} entries is over the budget of {EDGE_BUDGET}"
+    assert message == f"a window has {entries} entries, over the budget of {EDGE_BUDGET}"
 
 
 @pytest.mark.parametrize("length", [0, -3, CODE.memory])

@@ -141,8 +141,11 @@ def test_edge_budget_is_checked_before_building(monkeypatch):
     monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 128)
     assert build_trellis(code).next_state.size == 128
     monkeypatch.setattr(trellis_module, "EDGE_BUDGET", 127)
-    with pytest.raises(ValueError, match="budget of 127 trellis edges"):
+    with pytest.raises(ValueError) as err:
         build_trellis(code)
+    assert str(err.value) == (
+        "a trellis of 2 section(s) x 4^2 states x 4^1 inputs has 128 edges, over the budget of 127"
+    )
     tr = reference.build_trellis(code)
     assert trellis_module.export_dot(tr, 1).count("->") == 64
     with pytest.raises(ValueError, match="budget"):

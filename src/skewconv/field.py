@@ -11,17 +11,19 @@ mult(c^e) (Lidl and Niederreiter, *Finite Fields*, ch. 2).  See
 `FiniteField._build_tables`.
 
 A field holds one set of tables, the O(q) read-only numpy arrays
-`log_table`, `antilog_table` and `frobenius_table` and the padded product
-and sum tables read off them, and every operation reads those.  Addition
-is digit-wise addition mod p, XOR for p = 2.  For odd p `add` runs on Zech
-logarithms instead of digits: with a = g^i and b = g^j, a + b =
-g^(i + Z(j - i)), where g^Z(m) = 1 + g^m (Huber, "Some comments on Zech's
-logarithms", IEEE Trans. IT 1990).  `add`, `sum`, `mul`, `inv` and
+`log_table`, `antilog_table` and `frobenius_table`, the padded product
+table read off them and one sum table, and every operation reads those.
+Addition is digit-wise addition mod p, XOR for p = 2.  For odd p and q <=
+256 it is one gather of a flat q x q table of uint8 sums at a * q + b
+(59,049 bytes at q = 243); above 256 `add` runs on Zech logarithms
+instead, with a = g^i and b = g^j, a + b = g^(i + Z(j - i)), where
+g^Z(m) = 1 + g^m (Huber, "Some comments on Zech's logarithms", IEEE
+Trans. IT 1990), in 7 words an element.  `add`, `sum`, `mul`, `inv` and
 `frobenius` work over integer arrays, each in O(1) numpy calls: `sum` is
 one reduction along an array's first axis (one XOR reduce for p = 2; for
 odd p one gather into digit bit fields, integer sums and one pack), `mul`
 is one gather of a product table padded with zeros, at a sum of two logs
-whose log of 0 is a sentinel past the antilogs, and odd-p `add` one gather
+whose log of 0 is a sentinel past the antilogs, and Zech `add` one gather
 of the same table at a Zech-log sum padded the same way.  `frobenius` by
 powers that are all 0 mod the automorphism order is a copy.  The scalar
 `add_int`, `mul_int` and `frobenius_int`, on which `FieldElement`'s `+`,
@@ -38,6 +40,15 @@ __all__ = ["FiniteField", "FieldElement", "DEFAULT_BINARY_MODULI"]
 
 # max table size kept small enough for full log/antilog lookup
 _MAX_FIELD_SIZE = 2**20
+
+# the largest odd q whose sums are one flat q x q table (uint8, as q - 1 fits);
+# a larger odd field adds through Zech logarithms
+_SUM_TABLE_SIZE = 256
+
+# index entries that `_gather` casts to intp at a time: indexing with a narrow
+# index casts it in small buffers and gathers about 2.5x slower (numpy 2.4),
+# and an intp copy of a whole index costs 8 bytes an entry
+_GATHER_BLOCK = 2**14
 
 # digit rows per matmul in the table build; _BLOCK n^2 < 2^18 keeps OpenBLAS
 # on one thread, as a threaded product can stall 0.1 s on a busy 2-core host
@@ -131,6 +142,19 @@ def _symbol(field, c, what="value", t=None):
 def _as_ints(a):
     """a as an array: in its own dtype if it is one, else as intp."""
     return np.asarray(a, dtype=getattr(a, "dtype", np.intp))
+
+
+def _gather(table, index):
+    """table[index], the index cast to intp `_GATHER_BLOCK` entries at a time
+    where it holds more."""
+    if index.size <= _GATHER_BLOCK:
+        return table.take(index)
+    flat = index.ravel()
+    out = np.empty(flat.shape, dtype=table.dtype)
+    for start in range(0, flat.size, _GATHER_BLOCK):
+        block = slice(start, start + _GATHER_BLOCK)
+        np.take(table, flat[block].astype(np.intp), out=out[block])
+    return out.reshape(index.shape)
 
 
 def _read_only(array):
@@ -292,15 +316,35 @@ class FiniteField:
         self._product_logs = _read_only(logs)
         zeros = np.zeros(2 * q1 + 1, dtype=np.intp)
         self._product_table = _read_only(np.concatenate((antilog, antilog, zeros)))
-        if self.p != 2:
+        # the sum tables: none for p = 2, the flat one up to _SUM_TABLE_SIZE,
+        # Zech logarithms above
+        self._sum_table = None
+        if self.p != 2 and self.size <= _SUM_TABLE_SIZE:
+            self._sum_table = self._flat_sums()
+            self._sum_index = np.min_scalar_type(self.size**2 - 1)
+        elif self.p != 2:
             # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
             low = self.antilog_table % self.p
             zech = self.log_table[self.antilog_table - low + (low + 1) % self.p]
             self._sum_logs, self._sum_zech = self._zech_tables(zech)
 
+    def _flat_sums(self):
+        """The uint8 sum table of `add`, q <= 256: entry a * q + b is a + b.
+        It grows a digit at a time: the table of the low i digits is laid
+        out in p x p blocks, one per pair of digits i, and each block adds
+        that pair's sum mod p times p^i."""
+        p = self.p
+        digit = np.add.outer(np.arange(p), np.arange(p)) % p
+        table = digit
+        for i in range(1, self.n):
+            table = digit[:, None, :, None] * p**i + table[None, :, None, :]
+            table = table.reshape(p ** (i + 1), p ** (i + 1))
+        return _read_only(table.astype(np.uint8).ravel())
+
     def _zech_tables(self, zech):
-        """(sum_logs, sum_zech) for `add`: a + b is the `_product_table`
-        entry at _product_logs[a] + sum_zech[sum_logs[b] - _product_logs[a]].
+        """(sum_logs, sum_zech) for `add` above `_SUM_TABLE_SIZE`: a + b is
+        the `_product_table` entry at
+        _product_logs[a] + sum_zech[sum_logs[b] - _product_logs[a]].
         sum_logs is log_table + 2(q - 1), with 6(q - 1) at 0, so that the
         difference d falls in one range per case, each mapped by sum_zech:
         - a = 0 < b: d = log b in [0, q - 1), to d - 2(q - 1), so the gather
@@ -330,13 +374,23 @@ class FiniteField:
     # -- element-wise operations over integer arrays --
 
     def add(self, a, b):
-        """a + b element-wise over integer arrays (broadcast): XOR in the
-        operands' dtype for p = 2, and for odd p, as intp, one gather of
-        `_product_table` at a Zech-log sum (`_zech_tables`)."""
+        """a + b element-wise over arrays of field elements in [0, q)
+        (broadcast).  For p = 2 it is XOR, and for odd q <= 256 one gather of
+        the flat sum table at a * q + b, its index in the narrowest dtype
+        that holds q^2 - 1 promoted with the operands'; both return the
+        operands' promoted dtype, so uint8 stays uint8.  Above 256 it is,
+        as intp, a Zech-log gather (`_zech_tables`).  An operand outside
+        [0, q) is not refused: a flat index reads another pair's sum.
+        """
+        a, b = _as_ints(a), _as_ints(b)
         if self.p == 2:
-            return np.bitwise_xor(_as_ints(a), _as_ints(b))
-        la = self._product_logs[a]
-        return self._product_table[la + self._sum_zech[self._sum_logs[b] - la]]
+            return np.bitwise_xor(a, b)
+        if self._sum_table is None:
+            la = self._product_logs[a]
+            return self._product_table[la + self._sum_zech[self._sum_logs[b] - la]]
+        kind = np.promote_types(a.dtype, b.dtype)
+        index = np.multiply(a, self.size, dtype=np.promote_types(kind, self._sum_index)) + b
+        return _gather(self._sum_table, index).astype(kind, copy=False)
 
     def sum(self, terms):
         """The element-wise sum of an integer array's entries along axis 0.
@@ -400,6 +454,8 @@ class FiniteField:
     def add_int(self, a, b):
         if self.p == 2:
             return a ^ b
+        if self._sum_table is not None:
+            return self._sum_table.item(a * self.size + b)
         la = self._product_logs.item(a)
         return self._product_table.item(la + self._sum_zech.item(self._sum_logs.item(b) - la))
 

@@ -11,10 +11,12 @@ element at a time.
 
 It also keeps the scalar arithmetic that the field itself no longer has,
 without any table: negation and subtraction digit by digit, the inverse as
-a^(q - 2) and powers, negative ones included, by square-and-multiply.
-These are the oracle for `FieldElement` and for the loop references
+a^(q - 2) and powers, negative ones included, by square-and-multiply,
+and the q x q table of sums, digit by digit.  These are the oracle for `FieldElement` and for the loop references
 `skewpoly_reference` and `code_reference`.
 """
+
+import numpy as np
 
 from skewconv.field import _is_irreducible, _prime_factors
 
@@ -65,6 +67,14 @@ def neg(field, a):
 
 def sub(field, a, b):
     return field.from_digits([x - y for x, y in zip(field.to_digits(a), field.to_digits(b))])
+
+
+def sums(field):
+    """The q x q array of a + b, row a: each of a's digits added to the same
+    digit of every b, mod p."""
+    digits = np.array([field.to_digits(a) for a in range(field.size)])
+    place = field.p ** np.arange(field.n)
+    return np.array([(row + digits) % field.p @ place for row in digits])
 
 
 def inv(field, a):

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import field_reference
 from skewconv import FieldElement, FiniteField
-from skewconv.field import DEFAULT_BINARY_MODULI, _is_irreducible
+from skewconv.field import _SUM_TABLE_SIZE, DEFAULT_BINARY_MODULI, _is_irreducible
 
 from conftest import A, A2
 
@@ -311,24 +311,29 @@ def digit_add(field, a, b):
     return field.from_digits([x + y for x, y in zip(field.to_digits(a), field.to_digits(b))])
 
 
+# the flat sum table's fields, and GF(3^6) above its bound, on Zech logs
 ODD_FIELDS = [
     (3, 1, None),
     (3, 2, [2, 2, 1]),
     (5, 2, [2, 1, 1]),
     (3, 3, [1, 2, 0, 1]),
     (7, 2, [3, 1, 1]),
+    (3, 6, [2, 1, 0, 0, 0, 0, 1]),
 ]
 
 
 @pytest.mark.parametrize("p,n,modulus", ODD_FIELDS, ids=lambda v: str(v))
-def test_zech_addition_matches_digits_all_pairs(p, n, modulus):
+def test_odd_addition_matches_digits_all_pairs(p, n, modulus):
     f = FiniteField(p, n, modulus)
+    sums = field_reference.sums(f).tolist()
     for a in range(f.size):
         neg = field_reference.neg(f, a)
         assert f.add_int(a, neg) == 0 and -f(a) == neg
+        assert [f.add_int(a, b) for b in range(f.size)] == sums[a]
+    # every pair below q = 50, about 50 rows of GF(3^6)
+    for a in range(0, f.size, 1 + f.size // 50):
         for b in range(f.size):
-            assert f.add_int(a, b) == digit_add(f, a, b)
-            assert f(a) - f(b) == digit_add(f, a, field_reference.neg(f, b))
+            assert f(a) - f(b) == sums[a][field_reference.neg(f, b)]
 
 
 SMALL_FIELDS = [
@@ -505,7 +510,8 @@ def test_mul_is_the_log_formula_on_random_pairs(name):
     assert np.array_equal(grid, log_product(f, a[:40, None], b[None, :30]))
 
 
-# -- odd-p add as one Zech-log gather, and the identity Frobenius -------------
+# -- odd-p add: one flat table gather up to its bound, Zech logs above; and
+# the identity Frobenius ------------------------------------------------------
 
 ZECH_ADD_FIELDS = [
     (3, 1, None),
@@ -515,24 +521,61 @@ ZECH_ADD_FIELDS = [
     (3, 3, [1, 2, 0, 1]),
     (7, 2, [3, 1, 1]),
     (3, 5, [1, 2, 0, 0, 0, 1]),
+    (3, 6, [2, 1, 0, 0, 0, 0, 1]),
 ]
 
 
 @pytest.mark.parametrize("p,n,modulus", ZECH_ADD_FIELDS, ids=lambda v: str(v))
-def test_odd_add_is_add_int_on_all_pairs(p, n, modulus):
+def test_odd_add_and_add_int_are_digit_sums_on_all_pairs(p, n, modulus):
     f = FiniteField(p, n, modulus)
     q1 = f.size - 1
-    assert f._sum_logs.shape == (f.size,) and f._sum_zech.shape == (6 * q1 + 1,)
+    if f.size <= _SUM_TABLE_SIZE:
+        assert f._sum_table.shape == (f.size**2,) and f._sum_table.dtype == np.uint8
+        assert not hasattr(f, "_sum_logs") and not hasattr(f, "_sum_zech")
+    else:
+        assert f._sum_table is None
+        assert f._sum_logs.shape == (f.size,) and f._sum_zech.shape == (6 * q1 + 1,)
+    want = field_reference.sums(f)
     a, b = np.divmod(np.arange(f.size**2), f.size)
     got = f.add(a, b)
     assert got.dtype == np.intp
-    assert got.tolist() == [f.add_int(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert got.tolist() == want.ravel().tolist()
+    assert [f.add_int(x, y) for x, y in zip(a.tolist(), b.tolist())] == want.ravel().tolist()
     # narrow dtypes, broadcasting and scalars
     column = np.arange(f.size, dtype=np.uint8 if f.size <= 256 else np.uint16)
-    assert np.array_equal(f.add(column[:, None], column), got.reshape(f.size, f.size))
+    assert np.array_equal(f.add(column[:, None], column), want)
     for x, y in ((0, 0), (0, 1), (1, 0), (1, field_reference.neg(f, 1)), (f.size - 1, f.size - 2)):
-        assert f.add(x, y) == f.add_int(x, y)
+        assert f.add(x, y) == f.add_int(x, y) == want[x, y]
     assert np.array_equal(f.add(column, 0), column) and np.array_equal(f.add(0, column), column)
+
+
+@pytest.mark.parametrize("p,n,modulus", [(3, 2, [2, 2, 1]), (3, 5, [1, 2, 0, 0, 0, 1])], ids=str)
+def test_a_table_add_is_in_the_operands_promoted_dtype(p, n, modulus):
+    f = FiniteField(p, n, modulus)
+    a, b = np.divmod(np.arange(f.size**2), f.size)
+    want = field_reference.sums(f).ravel()
+    narrow = (a.astype(np.uint8), b.astype(np.uint8))
+    for x, y, dtype in (
+        (*narrow, np.uint8),
+        (narrow[0], b, np.intp),
+        (a, narrow[1], np.intp),
+        (a, b, np.intp),
+        (a.astype(np.uint16), narrow[1], np.uint16),
+    ):
+        got = f.add(x, y)
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
+def test_a_zech_add_is_intp_whatever_its_operands():
+    f = FiniteField(3, 6, [2, 1, 0, 0, 0, 0, 1])
+    a, b = np.divmod(np.arange(f.size**2), f.size)
+    want = field_reference.sums(f).ravel()
+    small = (a < 256) & (b < 256)  # the pairs a uint8 operand holds; their sums may not fit
+    assert want[small].max() > 255
+    for x, y in ((a[small].astype(np.uint8), b[small].astype(np.uint8)), (a.astype(np.uint16), b)):
+        got = f.add(x, y)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, want[small] if len(got) < len(want) else want)
 
 
 def test_binary_add_is_xor_in_the_operands_dtype(f8):

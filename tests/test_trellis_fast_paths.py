@@ -804,8 +804,9 @@ def test_build_memory_is_a_small_multiple_of_the_edge_arrays():
 
 
 def test_an_odd_p_build_stays_a_small_multiple_of_the_edge_arrays():
-    # GF(9), memory 4, period 2: 9^4 states x 9 inputs x 2 sections.  Summing
-    # every label term per edge as int64 digit fields took 12 x these.
+    # GF(9), memory 4, period 2: 9^4 states x 9 inputs x 2 sections.  The
+    # table add keeps the uint8 labels: 1.3 x these here; the Zech add's intp
+    # sums took 3.6 x, and int64 digit fields for every label term 12 x.
     code = SkewConvCode(SkewPolyMatrix.from_ints(GF9, [[[1, 3, 0, 0, 1], [3, 1, 0, 0, 4]]]))
     build_trellis(code)  # the field's tables, made once
     tracemalloc.start()
@@ -816,7 +817,7 @@ def test_an_odd_p_build_stays_a_small_multiple_of_the_edge_arrays():
         tracemalloc.stop()
     assert tr.next_state.shape == (2, 9**5)
     finished = tr.next_state[0].nbytes + tr.label.nbytes  # one row held for all sections
-    assert peak < 5 * finished
+    assert peak < 2.5 * finished
 
 
 def test_the_analysis_caches_the_edge_weights_only_in_its_tables():

@@ -19,7 +19,7 @@ code = SkewTrellisCode(SkewPolyMatrix.from_ints(field, [[[1, A], [A, A + 1]]]))
 
 print("v_t = u_t G_0 + theta(u_{t-1}) G_1")
 for u in ([[1], [0]], [[A], [0]]):
-    print(f"  u = {[b[0] for b in u]} -> {code.encode_right(u).to_ints()}")
+    print(f"  u = {[b[0] for b in u]} -> {code.encode(u).to_ints()}")
 print()
 
 
@@ -28,8 +28,8 @@ def linear_on_random_pairs(scales, rng):
     three-block inputs for every scale c."""
     for c in scales:
         u1, u2 = (Sequence(field, [[rng.randrange(4)] for _ in range(3)]) for _ in range(2))
-        lhs = code.encode_right(u1.scale(c) + u2, terminate=True)
-        rhs = code.encode_right(u1, terminate=True).scale(c) + code.encode_right(u2, terminate=True)
+        lhs = code.encode(u1.scale(c) + u2, terminate=True)
+        rhs = code.encode(u1, terminate=True).scale(c) + code.encode(u2, terminate=True)
         if lhs != rhs:
             return False
     return True
@@ -50,5 +50,5 @@ print()
 
 trellis = build_trellis_right(code)
 print(f"trellis: {trellis.num_states} states, {trellis.num_sections} section (time-invariant)")
-sent = code.encode_right([[3], [1], [2]], terminate=True)
+sent = code.encode([[3], [1], [2]], terminate=True)
 print(f"decoding its own output: {viterbi(trellis, sent, terminated=True).info_est.to_ints()}")

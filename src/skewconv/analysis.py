@@ -6,31 +6,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import field as _field, trellis as _trellis
 # re-exported: `skewconv.analysis.viterbi` stays importable
 from .decoder import QSChannel, viterbi, viterbi_batch  # noqa: F401
 from .field import _integral
-from .trellis import (
-    SURVIVOR_BUDGET,
-    build_trellis,
-    check_survivor_budget,
-    is_catastrophic,
-    unit_memory_bounds,
-)
+from .trellis import build_trellis, check_survivor_budget, is_catastrophic, unit_memory_bounds
 
 __all__ = ["analyze_code", "SimReport", "run_simulation"]
-
-# Edges (frames x states x inputs) one Viterbi step of run_simulation covers
-# at most: enough frames to spread numpy's per-call cost, few enough that a
-# step's temporaries stay within about 1 MiB: the `acs` candidates (an int64
-# key an edge, 512 KiB), the branch keys (a byte an edge while (n + 1) x
-# inputs fits one, an int64 in the tail) and a byte an edge and output
-# symbol for the label compares.
-BATCH_EDGES = 1 << 16
-
-# Generator words (trials x words a trial) one parse of the simulation draws
-# reads at most, unless one trial alone needs more: its temporaries, about
-# 50 bytes a word, stay within about 3.5 MiB however many trials a batch has.
-PARSE_WORDS = 1 << 16
 
 # words a trial's block holds beyond 5/4 of those its draws need on average
 _DRAW_SPARE = 32
@@ -216,14 +198,15 @@ def _draw_trials(seed, first, count, q, info_count, symbols, eps):
 
     Each trial's words are one block of 5/4 of the words its draws need on
     average and spares (`_block_words`), read by `_read_draws` a chunk of at
-    most PARSE_WORDS words at a time; a trial whose words run out is read
-    again from a block twice as long, drawn afresh from its own generator.
+    most `field.PASS_ELEMENTS` words (or one trial) at a time; a trial whose
+    words run out is read again from a block twice as long, drawn afresh
+    from its own generator.
     """
     mean = info_count * (1 << q.bit_length()) / q + symbols * (
         2 + eps * (1 << (q - 1).bit_length()) / (q - 1)
     )
     width = _block_words(mean)
-    chunk = max(1, PARSE_WORDS // width)
+    chunk = max(1, _field.PASS_ELEMENTS // width)
     threshold = math.ceil(eps * 2.0**53)
     symbol = np.min_scalar_type(q - 1)
     out = (
@@ -249,7 +232,8 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
     Each trial draws its information symbols and then its channel errors
     from its own seeded generator, so the counts do not depend on how trials
     are grouped.  The trials run in batches of at most
-    BATCH_EDGES / (states x inputs) frames, within the survivor budget.  A
+    `field.PASS_ELEMENTS` / (states x inputs) frames, within
+    `trellis.SURVIVOR_BUDGET`, both read when the batch is sized.  A
     batch's draws are read off its trials' generator words (`_draw_trials`):
     each trial's generator gives one getrandbits block, and numpy parses the
     batch's words the way randrange(q), random() and randrange(q - 1)
@@ -275,8 +259,8 @@ def run_simulation(code, eps, trials, frame_len, seed=0, trellis=None):
         1,
         min(
             trials,
-            BATCH_EDGES // (tr.num_states * tr.num_inputs),
-            SURVIVOR_BUDGET // (blocks * tr.num_states),
+            _field.PASS_ELEMENTS // (tr.num_states * tr.num_inputs),
+            _trellis.SURVIVOR_BUDGET // (blocks * tr.num_states),
         ),
     )
     sym_in = 0

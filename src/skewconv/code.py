@@ -20,18 +20,18 @@ import operator
 
 import numpy as np
 
+from . import trellis as _trellis
 from .field import FieldElement, _integral, _items, _read_only, _same_field, _symbol, _within
 from .linalg import f_polymul, f_rank, f_window
 from .skewpoly import SkewPolyMatrix
-from .trellis import EDGE_BUDGET
 
 __all__ = ["Sequence", "SkewConvCode", "SkewTrellisCode", "RANK_WINDOW_BUDGET"]
 
 RANK_WINDOW_BUDGET = 1 << 18
 """The most entries, rows x columns, of the scalar window whose rank the
 validation of a generator with rank(G_0) < k eliminates, and of the syndrome
-former's system (`dual`); a larger one is refused by `field._within` before
-it is built."""
+former's system (`dual`, which reads it here at each search); a larger one
+is refused by `field._within` before it is built."""
 
 
 class Sequence:
@@ -158,10 +158,10 @@ def coerce_sequence(field, u, width):
 
 
 def _capped_window(field, coefficients, t_rows):
-    """`f_window` of t_rows >= 1 block rows, refused over `EDGE_BUDGET` entries."""
+    """`f_window` of t_rows >= 1 block rows, refused over `trellis.EDGE_BUDGET` entries."""
     t_rows = _integral(t_rows, "t_rows", 1)
     terms, rows, cols = coefficients.shape
-    _within(t_rows * rows * (t_rows + terms - 1) * cols, EDGE_BUDGET, "a window")
+    _within(t_rows * rows * (t_rows + terms - 1) * cols, _trellis.EDGE_BUDGET, "a window")
     return f_window(field, coefficients, t_rows)
 
 
@@ -328,5 +328,3 @@ class SkewTrellisCode(SkewConvCode):
 
     def _coefficient_tables(self, twisted, twist_period):
         return [self.coefficients.tolist()]
-
-    encode_right = SkewConvCode.encode

@@ -26,12 +26,11 @@ import numpy as np
 from . import trellis as _trellis
 from .code import Sequence, coerce_sequence
 from .field import _integral, _within
-from .trellis import SURVIVOR_BUDGET, _check_keys, _rows, acs, check_survivor_budget
+from .trellis import _check_keys, _rows, acs, check_survivor_budget
 
 __all__ = [
     "QSChannel",
     "DecodeResult",
-    "SURVIVOR_BUDGET",
     "check_survivor_budget",
     "viterbi",
     "viterbi_batch",
@@ -50,11 +49,6 @@ class QSChannel:
         if not 0.0 <= eps < 1.0:
             raise ValueError(f"eps={eps} outside [0, 1)")
         self.eps = float(eps)
-
-    def transition_prob(self, sent, received):
-        if sent == received:
-            return 1.0 - self.eps
-        return self.eps / (self.q - 1)
 
     def block_likelihood(self, sent_block, received_block):
         lengths = len(sent_block), len(received_block)
@@ -81,11 +75,18 @@ class QSChannel:
                 offsets[i] = randrange(others)
         return errors, offsets
 
-    @staticmethod
-    def apply_errors(sent, errors, offsets):
+    def apply_errors(self, sent, errors, offsets):
         """The received symbols: offset o replaces the sent symbol s by
-        o + (o >= s), one of the other q - 1 symbols, where errors is set."""
-        sent, offsets = np.asarray(sent), np.asarray(offsets)
+        o + (o >= s), one of the other q - 1 symbols, where errors is set;
+        sent (below q) and offsets (below q - 1) are integer arrays, errors a
+        boolean one, all of one shape, or they are refused in one line."""
+        sent, errors = _below(sent, self.q, "sent symbols"), np.asarray(errors)
+        offsets = _below(offsets, self.q - 1, "offsets")
+        if errors.dtype != bool:
+            raise ValueError(f"errors must be a boolean array, got {errors.dtype}")
+        if not sent.shape == errors.shape == offsets.shape:
+            shapes = ", ".join(str(a.shape) for a in (sent, errors, offsets))
+            raise ValueError(f"sent symbols, errors and offsets differ in shape: {shapes}")
         return np.where(errors, offsets + (offsets >= sent), sent)
 
     def transmit(self, seq, rng):
@@ -97,8 +98,21 @@ class QSChannel:
             raise ValueError("channel alphabet does not match the sequence's field")
         sent = np.asarray(seq)
         errors, offsets = self.draw_errors(rng, sent.size)
-        received = self.apply_errors(sent.ravel(), errors, offsets).reshape(sent.shape)
+        received = self.apply_errors(
+            sent.ravel(), np.array(errors, dtype=bool), np.array(offsets, dtype=sent.dtype)
+        ).reshape(sent.shape)
         return Sequence._trusted(seq.field, received, seq.width)
+
+
+def _below(values, bound, what):
+    """values as an integer array (bool is not one) with entries in
+    [0, bound), refused in one line otherwise: the rule for symbol arrays."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{what} must be an integer array, got {values.dtype}")
+    if values.size and (values.max() >= bound or values.dtype.kind == "i" and values.min() < 0):
+        raise ValueError(f"{what} outside [0, {bound})")
+    return values
 
 
 @dataclass
@@ -137,19 +151,16 @@ def viterbi_batch(trellis, received, terminated=False):
     last `memory` steps admit only zero inputs, the others keyed as
     unreached, and the tail is dropped from the estimate.  The survivor
     table holds one entry per frame, block and state; a batch over
-    SURVIVOR_BUDGET raises ValueError before any table is built.
+    `trellis.SURVIVOR_BUDGET` raises ValueError before any table is built.
     """
     received = np.asarray(received)
     if received.ndim != 3 or received.shape[2] != trellis.n:
         raise ValueError(f"received must have shape (frames, blocks, {trellis.n})")
-    if not np.issubdtype(received.dtype, np.integer):
-        raise ValueError(f"received must be an integer array, not {received.dtype}")
+    received = _below(received, trellis.q, "received symbols")
     frames, total, _ = received.shape
     tail = _tail(trellis, total, terminated)
     num_states, num_inputs = trellis.num_states, trellis.num_inputs
     check_survivor_budget(frames, total, num_states)
-    if received.size and not 0 <= received.min() <= received.max() < trellis.q:
-        raise ValueError(f"received symbols outside [0, {trellis.q})")
 
     # pred[s, j, st]: the edges into state st, the inputs axis leading, in
     # one row for every section where `pred` shares one

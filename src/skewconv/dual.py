@@ -26,7 +26,7 @@ reduced echelon form, so the first n(m + 1) columns of rref(S(M)) are
 rref(S(m)) above zero rows, and the nullspace of S(m) is read off them
 (`linalg.f_rref_nullspace`).  M starts at ceil(k mu / (n - k)) and, when
 the search passes it, doubles its unknown blocks, within the cap and the
-entry budget `code.RANK_WINDOW_BUDGET`.
+entry budget `code.RANK_WINDOW_BUDGET`, read there at each search.
 
 A right scalar multiple h(D) c has x_j c as its unknowns, so right scalar
 row operations on H are plain row operations on the rows x.  The solver
@@ -46,11 +46,11 @@ import random
 
 import numpy as np
 
-from .code import RANK_WINDOW_BUDGET, _capped_window
+from . import code as _code, trellis as _trellis
+from .code import _capped_window
 from .field import _integral, _same_field, _within
 from .linalg import f_matmul, f_polymul, f_rank, f_rref, f_rref_nullspace, f_window
 from .skewpoly import SkewPolyMatrix
-from .trellis import EDGE_BUDGET
 
 __all__ = ["SyndromeFormer", "SyndromeFormerNotFound", "syndrome_former", "verify_duality"]
 
@@ -142,16 +142,17 @@ def _eliminated_memory(code, untried, eliminated, mu_perp_max):
     reaches dual memory `untried` past the last one eliminated: first
     ceil(k mu / (n - k)), then twice the unknown blocks of the last, at least
     `untried` and at most the cap, cut to the largest within
-    RANK_WINDOW_BUDGET entries.  ValueError if `untried`'s own system is
-    over the budget."""
+    `code.RANK_WINDOW_BUDGET` entries.  ValueError if `untried`'s own system
+    is over the budget."""
+    budget = _code.RANK_WINDOW_BUDGET
     what = f"the syndrome former's system for dual memory {untried}"
-    _within(_system_entries(code, untried), RANK_WINDOW_BUDGET, what)
+    _within(_system_entries(code, untried), budget, what)
     if eliminated < 0:
         target = -(-code.k * code.memory // (code.n - code.k))
     else:
         target = 2 * eliminated + 1
     within = range(untried, max(untried, min(target, mu_perp_max)) + 1)
-    fits = bisect.bisect_right(within, RANK_WINDOW_BUDGET, key=lambda m: _system_entries(code, m))
+    fits = bisect.bisect_right(within, budget, key=lambda m: _system_entries(code, m))
     return within[fits - 1]
 
 
@@ -161,7 +162,7 @@ def syndrome_former(code, mu_perp_max=None):
     Raises SyndromeFormerNotFound if no H(D) with rank(H_0) = n - k exists up
     to the dual-memory cap (default n * memory), and ValueError if the cap is
     negative or if the search reaches a dual memory whose system has more
-    than RANK_WINDOW_BUDGET entries.
+    than `code.RANK_WINDOW_BUDGET` entries.
     """
     code.require_left_module("the syndrome former")
     if mu_perp_max is None:
@@ -225,7 +226,7 @@ def verify_duality(code, check, num_words=20, length=8, rng=None):
     total = info_len + code.memory
     gw, ht = code.scalar_generator(info_len), sf.ht_window(total)
     what = f"a duality check of {num_words} codeword(s) of {total} blocks x {code.n} symbols"
-    _within(num_words * total * code.n, EDGE_BUDGET, what, "symbols")
+    _within(num_words * total * code.n, _trellis.EDGE_BUDGET, what, "symbols")
 
     # every word is encoded at once and checked by one syndrome product
     info = _symbols(rng, q, (num_words, info_len, code.k))

@@ -36,7 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["FiniteField", "FieldElement", "DEFAULT_BINARY_MODULI"]
+__all__ = ["FiniteField", "FieldElement", "DEFAULT_BINARY_MODULI", "PASS_ELEMENTS"]
+
+PASS_ELEMENTS = 1 << 16
+"""About the most elements one array pass forms, so its temporaries stay
+within a few MiB: products in `linalg.f_matmul` and `f_polymul`, edges in a
+`run_simulation` Viterbi step, words in a parse of its draws.  `_GATHER_BLOCK`
+and `_BLOCK` below are speed settings, not such bounds, so they stay apart."""
 
 # max table size kept small enough for full log/antilog lookup
 _MAX_FIELD_SIZE = 2**20

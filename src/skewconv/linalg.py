@@ -10,8 +10,9 @@ import bisect
 
 import numpy as np
 
+from . import field as _field
+
 __all__ = [
-    "PRODUCT_TERMS",
     "f_rref",
     "f_rank",
     "f_nullspace",
@@ -20,10 +21,6 @@ __all__ = [
     "f_window",
     "f_polymul",
 ]
-
-PRODUCT_TERMS = 1 << 16
-"""About the most field products `f_matmul` and `f_polymul` form at once,
-beyond one row's (of one output term, for `f_polymul`)."""
 
 
 def f_rref(field, mat):
@@ -105,7 +102,8 @@ def f_rref_nullspace(field, rref, pivots, cols):
 def f_matmul(field, a, b):
     """Matrix product over the field as array steps: the products
     a[i, x] * b[x, j] of a band of rows at once, summed over x by
-    `FiniteField.sum`; a band holds at most about PRODUCT_TERMS products."""
+    `FiniteField.sum`; a band holds at most about `field.PASS_ELEMENTS`
+    products."""
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     if a.shape[1] != b.shape[0]:
@@ -113,7 +111,7 @@ def f_matmul(field, a, b):
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if not b.size:
         return out
-    band = max(1, PRODUCT_TERMS // b.size)
+    band = max(1, _field.PASS_ELEMENTS // b.size)
     for start in range(0, len(a), band):
         terms = field.mul(a[start : start + band, :, None], b)
         out[start : start + band] = field.sum(np.moveaxis(terms, 1, 0))
@@ -141,9 +139,9 @@ def f_polymul(field, a, b):
     theta^i(B_(s-i)), in the narrowest unsigned dtype that holds q - 1.
 
     One gather-and-sum pass over the terms d of the shorter factor, a chunk
-    of about PRODUCT_TERMS products at a time (at least one output term's
-    for one row of A; A's rows go in bands when a term's are more), in the
-    log domain of `FiniteField.mul`'s tables, where 0 has the log
+    of about `field.PASS_ELEMENTS` products at a time (at least one output
+    term's for one row of A; A's rows go in bands when a term's are more),
+    in the log domain of `FiniteField.mul`'s tables, where 0 has the log
     2(q - 1): the longer factor's logs are read at s - d, B's are twisted by
     theta^i (i = d if A is the shorter, else s - d), each product is one
     gather at a sum of two logs, and `FiniteField.sum` adds them over
@@ -165,8 +163,8 @@ def f_polymul(field, a, b):
         short, long = (a, b) if terms_a <= terms_b else (b, a)
         d = np.arange(short.shape[1])[:, None]
         short_logs = log_of[short][:, :, None]
-        band = max(1, PRODUCT_TERMS // (len(d) * inner * cols))  # rows of A a pass
-        step = max(1, PRODUCT_TERMS // (len(d) * inner * min(band, rows) * cols))
+        band = max(1, _field.PASS_ELEMENTS // (len(d) * inner * cols))  # rows of A a pass
+        step = max(1, _field.PASS_ELEMENTS // (len(d) * inner * min(band, rows) * cols))
         for start in range(0, total, step):
             stop = min(start + step, total)
             s = np.arange(start, stop)

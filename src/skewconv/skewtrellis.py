@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trellis as _trellis
 from .code import Sequence, SkewTrellisCode
 from .field import _integral, _within
-from .trellis import EDGE_BUDGET, build_trellis
 
 __all__ = ["SkewTrellisCode", "LinearityReport", "build_trellis_right", "linearity_report"]
 
-build_trellis_right = build_trellis
+build_trellis_right = _trellis.build_trellis
 
 
 @dataclass
@@ -38,7 +38,7 @@ def linearity_report(code, rng=None, witness_len=2):
     blocks.  rng is never drawn from, so the generator is left as it was.  A
     witness word over `trellis.EDGE_BUDGET` symbols is refused at once."""
     witness_len = _integral(witness_len, "witness_len", 0)
-    _within((witness_len + code.memory) * code.n, EDGE_BUDGET, "a witness word", "symbols")
+    _within((witness_len + code.memory) * code.n, _trellis.EDGE_BUDGET, "a witness word", "symbols")
     witness = _homogeneity_witness(code, witness_len)
     return LinearityReport(code.field.fixed_subfield(), True, True, witness)
 

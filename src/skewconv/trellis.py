@@ -85,13 +85,15 @@ EDGE_BUDGET = 2**22
 """The most edges (sections x states x inputs) `build_trellis` builds and
 `export_dot` writes.  Within it the finished edge arrays take at most 64 MiB,
 plus 4 MiB per output symbol and byte of the label dtype.  Every job counted
-against it is refused by `field._within` before any work."""
+against it, in any module, reads it here and is refused by `field._within`
+before any work."""
 
 SURVIVOR_BUDGET = 1 << 24
 """The most survivor-table entries (frames x received blocks x states) one
 Viterbi call, or (steps x states) one loop scan, may hold: 16 MiB at one
 byte an entry, which serves up to 256 inputs per state.  A larger job is
-refused by `field._within` before allocating it."""
+refused by `field._within` before allocating it; `run_simulation` sizes its
+batches by it."""
 
 
 class TrellisEdge(NamedTuple):

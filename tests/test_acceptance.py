@@ -261,22 +261,22 @@ def test_criterion_10_nonlinearity(f4, f4_id):
         length = rng.randrange(1, 6)
         u1 = Sequence(f4, [[rng.randrange(4)] for _ in range(length)], width=1)
         u2 = Sequence(f4, [[rng.randrange(4)] for _ in range(length)], width=1)
-        lhs = code.encode_right(u1 + u2, terminate=True)
-        rhs = code.encode_right(u1, terminate=True) + code.encode_right(u2, terminate=True)
+        lhs = code.encode(u1 + u2, terminate=True)
+        rhs = code.encode(u1, terminate=True) + code.encode(u2, terminate=True)
         assert lhs == rhs
     # homogeneity over the prime subfield, exhaustively on short inputs
     for c in (0, 1):
         for u in itertools.product(range(4), repeat=2):
             useq = Sequence(f4, [[s] for s in u], width=1)
-            assert code.encode_right(useq.scale(c), terminate=True) == code.encode_right(
+            assert code.encode(useq.scale(c), terminate=True) == code.encode(
                 useq, terminate=True
             ).scale(c)
     rep = linearity_report(code)
     assert rep.witness is not None
     a, u, lhs, rhs = rep.witness
     useq = Sequence(f4, [list(b) for b in u], width=1)
-    assert code.encode_right(useq.scale(a), terminate=True) == lhs
-    assert code.encode_right(useq, terminate=True).scale(a) == rhs
+    assert code.encode(useq.scale(a), terminate=True) == lhs
+    assert code.encode(useq, terminate=True).scale(a) == rhs
     assert lhs != rhs
     # with the identity automorphism no witness exists on short inputs
     code_id = SkewTrellisCode(SkewPolyMatrix.from_ints(f4_id, EXAMPLE_TABLE))
@@ -285,8 +285,8 @@ def test_criterion_10_nonlinearity(f4, f4_id):
         for length in (1, 2):
             for u in itertools.product(range(4), repeat=length):
                 useq = Sequence(f4_id, [[s] for s in u], width=1)
-                assert code_id.encode_right(useq.scale(a), terminate=True) == (
-                    code_id.encode_right(useq, terminate=True).scale(a)
+                assert code_id.encode(useq.scale(a), terminate=True) == (
+                    code_id.encode(useq, terminate=True).scale(a)
                 )
 
 

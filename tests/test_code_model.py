@@ -59,7 +59,7 @@ def test_module_sides_differ_only_in_data(f4, f4_id):
     right = SkewTrellisCode(SkewPolyMatrix.from_ints(f4, EXAMPLE_TABLE))
     assert (left.module_side, left.register_twist, left.period) == ("left", 0, 2)
     assert (right.module_side, right.register_twist, right.period) == ("right", 1, 1)
-    assert right.encode_right([[1], [A]]) == right.encode([[1], [A]])
+    assert SkewTrellisCode.encode is SkewConvCode.encode
     assert same_edges(build_trellis_right(right), build_trellis(right))
     # with theta = id both readings are the same code
     left_id = SkewConvCode(SkewPolyMatrix.from_ints(f4_id, EXAMPLE_TABLE))

@@ -224,7 +224,8 @@ def test_bcjr_refuses_a_word_over_the_edge_budget(tr, example_code, monkeypatch)
 def test_channel_transition_probabilities_sum_to_one():
     ch = QSChannel(4, 0.3)
     for sent in range(4):
-        assert abs(sum(ch.transition_prob(sent, r) for r in range(4)) - 1.0) <= 1e-12
+        # a one-symbol block's likelihood is the symbol's transition probability
+        assert abs(sum(ch.block_likelihood([sent], [r]) for r in range(4)) - 1.0) <= 1e-12
 
 
 def test_channel_validation():

@@ -26,8 +26,8 @@ from skewconv import (
     run_simulation,
     viterbi,
 )
-from skewconv import trellis as trellis_module
-from skewconv.decoder import SURVIVOR_BUDGET, viterbi_batch
+from skewconv import field as field_module, trellis as trellis_module
+from skewconv.decoder import viterbi_batch
 
 from conftest import A, EXAMPLE_TABLE
 from test_trellis_fast_paths import random_code
@@ -208,7 +208,7 @@ def test_run_simulation_matches_the_per_frame_loop(name, eps, monkeypatch):
         calls.append(len(received))
         return viterbi_batch(trellis, received, terminated)
 
-    monkeypatch.setattr(analysis, "BATCH_EDGES", 3 * tr.num_states * tr.num_inputs)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 3 * tr.num_states * tr.num_inputs)
     monkeypatch.setattr(analysis, "viterbi_batch", recording)
     assert run_simulation(code, eps, 10, 4, seed=31, trellis=tr) == want
     assert calls == [3, 3, 3, 1]
@@ -224,13 +224,13 @@ def test_run_simulation_batches_do_not_grow_with_trials(monkeypatch):
 
     monkeypatch.setattr(analysis, "viterbi_batch", recording)
     run_simulation(code, 0.05, 600, 2, seed=1, trellis=tr)
-    cap = analysis.BATCH_EDGES // (tr.num_states * tr.num_inputs)
+    cap = field_module.PASS_ELEMENTS // (tr.num_states * tr.num_inputs)
     assert sum(calls) == 600 and max(calls) == cap < 600
 
 
 def test_the_survivor_budget_is_checked_before_allocating():
     tr = TRELLISES["worked"]
-    blocks = SURVIVOR_BUDGET // tr.num_states + 1
+    blocks = trellis_module.SURVIVOR_BUDGET // tr.num_states + 1
     # a zero-stride view: a long received word that takes no memory
     huge = np.broadcast_to(np.zeros(1, dtype=np.intp), (1, blocks, tr.n))
     tracemalloc.start()

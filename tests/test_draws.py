@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from skewconv import QSChannel, analysis, syndrome_former, verify_duality
+from skewconv import QSChannel, analysis, field as field_module, syndrome_former, verify_duality
 from skewconv.analysis import _draw_trials, _trial_rng, _words
 from skewconv.dual import _symbols
 
@@ -206,7 +206,7 @@ def test_batch_draws_that_need_more_words_than_the_first_block(q, monkeypatch):
 def test_batch_draws_read_in_chunks_of_trials(monkeypatch):
     # a chunk of 3 trials: 41 trials are 13 full chunks and one of 2
     width = analysis._block_words(4 * 2 + 18 * (2 + 0.05 * 4 / 3))
-    monkeypatch.setattr(analysis, "PARSE_WORDS", 3 * width)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 3 * width)
     rows = []
     read_draws = analysis._read_draws
 

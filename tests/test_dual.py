@@ -17,7 +17,7 @@ from skewconv import (
     syndrome_former,
     verify_duality,
 )
-from skewconv import dual as dual_module
+from skewconv import code as code_module, dual as dual_module
 from skewconv.cli import main
 from skewconv.codespec import load_code
 from skewconv.dual import _annihilates, _system, _system_entries
@@ -636,7 +636,7 @@ def test_a_huge_cap_searches_only_as_far_as_the_dual_memory(example_code, exampl
     sf = syndrome_former(code, mu_perp_max=10**9)
     assert sf.dual_memory == 0 and sf.check.to_ints() == [[[1], [1]]]
     assert systems_built == [240]
-    assert _system_entries(code, 240) <= dual_module.RANK_WINDOW_BUDGET < _system_entries(code, 241)
+    assert _system_entries(code, 240) <= code_module.RANK_WINDOW_BUDGET < _system_entries(code, 241)
 
 
 def test_the_search_refuses_a_system_over_the_budget(f4, systems_built):
@@ -656,13 +656,13 @@ def test_a_budget_cuts_the_growth_but_not_the_former(monkeypatch, systems_built)
     # system: the same former, its system the last built; one entry less
     # and the search refuses at the former's dual memory
     rng = random.Random(3)
-    budget = dual_module.RANK_WINDOW_BUDGET
+    budget = code_module.RANK_WINDOW_BUDGET
     cut = 0
     for trial in range(400):
         code = random_code(rng, list(FOUR_FIELDS.values())[trial % 4], trial % 3 == 0)
         if code is None:
             continue
-        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", budget)
+        monkeypatch.setattr(code_module, "RANK_WINDOW_BUDGET", budget)
         try:
             want = syndrome_former(code)
         except SyndromeFormerNotFound:
@@ -670,11 +670,11 @@ def test_a_budget_cuts_the_growth_but_not_the_former(monkeypatch, systems_built)
         if want.dual_memory <= start_memory(code):
             continue
         entries = _system_entries(code, want.dual_memory)
-        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", entries)
+        monkeypatch.setattr(code_module, "RANK_WINDOW_BUDGET", entries)
         systems_built.clear()
         sf = syndrome_former(code, mu_perp_max=10**6)
         assert sf.check == want.check and systems_built[-1] == want.dual_memory
-        monkeypatch.setattr(dual_module, "RANK_WINDOW_BUDGET", entries - 1)
+        monkeypatch.setattr(code_module, "RANK_WINDOW_BUDGET", entries - 1)
         message = f"dual memory {want.dual_memory} has {entries} entries, over the budget of {entries - 1}$"
         with pytest.raises(ValueError, match=message):
             syndrome_former(code, mu_perp_max=10**6)

@@ -22,7 +22,7 @@ from skewconv import (
     SkewPolyMatrix,
     SkewTrellisCode,
     SyndromeFormer,
-    linalg as linalg_module,
+    field as field_module,
     linearity_report,
     load_code,
     syndrome_former,
@@ -200,7 +200,7 @@ def test_time_chunks_overlap_by_the_memory(name, chunk, monkeypatch):
     rng = random.Random(4444)
     u = random_inputs(code, rng, 3, 11)
     want = code.encode_batch(u, terminate=True)
-    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", chunk)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", chunk)
     assert np.array_equal(code.encode_batch(u, terminate=True), want)
     assert np.array_equal(code.encode_batch(u, terminate=False), want[:, :11])
     for frame, v in zip(u, want):
@@ -227,7 +227,7 @@ def test_memory_does_not_grow_with_the_field():
 
 def test_a_long_input_is_encoded_in_bounded_memory():
     code = CODES["gf9-k2-right"]
-    blocks = 8 * linalg_module.PRODUCT_TERMS
+    blocks = 8 * field_module.PASS_ELEMENTS
     u = np.broadcast_to(np.array([1, 2], dtype=np.intp), (1, blocks, 2))
     tracemalloc.start()
     try:
@@ -236,8 +236,8 @@ def test_a_long_input_is_encoded_in_bounded_memory():
     finally:
         tracemalloc.stop()
     # the output itself is blocks x 3 words; a chunk's temporaries are a few
-    # times PRODUCT_TERMS words
-    assert peak < v.nbytes + 64 * linalg_module.PRODUCT_TERMS
+    # times PASS_ELEMENTS words
+    assert peak < v.nbytes + 64 * field_module.PASS_ELEMENTS
     assert np.array_equal(v[0, 5 : 9], code.encode_batch(u[:, :9])[0, 5:9])
 
 
@@ -575,7 +575,7 @@ def test_f_matmul_matches_the_scalar_product(field, monkeypatch):
         want = reference.f_matmul(field, a, b)
         got = f_matmul(field, a, b)
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    monkeypatch.setattr(linalg_module, "PRODUCT_TERMS", 5)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 5)
     a = np.array([[rng.randrange(field.size) for _ in range(4)] for _ in range(6)])
     b = np.array([[rng.randrange(field.size) for _ in range(3)] for _ in range(4)])
     assert np.array_equal(f_matmul(field, a, b), reference.f_matmul(field, a, b))

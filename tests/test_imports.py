@@ -60,8 +60,10 @@ def test_the_trellis_module_imports_neither_decoder_nor_analysis():
 
 
 def test_the_decoder_uses_the_trellis_kernel_and_budgets():
+    # the budgets are read off the trellis module at each call, not copied
     assert decoder.acs is trellis.acs
-    assert decoder.SURVIVOR_BUDGET == trellis.SURVIVOR_BUDGET == 1 << 24
+    assert decoder._trellis is trellis and not hasattr(decoder, "SURVIVOR_BUDGET")
+    assert trellis.SURVIVOR_BUDGET == 1 << 24
     assert decoder.check_survivor_budget is trellis.check_survivor_budget
 
 

@@ -7,12 +7,14 @@ budget is refused the same way, before any work, by `field._within`."""
 
 import ast
 import contextlib
+import functools
 import math
 import random
 import signal
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,9 +38,10 @@ from skewconv import (
     verify_duality,
     viterbi,
 )
-from skewconv import code as code_module, dual as dual_module, trellis as trellis_module
+from skewconv import analysis, code as code_module, trellis as trellis_module
 from skewconv.code import coerce_sequence
-from skewconv.trellis import EDGE_BUDGET, SURVIVOR_BUDGET, unpack_digits
+from skewconv.decoder import viterbi_batch
+from skewconv.trellis import EDGE_BUDGET, SURVIVOR_BUDGET, is_catastrophic, unpack_digits
 
 from conftest import EXAMPLE_TABLE, make_code
 
@@ -82,15 +85,13 @@ CALLS = {
     "unpack_digits-count": lambda x: unpack_digits(5, 2, x),
 }
 
-# the budgeted jobs that take no count, each with the budget it is counted
-# against cut small, where the real one is costly to reach
-JOBS = {
-    "build_trellis": (build_trellis, trellis_module, "EDGE_BUDGET", 31),
-    "bcjr": (lambda x: bcjr(TRELLIS, x, CHANNEL), trellis_module, "EDGE_BUDGET", 47),
-    "viterbi": (lambda x: viterbi(TRELLIS, x), trellis_module, "SURVIVOR_BUDGET", 11),
-    "SkewConvCode": (SkewConvCode, code_module, "RANK_WINDOW_BUDGET", 11),
-    "syndrome_former": (syndrome_former, dual_module, "RANK_WINDOW_BUDGET", 3),
+# the one module each budget is bound in, and read from at every check
+HOMES = {
+    "EDGE_BUDGET": trellis_module,
+    "SURVIVOR_BUDGET": trellis_module,
+    "RANK_WINDOW_BUDGET": code_module,
 }
+
 # rank(G_0) = 0 < 1: the rank check's window of 2 block rows has 2 x 3 x 2 entries
 DEFICIENT = SkewPolyMatrix.from_ints(F4, [[[0, 1], [0, 1]]])
 # one past the loop scans and the DOT export the worked trellis, 4 states x 4 inputs, fits
@@ -170,7 +171,7 @@ def test_every_call_takes_a_valid_argument(name):
         ),
         (
             "build_trellis",
-            CODE,
+            None,
             "a trellis of 2 section(s) x 4^1 states x 4^1 inputs has 32 edges, over the budget "
             "of 31",
         ),
@@ -182,12 +183,12 @@ def test_every_call_takes_a_valid_argument(name):
         ),
         (
             "bcjr",
-            [[0, 0]] * 3,
+            None,
             "a BCJR word of 3 blocks x 4 states x 4 inputs has 48 edges, over the budget of 47",
         ),
         (
             "viterbi",
-            [[0, 0]] * 3,
+            None,
             "Viterbi on 1 frame(s) of 3 blocks x 4 states has 12 survivor entries, over the "
             "budget of 11",
         ),
@@ -233,31 +234,137 @@ def test_every_call_takes_a_valid_argument(name):
         ),
         (
             "SkewConvCode",
-            DEFICIENT,
+            None,
             "rank(G_0) < k and the rank check's scalar window has 12 entries, over the budget "
             "of 11",
         ),
         (
             "syndrome_former",
-            CODE,
+            None,
             "the syndrome former's system for dual memory 0 has 4 entries, over the budget of 3",
         ),
     ],
 )
 def test_the_messages(name, value, message, monkeypatch):
-    call = CALLS.get(name)
-    if call is None:
-        call, module, budget, small = JOBS[name]
-        monkeypatch.setattr(module, budget, small)
+    # a job that takes no count is LISTED's, with the budget cut small there
+    if name in CALLS:
+        job = functools.partial(CALLS[name], value)
+    else:
+        budget, small, job = LISTED[name]
+        monkeypatch.setattr(HOMES[budget], budget, small)
+    assert refused_before_any_work(f"{name}({value!r})", job) == message
+
+
+def refused_before_any_work(name, job):
+    """The one-line message of the ValueError that job() raises, within 5 s
+    and a 1 MiB tracemalloc peak."""
     tracemalloc.start()
     try:
-        with deadline(5, f"{name}({value!r}) was not refused before any work"):
-            got = refused_in_one_line(call, value)
+        with deadline(5, f"{name} was not refused before any work"):
+            got = refused_in_one_line(lambda _: job(), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == message
-    assert peak < 1 << 20, f"{name}({value!r}) peaked at {peak} bytes"
+    assert peak < 1 << 20, f"{name} peaked at {peak} bytes"
+    return got
+
+
+# every call the README's "Size caps" table lists, by the budget it lists it
+# under, with the budget cut to refuse it: (budget, small value, job)
+WORKED_WORD = CODE.encode([[1]] * 5, terminate=True)
+LISTED = {
+    "build_trellis": ("EDGE_BUDGET", 31, lambda: build_trellis(CODE)),
+    "export_dot": ("EDGE_BUDGET", 15, lambda: export_dot(TRELLIS, 1)),
+    "analyze_code-edges": ("EDGE_BUDGET", 31, lambda: analyze_code(CODE)),
+    "run_simulation-edges": ("EDGE_BUDGET", 31, lambda: run_simulation(CODE, 0.1, 4, 4)),
+    "is_catastrophic": ("EDGE_BUDGET", 31, lambda: is_catastrophic(CODE)),
+    "bcjr": ("EDGE_BUDGET", 47, lambda: bcjr(TRELLIS, [[0, 0]] * 3, CHANNEL)),
+    "scalar_generator": ("EDGE_BUDGET", 10, lambda: CODE.scalar_generator(20)),
+    "ht_window": ("EDGE_BUDGET", 10, lambda: SF.ht_window(20)),
+    "h_window": ("EDGE_BUDGET", 10, lambda: SF.h_window(20)),
+    # the worked code's windows of 7 and 8 block rows hold 112 and 144
+    # entries; its 20 codewords, 320 symbols
+    "verify_duality-window": ("EDGE_BUDGET", 143, lambda: verify_duality(CODE, SF)),
+    "verify_duality-words": ("EDGE_BUDGET", 319, lambda: verify_duality(CODE, SF)),
+    "linearity_report": ("EDGE_BUDGET", 10, lambda: linearity_report(RIGHT_CODE, witness_len=20)),
+    "draw_errors": ("EDGE_BUDGET", 10, lambda: CHANNEL.draw_errors(random.Random(0), 11)),
+    "transmit": ("EDGE_BUDGET", 11, lambda: CHANNEL.transmit(WORKED_WORD, random.Random(0))),
+    "unpack_digits": ("EDGE_BUDGET", 10, lambda: unpack_digits(5, 2, 11)),
+    "viterbi": ("SURVIVOR_BUDGET", 11, lambda: viterbi(TRELLIS, [[0, 0]] * 3)),
+    "viterbi_batch": (
+        "SURVIVOR_BUDGET",
+        11,
+        lambda: viterbi_batch(TRELLIS, np.zeros((1, 3, 2), dtype=np.uint8)),
+    ),
+    # one frame of 5 blocks x 4 states is 20 survivor entries
+    "run_simulation-survivors": (
+        "SURVIVOR_BUDGET",
+        19,
+        lambda: run_simulation(CODE, 0.1, 4, 4, trellis=TRELLIS),
+    ),
+    "free_distance": ("SURVIVOR_BUDGET", 11, lambda: TRELLIS.free_distance()),
+    "active_burst_distance": ("SURVIVOR_BUDGET", 11, lambda: TRELLIS.active_burst_distance(3)),
+    "analyze_code-survivors": ("SURVIVOR_BUDGET", 11, lambda: analyze_code(CODE, trellis=TRELLIS)),
+    "SkewConvCode": ("RANK_WINDOW_BUDGET", 11, lambda: SkewConvCode(DEFICIENT)),
+    "SkewTrellisCode": ("RANK_WINDOW_BUDGET", 11, lambda: SkewTrellisCode(DEFICIENT)),
+    "syndrome_former": ("RANK_WINDOW_BUDGET", 3, lambda: syndrome_former(CODE)),
+}
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_a_budget_cut_in_its_home_refuses_every_listed_call(name, monkeypatch):
+    budget, small, job = LISTED[name]
+    monkeypatch.setattr(HOMES[budget], budget, small)
+    assert refused_before_any_work(name, job).endswith(f", over the budget of {small}")
+
+
+def test_the_simulation_batches_within_a_survivor_budget_cut_in_its_home(monkeypatch):
+    # a frame of 4 + 1 blocks x 4 states holds 20 survivor entries, so a
+    # budget of 70 takes batches of 3 frames; the counts do not change
+    want = run_simulation(CODE, 0.2, 20, 4, seed=9, trellis=TRELLIS)
+    calls = []
+
+    def recording(trellis, received, terminated=False):
+        calls.append(len(received))
+        return viterbi_batch(trellis, received, terminated)
+
+    monkeypatch.setattr(trellis_module, "SURVIVOR_BUDGET", 70)
+    monkeypatch.setattr(analysis, "viterbi_batch", recording)
+    assert run_simulation(CODE, 0.2, 20, 4, seed=9, trellis=TRELLIS) == want
+    assert calls == [3] * 6 + [2]
+
+
+# the size constants, each by the one module that binds it
+SIZE_CONSTANTS = {name: home.__name__ for name, home in HOMES.items()}
+SIZE_CONSTANTS["PASS_ELEMENTS"] = "skewconv.field"
+
+
+def size_bindings(path):
+    """(constant, module) of each size constant the module at path binds:
+    a module-level assignment to it, one of its value, or an import of it
+    by name."""
+    tree = ast.parse(path.read_text())
+    module = f"skewconv.{path.stem}"
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            found += [(name, module) for name in sorted(names & SIZE_CONSTANTS.keys())]
+            # a copy of a constant under another name
+            read = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+            read |= {n.attr for n in ast.walk(node.value) if isinstance(n, ast.Attribute)}
+            found += [(name, module) for name in sorted(read & SIZE_CONSTANTS.keys())]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(a.name, module) for a in node.names if a.name in SIZE_CONSTANTS]
+    return found
+
+
+def test_every_size_constant_is_bound_in_one_module_only():
+    modules = sorted(Path(code_module.__file__).parent.glob("*.py"))
+    found = sorted(binding for path in modules for binding in size_bindings(path))
+    assert found == sorted(SIZE_CONSTANTS.items())
 
 
 def budget_raises(path):
@@ -373,6 +480,40 @@ def test_the_channel_transmits_a_sequence_of_its_alphabet_only():
     message = refused_in_one_line(lambda x: QSChannel(16, 0.1).transmit(x, rng), CODE.encode([[1]]))
     assert message == "channel alphabet does not match the sequence's field"
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "sent, errors, offsets, message",
+    [
+        ([1.0, 2.0], [True, False], [0, 0], "sent symbols must be an integer array, got float64"),
+        (["1", "2"], [True, False], [0, 0], "sent symbols must be an integer array, got <U1"),
+        ([True, False], [True, False], [0, 0], "sent symbols must be an integer array, got bool"),
+        ([], [], [], "sent symbols must be an integer array, got float64"),
+        ([1, 2], [True, False], [2.0, 0.0], "offsets must be an integer array, got float64"),
+        ([1, 2], [0.5, 0.0], [0, 0], "errors must be a boolean array, got float64"),
+        ([1, 2], [1, 0], [0, 0], "errors must be a boolean array, got int64"),
+        ([1, 4], [True, False], [0, 0], "sent symbols outside [0, 4)"),
+        ([1, -1], [True, False], [0, 0], "sent symbols outside [0, 4)"),
+        # over GF(4) these gave the symbols 8 and 4
+        ([1, 2], [True, True], [7, 3], "offsets outside [0, 3)"),
+        ([1, 2], [True, True], [-1, 0], "offsets outside [0, 3)"),
+        (
+            [1, 2],
+            [True],
+            [0],
+            "sent symbols, errors and offsets differ in shape: (2,), (1,), (1,)",
+        ),
+        (
+            [[1, 2]],
+            [True, False],
+            [0, 0],
+            "sent symbols, errors and offsets differ in shape: (1, 2), (2,), (2,)",
+        ),
+    ],
+)
+def test_the_channel_applies_errors_to_its_alphabet_only(sent, errors, offsets, message):
+    arrays = sent, errors, offsets
+    assert refused_in_one_line(lambda x: CHANNEL.apply_errors(*x), arrays) == message
 
 
 MIXED = {

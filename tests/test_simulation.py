@@ -14,8 +14,8 @@ from skewconv import (
     QSChannel,
     Sequence,
     SkewConvCode,
-    analysis,
     build_trellis,
+    field as field_module,
     load_code,
     run_simulation,
 )
@@ -32,7 +32,7 @@ def test_reports_equal_the_frame_at_a_time_loop(name, eps, monkeypatch):
     want = reference.run_simulation(code, eps, 11, 3, seed=77, trellis=tr)
     assert run_simulation(code, eps, 11, 3, seed=77, trellis=tr) == want
     # four frames a batch: the last batch holds three
-    monkeypatch.setattr(analysis, "BATCH_EDGES", 4 * tr.num_states * tr.num_inputs)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 4 * tr.num_states * tr.num_inputs)
     assert run_simulation(code, eps, 11, 3, seed=77, trellis=tr) == want
 
 
@@ -88,7 +88,7 @@ def test_a_simulation_encodes_once_per_batch(monkeypatch):
     monkeypatch.setattr(SkewConvCode, "encode_batch", counted)
     monkeypatch.setattr(SkewConvCode, "encode", refused)
     monkeypatch.setattr(QSChannel, "transmit", refused)
-    monkeypatch.setattr(analysis, "BATCH_EDGES", 5 * tr.num_states * tr.num_inputs)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 5 * tr.num_states * tr.num_inputs)
     run_simulation(code, 0.1, 23, 4, seed=5, trellis=tr)
     assert batches == [(5, True)] * 4 + [(3, True)]
 
@@ -115,6 +115,6 @@ def test_the_channel_draws_do_not_depend_on_the_symbols():
     assert all(0 <= o < 3 for o in offsets) and not any(o for e, o in zip(errors, offsets) if not e)
     errors = np.array(errors)
     for sent in (np.zeros(200, dtype=np.intp), np.arange(200) % 4):
-        received = QSChannel.apply_errors(sent, errors, np.array(offsets))
+        received = channel.apply_errors(sent, errors, np.array(offsets))
         assert np.array_equal(received != sent, errors)
         assert ((0 <= received) & (received < 4)).all()

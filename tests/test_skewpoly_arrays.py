@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from skewconv import FieldElement, FiniteField, Sequence, SkewPoly, SkewPolyMatrix, linalg
+from skewconv import field as field_module
 from skewconv.dual import _annihilates
 
 import skewpoly_reference as ref
@@ -90,7 +91,7 @@ def test_matrix_product_and_transpose_match_the_loop_oracle(name):
 @pytest.mark.parametrize("name", FIELDS)
 def test_banded_products_match_the_loop_oracle(name, monkeypatch):
     # 8 products put one output term, or a few, in a chunk
-    monkeypatch.setattr(linalg, "PRODUCT_TERMS", 8)
+    monkeypatch.setattr(field_module, "PASS_ELEMENTS", 8)
     field = FIELDS[name]
     rng = random.Random(200 + field.size)
     for _ in range(30):
@@ -135,7 +136,7 @@ def test_long_by_short_products_in_both_orders_stay_small(chunk, monkeypatch):
     # a band of the long factor's terms times a window of the short one
     # held 122 MiB for the 2000-term polynomial times a constant
     if chunk is not None:
-        monkeypatch.setattr(linalg, "PRODUCT_TERMS", chunk)
+        monkeypatch.setattr(field_module, "PASS_ELEMENTS", chunk)
     f = FIELDS["gf4"]
     rng = random.Random(2000)
     x = [rng.randrange(1, f.size) for _ in range(2000)]

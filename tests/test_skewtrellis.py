@@ -53,16 +53,16 @@ def reference_encode_right(code, ublocks, terminate):
 
 
 def test_one_zero_input(right_code):
-    assert right_code.encode_right([[1], [0]]).to_ints() == [(1, A), (A, A2)]
+    assert right_code.encode([[1], [0]]).to_ints() == [(1, A), (A, A2)]
 
 
 def test_alpha_zero_input(right_code):
     # v_1 = theta(a) (a, a^2) = a^2 (a, a^2) = (1, a)
-    assert right_code.encode_right([[A], [0]]).to_ints() == [(A, A2), (1, A)]
+    assert right_code.encode([[A], [0]]).to_ints() == [(A, A2), (1, A)]
 
 
 def test_all_zero(right_code):
-    assert right_code.encode_right([[0]] * 4, terminate=True).to_ints() == [(0, 0)] * 5
+    assert right_code.encode([[0]] * 4, terminate=True).to_ints() == [(0, 0)] * 5
 
 
 def test_matches_reference_formula(right_code):
@@ -70,7 +70,7 @@ def test_matches_reference_formula(right_code):
     for _ in range(50):
         u = [[rng.randrange(4)] for _ in range(rng.randrange(1, 6))]
         for term in (False, True):
-            assert right_code.encode_right(u, terminate=term).to_ints() == (
+            assert right_code.encode(u, terminate=term).to_ints() == (
                 reference_encode_right(right_code, u, term)
             )
 
@@ -81,8 +81,8 @@ def test_additivity(right_code, f4):
         length = rng.randrange(1, 6)
         u1 = Sequence(f4, [[rng.randrange(4)] for _ in range(length)], width=1)
         u2 = Sequence(f4, [[rng.randrange(4)] for _ in range(length)], width=1)
-        lhs = right_code.encode_right(u1 + u2, terminate=True)
-        rhs = right_code.encode_right(u1, terminate=True) + right_code.encode_right(
+        lhs = right_code.encode(u1 + u2, terminate=True)
+        rhs = right_code.encode(u1, terminate=True) + right_code.encode(
             u2, terminate=True
         )
         assert lhs == rhs
@@ -92,7 +92,7 @@ def test_identity_twist_coincides_with_left_encoding(right_code_id, example_code
     rng = random.Random(43)
     for _ in range(50):
         u = [[rng.randrange(4)] for _ in range(rng.randrange(1, 7))]
-        assert right_code_id.encode_right(u, terminate=True) == example_code_id.encode(
+        assert right_code_id.encode(u, terminate=True) == example_code_id.encode(
             u, terminate=True
         )
 
@@ -106,8 +106,8 @@ def test_linearity_report_example(right_code):
     assert a in (A, A2)
     # re-check the witness directly
     useq = Sequence(right_code.field, [list(b) for b in u], width=1)
-    assert right_code.encode_right(useq.scale(a), terminate=True) == lhs
-    assert right_code.encode_right(useq, terminate=True).scale(a) == rhs
+    assert right_code.encode(useq.scale(a), terminate=True) == lhs
+    assert right_code.encode(useq, terminate=True).scale(a) == rhs
     assert lhs != rhs
 
 
@@ -141,8 +141,8 @@ def test_no_witness_for_identity_twist(right_code_id):
     for a in range(1, 4):
         for u in itertools.product(range(4), repeat=2):
             useq = Sequence(f, [[s] for s in u], width=1)
-            lhs = right_code_id.encode_right(useq.scale(a), terminate=True)
-            rhs = right_code_id.encode_right(useq, terminate=True).scale(a)
+            lhs = right_code_id.encode(useq.scale(a), terminate=True)
+            rhs = right_code_id.encode(useq, terminate=True).scale(a)
             assert lhs == rhs
 
 
@@ -151,8 +151,8 @@ def test_homogeneity_over_fixed_subfield_exhaustive(right_code):
     for c in (0, 1):
         for u in itertools.product(range(4), repeat=2):
             useq = Sequence(f, [[s] for s in u], width=1)
-            lhs = right_code.encode_right(useq.scale(c), terminate=True)
-            rhs = right_code.encode_right(useq, terminate=True).scale(c)
+            lhs = right_code.encode(useq.scale(c), terminate=True)
+            rhs = right_code.encode(useq, terminate=True).scale(c)
             assert lhs == rhs
 
 
@@ -231,7 +231,7 @@ def test_right_trellis_paths_spell_encoder(right_code):
                 e = tr.edge(0, state, sym)
                 labels.append(e.label)
                 state = e.to_state
-            assert labels == right_code.encode_right([[s] for s in u]).to_ints()
+            assert labels == right_code.encode([[s] for s in u]).to_ints()
 
 
 def test_right_trellis_decodes(right_code):
@@ -240,11 +240,11 @@ def test_right_trellis_decodes(right_code):
     channel = QSChannel(4, 0.05)
     for _ in range(20):
         u = [[rng.randrange(4)] for _ in range(5)]
-        v = right_code.encode_right(u, terminate=True)
+        v = right_code.encode(u, terminate=True)
         res = viterbi(tr, v, terminated=True)
         assert res.metric == 0
         assert res.info_est.to_ints() == [tuple(b) for b in u]
-    soft = bcjr(tr, right_code.encode_right(u, terminate=True), channel, terminated=True)
+    soft = bcjr(tr, right_code.encode(u, terminate=True), channel, terminated=True)
     assert soft.info_est.to_ints() == [tuple(b) for b in u]
 
 

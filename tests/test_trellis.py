@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from skewconv import FiniteField, is_catastrophic, unit_memory_bounds
-from skewconv.decoder import SURVIVOR_BUDGET
-from skewconv.trellis import build_trellis, export_dot
+from skewconv.trellis import SURVIVOR_BUDGET, build_trellis, export_dot
 
 from conftest import A, A2, make_code
 

@@ -3,14 +3,15 @@
 Elements are encoded as integers in [0, p^n) whose base-p digits are the
 polynomial-basis coordinates, little-endian: in GF(4) built on x^2+x+1 the
 class of x is the integer 2.  Multiplication and inversion run on log/antilog
-tables built at construction; the automorphism is theta(a) = a^(p^r).
+tables built once per modulus; the automorphism is theta(a) = a^(p^r).
 
 The tables come from one GF(p)-linear map: multiplying by a fixed c is an
 n x n matrix mult(c) over GF(p), row j the digits of c x^j, and mult(c)^e =
 mult(c^e) (Lidl and Niederreiter, *Finite Fields*, ch. 2).  See
 `FiniteField._build_tables`.
 
-A field holds one set of tables, the O(q) read-only numpy arrays
+Fields over one modulus share one set of tables while any of them lives
+(`frobenius_table` one per theta_r), the O(q) read-only numpy arrays
 `log_table`, `antilog_table` and `frobenius_table`, the padded product
 table read off them and one sum table, and every operation reads those.
 Addition is digit-wise addition mod p, XOR for p = 2.  For odd p and q <=
@@ -32,6 +33,7 @@ powers that are all 0 mod the automorphism order is a copy.  The scalar
 
 import math
 import numbers
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -227,11 +229,30 @@ def _doubled_powers(squares, p, n, q1):
     return antilog
 
 
+class _Tables(dict):
+    """The read-only tables of one (p, n, modulus) by attribute name, held by
+    every field over it, and in `lazy` those made on first use."""
+
+    def __init__(self, tables):
+        super().__init__(tables)
+        self.lazy = {}
+
+    def made(self, key, make):
+        if key not in self.lazy:
+            self.lazy[key] = make()
+        return self.lazy[key]
+
+
+# the tables of each normalized (p, n, modulus) whose fields live; the last
+# field's collection frees them
+_TABLES = weakref.WeakValueDictionary()
+
+
 class FiniteField:
     """GF(p^n) with theta(a) = a^(p^r).
 
-    Immutable after construction; log/antilog tables are built once and the
-    instance is safe to share across threads.
+    Immutable after construction and safe to share across threads; fields
+    over one modulus share its tables, built once while any of them lives.
     """
 
     def __init__(self, p, n, modulus=None, theta_r=0):
@@ -262,15 +283,20 @@ class FiniteField:
         if modulus[-1] != 1:
             inv_lead = pow(modulus[-1], p - 2, p)
             modulus = [c * inv_lead % p for c in modulus]
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
         self.p = p
         self.n = n
         self.modulus = tuple(modulus)
         self.theta_r = theta_r
         self.size = p**n
-        self._build_tables()
+        # a key in _TABLES was proved irreducible when its tables were built
+        key = (p, n, self.modulus)
+        self._tables = _TABLES.get(key)
+        if self._tables is None:
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+            self._tables = _TABLES[key] = _Tables(self._build_tables())
+        vars(self).update(self._tables)
 
     # -- integer <-> digit-vector encoding --
 
@@ -295,6 +321,7 @@ class FiniteField:
         2^k powers are those of the first L times mult(g)^L, mod p.  The
         matmuls are float64 and exact, as their sums, at most n (p - 1)^2,
         stay below 2^53.  The other tables are read off the antilog table.
+        Returns them by attribute name.
         """
         p, q1 = self.p, self.size - 1
         assert self.n * (p - 1) ** 2 < 2**53
@@ -306,33 +333,31 @@ class FiniteField:
                 break
         else:  # GF(2), whose only unit is 1
             gen, squares = 1, []
-        antilog = _doubled_powers(squares, p, self.n, q1)
-        self.generator = gen
+        antilog = _read_only(_doubled_powers(squares, p, self.n, q1))
         # log_table[a] = i where g^i = a, and -1 at a = 0
         log = np.full(self.size, -1, dtype=np.intp)
         log[antilog] = np.arange(q1)
-        self.antilog_table = _read_only(antilog)
-        self.log_table = _read_only(log)
         # the product tables: _product_logs is log_table with the sentinel
         # 2(q - 1) at 0, and _product_table is the antilog table twice over,
         # so that a sum of two logs needs no reduction mod q - 1, then zeros
         # from 2(q - 1) to 4(q - 1), where a sum with a sentinel lands
-        logs = self.log_table.copy()
+        logs = log.copy()
         logs[0] = 2 * q1
-        self._product_logs = _read_only(logs)
         zeros = np.zeros(2 * q1 + 1, dtype=np.intp)
-        self._product_table = _read_only(np.concatenate((antilog, antilog, zeros)))
+        product = _read_only(np.concatenate((antilog, antilog, zeros)))
+        tables = dict(generator=gen, antilog_table=antilog, log_table=_read_only(log))
+        tables.update(_product_logs=_read_only(logs), _product_table=product, _sum_table=None)
         # the sum tables: none for p = 2, the flat one up to _SUM_TABLE_SIZE,
         # Zech logarithms above
-        self._sum_table = None
-        if self.p != 2 and self.size <= _SUM_TABLE_SIZE:
-            self._sum_table = self._flat_sums()
-            self._sum_index = np.min_scalar_type(self.size**2 - 1)
-        elif self.p != 2:
+        if p != 2 and self.size <= _SUM_TABLE_SIZE:
+            tables["_sum_table"] = self._flat_sums()
+            tables["_sum_index"] = np.min_scalar_type(self.size**2 - 1)
+        elif p != 2:
             # zech[m] = log(1 + g^m), -1 where 1 + g^m = 0; adding 1 steps digit 0
-            low = self.antilog_table % self.p
-            zech = self.log_table[self.antilog_table - low + (low + 1) % self.p]
-            self._sum_logs, self._sum_zech = self._zech_tables(zech)
+            low = antilog % p
+            zech = log[antilog - low + (low + 1) % p]
+            tables["_sum_logs"], tables["_sum_zech"] = self._zech_tables(log, zech)
+        return tables
 
     def _flat_sums(self):
         """The uint8 sum table of `add`, q <= 256: entry a * q + b is a + b.
@@ -347,7 +372,7 @@ class FiniteField:
             table = table.reshape(p ** (i + 1), p ** (i + 1))
         return _read_only(table.astype(np.uint8).ravel())
 
-    def _zech_tables(self, zech):
+    def _zech_tables(self, log, zech):
         """(sum_logs, sum_zech) for `add` above `_SUM_TABLE_SIZE`: a + b is
         the `_product_table` entry at
         _product_logs[a] + sum_zech[sum_logs[b] - _product_logs[a]].
@@ -361,7 +386,7 @@ class FiniteField:
         - both zero: d = 4(q - 1), to 2(q - 1), in the zero block;
         - a > 0 = b: d in (5(q - 1), 6(q - 1)], to 0, so it lands on a."""
         q1 = self.size - 1
-        sum_logs = self.log_table + 2 * q1
+        sum_logs = log + 2 * q1
         sum_logs[0] = 6 * q1
         sum_zech = np.zeros(6 * q1 + 1, dtype=np.intp)
         sum_zech[:q1] = np.arange(q1) - 2 * q1
@@ -372,7 +397,11 @@ class FiniteField:
 
     @cached_property
     def frobenius_table(self):
-        """frobenius_table[a] = theta(a), made on first use."""
+        """frobenius_table[a] = theta(a), made on first use over the modulus
+        and theta_r."""
+        return self._tables.made(self.theta_r, self._frobenius_table)
+
+    def _frobenius_table(self):
         table = self.antilog_table[self.log_table * self.p**self.theta_r % (self.size - 1)]
         table[0] = 0
         return _read_only(table)
@@ -421,7 +450,10 @@ class FiniteField:
     @cached_property
     def _spread(self):
         """(spread, width): spread[a] holds digit i of a in bits
-        [width * i, width * (i + 1))."""
+        [width * i, width * (i + 1)), made on first use over the modulus."""
+        return self._tables.made("spread", self._spread_digits)
+
+    def _spread_digits(self):
         width = 63 // self.n
         spread = np.zeros(self.size, dtype=np.int64)
         rest = np.arange(self.size)

@@ -1,19 +1,26 @@
 import contextlib
 import functools
+import gc
 import itertools
 import math
+import os
 import random
 import re
 import signal
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import field_reference
-from skewconv import FieldElement, FiniteField
-from skewconv.field import _SUM_TABLE_SIZE, DEFAULT_BINARY_MODULI, _is_irreducible
+from skewconv import FieldElement, FiniteField, field as field_module
+from skewconv.field import _SUM_TABLE_SIZE, _TABLES, DEFAULT_BINARY_MODULI, _is_irreducible
 
 from conftest import A, A2
 
@@ -396,6 +403,10 @@ HELD = {}
 @functools.lru_cache(maxsize=1)  # one at a time: GF(7^7) alone holds 88 MiB
 def big_field(name):
     p, n, modulus = BIG_FIELDS[name]
+    # a cold build: with a live twin the tables would be shared and HELD
+    # would read about 0
+    gc.collect()
+    assert (p, n, tuple(modulus or DEFAULT_BINARY_MODULI[n])) not in _TABLES
     tracemalloc.start()
     try:
         with deadline(5, f"building {name} took over 5 s"):
@@ -744,3 +755,146 @@ def test_numpy_integers_and_bools_name_and_twist_as_ints(f4):
     assert f4.element_name(True) == "1" and f4.element_name(np.int64(0)) == "0"
     assert f4(A).frobenius(np.int64(1)) == f4(A).frobenius(True) == A2
     assert f4(A).frobenius(np.uint8(2)) == f4(A).frobenius(False) == A
+
+
+# -- one table set per modulus ------------------------------------------------
+
+# the tables a field reads, built once per (p, n, modulus)
+SHARED_TABLES = (
+    "log_table",
+    "antilog_table",
+    "_product_logs",
+    "_product_table",
+    "_sum_table",
+    "_sum_logs",
+    "_sum_zech",
+)
+
+
+def counting(monkeypatch, calls):
+    """Record each call of `_is_irreducible` and `_build_tables` in calls."""
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    irreducible = counted("irreducible", field_module._is_irreducible)
+    monkeypatch.setattr(field_module, "_is_irreducible", irreducible)
+    monkeypatch.setattr(FiniteField, "_build_tables", counted("build", FiniteField._build_tables))
+
+
+# p = 2 on its default modulus, a flat sum table and Zech logarithms; each
+# also with the modulus given, times a unit for odd p
+TWIN_MODULI = [
+    (2, 4, None, [1, 1, 0, 0, 1]),
+    (3, 2, [2, 2, 1], [1, 1, 2]),
+    (3, 6, [2, 1, 0, 0, 0, 0, 1], [1, 2, 0, 0, 0, 0, 2]),
+]
+
+
+@pytest.mark.parametrize("p, n, modulus, given", TWIN_MODULI, ids=str)
+def test_fields_over_one_modulus_share_one_table_set(p, n, modulus, given):
+    fields = [FiniteField(p, n, m, theta_r=r) for m in (modulus, given) for r in (0, 1)]
+    first = fields[0]
+    for f in fields:
+        assert f._tables is first._tables is _TABLES[p, n, f.modulus]
+        assert f.generator == first.generator
+        for name in SHARED_TABLES:
+            assert getattr(f, name, None) is getattr(first, name, None), name
+        if p != 2:
+            assert f._spread is first._spread
+    # each theta_r keeps its own Frobenius table, theta = id the identity
+    plain, twisted = fields[0].frobenius_table, fields[1].frobenius_table
+    assert fields[2].frobenius_table is plain and fields[3].frobenius_table is twisted
+    assert np.array_equal(plain, np.arange(first.size))
+    assert twisted.tolist() == [(first(a) ** p).value for a in range(first.size)]
+    assert [f.frobenius_int(a) for f in fields for a in range(first.size)] == (
+        plain.tolist() + twisted.tolist()
+    ) * 2
+
+
+def test_a_twin_skips_the_irreducibility_test_and_the_build(monkeypatch):
+    calls = []
+    counting(monkeypatch, calls)
+    key = (3, 3, (1, 0, 2, 1))  # x^3 + 2x^2 + 1, which no other test keeps
+    gc.collect()
+    assert key not in _TABLES
+    first = FiniteField(3, 3, [1, 0, 2, 1])
+    twins = [FiniteField(3, 3, [1, 0, 2, 1], theta_r=r) for r in (0, 1, 2)]
+    twins.append(FiniteField(3, 3, [2, 0, 1, 2], theta_r=1))  # twice the modulus
+    assert calls == ["irreducible", "build"]
+    holder = weakref.ref(first._tables)
+    del first, twins
+    gc.collect()
+    assert holder() is None and key not in _TABLES
+    FiniteField(3, 3, [1, 0, 2, 1])
+    assert calls == ["irreducible", "build"] * 2
+
+
+def test_a_twin_of_a_big_field_holds_no_second_table_set(monkeypatch):
+    f = big_field("gf3^12")
+    calls = []
+    counting(monkeypatch, calls)
+    tracemalloc.start()
+    try:
+        twins = [FiniteField(f.p, f.n, f.modulus, theta_r=r) for r in (0, 1, 5)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and held < 2**20, held
+    assert all(t.log_table is f.log_table and t._sum_zech is f._sum_zech for t in twins)
+
+
+def test_sharing_leaves_the_field_checks_as_they_were(f4, f4_id, f8):
+    with pytest.raises(ValueError, match="reducible"):
+        FiniteField(2, 2, [1, 0, 1])
+    # two moduli of GF(8) share nothing
+    other = FiniteField(2, 3, [1, 0, 1, 1], theta_r=1)
+    assert other._tables is not f8._tables and other != f8
+    arrays = ("log_table", "antilog_table", "_product_logs", "_product_table")
+    assert not any(getattr(other, name) is getattr(f8, name) for name in arrays)
+    # a field equals, and hashes as, one built anew over the same key
+    twin = FiniteField(2, 2, [1, 1, 1], theta_r=1)
+    assert twin == f4 and hash(twin) == hash(f4) and twin != f4_id
+    assert twin(2) * f4(3) == f4(1) and f4(2) + twin(3) == twin(1)
+    assert f4(2) == twin(2) and f4(2) != f4_id(2)
+    with pytest.raises(ValueError, match="^mixed-field operands$"):
+        twin(2) * f4_id(3)
+
+
+# 30 GF(2^16) fields built and dropped one after another: the bytes still
+# traced after the first and after the last.  tracemalloc, not ru_maxrss: a
+# child's ru_maxrss starts from the peak of the process that started it
+BUILT_AND_DROPPED = textwrap.dedent(
+    """
+    import tracemalloc
+    from skewconv import field
+
+    def build_and_drop():
+        field.FiniteField(2, 16, theta_r=1).frobenius_table
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    once = build_and_drop()
+    for _ in range(29):
+        last = build_and_drop()
+    print(once, last, len(field._TABLES))
+    """
+)
+
+
+def test_tables_go_with_the_last_field_over_them():
+    # one GF(2^16) table set is about 4 MiB with its Frobenius table and its
+    # smallest table 0.5 MiB, so a strong reference to any table kept per
+    # build would hold 14 MiB more after the last
+    env = dict(os.environ)
+    package = Path(field_module.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(package), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", BUILT_AND_DROPPED], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    once, last, live = map(int, out.split())
+    assert live == 0 and last - once < 2**20, (once, last)

@@ -516,6 +516,27 @@ def test_the_channel_applies_errors_to_its_alphabet_only(sent, errors, offsets, 
     assert refused_in_one_line(lambda x: CHANNEL.apply_errors(*x), arrays) == message
 
 
+@pytest.mark.parametrize(
+    "sent, received, message",
+    [
+        # each of the first three was answered, over GF(4) at eps 0.3 with
+        # 0.7, 0.1 and 0.49
+        ([9], [9], "sent symbols outside [0, 4)"),
+        ([1.5], [2], "sent symbols must be an integer array, got float64"),
+        ("ab", "ab", "sent symbols must be an integer array, got <U2"),
+        ([0], [-1], "received symbols outside [0, 4)"),
+        ([0, 1], [True, False], "received symbols must be an integer array, got bool"),
+        ([0, 0, 0], [1], "blocks of unequal length 3 and 1"),
+        ([], [1, 1], "blocks of unequal length 0 and 2"),
+    ],
+)
+def test_the_channel_likelihood_reads_its_alphabet_only(sent, received, message):
+    blocks = sent, received
+    assert refused_in_one_line(lambda x: CHANNEL.block_likelihood(*x), blocks) == message
+    # symbols of the alphabet, listed or in any integer dtype, are answered
+    assert CHANNEL.block_likelihood([3, 1], np.array([3, 0], dtype=np.uint8)) == pytest.approx(0.9 * 0.1 / 3)
+
+
 MIXED = {
     "FieldElement": lambda: F4(1) + F4_ID(1),
     "symbol": lambda: Sequence(F4, [[F4_ID(1)]]),
